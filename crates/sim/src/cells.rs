@@ -83,10 +83,11 @@
 //! ```
 
 use crate::controller::{
-    ControllerConfig, DatacenterController, MetricSink, RepackEvent, ViolationEvent, VmEvent,
+    union_ladder_ghz, ControllerConfig, DatacenterController, MetricSink, RepackEvent,
+    ViolationEvent, VmEvent,
 };
 use crate::error::SimError;
-use crate::report::{ClassBreakdown, PeriodRecord, SimReport};
+use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
 use cavm_core::cells::{partition_fleet, CellSubfleet};
 use cavm_power::EnergyMeter;
 use cavm_trace::{MomentSketch, TimeSeries, PHASE_BUCKETS};
@@ -233,17 +234,7 @@ impl ShardedController {
     /// [`partition_fleet`] validation ([`SimError::InvalidParameter`]
     /// for zero cells or more cells than servers).
     pub fn new(base: ControllerConfig, cells: usize) -> crate::Result<Self> {
-        let union_ghz = {
-            let mut ghz: Vec<f64> = base
-                .server_fleet
-                .classes()
-                .iter()
-                .flat_map(|c| c.ladder().levels().iter().map(|f| f.as_ghz()))
-                .collect();
-            ghz.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
-            ghz.dedup();
-            ghz
-        };
+        let union_ghz = union_ladder_ghz(&base.server_fleet);
         let base_classes: Vec<(String, f64, usize, Vec<f64>)> = base
             .server_fleet
             .classes()
@@ -424,15 +415,8 @@ impl ShardedController {
         let cell = self.route_to_cell(ref_demand, &profile);
 
         let local = self.global_of[cell].len();
-        {
-            let mut cell_sink = CellSink {
-                outer: sink,
-                server_offset: self.server_offsets[cell],
-                class_map: &self.class_maps[cell],
-                global_of: &self.global_of[cell],
-            };
-            self.inner[cell].arrive(local, trace, lease_samples, &mut cell_sink)?;
-        }
+        let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+        ctl.arrive(local, trace, lease_samples, &mut cell_sink)?;
         self.global_of[cell].push(id);
         if self.route.len() <= id {
             self.route.resize_with(id + 1, || None);
@@ -536,13 +520,8 @@ impl ShardedController {
             return self.inner[0].tick(sink);
         }
         for cell in 0..self.inner.len() {
-            let mut cell_sink = CellSink {
-                outer: sink,
-                server_offset: self.server_offsets[cell],
-                class_map: &self.class_maps[cell],
-                global_of: &self.global_of[cell],
-            };
-            self.inner[cell].tick(&mut cell_sink)?;
+            let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+            ctl.tick(&mut cell_sink)?;
         }
         self.clock += 1;
         Ok(())
@@ -562,13 +541,9 @@ impl ShardedController {
             return self.inner[0].server_fail(server, sink);
         }
         let (cell, local) = self.locate_server(server)?;
-        let mut cell_sink = CellSink {
-            outer: sink,
-            server_offset: self.server_offsets[cell],
-            class_map: &self.class_maps[cell],
-            global_of: &self.global_of[cell],
-        };
-        self.inner[cell].server_fail(local, &mut cell_sink)
+        let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+        let result = ctl.server_fail(local, &mut cell_sink);
+        result.map_err(|e| self.globalize_server_error(cell, e))
     }
 
     /// Recovers a failed server by its **global** index.
@@ -586,13 +561,49 @@ impl ShardedController {
             return self.inner[0].server_recover(server, sink);
         }
         let (cell, local) = self.locate_server(server)?;
-        let mut cell_sink = CellSink {
-            outer: sink,
+        let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+        let result = ctl.server_recover(local, &mut cell_sink);
+        result.map_err(|e| self.globalize_server_error(cell, e))
+    }
+
+    /// One cell's controller together with the sink adapter that
+    /// translates its events into the global namespace.
+    fn cell_mut<'a>(
+        &'a mut self,
+        cell: usize,
+        outer: &'a mut dyn MetricSink,
+    ) -> (&'a mut DatacenterController, CellSink<'a>) {
+        let cell_sink = CellSink {
+            outer,
             server_offset: self.server_offsets[cell],
             class_map: &self.class_maps[cell],
             global_of: &self.global_of[cell],
         };
-        self.inner[cell].server_recover(local, &mut cell_sink)
+        (&mut self.inner[cell], cell_sink)
+    }
+
+    /// Re-bases a cell's server-health error into the global namespace:
+    /// the server index by the cell's slot offset, and the provisioned
+    /// count to the fleet-wide one.
+    fn globalize_server_error(&self, cell: usize, error: SimError) -> SimError {
+        let offset = self.server_offsets[cell];
+        match error {
+            SimError::UnknownServer { server, .. } => SimError::UnknownServer {
+                server: server + offset,
+                servers: self
+                    .inner
+                    .iter()
+                    .map(|c| c.placement().server_count())
+                    .sum(),
+            },
+            SimError::ServerAlreadyFailed { server } => SimError::ServerAlreadyFailed {
+                server: server + offset,
+            },
+            SimError::ServerNotFailed { server } => SimError::ServerNotFailed {
+                server: server + offset,
+            },
+            other => other,
+        }
     }
 
     fn locate_server(&self, server: usize) -> crate::Result<(usize, usize)> {
@@ -622,13 +633,8 @@ impl ShardedController {
             return self.inner[0].finish(sink);
         }
         for cell in 0..self.inner.len() {
-            let mut cell_sink = CellSink {
-                outer: sink,
-                server_offset: self.server_offsets[cell],
-                class_map: &self.class_maps[cell],
-                global_of: &self.global_of[cell],
-            };
-            self.inner[cell].finish(&mut cell_sink)?;
+            let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+            ctl.finish(&mut cell_sink)?;
         }
         self.finished = true;
         sink.on_summary(&self.report());
@@ -677,15 +683,7 @@ impl ShardedController {
             }
             periods.push(merged);
         }
-        let max_violation = periods
-            .iter()
-            .map(|p| p.max_violation_ratio)
-            .fold(0.0, f64::max);
-        let mean_violation = if periods.is_empty() {
-            0.0
-        } else {
-            periods.iter().map(|p| p.max_violation_ratio).sum::<f64>() / periods.len() as f64
-        };
+        let (max_violation_percent, mean_violation_percent) = violation_percents(&periods);
 
         // ---- classes: merge through each cell's class map.
         let mut classes: Vec<ClassBreakdown> = self
@@ -746,8 +744,8 @@ impl ShardedController {
             policy: self.policy_name.clone(),
             dynamic_dvfs: self.dynamic_dvfs,
             energy,
-            max_violation_percent: max_violation * 100.0,
-            mean_violation_percent: mean_violation * 100.0,
+            max_violation_percent,
+            mean_violation_percent,
             violation_instances: reports.iter().map(|r| r.violation_instances).sum(),
             periods,
             classes,
@@ -1025,6 +1023,96 @@ mod tests {
         sharded.server_fail(0, &mut sink).unwrap();
         assert_eq!(sharded.report().server_failures, report_failures_before + 1);
         sharded.server_recover(0, &mut sink).unwrap();
+    }
+
+    /// Server-health errors raised inside a cell come back in the
+    /// global namespace the caller addressed the event in.
+    #[test]
+    fn server_errors_speak_global_indices() {
+        // Two cells of three servers: cell 1 owns global servers 3..6.
+        let mut sharded = ShardedController::new(config(6), 2).unwrap();
+        let mut sink = NullSink;
+        for id in 0..6 {
+            let t = TimeSeries::constant(5.0, 64, 1.0).unwrap();
+            sharded.arrive(id, t, None, &mut sink).unwrap();
+        }
+        sharded.tick(&mut sink).unwrap();
+        // Three 1-core VMs per cell pack onto one 8-core server each.
+        assert_eq!(sharded.cell_populations(), vec![3, 3]);
+        let provisioned: usize = (0..2)
+            .map(|c| {
+                sharded
+                    .cell_controller(c)
+                    .unwrap()
+                    .placement()
+                    .server_count()
+            })
+            .sum();
+        assert_eq!(provisioned, 2);
+
+        // Global 5 is cell 1's third slot: in the fleet, not provisioned.
+        assert_eq!(
+            sharded.server_fail(5, &mut sink),
+            Err(SimError::UnknownServer {
+                server: 5,
+                servers: provisioned
+            })
+        );
+        assert_eq!(
+            sharded.server_recover(4, &mut sink),
+            Err(SimError::UnknownServer {
+                server: 4,
+                servers: provisioned
+            })
+        );
+        assert_eq!(
+            sharded.server_recover(3, &mut sink),
+            Err(SimError::ServerNotFailed { server: 3 })
+        );
+        sharded.server_fail(3, &mut sink).unwrap();
+        assert_eq!(
+            sharded.server_fail(3, &mut sink),
+            Err(SimError::ServerAlreadyFailed { server: 3 })
+        );
+        sharded.server_recover(3, &mut sink).unwrap();
+    }
+
+    /// A refused arrival must not wedge the cell it was routed to: the
+    /// next arrival there is judged on capacity, never `DuplicateVm`.
+    #[test]
+    fn refused_arrival_leaves_the_cell_usable() {
+        // Two cells of one 8-core server; a 6-core default demand means
+        // one mid-period admission per cell.
+        let mut cfg = config(2);
+        cfg.default_demand = 6.0;
+        let mut sharded = ShardedController::new(cfg, 2).unwrap();
+        let mut sink = NullSink;
+        let quiet = || TimeSeries::constant(5.0, 64, 1.0).unwrap();
+        sharded.arrive(0, quiet(), None, &mut sink).unwrap();
+        sharded.arrive(1, quiet(), None, &mut sink).unwrap();
+        sharded.tick(&mut sink).unwrap();
+        assert_eq!(sharded.cell_populations(), vec![1, 1]);
+
+        for id in [2, 3] {
+            assert!(
+                matches!(
+                    sharded.arrive(id, quiet(), None, &mut sink),
+                    Err(SimError::InsufficientServers { .. })
+                ),
+                "arrival {id} must be refused on capacity"
+            );
+            assert_eq!(sharded.cell_of_vm(id), None);
+            assert_eq!(sharded.live_vms(), 2);
+        }
+        // Freeing the cell's server makes the retry succeed.
+        let cell = sharded.cell_of_vm(0).unwrap();
+        sharded.depart(0).unwrap();
+        sharded.arrive(2, quiet(), None, &mut sink).unwrap();
+        assert_eq!(sharded.cell_of_vm(2), Some(cell));
+        for _ in 0..20 {
+            sharded.tick(&mut sink).unwrap();
+        }
+        assert_eq!(sharded.live_vms(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! [`AllocationPolicy::place_one`]: cavm_core::alloc::AllocationPolicy::place_one
 
 use crate::config::Policy;
-use crate::report::{ClassBreakdown, PeriodRecord, SimReport};
+use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
 use crate::SimError;
 use cavm_core::alloc::{
     AllocationPolicy, BfdPolicy, FfdPolicy, OpenServer, PcpPolicy, Placement, ProposedPolicy,
@@ -82,6 +82,19 @@ pub(crate) fn map_core(e: CoreError) -> SimError {
         },
         e => SimError::Core(e),
     }
+}
+
+/// The report histograms' frequency axis: the sorted union of every
+/// class ladder, in GHz (a uniform fleet keeps its own ladder).
+pub(crate) fn union_ladder_ghz(fleet: &ServerFleet) -> Vec<f64> {
+    let mut ghz: Vec<f64> = fleet
+        .classes()
+        .iter()
+        .flat_map(|c| c.ladder().levels().iter().map(|f| f.as_ghz()))
+        .collect();
+    ghz.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
+    ghz.dedup();
+    ghz
 }
 
 /// When the controller re-packs the live placement.
@@ -992,6 +1005,46 @@ struct VmSlot {
     last_off: Option<f64>,
 }
 
+/// The zero-demand descriptor of an id with no live VM behind it.
+fn vacant_descriptor(id: usize) -> VmDescriptor {
+    VmDescriptor::new(id, 0.0).with_off_peak(0.0)
+}
+
+/// Everything the controller tracks per provisioned server, beyond the
+/// membership/class lists [`Placement`] owns and the health slice
+/// [`DatacenterController::server_health`] hands out.
+#[derive(Debug, Clone)]
+struct ServerSlot {
+    /// Core capacity of the server's fleet class.
+    cores: f64,
+    /// Incremental Eqn (2) aggregate over the current members.
+    agg: ServerCostAggregate,
+    /// Current level on the class's frequency ladder.
+    freq_idx: usize,
+    /// Peak aggregate demand of the running dynamic-governor window.
+    window_max: f64,
+    /// Over-capacity samples recorded this period.
+    violations: usize,
+    /// The period index until which a boundary trim's revocation
+    /// holds: the server is denied further deliberate overcommit
+    /// through this period, breaking the admit-then-trim ping-pong.
+    overcommit_hold: usize,
+}
+
+impl ServerSlot {
+    /// A freshly opened, empty server of `cores` capacity.
+    fn new(cores: f64) -> Self {
+        Self {
+            cores,
+            agg: ServerCostAggregate::new(),
+            freq_idx: 0,
+            window_max: 0.0,
+            violations: 0,
+            overcommit_hold: 0,
+        }
+    }
+}
+
 /// Demand of a registered VM at global sample `k` (zero before arrival,
 /// after departure, or past the end of its trace).
 fn sample_of(slot: &Option<VmSlot>, k: usize) -> f64 {
@@ -1033,15 +1086,19 @@ pub struct DatacenterController {
     in_period: bool,
     finished: bool,
 
-    // ---- live placement state (valid while `in_period`).
+    // ---- live placement state (valid while `in_period`). `placement`
+    // (members + classes), `servers` and `health` are parallel: they
+    // are appended only by `open_slot` and rebuilt only by
+    // `install_placement`, so their lengths agree by construction.
     placement: Placement,
-    aggregates: Vec<ServerCostAggregate>,
-    classes_of: Vec<usize>,
-    cores_of: Vec<f64>,
-    freq_idx: Vec<usize>,
-    window_max_agg: Vec<f64>,
+    servers: Vec<ServerSlot>,
+    /// Per-server health — a vector of its own because
+    /// [`Self::server_health`] hands it out as a slice. Failed slots
+    /// survive period boundaries: only a full batch re-pack rebuilds
+    /// the tables, and degraded mode suspends it.
+    health: Vec<ServerHealth>,
+    /// Per-VM (id-indexed) peak of the running dynamic-governor window.
     window_max_vm: Vec<f64>,
-    server_violations: Vec<usize>,
     /// Worst per-server violation ratio folded out of counters an
     /// off-cycle re-pack discarded (the bins changed under them).
     period_ratio_floor: f64,
@@ -1061,23 +1118,12 @@ pub struct DatacenterController {
     /// The live deliberate-overcommit margins, one per fleet class;
     /// `Some` exactly when [`ControllerConfig::overcommit`] is set.
     overcommit_ctl: Option<Vec<OvercommitController>>,
-    /// Per server slot: the period index until which the boundary trim
-    /// loop's revocation holds — a trimmed server is denied further
-    /// deliberate overcommit through this period, breaking the
-    /// admit-then-trim ping-pong. Parallel to `placement`; reset
-    /// wholesale by a full batch re-pack (slots renumber).
-    overcommit_hold: Vec<usize>,
     pcp_clusters: Option<usize>,
     period_class_joules_start: Vec<f64>,
-    assignment: Vec<Option<usize>>,
     /// Dense (id-indexed) descriptor table of the current period.
     dense_vms: Vec<VmDescriptor>,
 
     // ---- fault-tolerance state.
-    /// Per-provisioned-server health, parallel to `placement`. Only
-    /// rebuilt wholesale by a full batch re-pack, which degraded mode
-    /// suspends — so failed slots survive period boundaries.
-    health: Vec<ServerHealth>,
     /// Live-but-unplaceable VM ids, FIFO. Retried every tick, at each
     /// recovery and at period boundaries; bounded by
     /// [`ControllerConfig::max_deferred`].
@@ -1127,15 +1173,7 @@ impl DatacenterController {
             .map(|c| c.busy_watts_per_core())
             .collect();
 
-        // The histogram's frequency axis is the sorted union of every
-        // class ladder (a uniform fleet keeps its own ladder).
-        let mut union_ghz: Vec<f64> = fleet
-            .classes()
-            .iter()
-            .flat_map(|c| c.ladder().levels().iter().map(|f| f.as_ghz()))
-            .collect();
-        union_ghz.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
-        union_ghz.dedup();
+        let union_ghz = union_ladder_ghz(fleet);
         let union_level: Vec<Vec<usize>> = fleet
             .classes()
             .iter()
@@ -1172,13 +1210,8 @@ impl DatacenterController {
             in_period: false,
             finished: false,
             placement: Placement::from_servers(vec![]),
-            aggregates: Vec::new(),
-            classes_of: Vec::new(),
-            cores_of: Vec::new(),
-            freq_idx: Vec::new(),
-            window_max_agg: Vec::new(),
+            servers: Vec::new(),
             window_max_vm: Vec::new(),
-            server_violations: Vec::new(),
             period_ratio_floor: 0.0,
             period_migrations: 0,
             repack_armed: false,
@@ -1190,10 +1223,8 @@ impl DatacenterController {
             overcommit_ctl: cfg
                 .overcommit
                 .map(|oc| vec![OvercommitController::new(oc.margin, oc.max_margin); n_classes]),
-            overcommit_hold: Vec::new(),
             pcp_clusters: None,
             period_class_joules_start: vec![0.0; n_classes],
-            assignment: Vec::new(),
             dense_vms: Vec::new(),
             matrix: None,
             window: Vec::new(),
@@ -1341,16 +1372,11 @@ impl DatacenterController {
     /// here. This is the count the [`QosGuard`] predicate divides by
     /// the period length.
     pub fn period_worst_violations(&self) -> usize {
-        self.server_violations
+        self.servers
             .iter()
-            .enumerate()
-            .filter(|&(s, _)| {
-                self.placement
-                    .servers()
-                    .get(s)
-                    .is_some_and(|m| m.len() >= 2)
-            })
-            .map(|(_, &v)| v)
+            .zip(self.placement.servers())
+            .filter(|(_, members)| members.len() >= 2)
+            .map(|(slot, _)| slot.violations)
             .max()
             .unwrap_or(0)
     }
@@ -1387,7 +1413,9 @@ impl DatacenterController {
     /// overcommit through the following period, breaking the
     /// admit-then-trim ping-pong.
     pub fn overcommit_held(&self, s: usize) -> bool {
-        self.overcommit_hold.get(s).copied().unwrap_or(0) > self.period
+        self.servers
+            .get(s)
+            .is_some_and(|slot| slot.overcommit_hold > self.period)
     }
 
     /// The deliberate-overcommit margin in effect for server `s` right
@@ -1397,10 +1425,9 @@ impl DatacenterController {
         if self.degraded() || self.overcommit_held(s) {
             return 0.0;
         }
-        match (&self.overcommit_ctl, self.classes_of.get(s)) {
-            (Some(ctls), Some(&class)) => ctls[class].current(),
-            _ => 0.0,
-        }
+        self.overcommit_ctl
+            .as_ref()
+            .map_or(0.0, |ctls| ctls[self.placement.classes()[s]].current())
     }
 
     /// The per-class margin vector the batch re-pack packs with: the
@@ -1491,8 +1518,8 @@ impl DatacenterController {
         while self.slots.len() <= id {
             let fresh = self.slots.len();
             self.slots.push(None);
-            self.dense_vms
-                .push(VmDescriptor::new(fresh, 0.0).with_off_peak(0.0));
+            self.dense_vms.push(vacant_descriptor(fresh));
+            self.window_max_vm.push(0.0);
         }
         self.slots[id] = Some(VmSlot {
             trace,
@@ -1505,24 +1532,13 @@ impl DatacenterController {
         if self.in_period {
             let demand = self.cfg.default_demand;
             let vm = VmDescriptor::new(id, demand).with_off_peak(demand * 0.9);
-            if self.degraded() {
-                // The fleet is short on capacity because servers
-                // failed: an arrival that cannot be hosted degrades
-                // into the deferred queue instead of aborting the
-                // session. A full queue rejects the event atomically —
-                // the registration above is rolled back.
-                match self.admit_live(vm, sink) {
-                    Err(SimError::InsufficientServers { .. }) => {
-                        if let Err(full) = self.defer(id) {
-                            self.slots[id] = None;
-                            self.dense_vms[id] = VmDescriptor::new(id, 0.0).with_off_peak(0.0);
-                            return Err(full);
-                        }
-                    }
-                    other => other?,
-                }
-            } else {
-                self.admit_live(vm, sink)?;
+            if let Err(refused) = self.admit_or_defer(vm, sink) {
+                // A refused arrival is atomic: the registration above
+                // is rolled back, so the id stays fresh and a retry is
+                // judged on capacity again.
+                self.slots[id] = None;
+                self.dense_vms[id] = vacant_descriptor(id);
+                return Err(refused);
             }
         }
         Ok(())
@@ -1548,27 +1564,12 @@ impl DatacenterController {
             // A queued VM departing simply leaves the queue — it was
             // never placed.
             self.deferred.retain(|&d| d != id);
-            self.dense_vms[id] = VmDescriptor::new(id, 0.0).with_off_peak(0.0);
+            self.dense_vms[id] = vacant_descriptor(id);
             return Ok(());
         }
         if self.in_period && self.placement.server_of(id).is_some() {
-            let server = self.placement.evict(id).map_err(SimError::Core)?;
-            self.dense_vms[id] = VmDescriptor::new(id, 0.0).with_off_peak(0.0);
-            if let Some(a) = self.assignment.get_mut(id) {
-                *a = None;
-            }
-            // Rebuild the vacated server's aggregate from the remaining
-            // members and re-plan its frequency.
-            let matrix = self
-                .matrix
-                .as_ref()
-                .expect("a placed vm implies a period matrix");
-            let mut agg = ServerCostAggregate::new();
-            for &m in &self.placement.servers()[server] {
-                agg.push(m, self.dense_vms[m].demand, matrix);
-            }
-            self.aggregates[server] = agg;
-            self.replan_bin(server)?;
+            self.evict_live(id)?;
+            self.dense_vms[id] = vacant_descriptor(id);
             // A departure is what creates fragmentation: arm the
             // off-cycle check for the next tick.
             if self.cfg.repack_trigger.slack().is_some() {
@@ -1614,7 +1615,7 @@ impl DatacenterController {
                 let slack = self.slack_ctl.map(|c| c.current());
                 let gap = active.saturating_sub(estimate);
                 if slack.is_some_and(|s| gap >= s as usize) {
-                    self.offcycle_repack(estimate, active, sink)?;
+                    self.midperiod_repack(RepackReason::Fragmentation { estimate, active }, sink)?;
                 } else if let Some(ctl) = self.slack_ctl.as_mut() {
                     // Armed but below the (possibly raised) slack:
                     // let the adaptive controller see the missed
@@ -1653,7 +1654,6 @@ impl DatacenterController {
         if server >= servers {
             return Err(SimError::UnknownServer { server, servers });
         }
-        self.health.resize(servers, ServerHealth::Healthy);
         if self.health[server].is_failed() {
             return Err(SimError::ServerAlreadyFailed { server });
         }
@@ -1674,46 +1674,23 @@ impl DatacenterController {
 
         // Evacuate: the members leave their failed host wholesale, its
         // live state is zeroed, and each evacuee re-admits in id order
-        // through the policy (health-aware, so neither the failed
-        // origin nor any other failed server is a candidate).
-        let mut evacuees = self
+        // through the policy (health-aware, so no failed server is a
+        // candidate); the queue has room for every resident (checked
+        // above).
+        let evacuees = self
             .placement
             .drain_server(server)
             .map_err(SimError::Core)?;
-        evacuees.sort_unstable();
-        for &id in &evacuees {
-            if let Some(a) = self.assignment.get_mut(id) {
-                *a = None;
-            }
-        }
-        self.aggregates[server] = ServerCostAggregate::new();
-        let mut moved = 0usize;
-        for &id in &evacuees {
-            let vm = self.dense_vms[id];
-            match self.admit_slot_excluding(vm, None) {
-                Ok(dest) => {
-                    moved += 1;
-                    self.evacuations += 1;
-                    self.class_migrations[self.placement.classes()[dest]] += 1;
-                    sink.on_migration(self.period, id, server, dest);
-                }
-                Err(SimError::InsufficientServers { .. }) => {
-                    self.defer(id)
-                        .expect("capacity for every resident was checked above");
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.period_migrations += moved;
-        sink.on_repack(&RepackEvent {
-            sample: self.clock,
-            period: self.period,
-            reason: RepackReason::Evacuation { server },
+        self.refresh_bin(server)?;
+        let displaced = evacuees.into_iter().map(|id| (id, server)).collect();
+        let moved = self.readmit_displaced(displaced, true, sink)?;
+        self.evacuations += moved;
+        self.emit_repack(
+            RepackReason::Evacuation { server },
             servers_before,
-            servers_after: self.placement.active_server_count(),
-            migrations: moved,
-            slack_after: self.current_slack(),
-        });
+            moved,
+            sink,
+        );
         Ok(())
     }
 
@@ -1734,7 +1711,7 @@ impl DatacenterController {
         if server >= servers {
             return Err(SimError::UnknownServer { server, servers });
         }
-        if !self.health.get(server).is_some_and(|h| h.is_failed()) {
+        if !self.health[server].is_failed() {
             return Err(SimError::ServerNotFailed { server });
         }
         self.health[server] = ServerHealth::Healthy;
@@ -1773,24 +1750,23 @@ impl DatacenterController {
         if self.deferred.is_empty() {
             return;
         }
-        let deferred = std::mem::take(&mut self.deferred);
-        self.deferred = deferred
-            .into_iter()
-            .filter(|&id| {
-                self.slots[id].as_ref().is_some_and(|s| s.live)
-                    && self.placement.server_of(id).is_none()
-            })
-            .collect();
+        let host_of = self.placement.assignment(self.slots.len());
+        let slots = &self.slots;
+        self.deferred
+            .retain(|&id| slots[id].as_ref().is_some_and(|s| s.live) && host_of[id].is_none());
     }
 
     /// Retries every queued VM once, FIFO: those the fleet can now
     /// host admit through the normal incremental path (counted as
     /// online admissions); the rest keep their queue position.
     fn drain_deferred(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
+        // Admissions below only ever place the id being retried, so one
+        // host table serves the whole pass.
+        let host_of = self.placement.assignment(self.slots.len());
         let pending: Vec<usize> = self.deferred.drain(..).collect();
         for id in pending {
             let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if !live || self.placement.server_of(id).is_some() {
+            if !live || host_of[id].is_some() {
                 continue;
             }
             let vm = self.dense_vms[id];
@@ -1825,20 +1801,8 @@ impl DatacenterController {
     /// shape (and, for a batch-equivalent drive, the same bits) as
     /// [`Scenario::run`](crate::config::Scenario::run)'s report.
     pub fn report(&self) -> SimReport {
-        let max_violation = self
-            .period_records
-            .iter()
-            .map(|p| p.max_violation_ratio)
-            .fold(0.0, f64::max);
-        let mean_violation = if self.period_records.is_empty() {
-            0.0
-        } else {
-            self.period_records
-                .iter()
-                .map(|p| p.max_violation_ratio)
-                .sum::<f64>()
-                / self.period_records.len() as f64
-        };
+        let (max_violation_percent, mean_violation_percent) =
+            violation_percents(&self.period_records);
         let mut energy = EnergyMeter::new();
         for meter in &self.class_energy {
             energy.merge(meter);
@@ -1865,8 +1829,8 @@ impl DatacenterController {
             policy: self.cfg.policy.name().to_string(),
             dynamic_dvfs: matches!(self.cfg.dvfs_mode, DvfsMode::Dynamic { .. }),
             energy,
-            max_violation_percent: max_violation * 100.0,
-            mean_violation_percent: mean_violation * 100.0,
+            max_violation_percent,
+            mean_violation_percent,
             violation_instances: self.violation_instances,
             periods: self.period_records.clone(),
             classes,
@@ -1917,15 +1881,15 @@ impl DatacenterController {
     /// the metered energy of [`SimReport::energy`](crate::SimReport::energy).
     pub fn estimated_power_watts(&self) -> crate::Result<f64> {
         let mut watts = 0.0;
-        for s in 0..self.placement.server_count() {
+        for (s, slot) in self.servers.iter().enumerate() {
             let members: &[usize] = &self.placement.servers()[s];
-            if members.is_empty() || self.health.get(s).is_some_and(|h| h.is_failed()) {
+            if members.is_empty() || self.health[s].is_failed() {
                 continue;
             }
-            let class = self.classes_of[s];
+            let class = self.placement.classes()[s];
             let ladder = self.cfg.server_fleet.classes()[class].ladder();
-            let f = ladder.get(self.freq_idx[s]).expect("index within ladder");
-            let eff_capacity = self.cores_of[s] * f.ratio_to(ladder.max());
+            let f = ladder.get(slot.freq_idx).expect("index within ladder");
+            let eff_capacity = slot.cores * f.ratio_to(ladder.max());
             let agg: f64 = members.iter().map(|&v| self.dense_vms[v].demand).sum();
             let u = (agg / eff_capacity).clamp(0.0, 1.0);
             watts += self.cfg.server_fleet.classes()[class]
@@ -1960,10 +1924,7 @@ impl DatacenterController {
                 let zero = TimeSeries::constant(self.cfg.sample_dt_s, len, 0.0)
                     .map_err(SimError::Trace)?;
                 let mut refs: Vec<&TimeSeries> = windows.iter().collect();
-                while refs.len() < universe {
-                    refs.push(&zero);
-                }
-                refs.truncate(universe);
+                refs.resize(universe, &zero);
                 Self::push_window(&mut matrix, &refs, len)?;
             }
         }
@@ -1971,87 +1932,61 @@ impl DatacenterController {
         Ok(())
     }
 
-    /// The full policy re-pack of the live VM set (plus the PCP cluster
-    /// count when applicable) — the batch ALLOCATE pass. Runs through
-    /// [`AllocationPolicy::place_with_margins`] with the live per-class
-    /// overcommit margins (all zeros — and hence the policy's plain
-    /// `place`, bit for bit — when overcommit is off or the controller
-    /// is degraded).
+    /// The batch ALLOCATE policy of this session, plus the PCP cluster
+    /// count when applicable. PCP re-clusters from the previous
+    /// period's envelopes; with no history yet — including a previous
+    /// period that held zero VMs — it is a single degenerate cluster,
+    /// i.e. BFD behaviour.
+    fn batch_policy(&self) -> crate::Result<(Box<dyn AllocationPolicy>, Option<usize>)> {
+        Ok(match self.cfg.policy {
+            Policy::Bfd => (Box::new(BfdPolicy), None),
+            Policy::Ffd => (Box::new(FfdPolicy), None),
+            Policy::Proposed(config) => (
+                Box::new(ProposedPolicy::new(config).map_err(SimError::Core)?),
+                None,
+            ),
+            Policy::SuperVm { min_pair_cost } => (
+                Box::new(SuperVmPolicy::new(min_pair_cost).map_err(SimError::Core)?),
+                None,
+            ),
+            Policy::Pcp {
+                envelope_percentile,
+                affinity_threshold,
+            } => match &self.prev_window {
+                Some(windows) if !windows.is_empty() => {
+                    // VMs that postdate the window cluster from an
+                    // all-zero envelope.
+                    let len = windows[0].len();
+                    let zero = TimeSeries::constant(self.cfg.sample_dt_s, len, 0.0)
+                        .map_err(SimError::Trace)?;
+                    let mut refs: Vec<&TimeSeries> = windows.iter().collect();
+                    refs.resize(self.slots.len(), &zero);
+                    let pcp =
+                        PcpPolicy::from_traces(&refs, envelope_percentile, affinity_threshold)
+                            .map_err(SimError::Core)?;
+                    let clusters = pcp.cluster_count();
+                    (Box::new(pcp), Some(clusters))
+                }
+                _ => (Box::new(BfdPolicy), Some(1)),
+            },
+        })
+    }
+
+    /// The full policy re-pack of the live VM set — the batch ALLOCATE
+    /// pass. Runs through [`AllocationPolicy::place_with_margins`] with
+    /// the live per-class overcommit margins (all zeros — and hence the
+    /// policy's plain `place`, bit for bit — when overcommit is off or
+    /// the controller is degraded).
     fn place_live(&self, vms: &[VmDescriptor]) -> crate::Result<(Placement, Option<usize>)> {
-        let fleet = &self.cfg.server_fleet;
-        let margins = self.batch_margins();
+        let (policy, pcp_clusters) = self.batch_policy()?;
         let matrix = self
             .matrix
             .as_ref()
             .expect("matrix is built before placement");
-        match self.cfg.policy {
-            Policy::Bfd => Ok((
-                BfdPolicy
-                    .place_with_margins(vms, matrix, fleet, &margins)
-                    .map_err(map_core)?,
-                None,
-            )),
-            Policy::Ffd => Ok((
-                FfdPolicy
-                    .place_with_margins(vms, matrix, fleet, &margins)
-                    .map_err(map_core)?,
-                None,
-            )),
-            Policy::Proposed(config) => {
-                let policy = ProposedPolicy::new(config).map_err(SimError::Core)?;
-                Ok((
-                    policy
-                        .place_with_margins(vms, matrix, fleet, &margins)
-                        .map_err(map_core)?,
-                    None,
-                ))
-            }
-            Policy::SuperVm { min_pair_cost } => {
-                let policy = SuperVmPolicy::new(min_pair_cost).map_err(SimError::Core)?;
-                Ok((
-                    policy
-                        .place_with_margins(vms, matrix, fleet, &margins)
-                        .map_err(map_core)?,
-                    None,
-                ))
-            }
-            Policy::Pcp {
-                envelope_percentile,
-                affinity_threshold,
-            } => {
-                let windows = match &self.prev_window {
-                    // No history yet — including a previous period that
-                    // held zero VMs: a single degenerate cluster, i.e.
-                    // BFD behaviour.
-                    Some(w) if !w.is_empty() => w,
-                    _ => {
-                        return Ok((
-                            BfdPolicy
-                                .place_with_margins(vms, matrix, fleet, &margins)
-                                .map_err(map_core)?,
-                            Some(1),
-                        ))
-                    }
-                };
-                // VMs that postdate the window cluster from an all-zero
-                // envelope.
-                let len = windows[0].len();
-                let zero = TimeSeries::constant(self.cfg.sample_dt_s, len, 0.0)
-                    .map_err(SimError::Trace)?;
-                let mut refs: Vec<&TimeSeries> = windows.iter().collect();
-                while refs.len() < self.slots.len() {
-                    refs.push(&zero);
-                }
-                let pcp = PcpPolicy::from_traces(&refs, envelope_percentile, affinity_threshold)
-                    .map_err(SimError::Core)?;
-                let clusters = pcp.cluster_count();
-                Ok((
-                    pcp.place_with_margins(vms, matrix, fleet, &margins)
-                        .map_err(map_core)?,
-                    Some(clusters),
-                ))
-            }
-        }
+        let placement = policy
+            .place_with_margins(vms, matrix, &self.cfg.server_fleet, &self.batch_margins())
+            .map_err(map_core)?;
+        Ok((placement, pcp_clusters))
     }
 
     /// The UPDATE + ALLOCATE pass at a period boundary: predict live
@@ -2081,7 +2016,7 @@ impl DatacenterController {
                     live_vms.push(d);
                     d
                 }
-                _ => VmDescriptor::new(id, 0.0).with_off_peak(0.0),
+                _ => vacant_descriptor(id),
             };
             self.dense_vms.push(descriptor);
         }
@@ -2091,6 +2026,11 @@ impl DatacenterController {
                 self.rebuild_matrix(universe)?;
             }
         }
+        // A fresh period starts fresh dynamic-governor windows (the
+        // off-cycle re-pack path preserves them instead) and a fresh
+        // per-class energy baseline.
+        self.window_max_vm = vec![0.0; universe];
+        self.period_class_joules_start = self.class_energy.iter().map(|m| m.joules()).collect();
 
         // A fragmentation-only schedule keeps the standing placement
         // across boundaries once one exists; everything else (and the
@@ -2120,44 +2060,31 @@ impl DatacenterController {
         let ran_allocate = !live_vms.is_empty();
 
         let migrations = self.install_placement(placement, sink)?;
-        // A fresh period starts fresh dynamic-governor windows (the
-        // off-cycle re-pack path preserves them instead).
-        self.window_max_vm = vec![0.0; universe];
         self.period_migrations = migrations;
-        self.period_class_joules_start = self.class_energy.iter().map(|m| m.joules()).collect();
         // The batch pass healed whatever fragmentation was pending.
         self.repack_armed = false;
         if ran_allocate {
-            sink.on_repack(&RepackEvent {
-                sample: self.clock,
-                period: self.period,
-                reason: RepackReason::Periodic,
-                servers_before,
-                servers_after: self.placement.active_server_count(),
-                migrations,
-                slack_after: self.current_slack(),
-            });
+            self.emit_repack(RepackReason::Periodic, servers_before, migrations, sink);
         }
         Ok(())
     }
 
-    /// Swaps in a freshly packed placement mid-stream: counts
-    /// migrations against the live assignment (attributed to the
-    /// destination server's class), rebuilds the per-server aggregate/
-    /// capacity/violation tables and plans every server's static
-    /// frequency. Returns the migration count.
+    /// Swaps in a freshly packed placement mid-stream — the one place
+    /// the per-server tables are rebuilt: counts migrations against the
+    /// standing placement (attributed to the destination server's
+    /// class), then rebuilds every server's record, cost aggregate and
+    /// static frequency plan. Returns the migration count.
     fn install_placement(
         &mut self,
         placement: Placement,
         sink: &mut dyn MetricSink,
     ) -> crate::Result<usize> {
         let universe = self.slots.len();
-        let assignment = placement.assignment(universe);
+        let before = self.placement.assignment(universe);
+        let after = placement.assignment(universe);
         let mut migrations = 0usize;
-        let prev = std::mem::take(&mut self.assignment);
-        for (id, &now) in assignment.iter().enumerate() {
-            let before = prev.get(id).copied().flatten();
-            if let (Some(b), Some(n)) = (before, now) {
+        for (id, (&was, &now)) in before.iter().zip(&after).enumerate() {
+            if let (Some(b), Some(n)) = (was, now) {
                 if b != n {
                     migrations += 1;
                     self.class_migrations[placement.classes()[n]] += 1;
@@ -2165,69 +2092,27 @@ impl DatacenterController {
                 }
             }
         }
-        self.assignment = assignment;
 
-        // Rebuild per-server state: cost aggregates, class/capacity
-        // tables, dynamic-governor windows.
-        let matrix = self.matrix.as_ref();
-        self.classes_of = placement.classes().to_vec();
-        self.cores_of = self
-            .classes_of
-            .iter()
-            .map(|&c| self.cfg.server_fleet.classes()[c].cores())
-            .collect();
-        self.aggregates = placement
-            .servers()
-            .iter()
-            .map(|members| {
-                let mut agg = ServerCostAggregate::new();
-                if let Some(m) = matrix {
-                    for &id in members {
-                        agg.push(id, self.dense_vms[id].demand, m);
-                    }
-                }
-                agg
-            })
-            .collect();
-        let bins = placement.server_count();
-        // Per-bin windows cannot survive a reshuffle; the per-VM
-        // maxima (`window_max_vm`) are bin-independent, so callers
-        // decide whether to reset or carry them.
-        self.window_max_agg = vec![0.0; bins];
-        self.server_violations = vec![0; bins];
-
-        // Static frequency per active server, planned against its own
-        // class ladder and capacity.
-        let server_demands = placement.server_demands(&self.dense_vms);
-        let mut freq_idx = Vec::with_capacity(bins);
-        for (s, members) in placement.servers().iter().enumerate() {
-            let class = self.classes_of[s];
-            let total = server_demands[s];
-            let f = if self.cfg.policy.correlation_aware_frequency() {
-                let m = matrix.expect("live servers imply a matrix");
-                let cost = server_cost_of(members, &self.dense_vms, m).max(1.0);
-                self.planner
-                    .static_level_correlation_aware(class, total, cost)
-                    .map_err(SimError::Core)?
-            } else {
-                self.planner
-                    .static_level_worst_case(class, total)
-                    .map_err(SimError::Core)?
-            };
-            let ladder = self.cfg.server_fleet.classes()[class].ladder();
-            freq_idx.push(ladder.index_of(f).expect("planner returns ladder levels"));
-        }
-        self.freq_idx = freq_idx;
         // A full batch re-pack renumbers the server slots wholesale,
         // which only ever happens outside degraded mode (degraded
         // boundaries keep, and degraded suspends the fragmentation
-        // re-pack) — so every slot of the fresh placement is healthy.
+        // re-pack) — so every slot of the fresh placement is healthy,
+        // and no per-slot window, violation counter or overcommit hold
+        // survives: the server it described no longer exists. (The
+        // per-VM maxima in `window_max_vm` are bin-independent, so
+        // callers decide whether to reset or carry them.)
         debug_assert!(!self.health.iter().any(|h| h.is_failed()));
-        self.health = vec![ServerHealth::Healthy; bins];
-        // The renumbering also voids any per-slot overcommit holds: the
-        // trimmed server a hold pointed at no longer exists.
-        self.overcommit_hold = vec![0; bins];
+        let classes = self.cfg.server_fleet.classes();
+        self.servers = placement
+            .classes()
+            .iter()
+            .map(|&class| ServerSlot::new(classes[class].cores()))
+            .collect();
+        self.health = vec![ServerHealth::Healthy; placement.server_count()];
         self.placement = placement;
+        for s in 0..self.servers.len() {
+            self.refresh_bin(s)?;
+        }
         Ok(migrations)
     }
 
@@ -2245,43 +2130,28 @@ impl DatacenterController {
         // slots now; like any eviction this arms the fragmentation
         // check.
         let mut evicted_any = false;
-        for id in 0..universe {
+        let host_of = self.placement.assignment(universe);
+        for (id, host) in host_of.iter().enumerate() {
             let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if !live && self.placement.server_of(id).is_some() {
+            if !live && host.is_some() {
                 self.placement.evict(id).map_err(SimError::Core)?;
                 evicted_any = true;
             }
         }
-        self.assignment = self.placement.assignment(universe);
         self.period_migrations = 0;
         self.pcp_clusters = None;
 
         // Refresh per-server state against the new matrix/predictions.
-        let matrix = self.matrix.as_ref();
-        let aggregates: Vec<ServerCostAggregate> = self
-            .placement
-            .servers()
-            .iter()
-            .map(|members| {
-                let mut agg = ServerCostAggregate::new();
-                if let Some(m) = matrix {
-                    for &id in members {
-                        agg.push(id, self.dense_vms[id].demand, m);
-                    }
-                }
-                agg
-            })
-            .collect();
-        self.aggregates = aggregates;
-        let bins = self.placement.server_count();
-        self.window_max_agg = vec![0.0; bins];
-        self.window_max_vm = vec![0.0; universe];
         // The completed period's per-server violation counters are the
         // guard's boundary evidence; capture them across the reset.
-        let prior_violations = std::mem::replace(&mut self.server_violations, vec![0; bins]);
-        self.period_class_joules_start = self.class_energy.iter().map(|m| m.joules()).collect();
+        let bins = self.servers.len();
+        let mut prior_violations = Vec::with_capacity(bins);
+        for slot in &mut self.servers {
+            slot.window_max = 0.0;
+            prior_violations.push(std::mem::take(&mut slot.violations));
+        }
         for s in 0..bins {
-            self.replan_bin(s)?;
+            self.refresh_bin(s)?;
         }
 
         // The QoS guard's boundary capacity check. A kept server is
@@ -2308,11 +2178,9 @@ impl DatacenterController {
         let mut forced: Vec<(usize, usize)> = Vec::new();
         let mut over_servers = 0usize;
         let servers_before = self.placement.active_server_count();
-        self.overcommit_hold.resize(bins, 0);
         if self.cfg.qos_guard.is_some() || degraded {
-            for s in 0..bins {
+            for (s, &violations) in prior_violations.iter().enumerate() {
                 let members = self.placement.servers()[s].clone();
-                let violations = prior_violations.get(s).copied().unwrap_or(0);
                 let evidence = degraded
                     || self
                         .cfg
@@ -2321,8 +2189,9 @@ impl DatacenterController {
                 if members.is_empty() || !evidence {
                     continue;
                 }
+                let cores = self.servers[s].cores;
                 let mut load: f64 = members.iter().map(|&id| self.dense_vms[id].demand).sum();
-                if load <= self.cores_of[s] + VIOLATION_EPS {
+                if load <= cores + VIOLATION_EPS {
                     continue;
                 }
                 over_servers += 1;
@@ -2331,7 +2200,7 @@ impl DatacenterController {
                 // margin it just breached would ping-pong VMs between
                 // the trim loop and the admission gate every boundary.
                 if self.overcommit_ctl.is_some() {
-                    self.overcommit_hold[s] = self.period + 2;
+                    self.servers[s].overcommit_hold = self.period + 2;
                 }
                 let mut by_demand = members;
                 by_demand.sort_by(|&a, &b| {
@@ -2342,63 +2211,29 @@ impl DatacenterController {
                         .then(a.cmp(&b))
                 });
                 for &m in &by_demand {
-                    if load <= self.cores_of[s] + VIOLATION_EPS {
+                    if load <= cores + VIOLATION_EPS {
                         break;
                     }
-                    self.placement.evict(m).map_err(SimError::Core)?;
-                    if let Some(a) = self.assignment.get_mut(m) {
-                        *a = None;
-                    }
+                    self.evict_live(m)?;
                     load -= self.dense_vms[m].demand;
                     forced.push((m, s));
                 }
-                let matrix = self.matrix.as_ref().expect("kept servers imply a matrix");
-                let mut agg = ServerCostAggregate::new();
-                for &m in &self.placement.servers()[s] {
-                    agg.push(m, self.dense_vms[m].demand, matrix);
-                }
-                self.aggregates[s] = agg;
-                self.replan_bin(s)?;
             }
         }
         if over_servers > 0 {
-            // Re-admit the displaced members in id order through the
-            // policy's single-VM rule (origin excluded — re-admitting
-            // there would undo the trim); a changed server is a
-            // migration, attributed like any boundary migration.
-            forced.sort_unstable();
-            let mut migrations = 0usize;
-            for &(id, old) in &forced {
-                let vm = self.dense_vms[id];
-                match self.admit_slot_excluding(vm, Some(old)) {
-                    Ok(server) => {
-                        if server != old {
-                            migrations += 1;
-                            self.class_migrations[self.placement.classes()[server]] += 1;
-                            sink.on_migration(self.period, id, old, server);
-                        }
-                    }
-                    Err(SimError::InsufficientServers { .. }) if degraded => {
-                        // The trimmed VM has nowhere to go on the
-                        // shrunken fleet: queue it like any other
-                        // displaced VM.
-                        self.defer(id)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            self.period_migrations += migrations;
-            sink.on_repack(&RepackEvent {
-                sample: self.clock,
-                period: self.period,
-                reason: RepackReason::Overcommit {
+            // Re-admit the displaced members (origin excluded —
+            // re-admitting there would undo the trim), attributed like
+            // any boundary migration. On a degraded fleet a trimmed VM
+            // with nowhere to go queues like any other displaced VM.
+            let migrations = self.readmit_displaced(forced, degraded, sink)?;
+            self.emit_repack(
+                RepackReason::Overcommit {
                     servers: over_servers,
                 },
                 servers_before,
-                servers_after: self.placement.active_server_count(),
                 migrations,
-                slack_after: self.current_slack(),
-            });
+                sink,
+            );
         }
 
         // VMs that arrived between periods join incrementally, in id
@@ -2406,18 +2241,11 @@ impl DatacenterController {
         // VMs (live but unplaced), which makes the boundary a natural
         // deferred-queue retry; successes are pruned from the queue by
         // the caller.
-        for id in 0..universe {
+        let host_of = self.placement.assignment(universe);
+        for (id, host) in host_of.iter().enumerate() {
             let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if live && self.placement.server_of(id).is_none() {
-                let vm = self.dense_vms[id];
-                if degraded {
-                    match self.admit_live(vm, sink) {
-                        Err(SimError::InsufficientServers { .. }) => self.defer(id)?,
-                        other => other?,
-                    }
-                } else {
-                    self.admit_live(vm, sink)?;
-                }
+            if live && host.is_none() {
+                self.admit_or_defer(self.dense_vms[id], sink)?;
             }
         }
         if evicted_any && self.cfg.repack_trigger.slack().is_some() {
@@ -2463,7 +2291,7 @@ impl DatacenterController {
         let servers_before = self.placement.active_server_count();
         let mut forced: Vec<(usize, usize)> = Vec::new();
         for s in 0..bins {
-            let violations = self.server_violations[s];
+            let violations = self.servers[s].violations;
             let members = self.placement.servers()[s].clone();
             // A lone member would be alone wherever it goes — moving
             // it buys nothing, so lone-tenant breaches neither fire
@@ -2477,7 +2305,7 @@ impl DatacenterController {
             // guard does not re-fire on stale evidence.
             let ratio = violations as f64 / self.cfg.period_samples as f64;
             self.period_ratio_floor = self.period_ratio_floor.max(ratio);
-            self.server_violations[s] = 0;
+            self.servers[s].violations = 0;
             // The hotspot: the member with the largest reference peak
             // actually observed this period.
             let mut hotspot = members[0];
@@ -2492,56 +2320,19 @@ impl DatacenterController {
                     hotspot = m;
                 }
             }
-            self.placement.evict(hotspot).map_err(SimError::Core)?;
-            if let Some(a) = self.assignment.get_mut(hotspot) {
-                *a = None;
-            }
+            self.evict_live(hotspot)?;
             forced.push((hotspot, s));
-            let matrix = self.matrix.as_ref().expect("violations imply a matrix");
-            let mut agg = ServerCostAggregate::new();
-            for &m in &self.placement.servers()[s] {
-                agg.push(m, self.dense_vms[m].demand, matrix);
-            }
-            self.aggregates[s] = agg;
-            self.replan_bin(s)?;
         }
 
-        // Re-admit the displaced hotspots in id order through the
-        // policy's single-VM rule, never back onto their origin.
-        forced.sort_unstable();
-        let mut migrations = 0usize;
-        for &(id, old) in &forced {
-            let vm = self.dense_vms[id];
-            let server = self.admit_slot_excluding(vm, Some(old))?;
-            if server != old {
-                migrations += 1;
-                self.class_migrations[self.placement.classes()[server]] += 1;
-                sink.on_migration(self.period, id, old, server);
-            }
-        }
-        self.period_migrations += migrations;
+        let migrations = self.readmit_displaced(forced, false, sink)?;
         self.offcycle_repacks += 1;
-        sink.on_repack(&RepackEvent {
-            sample: self.clock,
-            period: self.period,
-            reason: RepackReason::QosGuard { violations: worst },
+        self.emit_repack(
+            RepackReason::QosGuard { violations: worst },
             servers_before,
-            servers_after: self.placement.active_server_count(),
             migrations,
-            slack_after: self.current_slack(),
-        });
+            sink,
+        );
         Ok(true)
-    }
-
-    /// A fragmentation-fired full re-pack between period boundaries;
-    /// the [`SlackController`] observes its realized outcome.
-    fn offcycle_repack(
-        &mut self,
-        estimate: usize,
-        active: usize,
-        sink: &mut dyn MetricSink,
-    ) -> crate::Result<()> {
-        self.midperiod_repack(RepackReason::Fragmentation { estimate, active }, sink)
     }
 
     /// A full re-pack of the live VM set between period boundaries
@@ -2574,12 +2365,7 @@ impl DatacenterController {
         // The re-pack reshuffles the bins, so the per-server violation
         // counters cannot carry across it — fold their worst ratio
         // into the period's floor before they are reset.
-        let floor = self
-            .server_violations
-            .iter()
-            .map(|&v| v as f64 / self.cfg.period_samples as f64)
-            .fold(0.0, f64::max);
-        self.period_ratio_floor = self.period_ratio_floor.max(floor);
+        self.period_ratio_floor = self.worst_violation_ratio();
 
         let migrations = self.install_placement(placement, sink)?;
         // The per-VM window maxima are bin-independent: carry them
@@ -2587,9 +2373,8 @@ impl DatacenterController {
         // sees the whole interval's peaks, and seed each new bin's
         // aggregate window with its members' per-VM maxima (Σ max ≥
         // max Σ — a conservative stand-in until fresh samples land).
-        self.window_max_vm.resize(universe, 0.0);
-        for (s, members) in self.placement.servers().iter().enumerate() {
-            self.window_max_agg[s] = members.iter().map(|&v| self.window_max_vm[v]).sum();
+        for (slot, members) in self.servers.iter_mut().zip(self.placement.servers()) {
+            slot.window_max = members.iter().map(|&v| self.window_max_vm[v]).sum();
         }
         self.period_migrations += migrations;
         if pcp_clusters.is_some() {
@@ -2602,16 +2387,38 @@ impl DatacenterController {
             // freed servers are the energy win, migrations the price.
             ctl.observe(servers_before.saturating_sub(servers_after), migrations);
         }
+        self.emit_repack(reason, servers_before, migrations, sink);
+        Ok(())
+    }
+
+    /// Streams one re-pack of the live placement, as it stands now, to
+    /// [`MetricSink::on_repack`].
+    fn emit_repack(
+        &self,
+        reason: RepackReason,
+        servers_before: usize,
+        migrations: usize,
+        sink: &mut dyn MetricSink,
+    ) {
         sink.on_repack(&RepackEvent {
             sample: self.clock,
             period: self.period,
             reason,
             servers_before,
-            servers_after,
+            servers_after: self.placement.active_server_count(),
             migrations,
             slack_after: self.current_slack(),
         });
-        Ok(())
+    }
+
+    /// The running period's worst per-server violation ratio, with the
+    /// counters off-cycle re-packs discarded contributing through the
+    /// folded floor (0 when no re-pack happened).
+    fn worst_violation_ratio(&self) -> f64 {
+        self.servers
+            .iter()
+            .map(|slot| slot.violations as f64 / self.cfg.period_samples as f64)
+            .fold(self.period_ratio_floor, f64::max)
     }
 
     /// Replays the current sample: per-server aggregation, dynamic
@@ -2640,15 +2447,15 @@ impl DatacenterController {
                 // A fully vacated server is powered off until re-used.
                 continue;
             }
-            if self.health.get(s).is_some_and(|h| h.is_failed()) {
+            if self.health[s].is_failed() {
                 // Evacuation empties failed servers, so this arm is
                 // normally unreachable — but a failed server draws no
                 // power and can violate nothing, whatever its members
                 // claim.
                 continue;
             }
-            let class = self.classes_of[s];
-            let capacity = self.cores_of[s];
+            let class = self.placement.classes()[s];
+            let slot = &mut self.servers[s];
             let ladder = self.cfg.server_fleet.classes()[class].ladder();
             let agg: f64 = members.iter().map(|&v| self.sample_buf[v]).sum();
 
@@ -2658,7 +2465,7 @@ impl DatacenterController {
                     // *aggregate* peak; correlation-blind ones must
                     // assume per-VM peaks can coincide (Σ max ≥ max Σ).
                     let recent = if self.cfg.policy.correlation_aware_frequency() {
-                        self.window_max_agg[s]
+                        slot.window_max
                     } else {
                         members.iter().map(|&v| self.window_max_vm[v]).sum()
                     };
@@ -2666,22 +2473,22 @@ impl DatacenterController {
                         .planner
                         .dynamic_level(class, recent, self.cfg.dynamic_headroom)
                         .map_err(SimError::Core)?;
-                    self.freq_idx[s] = ladder.index_of(f).expect("planner returns ladder levels");
-                    self.window_max_agg[s] = 0.0;
+                    slot.freq_idx = ladder.index_of(f).expect("planner returns ladder levels");
+                    slot.window_max = 0.0;
                     for &v in members {
                         self.window_max_vm[v] = 0.0;
                     }
                 }
-                self.window_max_agg[s] = self.window_max_agg[s].max(agg);
+                slot.window_max = slot.window_max.max(agg);
                 for &v in members {
                     self.window_max_vm[v] = self.window_max_vm[v].max(self.sample_buf[v]);
                 }
             }
 
-            let f = ladder.get(self.freq_idx[s]).expect("index within ladder");
-            let eff_capacity = capacity * f.ratio_to(ladder.max());
+            let f = ladder.get(slot.freq_idx).expect("index within ladder");
+            let eff_capacity = slot.cores * f.ratio_to(ladder.max());
             if agg > eff_capacity + VIOLATION_EPS {
-                self.server_violations[s] += 1;
+                slot.violations += 1;
                 self.violation_instances += 1;
                 self.class_violations[class] += 1;
                 // A violation is what degrades QoS: arm the guard
@@ -2705,8 +2512,8 @@ impl DatacenterController {
                 .power(u, f)
                 .map_err(SimError::Power)?;
             self.class_energy[class].add(watts, dt);
-            self.freq_histogram[s][self.union_level[class][self.freq_idx[s]]] += 1;
-            self.class_freq_histogram[class][self.freq_idx[s]] += 1;
+            self.freq_histogram[s][self.union_level[class][slot.freq_idx]] += 1;
+            self.class_freq_histogram[class][slot.freq_idx] += 1;
         }
         Ok(())
     }
@@ -2753,22 +2560,17 @@ impl DatacenterController {
                 .placement
                 .servers()
                 .iter()
-                .zip(&self.classes_of)
+                .zip(self.placement.classes())
                 .filter(|(members, &c)| !members.is_empty() && c == class)
                 .count();
             *peak = (*peak).max(used);
         }
         // Counters discarded by an off-cycle re-pack contribute
         // through the folded floor (0 when no re-pack happened).
-        let max_ratio = self
-            .server_violations
-            .iter()
-            .map(|&v| v as f64 / self.cfg.period_samples as f64)
-            .fold(self.period_ratio_floor, f64::max);
         let record = PeriodRecord {
             period: self.period,
             servers_used: self.placement.active_server_count(),
-            max_violation_ratio: max_ratio,
+            max_violation_ratio: self.worst_violation_ratio(),
             migrations: self.period_migrations,
             pcp_clusters: self.pcp_clusters,
         };
@@ -2795,12 +2597,10 @@ impl DatacenterController {
                     .expect("validate(): overcommit requires a qos guard")
                     .violation_ratio;
                 let mut worst = vec![self.period_ratio_floor; ctls.len()];
-                for (s, &v) in self.server_violations.iter().enumerate() {
-                    let ratio = v as f64 / self.cfg.period_samples as f64;
-                    if let Some(&class) = self.classes_of.get(s) {
-                        if ratio > worst[class] {
-                            worst[class] = ratio;
-                        }
+                for (slot, &class) in self.servers.iter().zip(self.placement.classes()) {
+                    let ratio = slot.violations as f64 / self.cfg.period_samples as f64;
+                    if ratio > worst[class] {
+                        worst[class] = ratio;
                     }
                 }
                 for (class, ctl) in ctls.iter_mut().enumerate() {
@@ -2816,23 +2616,82 @@ impl DatacenterController {
 
     // ---- incremental admission --------------------------------------------
 
-    /// The next fill-order server slot not consumed by the live
-    /// placement (empty-but-reserved slots count as consumed).
-    fn next_open_slot(&self) -> crate::Result<(usize, f64)> {
+    /// Provisions the next fill-order server not consumed by the live
+    /// placement (empty-but-reserved slots count as consumed) and
+    /// returns its index — the one place the per-server tables grow.
+    fn open_slot(&mut self) -> crate::Result<usize> {
         let fleet = &self.cfg.server_fleet;
         let mut used = vec![0usize; fleet.len()];
         for &c in self.placement.classes() {
             used[c] += 1;
         }
-        for &class in fleet.fill_order() {
-            if used[class] < fleet.classes()[class].count() {
-                return Ok((class, fleet.classes()[class].cores()));
+        let class = fleet
+            .fill_order()
+            .iter()
+            .copied()
+            .find(|&class| used[class] < fleet.classes()[class].count())
+            .ok_or_else(|| {
+                map_core(CoreError::FleetExhausted {
+                    slots: self.total_slots,
+                    unallocated: 1,
+                })
+            })?;
+        self.servers
+            .push(ServerSlot::new(fleet.classes()[class].cores()));
+        self.health.push(ServerHealth::Healthy);
+        Ok(self.placement.open_server(class))
+    }
+
+    /// Rebuilds server `s`'s cost aggregate from its current members
+    /// and re-plans its frequency — after an eviction, or when the
+    /// matrix and predictions under a kept server changed.
+    fn refresh_bin(&mut self, s: usize) -> crate::Result<()> {
+        let mut agg = ServerCostAggregate::new();
+        if let Some(matrix) = &self.matrix {
+            for &id in &self.placement.servers()[s] {
+                agg.push(id, self.dense_vms[id].demand, matrix);
             }
         }
-        Err(map_core(CoreError::FleetExhausted {
-            slots: self.total_slots,
-            unallocated: 1,
-        }))
+        self.servers[s].agg = agg;
+        self.replan_bin(s)
+    }
+
+    /// Evicts a placed VM from the live placement and refreshes the
+    /// vacated server. Returns the server it left.
+    fn evict_live(&mut self, id: usize) -> crate::Result<usize> {
+        let server = self.placement.evict(id).map_err(SimError::Core)?;
+        self.refresh_bin(server)?;
+        Ok(server)
+    }
+
+    /// Re-admits `(vm, origin)` pairs displaced by a healing move
+    /// (guard split, boundary trim, evacuation) in id order through
+    /// the policy's single-VM rule, never back onto their origin. Each
+    /// landing is a migration, attributed to the destination's class
+    /// and streamed. A VM nothing can host enters the deferred queue
+    /// when `defer_unhosted`, else fails the pass. Returns the number
+    /// of VMs that landed.
+    fn readmit_displaced(
+        &mut self,
+        mut displaced: Vec<(usize, usize)>,
+        defer_unhosted: bool,
+        sink: &mut dyn MetricSink,
+    ) -> crate::Result<usize> {
+        displaced.sort_unstable();
+        let mut moved = 0usize;
+        for (id, origin) in displaced {
+            match self.admit_slot(self.dense_vms[id], Some(origin)) {
+                Ok(dest) => {
+                    moved += 1;
+                    self.class_migrations[self.placement.classes()[dest]] += 1;
+                    sink.on_migration(self.period, id, origin, dest);
+                }
+                Err(SimError::InsufficientServers { .. }) if defer_unhosted => self.defer(id)?,
+                Err(e) => return Err(e),
+            }
+        }
+        self.period_migrations += moved;
+        Ok(moved)
     }
 
     /// Re-plans one server's static frequency level from its current
@@ -2842,7 +2701,7 @@ impl DatacenterController {
         if members.is_empty() {
             return Ok(());
         }
-        let class = self.classes_of[s];
+        let class = self.placement.classes()[s];
         let total: f64 = members.iter().map(|&id| self.dense_vms[id].demand).sum();
         let f = if self.cfg.policy.correlation_aware_frequency() {
             let matrix = self
@@ -2859,7 +2718,7 @@ impl DatacenterController {
                 .map_err(SimError::Core)?
         };
         let ladder = self.cfg.server_fleet.classes()[class].ladder();
-        self.freq_idx[s] = ladder.index_of(f).expect("planner returns ladder levels");
+        self.servers[s].freq_idx = ladder.index_of(f).expect("planner returns ladder levels");
         Ok(())
     }
 
@@ -2892,65 +2751,57 @@ impl DatacenterController {
 
     /// Admits the (already registered, live) VM described by `vm` into
     /// the live placement through the policy's single-VM entry point —
-    /// no re-pack. The arriving VM's remaining lease and each server's
-    /// drain horizon feed the lease-aware bias. Counts as an online
-    /// admission and emits [`MetricSink::on_admit`]; the boundary
-    /// capacity check uses [`Self::admit_slot`] directly instead (a
-    /// displaced member is a migration, not an arrival).
+    /// no re-pack. Counts as an online admission and emits
+    /// [`MetricSink::on_admit`]; healing moves use [`Self::admit_slot`]
+    /// directly instead (a displaced member is a migration, not an
+    /// arrival).
     fn admit_live(&mut self, vm: VmDescriptor, sink: &mut dyn MetricSink) -> crate::Result<()> {
         let id = vm.id;
-        let server = self.admit_slot(vm)?;
+        let server = self.admit_slot(vm, None)?;
         self.online_admissions += 1;
         sink.on_admit(self.clock, id, server);
         Ok(())
     }
 
+    /// [`Self::admit_live`], except that on a degraded fleet — short on
+    /// capacity because servers failed — a VM nothing can host enters
+    /// the deferred queue instead of failing the event.
+    fn admit_or_defer(&mut self, vm: VmDescriptor, sink: &mut dyn MetricSink) -> crate::Result<()> {
+        match self.admit_live(vm, sink) {
+            Err(SimError::InsufficientServers { .. }) if self.degraded() => self.defer(vm.id),
+            other => other,
+        }
+    }
+
     /// The placement half of an incremental admission: routes `vm`
     /// through the policy's `place_one` rule (opening a fresh
     /// fill-order server when nothing fits), pushes it into the chosen
-    /// server's aggregate and re-plans that server's frequency.
-    /// Returns the chosen server.
-    fn admit_slot(&mut self, vm: VmDescriptor) -> crate::Result<usize> {
-        self.admit_slot_excluding(vm, None)
-    }
-
-    /// [`Self::admit_slot`], with an optional server the rule may not
-    /// pick — the guard's healing moves exclude the origin server, or
-    /// re-admission would happily undo the eviction it just made.
-    fn admit_slot_excluding(
-        &mut self,
-        vm: VmDescriptor,
-        exclude: Option<usize>,
-    ) -> crate::Result<usize> {
+    /// server's aggregate and re-plans that server's frequency. The
+    /// arriving VM's remaining lease and each server's drain horizon
+    /// feed the lease-aware bias. `origin` marks a healing move: the
+    /// rule may not pick that server (re-admission would happily undo
+    /// the eviction just made). Returns the chosen server; on error
+    /// the placement is untouched.
+    fn admit_slot(&mut self, vm: VmDescriptor, origin: Option<usize>) -> crate::Result<usize> {
         let id = vm.id;
-        let universe = self.slots.len();
-        self.window_max_vm.resize(universe, 0.0);
-        if self.assignment.len() < universe {
-            self.assignment.resize(universe, None);
-        }
-        while self.dense_vms.len() < universe {
-            let fresh = self.dense_vms.len();
-            self.dense_vms
-                .push(VmDescriptor::new(fresh, 0.0).with_off_peak(0.0));
-        }
         self.dense_vms[id] = vm;
         if self.matrix.is_none() {
-            self.rebuild_matrix(universe)?;
+            self.rebuild_matrix(self.slots.len())?;
         }
         let lease = self.slots[id]
             .as_ref()
             .and_then(|s| s.lease_end)
             .map(|end| end.saturating_sub(self.clock));
 
-        // Healing moves (exclude set: guard splits, boundary trims,
-        // evacuations) place at plain capacity — margin 0. A VM being
-        // moved *off* an overloaded server must not land on another
-        // one's overcommit bet.
-        let healing = exclude.is_some();
+        // Healing moves (guard splits, boundary trims, evacuations)
+        // place at plain capacity — margin 0. A VM being moved *off*
+        // an overloaded server must not land on another one's
+        // overcommit bet.
+        let healing = origin.is_some();
         let choice = {
             let matrix = self.matrix.as_ref().expect("ensured above");
-            let candidates: Vec<usize> = (0..self.placement.server_count())
-                .filter(|&s| exclude != Some(s))
+            let candidates: Vec<usize> = (0..self.servers.len())
+                .filter(|&s| origin != Some(s))
                 .collect();
             let drains: Vec<Option<usize>> = candidates
                 .iter()
@@ -2959,42 +2810,28 @@ impl DatacenterController {
             let views: Vec<OpenServer<'_>> = candidates
                 .iter()
                 .zip(&drains)
-                .map(|(&s, &drain_samples)| OpenServer {
-                    class: self.classes_of[s],
-                    cores: self.cores_of[s],
-                    watts_per_core: self.class_wpc[self.classes_of[s]],
-                    drain_samples,
-                    agg: &self.aggregates[s],
-                    healthy: !self.health.get(s).is_some_and(|h| h.is_failed()),
-                    overcommit_margin: if healing { 0.0 } else { self.margin_of(s) },
+                .map(|(&s, &drain_samples)| {
+                    let class = self.placement.classes()[s];
+                    OpenServer {
+                        class,
+                        cores: self.servers[s].cores,
+                        watts_per_core: self.class_wpc[class],
+                        drain_samples,
+                        agg: &self.servers[s].agg,
+                        healthy: !self.health[s].is_failed(),
+                        overcommit_margin: if healing { 0.0 } else { self.margin_of(s) },
+                    }
                 })
                 .collect();
             admit_choice(self.cfg.policy, &vm, lease, &views, matrix).map(|i| candidates[i])
         };
         let server = match choice {
             Some(s) => s,
-            None => {
-                let (class, cores) = self.next_open_slot()?;
-                let s = self.placement.open_server(class);
-                self.classes_of.push(class);
-                self.cores_of.push(cores);
-                self.aggregates.push(ServerCostAggregate::new());
-                self.freq_idx.push(0);
-                self.window_max_agg.push(0.0);
-                self.server_violations.push(0);
-                self.health.resize(s, ServerHealth::Healthy);
-                self.health.push(ServerHealth::Healthy);
-                self.overcommit_hold.resize(s, 0);
-                self.overcommit_hold.push(0);
-                s
-            }
+            None => self.open_slot()?,
         };
         self.placement.admit(id, server).map_err(SimError::Core)?;
-        {
-            let matrix = self.matrix.as_ref().expect("ensured above");
-            self.aggregates[server].push(id, vm.demand, matrix);
-        }
-        self.assignment[id] = Some(server);
+        let matrix = self.matrix.as_ref().expect("ensured above");
+        self.servers[server].agg.push(id, vm.demand, matrix);
         self.replan_bin(server)?;
         Ok(server)
     }

@@ -17,6 +17,7 @@
 use crate::config::Scenario;
 use crate::controller::{MetricSink, ReportSink, VmEvent};
 use crate::report::SimReport;
+use crate::service::ScheduleLowering;
 use crate::SimError;
 use cavm_workload::faults::{FaultEntry, FaultKind};
 use cavm_workload::lifecycle::LifecycleEntry;
@@ -46,33 +47,29 @@ impl Scenario {
     /// As [`Scenario::run`].
     pub fn run_with_sink(&self, sink: &mut dyn MetricSink) -> crate::Result<()> {
         let mut controller = self.controller()?;
-        let n_samples = self.fleet.vms()[0].fine.len();
-        let periods = n_samples / self.period_samples;
-        let total = periods * self.period_samples;
 
         // The event schedule: the configured lifecycle, or the
         // closed-world default (everything at t = 0, nothing departs).
-        let entries: Vec<LifecycleEntry> = match &self.lifecycle {
-            Some(lifecycle) => lifecycle.entries().to_vec(),
-            None => (0..self.fleet.len())
-                .map(|id| LifecycleEntry {
-                    id,
-                    arrival_sample: 0,
-                    departure_sample: None,
-                })
-                .collect(),
+        let closed_world: Vec<LifecycleEntry>;
+        let entries: &[LifecycleEntry] = match &self.lifecycle {
+            Some(lifecycle) => lifecycle.entries(),
+            None => {
+                closed_world = (0..self.fleet.len())
+                    .map(|id| LifecycleEntry {
+                        id,
+                        arrival_sample: 0,
+                        departure_sample: None,
+                    })
+                    .collect();
+                &closed_world
+            }
         };
-        let mut departures: Vec<(usize, usize)> = entries
+        let mut faults = self
+            .faults
+            .as_ref()
+            .map_or(&[][..], |p| p.entries())
             .iter()
-            .filter_map(|e| e.departure_sample.map(|d| (d, e.id)))
-            .filter(|&(d, _)| d < total)
-            .collect();
-        departures.sort_unstable();
-        let fault_entries: &[FaultEntry] = self.faults.as_ref().map_or(&[], |p| p.entries());
-
-        let mut next_arrival = 0usize;
-        let mut next_departure = 0usize;
-        let mut next_fault = 0usize;
+            .peekable();
         // Servers currently down, as the engine has applied them. The
         // plan may legitimately schedule overlapping transitions (a
         // correlated outage over an independent failure); this set
@@ -80,73 +77,52 @@ impl Scenario {
         // the controller has not provisioned yet are skipped — a rack
         // that never powered on cannot fail.
         let mut down: BTreeSet<usize> = BTreeSet::new();
-        for k in 0..total {
-            // Per-sample delivery order: recoveries first (capacity
-            // returns before this sample's churn), then departures,
-            // arrivals, failures, and finally the tick.
-            while next_fault < fault_entries.len()
-                && fault_entries[next_fault].sample == k
-                && fault_entries[next_fault].kind == FaultKind::Recover
-            {
-                let server = fault_entries[next_fault].server;
-                if down.remove(&server) {
-                    controller.apply(VmEvent::ServerRecover { server }, sink)?;
-                }
-                next_fault += 1;
-            }
-            while next_departure < departures.len() && departures[next_departure].0 == k {
-                controller.apply(
-                    VmEvent::Depart {
-                        id: departures[next_departure].1,
-                    },
-                    sink,
-                )?;
-                next_departure += 1;
-            }
-            while next_arrival < entries.len() && entries[next_arrival].arrival_sample == k {
-                let entry = &entries[next_arrival];
-                let end = entry.departure_sample.map_or(total, |d| d.min(total));
-                let trace = self.fleet.vms()[entry.id]
-                    .fine
-                    .slice(entry.arrival_sample, end)
-                    .map_err(SimError::Trace)?;
-                // The schedule knows each lease up front; admission
-                // uses it to keep soon-empty servers drainable.
-                let lease_samples = entry
-                    .departure_sample
-                    .map(|d| d.saturating_sub(entry.arrival_sample));
-                controller.apply(
-                    VmEvent::Arrive {
-                        id: entry.id,
-                        trace,
-                        lease_samples,
-                    },
-                    sink,
-                )?;
-                next_arrival += 1;
-            }
-            while next_fault < fault_entries.len() && fault_entries[next_fault].sample == k {
-                let FaultEntry { kind, server, .. } = fault_entries[next_fault];
-                match kind {
-                    FaultKind::Fail => {
-                        if !down.contains(&server) && server < controller.placement().server_count()
-                        {
-                            controller.apply(VmEvent::ServerFail { server }, sink)?;
-                            down.insert(server);
-                        }
+
+        // Per-sample delivery order: recoveries first (capacity returns
+        // before this sample's churn), then the lowering's departures
+        // and arrivals, failures, and finally the tick.
+        let mut sample = 0usize;
+        let mut sample_open = false;
+        for event in ScheduleLowering::new(&self.fleet, entries, self.period_samples)? {
+            let event = event?;
+            if !sample_open {
+                sample_open = true;
+                while let Some(fault) =
+                    faults.next_if(|f| f.sample == sample && f.kind == FaultKind::Recover)
+                {
+                    if down.remove(&fault.server) {
+                        let server = fault.server;
+                        controller.apply(VmEvent::ServerRecover { server }, sink)?;
                     }
-                    // A same-sample Recover after a Fail (builder plans
-                    // rank recoveries first, but hand-built plans may
-                    // not) still applies.
-                    FaultKind::Recover => {
-                        if down.remove(&server) {
-                            controller.apply(VmEvent::ServerRecover { server }, sink)?;
+                }
+            }
+            if matches!(event, VmEvent::Tick) {
+                while let Some(&FaultEntry { kind, server, .. }) =
+                    faults.next_if(|f| f.sample == sample)
+                {
+                    match kind {
+                        FaultKind::Fail => {
+                            if !down.contains(&server)
+                                && server < controller.placement().server_count()
+                            {
+                                controller.apply(VmEvent::ServerFail { server }, sink)?;
+                                down.insert(server);
+                            }
+                        }
+                        // A same-sample Recover after a Fail (builder
+                        // plans rank recoveries first, but hand-built
+                        // plans may not) still applies.
+                        FaultKind::Recover => {
+                            if down.remove(&server) {
+                                controller.apply(VmEvent::ServerRecover { server }, sink)?;
+                            }
                         }
                     }
                 }
-                next_fault += 1;
+                sample += 1;
+                sample_open = false;
             }
-            controller.apply(VmEvent::Tick, sink)?;
+            controller.apply(event, sink)?;
         }
         controller.finish(sink)
     }

@@ -69,6 +69,19 @@ impl ClassBreakdown {
     }
 }
 
+/// The report's violation headline from its period records, in
+/// percent: the worst and the mean per-period violation ratio.
+pub(crate) fn violation_percents(periods: &[PeriodRecord]) -> (f64, f64) {
+    let ratios = || periods.iter().map(|p| p.max_violation_ratio);
+    let max = ratios().fold(0.0, f64::max);
+    let mean = if periods.is_empty() {
+        0.0
+    } else {
+        ratios().sum::<f64>() / periods.len() as f64
+    };
+    (max * 100.0, mean * 100.0)
+}
+
 /// Aggregated outcome of a scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {

@@ -60,7 +60,7 @@ use crate::controller::{ControllerConfig, DatacenterController, NullSink, VmEven
 use crate::report::SimReport;
 use crate::SimError;
 use cavm_workload::datacenter::VmFleet;
-use cavm_workload::lifecycle::Lifecycle;
+use cavm_workload::lifecycle::{Lifecycle, LifecycleEntry};
 use std::thread;
 
 /// One schedule entry for a [`SessionHost`]: an event addressed to one
@@ -258,6 +258,103 @@ impl SessionHost {
     }
 }
 
+/// The one lowering of a lifecycle schedule into controller events: a
+/// lazy iterator yielding, per sample, departures first (sorted by
+/// `(sample, id)`), then arrivals in entry order with the trace sliced
+/// from arrival to departure and the lease attached, then the
+/// [`VmEvent::Tick`]. The horizon is truncated to whole placement
+/// periods. [`lifecycle_events`] collects it; the batch engine drives
+/// it directly, interleaving fault entries around each sample.
+pub(crate) struct ScheduleLowering<'a> {
+    fleet: &'a VmFleet,
+    entries: &'a [LifecycleEntry],
+    /// `(sample, id)` of every in-horizon departure, sorted.
+    departures: Vec<(usize, usize)>,
+    /// Horizon in samples (whole periods).
+    total: usize,
+    /// The sample whose events are being emitted.
+    sample: usize,
+    next_departure: usize,
+    next_arrival: usize,
+}
+
+impl<'a> ScheduleLowering<'a> {
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] when `period_samples` is
+    /// zero.
+    pub(crate) fn new(
+        fleet: &'a VmFleet,
+        entries: &'a [LifecycleEntry],
+        period_samples: usize,
+    ) -> crate::Result<Self> {
+        if period_samples == 0 {
+            return Err(SimError::InvalidParameter(
+                "period_samples must be positive",
+            ));
+        }
+        let n_samples = fleet.vms().first().map_or(0, |vm| vm.fine.len());
+        let total = (n_samples / period_samples) * period_samples;
+        let mut departures: Vec<(usize, usize)> = entries
+            .iter()
+            .filter_map(|e| e.departure_sample.map(|d| (d, e.id)))
+            .filter(|&(d, _)| d < total)
+            .collect();
+        departures.sort_unstable();
+        Ok(Self {
+            fleet,
+            entries,
+            departures,
+            total,
+            sample: 0,
+            next_departure: 0,
+            next_arrival: 0,
+        })
+    }
+}
+
+impl Iterator for ScheduleLowering<'_> {
+    type Item = crate::Result<VmEvent>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.sample == self.total {
+            return None;
+        }
+        if let Some(&(at, id)) = self.departures.get(self.next_departure) {
+            if at == self.sample {
+                self.next_departure += 1;
+                return Some(Ok(VmEvent::Depart { id }));
+            }
+        }
+        if let Some(entry) = self.entries.get(self.next_arrival) {
+            if entry.arrival_sample == self.sample {
+                self.next_arrival += 1;
+                let end = entry
+                    .departure_sample
+                    .map_or(self.total, |d| d.min(self.total));
+                // The schedule knows each lease up front; admission
+                // uses it to keep soon-empty servers drainable.
+                let lease_samples = entry
+                    .departure_sample
+                    .map(|d| d.saturating_sub(entry.arrival_sample));
+                return Some(
+                    self.fleet.vms()[entry.id]
+                        .fine
+                        .slice(entry.arrival_sample, end)
+                        .map(|trace| VmEvent::Arrive {
+                            id: entry.id,
+                            trace,
+                            lease_samples,
+                        })
+                        .map_err(SimError::Trace),
+                );
+            }
+        }
+        self.sample += 1;
+        Some(Ok(VmEvent::Tick))
+    }
+}
+
 /// Lowers a churn [`Lifecycle`] over `fleet` into the exact fault-free
 /// event stream the batch engine would deliver: per sample, departures
 /// first (sorted by `(sample, id)`), then arrivals in entry order with
@@ -280,51 +377,7 @@ pub fn lifecycle_events(
     lifecycle: &Lifecycle,
     period_samples: usize,
 ) -> crate::Result<Vec<VmEvent>> {
-    if period_samples == 0 {
-        return Err(SimError::InvalidParameter(
-            "period_samples must be positive",
-        ));
-    }
-    let n_samples = fleet.vms().first().map_or(0, |vm| vm.fine.len());
-    let total = (n_samples / period_samples) * period_samples;
-    let entries = lifecycle.entries();
-    let mut departures: Vec<(usize, usize)> = entries
-        .iter()
-        .filter_map(|e| e.departure_sample.map(|d| (d, e.id)))
-        .filter(|&(d, _)| d < total)
-        .collect();
-    departures.sort_unstable();
-
-    let mut events = Vec::with_capacity(total + entries.len() * 2);
-    let mut next_arrival = 0usize;
-    let mut next_departure = 0usize;
-    for k in 0..total {
-        while next_departure < departures.len() && departures[next_departure].0 == k {
-            events.push(VmEvent::Depart {
-                id: departures[next_departure].1,
-            });
-            next_departure += 1;
-        }
-        while next_arrival < entries.len() && entries[next_arrival].arrival_sample == k {
-            let entry = &entries[next_arrival];
-            let end = entry.departure_sample.map_or(total, |d| d.min(total));
-            let trace = fleet.vms()[entry.id]
-                .fine
-                .slice(entry.arrival_sample, end)
-                .map_err(SimError::Trace)?;
-            let lease_samples = entry
-                .departure_sample
-                .map(|d| d.saturating_sub(entry.arrival_sample));
-            events.push(VmEvent::Arrive {
-                id: entry.id,
-                trace,
-                lease_samples,
-            });
-            next_arrival += 1;
-        }
-        events.push(VmEvent::Tick);
-    }
-    Ok(events)
+    ScheduleLowering::new(fleet, lifecycle.entries(), period_samples)?.collect()
 }
 
 /// Round-robins per-session event streams into one [`SessionHost`]

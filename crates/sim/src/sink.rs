@@ -159,14 +159,125 @@ impl SinkEvent {
     }
 }
 
+/// The producer half both adapters share: a bounded queue whose
+/// overflow drops the incoming event and counts it. The drop decision
+/// is made here, on the replay thread, which is what makes both
+/// adapters deterministic under any thread schedule.
+#[derive(Debug, Clone)]
+struct BoundedQueue {
+    events: VecDeque<SinkEvent>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl BoundedQueue {
+    /// A queue of at most `capacity` events, clamped up to 1 — a
+    /// zero-capacity queue would drop every between-boundary event
+    /// unseen.
+    fn new(capacity: usize) -> Self {
+        Self {
+            events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, event: SinkEvent) {
+        if self.events.len() >= self.capacity {
+            self.dropped += 1;
+        } else {
+            self.events.push_back(event);
+        }
+    }
+}
+
+/// Where an adapter's flushed batches go — inline into the wrapped
+/// sink ([`Buffered`]) or across a channel to its worker thread
+/// ([`Threaded`]). Everything else about the two adapters is the one
+/// [`MetricSink`] impl below.
+trait Delivery {
+    fn queue(&mut self) -> &mut BoundedQueue;
+
+    /// Delivers every queued event in arrival order, then `record`.
+    fn deliver_period(&mut self, record: &PeriodRecord);
+
+    /// Delivers every queued event in arrival order, then `report`.
+    fn deliver_summary(&mut self, report: SimReport);
+}
+
+/// The producer side of [`Buffered`] and [`Threaded`]: per-event
+/// callbacks land in the bounded queue; a completed period and the
+/// terminal summary are the flush points. Flush-point payloads never
+/// touch the queue, so they can never be dropped.
+impl<T: Delivery> MetricSink for T {
+    fn on_period(&mut self, record: &PeriodRecord) {
+        self.deliver_period(record);
+    }
+
+    fn on_repack(&mut self, event: &RepackEvent) {
+        self.queue().push(SinkEvent::Repack(*event));
+    }
+
+    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
+        self.queue().push(SinkEvent::Migration {
+            period,
+            vm,
+            from,
+            to,
+        });
+    }
+
+    fn on_violation(&mut self, event: &ViolationEvent) {
+        self.queue().push(SinkEvent::Violation(*event));
+    }
+
+    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
+        self.queue().push(SinkEvent::ClassEnergy {
+            period,
+            class,
+            name: name.to_string(),
+            period_joules,
+        });
+    }
+
+    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
+        self.queue().push(SinkEvent::Admit { sample, vm, server });
+    }
+
+    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
+        self.queue().push(SinkEvent::ServerFail {
+            sample,
+            server,
+            residents,
+        });
+    }
+
+    fn on_server_recover(&mut self, sample: usize, server: usize) {
+        self.queue()
+            .push(SinkEvent::ServerRecover { sample, server });
+    }
+
+    fn on_summary(&mut self, report: &SimReport) {
+        // The inner sink sees the summary exactly once, with the
+        // adapter's drop counter folded in. The fold is **additive** —
+        // a controller report always arrives with
+        // `sink_dropped_events == 0`, so standalone behaviour is
+        // unchanged, but when adapters nest (e.g.
+        // [`Threaded`]`<Buffered<S>>`) each layer adds its own drops
+        // instead of the inner layer overwriting the outer layer's
+        // count.
+        let mut report = report.clone();
+        report.sink_dropped_events += self.queue().dropped;
+        self.deliver_summary(report);
+    }
+}
+
 /// A bounded, batching adapter around an inner [`MetricSink`]. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Buffered<S> {
     inner: S,
-    queue: VecDeque<SinkEvent>,
-    capacity: usize,
-    dropped: u64,
+    queue: BoundedQueue,
 }
 
 impl<S: MetricSink> Buffered<S> {
@@ -178,9 +289,7 @@ impl<S: MetricSink> Buffered<S> {
     pub fn new(inner: S, capacity: usize) -> Self {
         Self {
             inner,
-            queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
+            queue: BoundedQueue::new(capacity),
         }
     }
 
@@ -202,99 +311,36 @@ impl<S: MetricSink> Buffered<S> {
 
     /// Events currently queued and not yet delivered.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.events.len()
     }
 
     /// Events dropped on queue overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.queue.dropped
     }
 
     /// Delivers every queued event to the inner sink, in arrival
     /// order. Called automatically on every completed period and at
     /// the terminal summary.
     pub fn drain(&mut self) {
-        while let Some(event) = self.queue.pop_front() {
+        while let Some(event) = self.queue.events.pop_front() {
             event.deliver(&mut self.inner);
-        }
-    }
-
-    /// Enqueues one event, dropping (and counting) it when the queue
-    /// is at capacity.
-    fn enqueue(&mut self, event: SinkEvent) {
-        if self.queue.len() >= self.capacity {
-            self.dropped += 1;
-        } else {
-            self.queue.push_back(event);
         }
     }
 }
 
-impl<S: MetricSink> MetricSink for Buffered<S> {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        // The period boundary is the flush point: drain the queued
-        // events first (they precede the record in stream order), then
-        // deliver the record directly — a flush-point record never
-        // touches the bounded queue, so it can never be dropped.
+impl<S: MetricSink> Delivery for Buffered<S> {
+    fn queue(&mut self) -> &mut BoundedQueue {
+        &mut self.queue
+    }
+
+    fn deliver_period(&mut self, record: &PeriodRecord) {
         self.drain();
         self.inner.on_period(record);
     }
 
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.enqueue(SinkEvent::Repack(*event));
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.enqueue(SinkEvent::Migration {
-            period,
-            vm,
-            from,
-            to,
-        });
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.enqueue(SinkEvent::Violation(*event));
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.enqueue(SinkEvent::ClassEnergy {
-            period,
-            class,
-            name: name.to_string(),
-            period_joules,
-        });
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.enqueue(SinkEvent::Admit { sample, vm, server });
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.enqueue(SinkEvent::ServerFail {
-            sample,
-            server,
-            residents,
-        });
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.enqueue(SinkEvent::ServerRecover { sample, server });
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        // Everything still queued is delivered before the summary, and
-        // the summary itself is never queued (nor droppable): the
-        // inner sink sees it exactly once, with the adapter's drop
-        // counter folded in. The fold is **additive** — a controller
-        // report always arrives with `sink_dropped_events == 0`, so
-        // standalone behaviour is unchanged, but when adapters nest
-        // (e.g. [`Threaded`]`<Buffered<S>>`) each layer adds its own
-        // drops instead of the inner layer overwriting the outer
-        // layer's count.
+    fn deliver_summary(&mut self, report: SimReport) {
         self.drain();
-        let mut report = report.clone();
-        report.sink_dropped_events += self.dropped;
         self.inner.on_summary(&report);
     }
 }
@@ -359,9 +405,7 @@ enum WorkerMsg {
 /// assert_eq!(count.0, 1);
 /// ```
 pub struct Threaded<S> {
-    queue: VecDeque<SinkEvent>,
-    capacity: usize,
-    dropped: u64,
+    queue: BoundedQueue,
     tx: Option<mpsc::SyncSender<WorkerMsg>>,
     worker: Option<thread::JoinHandle<S>>,
 }
@@ -369,9 +413,9 @@ pub struct Threaded<S> {
 impl<S> fmt::Debug for Threaded<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Threaded")
-            .field("queued", &self.queue.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped)
+            .field("queued", &self.queue.events.len())
+            .field("capacity", &self.queue.capacity)
+            .field("dropped", &self.queue.dropped)
             .field("worker_alive", &self.worker.is_some())
             .finish()
     }
@@ -406,9 +450,7 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
             })
             .expect("spawn sink worker thread");
         Self {
-            queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
+            queue: BoundedQueue::new(capacity),
             tx: Some(tx),
             worker: Some(worker),
         }
@@ -417,12 +459,12 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
     /// Events currently queued on the producer side, not yet handed to
     /// the worker.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.events.len()
     }
 
     /// Events dropped on queue overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.queue.dropped
     }
 
     /// Hands every queued event to the worker as one batch, in arrival
@@ -432,10 +474,10 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
     /// discarded without blocking (the panic surfaces at
     /// [`finish`](Self::finish)).
     pub fn flush(&mut self) {
-        if self.queue.is_empty() {
+        if self.queue.events.is_empty() {
             return;
         }
-        let batch: Vec<SinkEvent> = self.queue.drain(..).collect();
+        let batch: Vec<SinkEvent> = self.queue.events.drain(..).collect();
         self.send(WorkerMsg::Batch(batch));
     }
 
@@ -453,18 +495,6 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
         drop(self.tx.take());
         let worker = self.worker.take().expect("finish consumes the worker");
         worker.join().map_err(|_| SimError::SinkWorkerPanicked)
-    }
-
-    /// Enqueues one event, dropping (and counting) it when the queue
-    /// is at capacity — byte-identical drop logic to
-    /// [`Buffered::enqueue`], which is what makes the adapter
-    /// deterministic under any thread schedule.
-    fn enqueue(&mut self, event: SinkEvent) {
-        if self.queue.len() >= self.capacity {
-            self.dropped += 1;
-        } else {
-            self.queue.push_back(event);
-        }
     }
 
     fn send(&mut self, msg: WorkerMsg) {
@@ -490,65 +520,19 @@ impl<S> Drop for Threaded<S> {
     }
 }
 
-impl<S: MetricSink + Send + 'static> MetricSink for Threaded<S> {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        // Same flush point as `Buffered::on_period`: the queued events
-        // precede the record in stream order and the record itself
-        // never touches the bounded queue, so it can never be dropped.
-        let mut batch: Vec<SinkEvent> = self.queue.drain(..).collect();
+impl<S: MetricSink + Send + 'static> Delivery for Threaded<S> {
+    fn queue(&mut self) -> &mut BoundedQueue {
+        &mut self.queue
+    }
+
+    fn deliver_period(&mut self, record: &PeriodRecord) {
+        let mut batch: Vec<SinkEvent> = self.queue.events.drain(..).collect();
         batch.push(SinkEvent::Period(record.clone()));
         self.send(WorkerMsg::Batch(batch));
     }
 
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.enqueue(SinkEvent::Repack(*event));
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.enqueue(SinkEvent::Migration {
-            period,
-            vm,
-            from,
-            to,
-        });
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.enqueue(SinkEvent::Violation(*event));
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.enqueue(SinkEvent::ClassEnergy {
-            period,
-            class,
-            name: name.to_string(),
-            period_joules,
-        });
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.enqueue(SinkEvent::Admit { sample, vm, server });
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.enqueue(SinkEvent::ServerFail {
-            sample,
-            server,
-            residents,
-        });
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.enqueue(SinkEvent::ServerRecover { sample, server });
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        // Same order and additive drop fold as `Buffered::on_summary`:
-        // queued events first, then the summary exactly once, never
-        // droppable.
+    fn deliver_summary(&mut self, report: SimReport) {
         self.flush();
-        let mut report = report.clone();
-        report.sink_dropped_events += self.dropped;
         self.send(WorkerMsg::Summary(report));
     }
 }

@@ -1357,3 +1357,139 @@ fn overcommit_admissions_actually_happen_in_the_harness() {
         "no seed in 0..64 ever admitted past plain capacity — the overcommit axis is vacuous"
     );
 }
+
+// ---- The undersized-fleet axis: invariants after refused events.
+
+/// Two 4-core servers under 2-core tenants: four seats for the plan's
+/// six VMs, so a busy stretch asks for a fifth.
+fn undersized_fleet() -> ServerFleet {
+    ServerFleet::uniform(2, 4.0, LinearPowerModel::xeon_e5410()).expect("valid fleet")
+}
+
+/// Drives the departure-heavy plan onto the undersized fleet and checks
+/// the ordinary invariants after **every** event, refused ones
+/// included, against a model that never learns of a refused VM.
+///
+/// The run is shaped so that a refused mid-period arrival is the only
+/// way the fleet can say no: traces never exceed the default demand
+/// (predictions never outgrow what admission granted) and no VM arrives
+/// on a period boundary (the batch pass only ever sees admitted VMs).
+/// A refused id must stay unknown and an immediate retry must be
+/// refused again on capacity. Returns the number of refusals.
+fn run_undersized_case(
+    seed: u64,
+    policy: Policy,
+    schedule: Schedule,
+) -> Result<usize, TestCaseError> {
+    let fleet = undersized_fleet();
+    let mut rng = SimRng::new(seed);
+    let mut plans = draw_plans(&mut rng);
+    for plan in &mut plans {
+        if plan.arrival % PERIOD == 0 {
+            plan.arrival += 1;
+        }
+        plan.departure = plan.departure.filter(|&d| d > plan.arrival);
+    }
+    let mut controller =
+        DatacenterController::new(harness_config(&fleet, policy, schedule, DvfsMode::Static))
+            .expect("harness config is valid");
+    let mut sink = RepackLog::default();
+    let mut model = Model {
+        live: BTreeSet::new(),
+        clock: 0,
+    };
+    let mut refused = 0usize;
+
+    for k in 0..TOTAL {
+        for (id, plan) in plans.iter().enumerate() {
+            if plan.departure == Some(k) && model.live.remove(&id) {
+                controller
+                    .depart(id)
+                    .map_err(|e| TestCaseError::fail(format!("depart({id}) at {k}: {e}")))?;
+                check_invariants(&controller, &model, &fleet, policy, schedule)?;
+            }
+        }
+        for (id, plan) in plans.iter().enumerate() {
+            if plan.arrival != k {
+                continue;
+            }
+            let horizon = plan.departure.unwrap_or(TOTAL);
+            let len = (horizon - k).max(1);
+            let level = rng.range_f64(0.4, 2.0);
+            let trace = TimeSeries::new(5.0, vec![level; len]).expect("non-empty trace");
+            let lease = plan.departure.map(|d| d - k);
+            match controller.arrive(id, trace.clone(), lease, &mut sink) {
+                Ok(()) => {
+                    model.live.insert(id);
+                }
+                Err(cavm_sim::SimError::InsufficientServers { .. }) => {
+                    refused += 1;
+                    prop_assert_eq!(
+                        controller.depart(id),
+                        Err(cavm_sim::SimError::UnknownVm { id }),
+                        "a refused arrival must leave no registration behind"
+                    );
+                    prop_assert!(
+                        matches!(
+                            controller.arrive(id, trace, lease, &mut sink),
+                            Err(cavm_sim::SimError::InsufficientServers { .. })
+                        ),
+                        "a retry must be judged on capacity again"
+                    );
+                }
+                Err(e) => return Err(TestCaseError::fail(format!("arrive({id}) at {k}: {e}"))),
+            }
+            check_invariants(&controller, &model, &fleet, policy, schedule)?;
+        }
+        controller
+            .tick(&mut sink)
+            .map_err(|e| TestCaseError::fail(format!("tick at {k}: {e}")))?;
+        model.clock += 1;
+        check_invariants(&controller, &model, &fleet, policy, schedule)?;
+    }
+    controller
+        .finish(&mut sink)
+        .map_err(|e| TestCaseError::fail(format!("finish: {e}")))?;
+    prop_assert_eq!(controller.report().periods.len(), TOTAL / PERIOD);
+    Ok(refused)
+}
+
+/// The guard-less trigger schedules (a guard's healing move on a full
+/// fleet is its own failure mode, outside this axis).
+fn plain_schedules() -> [Schedule; 3] {
+    [
+        Schedule::plain(RepackTrigger::Periodic),
+        Schedule::plain(RepackTrigger::Fragmentation { slack: 1 }),
+        Schedule::plain(RepackTrigger::Hybrid { slack: 2 }),
+    ]
+}
+
+proptest! {
+    /// Every policy × plain schedule keeps every invariant on a fleet
+    /// too small for the plan, with refused arrivals leaving no trace.
+    #[test]
+    fn invariants_hold_after_refused_arrivals_on_an_undersized_fleet(seed in any::<u64>()) {
+        for policy in five_policies() {
+            for schedule in plain_schedules() {
+                run_undersized_case(seed, policy, schedule)?;
+            }
+        }
+    }
+}
+
+/// The undersized axis has teeth: somewhere in the seed range arrivals
+/// really are refused — otherwise the post-refusal checks are vacuous.
+#[test]
+fn refusals_actually_happen_on_the_undersized_fleet() {
+    let refused: usize = (0..64u64)
+        .map(|seed| {
+            run_undersized_case(
+                seed,
+                Policy::Proposed(Default::default()),
+                Schedule::plain(RepackTrigger::Periodic),
+            )
+            .expect("undersized case")
+        })
+        .sum();
+    assert!(refused > 0, "no seed in 0..64 ever refused an arrival");
+}

@@ -1336,3 +1336,43 @@ fn buffered_sink_stays_transparent_under_server_faults() {
     assert_eq!(tight_report.server_failures, plain_report.server_failures);
     assert_eq!(tight_report.evacuations, plain_report.evacuations);
 }
+
+/// A refused arrival is atomic: the VM is not registered, so the id
+/// stays fresh, a retry is judged on capacity again, and the session
+/// keeps running across period boundaries.
+#[test]
+fn refused_arrival_leaves_no_trace_and_is_retryable() {
+    use cavm_sim::{NullSink, SimError};
+    use cavm_trace::TimeSeries;
+
+    // One 8-core server, 6-core tenants: room for exactly one.
+    let trace = || TimeSeries::new(5.0, vec![6.0; 180]).unwrap();
+    let mut controller = fault_controller(1, 1024, 6.0);
+    let mut sink = NullSink;
+    controller.arrive(0, trace(), None, &mut sink).unwrap();
+    controller.tick(&mut sink).unwrap();
+
+    for _ in 0..2 {
+        assert!(matches!(
+            controller.arrive(1, trace(), None, &mut sink),
+            Err(SimError::InsufficientServers { .. })
+        ));
+        assert_eq!(controller.live_vms(), 1);
+        assert_eq!(controller.deferred_vms(), 0);
+        assert_eq!(controller.placement().server_of(1), None);
+        assert_eq!(
+            controller.depart(1).unwrap_err(),
+            SimError::UnknownVm { id: 1 }
+        );
+    }
+    // The batch pass at the next boundary sees only the admitted VM.
+    for _ in 0..64 {
+        controller.tick(&mut sink).unwrap();
+    }
+    assert_eq!(controller.report().periods.len(), 1);
+    // Once the tenant leaves, the refused id admits like a fresh one.
+    controller.depart(0).unwrap();
+    controller.arrive(1, trace(), None, &mut sink).unwrap();
+    assert_eq!(controller.placement().server_of(1), Some(0));
+    assert_eq!(controller.live_vms(), 1);
+}
