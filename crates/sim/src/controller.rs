@@ -51,6 +51,14 @@
 //! [`Scenario::run`]: crate::config::Scenario::run
 //! [`AllocationPolicy::place_one`]: cavm_core::alloc::AllocationPolicy::place_one
 
+mod whatif;
+
+pub use self::whatif::{WhatIf, WhatIfDelta};
+pub use crate::feedback::{
+    OvercommitConfig, OvercommitController, QosGuard, RepackTrigger, SlackController,
+};
+pub use crate::sink::{MetricSink, NullSink, ReportSink};
+
 use crate::config::Policy;
 use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
 use crate::SimError;
@@ -65,7 +73,6 @@ use cavm_core::servercost::{server_cost_of, ServerCostAggregate};
 use cavm_core::CoreError;
 use cavm_power::{EnergyMeter, PowerModel};
 use cavm_trace::{Reference, TimeSeries};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 pub(crate) const VIOLATION_EPS: f64 = 1e-9;
@@ -95,378 +102,6 @@ pub(crate) fn union_ladder_ghz(fleet: &ServerFleet) -> Vec<f64> {
     ghz.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
     ghz.dedup();
     ghz
-}
-
-/// When the controller re-packs the live placement.
-///
-/// The paper's Fig 2 re-packs strictly on the period clock; under
-/// heavy departure churn that leaves fragmented, half-empty servers
-/// burning idle watts until the next boundary. The fragmentation
-/// variants watch the live Eqn (3) lower bound
-/// ([`ServerFleet::estimate_server_count`] of the packed predicted
-/// demand) and fire an *off-cycle* re-pack as soon as it drops at
-/// least `slack` servers below
-/// [`Placement::active_server_count`] — checked at the first tick
-/// after a departure evicts a placed VM (between membership changes
-/// the predicate cannot change, so nothing else is ever checked).
-///
-/// ```
-/// use cavm_sim::RepackTrigger;
-///
-/// let trigger = RepackTrigger::Hybrid { slack: 2 };
-/// // 5 active servers, but the live demand would fit into 3.
-/// assert!(trigger.fires(3, 5));
-/// assert!(!trigger.fires(4, 5));
-/// assert!(!RepackTrigger::Periodic.fires(0, 5));
-/// ```
-///
-/// [`ServerFleet::estimate_server_count`]: cavm_core::fleet::ServerFleet::estimate_server_count
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RepackTrigger {
-    /// Re-pack at every period boundary only — the paper's schedule
-    /// and the default; bit-identical to the pre-trigger controller.
-    #[default]
-    Periodic,
-    /// Re-pack *only* when fragmentation warrants it: period
-    /// boundaries refresh predictions, the cost matrix and the
-    /// frequency plans but keep the standing placement (VMs that
-    /// arrived between periods are admitted incrementally), and a full
-    /// ALLOCATE pass runs only when the predicate fires. The session's
-    /// first placement of a live VM set is still a batch pass.
-    Fragmentation {
-        /// Minimum gap (in servers) between the active count and the
-        /// Eqn (3) bound before a re-pack fires; must be ≥ 1.
-        slack: u32,
-    },
-    /// Both schedules: periodic re-packs *plus* fragmentation-fired
-    /// off-cycle ones — never re-packs less than [`Periodic`] does.
-    ///
-    /// [`Periodic`]: RepackTrigger::Periodic
-    Hybrid {
-        /// Minimum gap (in servers) between the active count and the
-        /// Eqn (3) bound before an off-cycle re-pack fires; must be
-        /// ≥ 1.
-        slack: u32,
-    },
-}
-
-impl RepackTrigger {
-    /// Whether period boundaries run the full ALLOCATE re-pack
-    /// (`Periodic` and `Hybrid`).
-    pub fn periodic_repacks(&self) -> bool {
-        matches!(self, Self::Periodic | Self::Hybrid { .. })
-    }
-
-    /// The fragmentation slack, or `None` when off-cycle re-packs are
-    /// disabled.
-    pub fn slack(&self) -> Option<u32> {
-        match *self {
-            Self::Periodic => None,
-            Self::Fragmentation { slack } | Self::Hybrid { slack } => Some(slack),
-        }
-    }
-
-    /// The fragmentation predicate: `true` when the Eqn (3) bound
-    /// `estimate` sits at least `slack` servers below the `active`
-    /// server count (always `false` for [`RepackTrigger::Periodic`]).
-    pub fn fires(&self, estimate: usize, active: usize) -> bool {
-        match self.slack() {
-            None => false,
-            Some(slack) => active.saturating_sub(estimate) >= slack as usize,
-        }
-    }
-
-    /// Stable display name for reports and experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Periodic => "periodic",
-            Self::Fragmentation { .. } => "fragmentation",
-            Self::Hybrid { .. } => "hybrid",
-        }
-    }
-}
-
-/// The QoS dimension of the re-pack schedule, composable with any
-/// [`RepackTrigger`] via [`ControllerConfig::qos_guard`] /
-/// `ScenarioBuilder::qos_guard`.
-///
-/// A pure [`RepackTrigger::Fragmentation`] schedule keeps placements
-/// across period boundaries, so drifting predictions can leave kept
-/// servers overcommitted for hours — the SLA side of the paper's
-/// Eqn (2)/(3) energy/QoS tension. The guard watches the *observed*
-/// worst per-server violation ratio of the running period and, once a
-/// violation pushes it past `violation_ratio`, fires an off-cycle
-/// re-pack ([`RepackReason::QosGuard`]) of exactly the breaching
-/// servers: their members' predictions are refreshed from the
-/// period's samples so far and their largest members trimmed onto
-/// other servers until the refreshed load fits. At placement-keeping
-/// period boundaries it additionally force-repacks servers that
-/// breached the threshold over the completed period *and* remain
-/// overcommitted under the refreshed predictions
-/// ([`RepackReason::Overcommit`]). Sub-threshold overcommit is
-/// deliberately left standing in both checks — summed per-VM peaks
-/// overstating the coincident aggregate is the correlation gap the
-/// paper's Eqn (1) packing exploits, and it is where the
-/// placement-keeping schedule's energy win lives.
-///
-/// ```
-/// use cavm_sim::QosGuard;
-///
-/// let guard = QosGuard {
-///     violation_ratio: 0.05,
-/// };
-/// // 37 over-capacity samples in a 720-sample period is past 5%.
-/// assert!(guard.exceeded(37, 720));
-/// assert!(!guard.exceeded(36, 720));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QosGuard {
-    /// Worst per-server violation ratio (over-capacity samples /
-    /// period samples) above which the guard fires; must lie in
-    /// (0, 1].
-    pub violation_ratio: f64,
-}
-
-impl QosGuard {
-    /// The guard predicate: whether `violations` over-capacity samples
-    /// out of `period_samples` exceed the configured ratio.
-    pub fn exceeded(&self, violations: usize, period_samples: usize) -> bool {
-        period_samples > 0 && violations as f64 / period_samples as f64 > self.violation_ratio
-    }
-}
-
-/// Closed-loop tuning of the fragmentation slack.
-///
-/// A static `slack` trades energy against migration churn blindly: the
-/// hybrid schedule of the adaptive experiment pays ~500 migrations for
-/// its energy win. `SlackController` instead walks the slack between
-/// bounds from what the trigger *actually realizes*:
-///
-/// * **Raise on expensive re-packs** — a fired re-pack reports the
-///   servers it freed (the energy delta — every freed server stops
-///   burning idle watts) against the migrations it paid. Freeing fewer
-///   than one server per 1/[`SlackController::RAISE_BELOW`] migrations
-///   raises the slack, making re-packs rarer; freeing at least one per
-///   1/[`SlackController::LOWER_AT`] migrations lowers it again.
-/// * **Decay on persistent misses** — an armed check that finds real
-///   fragmentation (a gap at or above the configured floor) but below
-///   the raised slack is a *missed consolidation*.
-///   [`SlackController::MISS_STREAK`] consecutive misses walk the
-///   slack back down one step. Without this decay the slack would
-///   ratchet: once raised, re-packs stop firing, so nothing would
-///   ever feed back that consolidation has become cheap again (e.g.
-///   the nearly-drained end of a departure-heavy day, where each
-///   re-pack frees a server for a handful of migrations).
-///
-/// The in-effect value streams on every [`RepackEvent::slack_after`].
-///
-/// ```
-/// use cavm_sim::SlackController;
-///
-/// let mut ctl = SlackController::new(1, 3);
-/// assert_eq!(ctl.current(), 1);
-/// // 1 server freed for 8 migrations: too little per migration.
-/// ctl.observe(1, 8);
-/// assert_eq!(ctl.current(), 2);
-/// // Two armed checks in a row find a 1-server gap the raised slack
-/// // ignores: consolidation opportunities are going begging.
-/// ctl.observe_miss(1);
-/// ctl.observe_miss(1);
-/// assert_eq!(ctl.current(), 1);
-/// // 2 servers freed for 3 migrations: cheap — but never below the
-/// // configured floor.
-/// ctl.observe(2, 3);
-/// assert_eq!(ctl.current(), 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlackController {
-    min: u32,
-    max: u32,
-    current: u32,
-    misses: u32,
-}
-
-impl SlackController {
-    /// Below this servers-freed-per-migration gain the slack is raised.
-    pub const RAISE_BELOW: f64 = 0.25;
-    /// At or above this servers-freed-per-migration gain the slack is
-    /// lowered again.
-    pub const LOWER_AT: f64 = 0.5;
-    /// Consecutive armed-but-sub-slack fragmentation observations
-    /// before the slack decays one step.
-    pub const MISS_STREAK: u32 = 2;
-
-    /// A controller starting (and bounded below) at `initial`, bounded
-    /// above by `max` (clamped up to `initial` if smaller). Equal
-    /// bounds reproduce the static-slack behaviour exactly.
-    pub fn new(initial: u32, max: u32) -> Self {
-        Self {
-            min: initial,
-            max: max.max(initial),
-            current: initial,
-            misses: 0,
-        }
-    }
-
-    /// The slack currently in effect.
-    pub fn current(&self) -> u32 {
-        self.current
-    }
-
-    /// The `(min, max)` bounds the slack walks between.
-    pub fn bounds(&self) -> (u32, u32) {
-        (self.min, self.max)
-    }
-
-    /// Whether the bounds actually leave room to adapt.
-    pub fn is_adaptive(&self) -> bool {
-        self.min != self.max
-    }
-
-    /// Feeds back one fired re-pack's realized outcome; a re-pack with
-    /// no migrations carries no cost signal and leaves the slack —
-    /// *and* an in-progress [`SlackController::MISS_STREAK`] — fully
-    /// unchanged: only a priced observation resets the decay streak.
-    pub fn observe(&mut self, servers_freed: usize, migrations: usize) {
-        if migrations == 0 {
-            return;
-        }
-        self.misses = 0;
-        let gain = servers_freed as f64 / migrations as f64;
-        if gain < Self::RAISE_BELOW {
-            self.current = (self.current + 1).min(self.max);
-        } else if gain >= Self::LOWER_AT {
-            self.current = self.current.saturating_sub(1).max(self.min);
-        }
-    }
-
-    /// Feeds back an armed check that did *not* fire because the
-    /// observed `gap` (active servers minus the Eqn (3) bound) sat
-    /// below the raised slack. Gaps at or above the configured floor
-    /// count toward the decay streak; smaller gaps mean the fleet
-    /// really is compact and reset it.
-    pub fn observe_miss(&mut self, gap: usize) {
-        if self.current > self.min && gap >= self.min as usize {
-            self.misses += 1;
-            if self.misses >= Self::MISS_STREAK {
-                self.misses = 0;
-                self.current -= 1;
-            }
-        } else {
-            self.misses = 0;
-        }
-    }
-}
-
-/// Deliberate correlation-gap overcommit, threaded through
-/// [`ControllerConfig::overcommit`] /
-/// `ScenarioBuilder::overcommit`.
-///
-/// With a margin in effect, incremental admission and the batch re-pack
-/// both accept servers whose *predicted per-VM sum* runs up to
-/// `capacity × (1 + margin)` — but only when the Eqn (2) pairwise cost
-/// says the candidate's peaks anti-align with the residents, i.e. the
-/// Eqn (1) coincident-aggregate estimate (`predicted sum / cost`) still
-/// lands within plain capacity
-/// ([`OpenServer::admits`](cavm_core::alloc::OpenServer::admits)).
-/// The configured [`QosGuard`] stays armed as the reactive backstop,
-/// and an [`OvercommitController`] walks the live margin per fleet
-/// class from the observed per-period violation ratios. Degraded mode
-/// (failed servers or a non-empty deferred queue) suspends the margin
-/// outright.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OvercommitConfig {
-    /// Starting (and post-breach re-growable) margin as a fraction of
-    /// capacity; must lie in `[0, max_margin]`.
-    pub margin: f64,
-    /// Hard ceiling the adaptive margin never exceeds; must lie in
-    /// `(0, 1]`.
-    pub max_margin: f64,
-}
-
-/// Closed-loop tuning of the deliberate-overcommit margin — the same
-/// walk/decay machinery as [`SlackController`], driven by the observed
-/// per-period violation ratio instead of migration cost.
-///
-/// Each completed period feeds
-/// [`OvercommitController::observe_period`] the class's worst
-/// per-server violation ratio against the guard threshold:
-///
-/// * **Shrink on breach** — a period whose worst ratio exceeded the
-///   guard's threshold means the correlation-gap bet failed; the
-///   margin steps down [`OvercommitController::STEP`] immediately
-///   (never below zero — the guard's own trim handles the standing
-///   placement).
-/// * **Grow on sustained headroom** —
-///   [`OvercommitController::RAISE_STREAK`] consecutive periods whose
-///   worst ratio stayed at or below *half* the guard threshold grow
-///   the margin one step, up to the configured ceiling. A ratio
-///   between the two bands holds the margin (and resets the streak):
-///   QoS is acceptable but not comfortable.
-///
-/// ```
-/// use cavm_sim::OvercommitController;
-///
-/// let mut ctl = OvercommitController::new(0.10, 0.25);
-/// assert_eq!(ctl.current(), 0.10);
-/// // A breached period shrinks the margin immediately.
-/// ctl.observe_period(0.08, 0.05);
-/// assert!(ctl.current() < 0.10);
-/// // Two comfortable periods in a row grow it back one step.
-/// ctl.observe_period(0.0, 0.05);
-/// ctl.observe_period(0.01, 0.05);
-/// assert_eq!(ctl.current(), 0.10);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OvercommitController {
-    max: f64,
-    current: f64,
-    hits: u32,
-}
-
-impl OvercommitController {
-    /// Margin step per adaptation, as a fraction of capacity.
-    pub const STEP: f64 = 0.05;
-    /// Consecutive comfortable periods (worst ratio ≤ half the guard
-    /// threshold) before the margin grows one step.
-    pub const RAISE_STREAK: u32 = 2;
-
-    /// A controller starting at `initial`, ceilinged at `max` (clamped
-    /// up to `initial` if smaller).
-    pub fn new(initial: f64, max: f64) -> Self {
-        Self {
-            max: max.max(initial),
-            current: initial,
-            hits: 0,
-        }
-    }
-
-    /// The margin currently in effect.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// The ceiling the margin grows toward.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Feeds back one completed period: the class's worst per-server
-    /// violation ratio against the guard's threshold.
-    pub fn observe_period(&mut self, worst_ratio: f64, guard_ratio: f64) {
-        if worst_ratio > guard_ratio {
-            self.hits = 0;
-            self.current = (self.current - Self::STEP).max(0.0);
-        } else if worst_ratio <= guard_ratio * 0.5 {
-            self.hits += 1;
-            if self.hits >= Self::RAISE_STREAK {
-                self.hits = 0;
-                self.current = (self.current + Self::STEP).min(self.max);
-            }
-        } else {
-            self.hits = 0;
-        }
-    }
 }
 
 /// Why a re-pack ran, carried by [`RepackEvent`].
@@ -612,205 +247,6 @@ pub struct ViolationEvent {
     pub demand: f64,
     /// Frequency-scaled capacity it exceeded, cores.
     pub capacity: f64,
-}
-
-/// Streaming observer of a controller session. All methods default to
-/// no-ops; implement the ones you care about.
-///
-/// # Example
-///
-/// A sink that tallies periods and narrates every re-pack (periodic
-/// *and* fragmentation-fired):
-///
-/// ```
-/// use cavm_sim::{MetricSink, PeriodRecord, RepackEvent, RepackReason};
-///
-/// #[derive(Default)]
-/// struct Tally {
-///     periods: usize,
-///     offcycle: usize,
-/// }
-///
-/// impl MetricSink for Tally {
-///     fn on_period(&mut self, _record: &PeriodRecord) {
-///         self.periods += 1;
-///     }
-///
-///     fn on_repack(&mut self, event: &RepackEvent) {
-///         if let RepackReason::Fragmentation { estimate, active } = event.reason {
-///             self.offcycle += 1;
-///             println!(
-///                 "t={} re-pack: {} servers packed into {} (bound {})",
-///                 event.sample, active, event.servers_after, estimate,
-///             );
-///         }
-///     }
-/// }
-///
-/// let mut sink = Tally::default();
-/// sink.on_repack(&RepackEvent {
-///     sample: 900,
-///     period: 1,
-///     reason: RepackReason::Fragmentation { estimate: 3, active: 5 },
-///     servers_before: 5,
-///     servers_after: 3,
-///     migrations: 4,
-///     slack_after: Some(1),
-/// });
-/// assert_eq!(sink.offcycle, 1);
-/// ```
-pub trait MetricSink {
-    /// A placement period completed.
-    fn on_period(&mut self, record: &PeriodRecord) {
-        let _ = record;
-    }
-
-    /// A full re-pack of the live placement ran — at a period boundary
-    /// ([`RepackReason::Periodic`]) or fired off-cycle by a
-    /// [`RepackTrigger`] fragmentation predicate
-    /// ([`RepackReason::Fragmentation`]).
-    fn on_repack(&mut self, event: &RepackEvent) {
-        let _ = event;
-    }
-
-    /// A VM moved servers across a period boundary (migration).
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        let _ = (period, vm, from, to);
-    }
-
-    /// A server exceeded its frequency-scaled capacity for one sample.
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        let _ = event;
-    }
-
-    /// Energy a server class consumed over the just-completed period.
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        let _ = (period, class, name, period_joules);
-    }
-
-    /// A mid-period arrival was admitted through the incremental
-    /// single-VM placement path.
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        let _ = (sample, vm, server);
-    }
-
-    /// A server failed ([`VmEvent::ServerFail`]); `residents` is the
-    /// number of VMs about to be emergency-evacuated. Fires before the
-    /// evacuation's migrations and its
-    /// [`RepackReason::Evacuation`] re-pack event.
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        let _ = (sample, server, residents);
-    }
-
-    /// A failed server recovered ([`VmEvent::ServerRecover`]); fires
-    /// before the deferred-admission queue retries.
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        let _ = (sample, server);
-    }
-
-    /// The session finished; `report` is the terminal aggregate (the
-    /// same `SimReport` the batch API returns).
-    fn on_summary(&mut self, report: &SimReport) {
-        let _ = report;
-    }
-}
-
-/// A sink that ignores every event — for callers that only want the
-/// terminal report via [`DatacenterController::report`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {}
-
-/// Collects the stream back into batch-shaped results: the period
-/// records as they arrive and the terminal [`SimReport`] — this is the
-/// sink `Scenario::run` drives to keep the old API working.
-#[derive(Debug, Clone, Default)]
-pub struct ReportSink {
-    periods: Vec<PeriodRecord>,
-    repacks: Vec<RepackEvent>,
-    migrations: usize,
-    violations: usize,
-    admissions: usize,
-    report: Option<SimReport>,
-}
-
-impl ReportSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Period records streamed so far.
-    pub fn periods(&self) -> &[PeriodRecord] {
-        &self.periods
-    }
-
-    /// Migration events streamed so far.
-    pub fn migrations(&self) -> usize {
-        self.migrations
-    }
-
-    /// Violation instances streamed so far.
-    pub fn violations(&self) -> usize {
-        self.violations
-    }
-
-    /// Incremental admissions streamed so far.
-    pub fn admissions(&self) -> usize {
-        self.admissions
-    }
-
-    /// Every re-pack streamed so far (periodic and off-cycle).
-    pub fn repacks(&self) -> &[RepackEvent] {
-        &self.repacks
-    }
-
-    /// Off-cycle re-packs streamed so far — fragmentation-fired plus
-    /// [`QosGuard`]-fired (boundary [`RepackReason::Overcommit`]
-    /// capacity checks ride the period clock and are not counted).
-    pub fn offcycle_repacks(&self) -> usize {
-        self.repacks
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.reason,
-                    RepackReason::Fragmentation { .. } | RepackReason::QosGuard { .. }
-                )
-            })
-            .count()
-    }
-
-    /// The terminal report, once [`MetricSink::on_summary`] has fired.
-    pub fn into_report(self) -> Option<SimReport> {
-        self.report
-    }
-}
-
-impl MetricSink for ReportSink {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        self.periods.push(record.clone());
-    }
-
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.repacks.push(*event);
-    }
-
-    fn on_migration(&mut self, _period: usize, _vm: usize, _from: usize, _to: usize) {
-        self.migrations += 1;
-    }
-
-    fn on_violation(&mut self, _event: &ViolationEvent) {
-        self.violations += 1;
-    }
-
-    fn on_admit(&mut self, _sample: usize, _vm: usize, _server: usize) {
-        self.admissions += 1;
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        self.report = Some(report.clone());
-    }
 }
 
 /// Static configuration of a controller session — the scenario knobs
@@ -1865,13 +1301,6 @@ impl DatacenterController {
         self.clone()
     }
 
-    /// Opens a [`WhatIf`] probe over a fork of the session: run a
-    /// hypothetical re-pack (or any event suffix) and read the delta,
-    /// with the live session guaranteed untouched.
-    pub fn what_if(&self) -> WhatIf {
-        WhatIf { fork: self.clone() }
-    }
-
     /// Estimated electrical power of the fleet at this instant, watts:
     /// each active healthy server's class power model evaluated at its
     /// current frequency plan and its members' **predicted** per-VM
@@ -2834,131 +2263,6 @@ impl DatacenterController {
         self.servers[server].agg.push(id, vm.demand, matrix);
         self.replan_bin(server)?;
         Ok(server)
-    }
-}
-
-/// A what-if probe: a **fork** of a live session an operator can run
-/// hypotheticals on without perturbing the original.
-///
-/// Opened with [`DatacenterController::what_if`] (or cell-wise through
-/// [`ShardedController::what_if_repack`](crate::ShardedController::what_if_repack)).
-/// The canonical question — "what would an off-cycle re-pack buy me
-/// right now?" — is [`repack`](Self::repack), which runs the full
-/// batch consolidation pass on the fork and returns a [`WhatIfDelta`].
-/// Arbitrary event suffixes ("what if these ten VMs departed and
-/// *then* I re-packed?") go through [`apply`](Self::apply) first. The
-/// live session is never touched: the fork-isolation tests pin that a
-/// probe leaves the original's full state bit-identical.
-#[derive(Debug, Clone)]
-pub struct WhatIf {
-    fork: DatacenterController,
-}
-
-/// What a hypothetical re-pack would change, measured on the fork by
-/// [`WhatIf::repack`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WhatIfDelta {
-    /// Active servers before the hypothetical re-pack.
-    pub servers_before: usize,
-    /// Active servers after it.
-    pub servers_after: usize,
-    /// Servers the re-pack would power off
-    /// (`servers_before - servers_after`, floored at zero).
-    pub servers_freed: usize,
-    /// VMs the re-pack would migrate.
-    pub migrations: usize,
-    /// Estimated energy saved over the remainder of the current
-    /// placement period, joules: the [`estimated_power_watts`]
-    /// delta (before − after) × remaining period seconds. Negative
-    /// when the re-pack would cost energy (it opened servers).
-    ///
-    /// [`estimated_power_watts`]: DatacenterController::estimated_power_watts
-    pub energy_estimate: f64,
-}
-
-impl WhatIfDelta {
-    /// The no-op delta of a probe with nothing to re-pack.
-    fn unchanged(servers: usize) -> Self {
-        Self {
-            servers_before: servers,
-            servers_after: servers,
-            servers_freed: 0,
-            migrations: 0,
-            energy_estimate: 0.0,
-        }
-    }
-}
-
-/// Captures the fork's re-pack event for the delta report.
-#[derive(Default)]
-struct CaptureRepack {
-    last: Option<RepackEvent>,
-}
-
-impl MetricSink for CaptureRepack {
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.last = Some(*event);
-    }
-}
-
-impl WhatIf {
-    /// The fork, for inspection (clock, placement, live VMs, …).
-    pub fn controller(&self) -> &DatacenterController {
-        &self.fork
-    }
-
-    /// Applies an event to the **fork** — a hypothetical suffix the
-    /// live session never sees. Metric events the fork emits are
-    /// discarded.
-    ///
-    /// # Errors
-    ///
-    /// As [`DatacenterController::apply`], against the fork's state.
-    pub fn apply(&mut self, event: VmEvent) -> crate::Result<()> {
-        self.fork.apply(event, &mut NullSink)
-    }
-
-    /// Runs the hypothetical off-cycle re-pack — the same full batch
-    /// consolidation pass a fragmentation trigger would run, under
-    /// [`RepackReason::WhatIf`] — on the fork and reports the delta.
-    /// Outside a placement period (a freshly opened session, or after
-    /// `finish`) or with no live VMs there is nothing to re-pack and
-    /// the delta is all zeros.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement/power errors from the fork's re-pack.
-    pub fn repack(&mut self) -> crate::Result<WhatIfDelta> {
-        let servers_before = self.fork.placement.active_server_count();
-        if self.fork.live_vms() == 0 || !self.fork.mid_period() {
-            return Ok(WhatIfDelta::unchanged(servers_before));
-        }
-        let watts_before = self.fork.estimated_power_watts()?;
-        let mut capture = CaptureRepack::default();
-        self.fork
-            .midperiod_repack(RepackReason::WhatIf, &mut capture)?;
-        let servers_after = self.fork.placement.active_server_count();
-        let watts_after = self.fork.estimated_power_watts()?;
-        let remaining = self
-            .fork
-            .cfg
-            .period_samples
-            .saturating_sub(self.fork.clock - self.fork.period_start);
-        Ok(WhatIfDelta {
-            servers_before,
-            servers_after,
-            servers_freed: servers_before.saturating_sub(servers_after),
-            migrations: capture.last.map_or(0, |e| e.migrations),
-            energy_estimate: (watts_before - watts_after)
-                * remaining as f64
-                * self.fork.cfg.sample_dt_s,
-        })
-    }
-
-    /// Consumes the probe, keeping the fork as an independent session
-    /// (e.g. to commit the hypothetical by swapping it in).
-    pub fn into_fork(self) -> DatacenterController {
-        self.fork
     }
 }
 

@@ -129,6 +129,7 @@ pub mod config;
 pub mod controller;
 mod engine;
 mod error;
+mod feedback;
 pub mod report;
 pub mod service;
 pub mod sink;

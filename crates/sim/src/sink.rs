@@ -59,13 +59,214 @@
 //! assert_eq!(sink.inner().violations, 2);
 //! ```
 
-use crate::controller::{MetricSink, RepackEvent, ViolationEvent};
+#[cfg(doc)]
+use crate::controller::{DatacenterController, QosGuard, RepackTrigger, VmEvent};
+use crate::controller::{RepackEvent, RepackReason, ViolationEvent};
 use crate::error::SimError;
 use crate::report::{PeriodRecord, SimReport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc;
 use std::thread;
+
+/// Streaming observer of a controller session. All methods default to
+/// no-ops; implement the ones you care about.
+///
+/// # Example
+///
+/// A sink that tallies periods and narrates every re-pack (periodic
+/// *and* fragmentation-fired):
+///
+/// ```
+/// use cavm_sim::{MetricSink, PeriodRecord, RepackEvent, RepackReason};
+///
+/// #[derive(Default)]
+/// struct Tally {
+///     periods: usize,
+///     offcycle: usize,
+/// }
+///
+/// impl MetricSink for Tally {
+///     fn on_period(&mut self, _record: &PeriodRecord) {
+///         self.periods += 1;
+///     }
+///
+///     fn on_repack(&mut self, event: &RepackEvent) {
+///         if let RepackReason::Fragmentation { estimate, active } = event.reason {
+///             self.offcycle += 1;
+///             println!(
+///                 "t={} re-pack: {} servers packed into {} (bound {})",
+///                 event.sample, active, event.servers_after, estimate,
+///             );
+///         }
+///     }
+/// }
+///
+/// let mut sink = Tally::default();
+/// sink.on_repack(&RepackEvent {
+///     sample: 900,
+///     period: 1,
+///     reason: RepackReason::Fragmentation { estimate: 3, active: 5 },
+///     servers_before: 5,
+///     servers_after: 3,
+///     migrations: 4,
+///     slack_after: Some(1),
+/// });
+/// assert_eq!(sink.offcycle, 1);
+/// ```
+pub trait MetricSink {
+    /// A placement period completed.
+    fn on_period(&mut self, record: &PeriodRecord) {
+        let _ = record;
+    }
+
+    /// A full re-pack of the live placement ran — at a period boundary
+    /// ([`RepackReason::Periodic`]) or fired off-cycle by a
+    /// [`RepackTrigger`] fragmentation predicate
+    /// ([`RepackReason::Fragmentation`]).
+    fn on_repack(&mut self, event: &RepackEvent) {
+        let _ = event;
+    }
+
+    /// A VM moved servers across a period boundary (migration).
+    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
+        let _ = (period, vm, from, to);
+    }
+
+    /// A server exceeded its frequency-scaled capacity for one sample.
+    fn on_violation(&mut self, event: &ViolationEvent) {
+        let _ = event;
+    }
+
+    /// Energy a server class consumed over the just-completed period.
+    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
+        let _ = (period, class, name, period_joules);
+    }
+
+    /// A mid-period arrival was admitted through the incremental
+    /// single-VM placement path.
+    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
+        let _ = (sample, vm, server);
+    }
+
+    /// A server failed ([`VmEvent::ServerFail`]); `residents` is the
+    /// number of VMs about to be emergency-evacuated. Fires before the
+    /// evacuation's migrations and its
+    /// [`RepackReason::Evacuation`] re-pack event.
+    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
+        let _ = (sample, server, residents);
+    }
+
+    /// A failed server recovered ([`VmEvent::ServerRecover`]); fires
+    /// before the deferred-admission queue retries.
+    fn on_server_recover(&mut self, sample: usize, server: usize) {
+        let _ = (sample, server);
+    }
+
+    /// The session finished; `report` is the terminal aggregate (the
+    /// same `SimReport` the batch API returns).
+    fn on_summary(&mut self, report: &SimReport) {
+        let _ = report;
+    }
+}
+
+/// A sink that ignores every event — for callers that only want the
+/// terminal report via [`DatacenterController::report`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullSink;
+
+impl MetricSink for NullSink {}
+
+/// Collects the stream back into batch-shaped results: the period
+/// records as they arrive and the terminal [`SimReport`] — this is the
+/// sink `Scenario::run` drives to keep the old API working.
+#[derive(Debug, Clone, Default)]
+pub struct ReportSink {
+    periods: Vec<PeriodRecord>,
+    repacks: Vec<RepackEvent>,
+    migrations: usize,
+    violations: usize,
+    admissions: usize,
+    report: Option<SimReport>,
+}
+
+impl ReportSink {
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Period records streamed so far.
+    pub fn periods(&self) -> &[PeriodRecord] {
+        &self.periods
+    }
+
+    /// Migration events streamed so far.
+    pub fn migrations(&self) -> usize {
+        self.migrations
+    }
+
+    /// Violation instances streamed so far.
+    pub fn violations(&self) -> usize {
+        self.violations
+    }
+
+    /// Incremental admissions streamed so far.
+    pub fn admissions(&self) -> usize {
+        self.admissions
+    }
+
+    /// Every re-pack streamed so far (periodic and off-cycle).
+    pub fn repacks(&self) -> &[RepackEvent] {
+        &self.repacks
+    }
+
+    /// Off-cycle re-packs streamed so far — fragmentation-fired plus
+    /// [`QosGuard`]-fired (boundary [`RepackReason::Overcommit`]
+    /// capacity checks ride the period clock and are not counted).
+    pub fn offcycle_repacks(&self) -> usize {
+        self.repacks
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.reason,
+                    RepackReason::Fragmentation { .. } | RepackReason::QosGuard { .. }
+                )
+            })
+            .count()
+    }
+
+    /// The terminal report, once [`MetricSink::on_summary`] has fired.
+    pub fn into_report(self) -> Option<SimReport> {
+        self.report
+    }
+}
+
+impl MetricSink for ReportSink {
+    fn on_period(&mut self, record: &PeriodRecord) {
+        self.periods.push(record.clone());
+    }
+
+    fn on_repack(&mut self, event: &RepackEvent) {
+        self.repacks.push(*event);
+    }
+
+    fn on_migration(&mut self, _period: usize, _vm: usize, _from: usize, _to: usize) {
+        self.migrations += 1;
+    }
+
+    fn on_violation(&mut self, _event: &ViolationEvent) {
+        self.violations += 1;
+    }
+
+    fn on_admit(&mut self, _sample: usize, _vm: usize, _server: usize) {
+        self.admissions += 1;
+    }
+
+    fn on_summary(&mut self, report: &SimReport) {
+        self.report = Some(report.clone());
+    }
+}
 
 /// One buffered controller event, in delivery order.
 #[derive(Debug, Clone, PartialEq)]
