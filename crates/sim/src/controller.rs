@@ -449,7 +449,7 @@ fn vacant_descriptor(id: usize) -> VmDescriptor {
 /// Everything the controller tracks per provisioned server, beyond the
 /// membership/class lists [`Placement`] owns and the health slice
 /// [`DatacenterController::server_health`] hands out.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ServerSlot {
     /// Core capacity of the server's fleet class.
     cores: f64,
@@ -465,20 +465,6 @@ struct ServerSlot {
     /// holds: the server is denied further deliberate overcommit
     /// through this period, breaking the admit-then-trim ping-pong.
     overcommit_hold: usize,
-}
-
-impl ServerSlot {
-    /// A freshly opened, empty server of `cores` capacity.
-    fn new(cores: f64) -> Self {
-        Self {
-            cores,
-            agg: ServerCostAggregate::new(),
-            freq_idx: 0,
-            window_max: 0.0,
-            violations: 0,
-            overcommit_hold: 0,
-        }
-    }
 }
 
 /// Demand of a registered VM at global sample `k` (zero before arrival,
@@ -1535,7 +1521,10 @@ impl DatacenterController {
         self.servers = placement
             .classes()
             .iter()
-            .map(|&class| ServerSlot::new(classes[class].cores()))
+            .map(|&class| ServerSlot {
+                cores: classes[class].cores(),
+                ..ServerSlot::default()
+            })
             .collect();
         self.health = vec![ServerHealth::Healthy; placement.server_count()];
         self.placement = placement;
@@ -2065,8 +2054,10 @@ impl DatacenterController {
                     unallocated: 1,
                 })
             })?;
-        self.servers
-            .push(ServerSlot::new(fleet.classes()[class].cores()));
+        self.servers.push(ServerSlot {
+            cores: fleet.classes()[class].cores(),
+            ..ServerSlot::default()
+        });
         self.health.push(ServerHealth::Healthy);
         Ok(self.placement.open_server(class))
     }
@@ -2086,11 +2077,10 @@ impl DatacenterController {
     }
 
     /// Evicts a placed VM from the live placement and refreshes the
-    /// vacated server. Returns the server it left.
-    fn evict_live(&mut self, id: usize) -> crate::Result<usize> {
+    /// vacated server.
+    fn evict_live(&mut self, id: usize) -> crate::Result<()> {
         let server = self.placement.evict(id).map_err(SimError::Core)?;
-        self.refresh_bin(server)?;
-        Ok(server)
+        self.refresh_bin(server)
     }
 
     /// Re-admits `(vm, origin)` pairs displaced by a healing move

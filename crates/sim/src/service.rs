@@ -263,7 +263,7 @@ impl SessionHost {
 /// `(sample, id)`), then arrivals in entry order with the trace sliced
 /// from arrival to departure and the lease attached, then the
 /// [`VmEvent::Tick`]. The horizon is truncated to whole placement
-/// periods. [`lifecycle_events`] collects it; the batch engine drives
+/// periods. [`lifecycle_events`] materialises it; the batch engine drives
 /// it directly, interleaving fault entries around each sample.
 pub(crate) struct ScheduleLowering<'a> {
     fleet: &'a VmFleet,
@@ -377,7 +377,16 @@ pub fn lifecycle_events(
     lifecycle: &Lifecycle,
     period_samples: usize,
 ) -> crate::Result<Vec<VmEvent>> {
-    ScheduleLowering::new(fleet, lifecycle.entries(), period_samples)?.collect()
+    let lowering = ScheduleLowering::new(fleet, lifecycle.entries(), period_samples)?;
+    // Sized up front rather than `collect()`ed: callers keep the
+    // schedule, and a doubling vector would strand up to half of its
+    // (large) event slots.
+    let mut events =
+        Vec::with_capacity(lowering.total + lowering.departures.len() + lowering.entries.len());
+    for event in lowering {
+        events.push(event?);
+    }
+    Ok(events)
 }
 
 /// Round-robins per-session event streams into one [`SessionHost`]

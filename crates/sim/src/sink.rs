@@ -1,4 +1,6 @@
-//! Sink adapters — composable wrappers around a [`MetricSink`].
+//! The [`MetricSink`] observer trait, its two stock sinks
+//! ([`NullSink`], [`ReportSink`]) and the sink adapters — composable
+//! wrappers around any [`MetricSink`].
 //!
 //! The controller delivers every event synchronously: a sink that
 //! renders a dashboard, writes a socket or flushes a file would stall
