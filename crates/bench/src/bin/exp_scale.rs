@@ -153,6 +153,10 @@ struct DayResult {
     deferred_peak: usize,
     pair_work: usize,
     dense_pair_work: usize,
+    /// Per cell at the end of the day: ids ever routed there, and rows
+    /// of its period tables (`DatacenterController::period_rows`).
+    cell_ids: Vec<usize>,
+    cell_rows: Vec<usize>,
 }
 
 /// Part 2: the 100k-VM synthetic day through the sharded controller.
@@ -240,6 +244,9 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize, seed: u64) ->
     let pair_work: usize = per_cell.iter().map(|&m| m * m.saturating_sub(1) / 2).sum();
     let routed: usize = per_cell.iter().sum();
     let dense_pair_work = routed * routed.saturating_sub(1) / 2;
+    let cell_rows = (0..cells)
+        .map(|c| dc.cell_controller(c).map_or(0, |ctl| ctl.period_rows()))
+        .collect();
 
     DayResult {
         vms,
@@ -261,6 +268,18 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize, seed: u64) ->
         deferred_peak: report.deferred_peak,
         pair_work,
         dense_pair_work,
+        cell_ids: per_cell,
+        cell_rows,
+    }
+}
+
+/// `min / median / max` of a per-cell gauge.
+fn spread(per_cell: &[usize]) -> String {
+    let mut sorted = per_cell.to_vec();
+    sorted.sort_unstable();
+    match (sorted.first(), sorted.last()) {
+        (Some(min), Some(max)) => format!("{min} / {} / {max}", sorted[sorted.len() / 2]),
+        _ => "-".into(),
     }
 }
 
@@ -297,6 +316,16 @@ fn main() {
     eprintln!(
         "  done in {:.1}s: {} events, peak {} live VMs on {} servers, {} violations",
         day.wall_s, day.events, day.peak_live, day.peak_servers, day.violation_instances,
+    );
+    // What the period tables are sized by (rows) against what they
+    // used to be sized by (ids), per cell.
+    eprintln!(
+        "  per cell at the end of the day (min / median / max over {} cells): period rows {}, ids seen {}; {} rows for {} ids in all",
+        day.cells,
+        spread(&day.cell_rows),
+        spread(&day.cell_ids),
+        day.cell_rows.iter().sum::<usize>(),
+        day.cell_ids.iter().sum::<usize>(),
     );
 
     let mut section = String::new();

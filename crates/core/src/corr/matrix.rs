@@ -55,6 +55,33 @@
 //! updated over the whole window while it is hot in cache, instead of
 //! re-touching the entire (possibly multi-megabyte) plane on every
 //! tick.
+//!
+//! # Keyed form
+//!
+//! A plain matrix ([`CostMatrix::new`]) indexes its planes by VM id:
+//! `n` ids, `n` rows. A long-running session whose VMs come and go
+//! would pay for every id it has ever seen, so the online controller
+//! uses the *keyed* form ([`CostMatrix::keyed`]) instead: the planes
+//! are laid out over **rows** — as many as VMs were sampled in one
+//! period — and an id → row table, captured when the matrix is filled
+//! ([`CostMatrix::fill`]), translates lookups. [`CostMatrix::len`]
+//! keeps meaning "ids this matrix answers for" (the *id bound*), and
+//! a lookup has three answers:
+//!
+//! * both ids have a **row**: the Eqn (1) ratio from the planes, as in
+//!   the plain form;
+//! * an id below the bound has **no row** (departed before the window,
+//!   never registered, or registered after the fill and covered by
+//!   [`CostMatrix::extend_ids`]): it answers exactly what an all-zero
+//!   window would — `(û + 0) / û` against a VM with a row (1.0; 2.0
+//!   when that VM idled too) and 2.0 against another row-less id —
+//!   without a row, a pair slot or a sample of work;
+//! * an id at or beyond the bound, or any pair before the first
+//!   sample, is **neutral** (1.5) through
+//!   [`CostMatrix::cost_or_neutral`].
+//!
+//! `tests/soa_equivalence.rs` pins the keyed answers bit for bit
+//! against a plain matrix over the zero-padded universe.
 
 use crate::corr::cost::combine_cost;
 use crate::CoreError;
@@ -101,6 +128,9 @@ fn row_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
+/// The id → row table's entry for an id that has no row.
+const NO_ROW: u32 = u32::MAX;
+
 /// Monomorphized streaming storage behind the matrix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Storage {
@@ -124,7 +154,7 @@ enum Storage {
 
 impl Storage {
     fn new(n: usize, reference: Reference) -> crate::Result<Self> {
-        let pairs = n * (n - 1) / 2;
+        let pairs = n * n.saturating_sub(1) / 2;
         match reference {
             Reference::Peak => Ok(Storage::Peak {
                 vm_peak: vec![f64::NEG_INFINITY; n],
@@ -170,7 +200,11 @@ impl Storage {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostMatrix {
+    /// Ids the matrix answers for ([`Self::len`]): equal to `rows` in
+    /// the plain form, the id bound in the keyed one.
     n: usize,
+    /// Rows of the streaming planes.
+    rows: usize,
     reference: Reference,
     samples: u64,
     storage: Storage,
@@ -178,6 +212,12 @@ pub struct CostMatrix {
     /// foreign metrics, e.g. Pearson-derived scores) and the streaming
     /// storage is ignored.
     fixed: Option<Vec<f64>>,
+    /// Keyed form only: `key[id]` is the row `id` was sampled into
+    /// when the matrix was last filled, [`NO_ROW`] for an id that had
+    /// none. Ids the bound has advanced over since lie beyond the
+    /// table and have no row either. `None` is the plain form, where
+    /// every id below `rows` is its own row.
+    key: Option<Vec<u32>>,
 }
 
 impl CostMatrix {
@@ -195,10 +235,38 @@ impl CostMatrix {
         }
         Ok(Self {
             n,
+            rows: n,
             reference,
             samples: 0,
             storage: Storage::new(n, reference)?,
             fixed: None,
+            key: None,
+        })
+    }
+
+    /// Creates an empty *keyed* matrix (see the [module docs](self))
+    /// with planes over `rows` rows — zero is allowed — that answers
+    /// for no id yet: [`Self::fill`] installs samples and the id → row
+    /// table, [`Self::extend_ids`] advances the id bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] when the reference
+    /// percentile is out of range or `rows` does not fit the row table.
+    pub fn keyed(rows: usize, reference: Reference) -> crate::Result<Self> {
+        if u32::try_from(rows).map_or(true, |r| r == NO_ROW) {
+            return Err(CoreError::InvalidParameter(
+                "keyed cost matrix has too many rows",
+            ));
+        }
+        Ok(Self {
+            n: 0,
+            rows,
+            reference,
+            samples: 0,
+            storage: Storage::new(rows, reference)?,
+            fixed: None,
+            key: Some(Vec::new()),
         })
     }
 
@@ -247,19 +315,26 @@ impl CostMatrix {
         Ok(matrix)
     }
 
-    /// Number of VMs tracked.
+    /// Number of ids the matrix answers for: the VMs tracked in the
+    /// plain form, the id bound in the keyed one.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// `false` by construction; provided for API completeness.
+    /// `true` only for a keyed matrix that answers for no id yet.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    /// Number of unordered VM pairs tracked (`n(n-1)/2`).
+    /// Rows of the streaming planes — [`Self::len`] in the plain form,
+    /// the sampled population in the keyed one.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of unordered row pairs tracked (`rows(rows-1)/2`).
     pub fn pair_count(&self) -> usize {
-        self.n * (self.n - 1) / 2
+        self.rows * self.rows.saturating_sub(1) / 2
     }
 
     /// The reference utilization the matrix tracks.
@@ -268,27 +343,36 @@ impl CostMatrix {
     }
 
     fn check_width(&self, got: usize) -> crate::Result<()> {
-        if got != self.n {
+        if got != self.rows {
             return Err(CoreError::SampleCountMismatch {
                 got,
-                expected: self.n,
+                expected: self.rows,
             });
         }
         Ok(())
     }
 
-    /// Feeds one monitoring tick: `utils[v]` is VM `v`'s utilization at
-    /// this instant. Cost: `O(n²)` flat constant-time updates.
+    /// Feeds one monitoring tick: `utils[v]` is the utilization of the
+    /// VM in row `v` at this instant. Cost: `O(n²)` flat constant-time
+    /// updates.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len() != n`.
+    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len()`
+    /// is not the row count.
     pub fn push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
+        self.push_sample_threads(utils, 1)
+    }
+
+    /// [`Self::push_sample`] over at most `threads` row chunks.
+    fn push_sample_threads(&mut self, utils: &[f64], threads: usize) -> crate::Result<()> {
         self.check_width(utils.len())?;
-        let n = self.n;
+        let rows = self.rows;
         match &mut self.storage {
             Storage::Peak { vm_peak, pair_peak } => {
-                peak_tick_rows(n, 0, n.saturating_sub(1), utils, pair_peak);
+                over_row_chunks(rows, threads, pair_peak, |row_start, row_end, plane| {
+                    peak_tick_rows(rows, row_start, row_end, utils, plane);
+                });
                 for (slot, &u) in vm_peak.iter_mut().zip(utils) {
                     *slot = slot.max(u);
                 }
@@ -302,7 +386,10 @@ impl CostMatrix {
                 for (cell, &u) in vm_cells.iter_mut().zip(utils) {
                     cell.push(u, clock);
                 }
-                p2_tick_rows(n, 0, n.saturating_sub(1), utils, pair_cells, clock);
+                let clock = &*clock;
+                over_row_chunks(rows, threads, pair_cells, |row_start, row_end, plane| {
+                    p2_tick_rows(rows, row_start, row_end, utils, plane, clock);
+                });
             }
         }
         self.samples += 1;
@@ -316,8 +403,8 @@ impl CostMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SampleCountMismatch`] when
-    /// `traces.len() != n`, a trace length mismatch when the traces
+    /// Returns [`CoreError::SampleCountMismatch`] when `traces.len()`
+    /// is not the row count, a trace length mismatch when the traces
     /// disagree, and [`CoreError::InvalidParameter`] when the window is
     /// out of range.
     pub fn push_columns(
@@ -326,17 +413,44 @@ impl CostMatrix {
         start: usize,
         end: usize,
     ) -> crate::Result<()> {
-        self.validate_columns(traces, start, end)?;
-        let n = self.n;
-        let ticks = (end - start) as u64;
+        self.push_columns_threads(traces, start, end, 1)
+    }
+
+    /// [`Self::push_columns`] over at most `threads` row chunks.
+    fn push_columns_threads(
+        &mut self,
+        traces: &[&TimeSeries],
+        start: usize,
+        end: usize,
+        threads: usize,
+    ) -> crate::Result<()> {
+        self.check_width(traces.len())?;
+        let len = common_len(traces.iter().map(|t| t.len()))?;
+        if start > end || end > len {
+            return Err(CoreError::InvalidParameter("column window out of range"));
+        }
+        let windows: Vec<&[f64]> = traces.iter().map(|t| &t.values()[start..end]).collect();
+        self.replay(&windows, threads);
+        Ok(())
+    }
+
+    /// Replays one equally long sample window per row into the planes,
+    /// pair-major, over at most `threads` row chunks. Each pair replays
+    /// a local copy of the clock as it stood before the window, so
+    /// marker positions advance exactly as in the tick-by-tick path.
+    fn replay(&mut self, windows: &[&[f64]], threads: usize) {
+        let rows = self.rows;
+        let ticks = windows.first().map_or(0, |w| w.len());
         match &mut self.storage {
             Storage::Peak { vm_peak, pair_peak } => {
-                for (slot, t) in vm_peak.iter_mut().zip(traces) {
-                    for &u in &t.values()[start..end] {
+                for (slot, window) in vm_peak.iter_mut().zip(windows) {
+                    for &u in *window {
                         *slot = slot.max(u);
                     }
                 }
-                peak_window_rows(n, 0, n.saturating_sub(1), traces, start, end, pair_peak);
+                over_row_chunks(rows, threads, pair_peak, |row_start, row_end, plane| {
+                    peak_window_rows(rows, row_start, row_end, windows, plane);
+                });
             }
             Storage::Percentile {
                 clock,
@@ -344,56 +458,112 @@ impl CostMatrix {
                 pair_cells,
             } => {
                 let snapshot = clock.clone();
-                for (cell, t) in vm_cells.iter_mut().zip(traces) {
+                for (cell, window) in vm_cells.iter_mut().zip(windows) {
                     let mut local = snapshot.clone();
-                    for &u in &t.values()[start..end] {
+                    for &u in *window {
                         local.tick();
                         cell.push(u, &local);
                     }
                 }
-                p2_window_rows(
-                    n,
-                    0,
-                    n.saturating_sub(1),
-                    traces,
-                    start,
-                    end,
-                    pair_cells,
-                    &snapshot,
-                );
-                for _ in start..end {
+                over_row_chunks(rows, threads, pair_cells, |row_start, row_end, plane| {
+                    p2_window_rows(rows, row_start, row_end, windows, plane, &snapshot);
+                });
+                for _ in 0..ticks {
                     clock.tick();
                 }
             }
         }
-        self.samples += ticks;
+        self.samples += ticks as u64;
+    }
+
+    /// Refills a keyed matrix from one period's row windows: forgets
+    /// the previous samples (the planes' allocation is re-used),
+    /// captures the id → row table from `occupants` (`occupants[r]` is
+    /// the id sampled into row `r`, `None` for a row nobody held — its
+    /// window should be all zeros), sets the id bound to `ids`, and
+    /// replays `windows[r]` into row `r` with the batch kernel (fanned
+    /// out over the available cores under the `parallel` feature).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] on a plain matrix, for
+    /// an occupant id at or beyond `ids` and for an id holding two
+    /// rows; [`CoreError::SampleCountMismatch`] when `occupants` or
+    /// `windows` do not cover exactly the rows; and a trace length
+    /// mismatch when the windows disagree. A failed fill changes
+    /// nothing.
+    pub fn fill(
+        &mut self,
+        occupants: &[Option<usize>],
+        ids: usize,
+        windows: &[&[f64]],
+    ) -> crate::Result<()> {
+        if self.key.is_none() {
+            return Err(CoreError::InvalidParameter(
+                "only a keyed cost matrix can be filled",
+            ));
+        }
+        self.check_width(occupants.len())?;
+        self.check_width(windows.len())?;
+        common_len(windows.iter().map(|w| w.len()))?;
+        let mut key = vec![NO_ROW; ids];
+        for (row, id) in occupants.iter().enumerate() {
+            let Some(id) = *id else { continue };
+            match key.get_mut(id) {
+                // `keyed` bounded the row count below `NO_ROW`.
+                Some(slot) if *slot == NO_ROW => *slot = row as u32,
+                Some(_) => {
+                    return Err(CoreError::InvalidParameter(
+                        "an id occupies two rows of the keyed cost matrix",
+                    ))
+                }
+                None => {
+                    return Err(CoreError::InvalidParameter(
+                        "row occupant beyond the keyed cost matrix's id bound",
+                    ))
+                }
+            }
+        }
+        self.key = Some(key);
+        self.n = ids;
+        self.reset();
+        self.replay(windows, default_threads());
         Ok(())
     }
 
-    fn validate_columns(
-        &self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-    ) -> crate::Result<()> {
-        self.check_width(traces.len())?;
-        let len = traces[0].len();
-        for t in traces {
-            if t.len() != len {
-                return Err(CoreError::Trace(cavm_trace::TraceError::LengthMismatch {
-                    left: len,
-                    right: t.len(),
-                }));
-            }
+    /// Advances the id bound to at least `ids` without touching a
+    /// sample: ids the bound newly covers have no row, so they answer
+    /// as all-zero windows (see the [module docs](self)) — what
+    /// replaying the same windows zero-padded to `ids` would produce,
+    /// with no pair work. The bound never retreats.
+    pub fn extend_ids(&mut self, ids: usize) {
+        self.n = self.n.max(ids);
+    }
+
+    /// The row behind `id`, if it has one.
+    #[inline]
+    fn row_of(&self, id: usize) -> Option<usize> {
+        match &self.key {
+            None => (id < self.rows).then_some(id),
+            Some(key) => key
+                .get(id)
+                .and_then(|&row| (row != NO_ROW).then_some(row as usize)),
         }
-        if start > end || end > len {
-            return Err(CoreError::InvalidParameter("column window out of range"));
+    }
+
+    /// The reference utilization û of the VM in `row`.
+    fn row_reference(&self, row: usize) -> Option<f64> {
+        match &self.storage {
+            Storage::Peak { vm_peak, .. } => Some(vm_peak[row]),
+            Storage::Percentile {
+                clock, vm_cells, ..
+            } => vm_cells[row].estimate(clock),
         }
-        Ok(())
     }
 
     /// The cost of pair `(i, j)`, or `None` before any sample (and
-    /// `Some(1.0)` on the diagonal).
+    /// `Some(1.0)` on the diagonal). An id without a row pairs as an
+    /// all-zero window would (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -408,8 +578,20 @@ impl CostMatrix {
         if i == j {
             return Some(1.0);
         }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let idx = pair_index(self.n, lo, hi);
+        let (lo, hi) = match (self.row_of(i), self.row_of(j)) {
+            (Some(a), Some(b)) => (a.min(b), a.max(b)),
+            // A row-less id pairs as an all-zero window would: û = 0
+            // and the pair sum is the other VM's own signal.
+            (Some(row), None) | (None, Some(row)) => {
+                if self.samples == 0 {
+                    return None;
+                }
+                let u = self.row_reference(row)?;
+                return Some(combine_cost(u, 0.0, u));
+            }
+            (None, None) => return (self.samples > 0).then(|| combine_cost(0.0, 0.0, 0.0)),
+        };
+        let idx = pair_index(self.rows, lo, hi);
         if let Some(values) = &self.fixed {
             return Some(values[idx]);
         }
@@ -455,8 +637,9 @@ impl CostMatrix {
         self.samples
     }
 
-    /// Forgets all samples (keeps dimensions and reference) — used by
-    /// per-period windowed tracking.
+    /// Forgets all samples (keeps dimensions, reference and, in the
+    /// keyed form, the id → row table) — used by per-period windowed
+    /// tracking.
     pub fn reset(&mut self) {
         self.samples = 0;
         match &mut self.storage {
@@ -503,9 +686,9 @@ impl CostMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len() != n`.
+    /// Same contract as [`Self::push_sample`].
     pub fn par_push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.par_push_sample_threads(utils, default_threads())
+        self.push_sample_threads(utils, default_threads())
     }
 
     /// [`Self::par_push_sample`] with an explicit thread count
@@ -513,52 +696,9 @@ impl CostMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len() != n`.
+    /// Same contract as [`Self::push_sample`].
     pub fn par_push_sample_threads(&mut self, utils: &[f64], threads: usize) -> crate::Result<()> {
-        let chunks = row_chunks(self.n, threads);
-        if chunks.len() <= 1 {
-            return self.push_sample(utils);
-        }
-        self.check_width(utils.len())?;
-        let n = self.n;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_peak.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            peak_tick_rows(n, row_start, row_end, utils, plane);
-                        });
-                    }
-                });
-                for (slot, &u) in vm_peak.iter_mut().zip(utils) {
-                    *slot = slot.max(u);
-                }
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                clock.tick();
-                for (cell, &u) in vm_cells.iter_mut().zip(utils) {
-                    cell.push(u, clock);
-                }
-                let clock = &*clock;
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_cells.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            p2_tick_rows(n, row_start, row_end, utils, plane, clock);
-                        });
-                    }
-                });
-            }
-        }
-        self.samples += 1;
-        Ok(())
+        self.push_sample_threads(utils, threads)
     }
 
     /// [`Self::push_columns`] with the triangle replay fanned out over
@@ -573,7 +713,7 @@ impl CostMatrix {
         start: usize,
         end: usize,
     ) -> crate::Result<()> {
-        self.par_push_columns_threads(traces, start, end, default_threads())
+        self.push_columns_threads(traces, start, end, default_threads())
     }
 
     /// [`Self::par_push_columns`] with an explicit thread count.
@@ -588,70 +728,26 @@ impl CostMatrix {
         end: usize,
         threads: usize,
     ) -> crate::Result<()> {
-        let chunks = row_chunks(self.n, threads);
-        if chunks.len() <= 1 {
-            return self.push_columns(traces, start, end);
-        }
-        self.validate_columns(traces, start, end)?;
-        let n = self.n;
-        let ticks = (end - start) as u64;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                for (slot, t) in vm_peak.iter_mut().zip(traces) {
-                    for &u in &t.values()[start..end] {
-                        *slot = slot.max(u);
-                    }
-                }
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_peak.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            peak_window_rows(n, row_start, row_end, traces, start, end, plane);
-                        });
-                    }
-                });
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                let snapshot = clock.clone();
-                for (cell, t) in vm_cells.iter_mut().zip(traces) {
-                    let mut local = snapshot.clone();
-                    for &u in &t.values()[start..end] {
-                        local.tick();
-                        cell.push(u, &local);
-                    }
-                }
-                let snapshot_ref = &snapshot;
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_cells.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            p2_window_rows(
-                                n,
-                                row_start,
-                                row_end,
-                                traces,
-                                start,
-                                end,
-                                plane,
-                                snapshot_ref,
-                            );
-                        });
-                    }
-                });
-                for _ in start..end {
-                    clock.tick();
-                }
-            }
-        }
-        self.samples += ticks;
-        Ok(())
+        self.push_columns_threads(traces, start, end, threads)
     }
+}
+
+/// The length every window shares (0 for none), or the first mismatch.
+fn common_len(lens: impl IntoIterator<Item = usize>) -> crate::Result<usize> {
+    let mut lens = lens.into_iter();
+    let len = lens.next().unwrap_or(0);
+    match lens.find(|&other| other != len) {
+        Some(right) => Err(CoreError::Trace(cavm_trace::TraceError::LengthMismatch {
+            left: len,
+            right,
+        })),
+        None => Ok(len),
+    }
+}
+
+#[cfg(not(feature = "parallel"))]
+fn default_threads() -> usize {
+    1
 }
 
 #[cfg(feature = "parallel")]
@@ -664,6 +760,36 @@ fn default_threads() -> usize {
             .map(|p| p.get())
             .unwrap_or(1)
     })
+}
+
+/// Runs `kernel(row_start, row_end, sub_plane)` over the whole triangle
+/// `plane` of a `rows`-row matrix: in one call, or — under the
+/// `parallel` feature, when `threads` splits the rows into more than
+/// one chunk — one scoped thread per near-equal-pair row chunk. Each
+/// pair belongs to exactly one chunk, so the result does not depend on
+/// `threads`.
+fn over_row_chunks<T: Send>(
+    rows: usize,
+    threads: usize,
+    plane: &mut [T],
+    kernel: impl Fn(usize, usize, &mut [T]) + Sync,
+) {
+    #[cfg(feature = "parallel")]
+    if threads > 1 {
+        let chunks = row_chunks(rows, threads);
+        if chunks.len() > 1 {
+            let kernel = &kernel;
+            std::thread::scope(|scope| {
+                for ((row_start, row_end), part) in chunked_rows(rows, &chunks, plane) {
+                    scope.spawn(move || kernel(row_start, row_end, part));
+                }
+            });
+            return;
+        }
+    }
+    #[cfg(not(feature = "parallel"))]
+    let _ = threads;
+    kernel(0, rows.saturating_sub(1), plane);
 }
 
 /// Splits a triangle plane into the per-chunk mutable row slices
@@ -724,25 +850,22 @@ fn p2_tick_rows(
 }
 
 /// Pair-major window replay of the Peak kernel over rows
-/// `[row_start, row_end)`.
+/// `[row_start, row_end)`; `windows[r]` holds row `r`'s samples.
 fn peak_window_rows(
     n: usize,
     row_start: usize,
     row_end: usize,
-    traces: &[&TimeSeries],
-    start: usize,
-    end: usize,
+    windows: &[&[f64]],
     plane: &mut [f64],
 ) {
     let mut offset = 0;
     for i in row_start..row_end {
-        let xs = &traces[i].values()[start..end];
+        let xs = windows[i];
         let row_len = n - i - 1;
         let row = &mut plane[offset..offset + row_len];
-        for (slot, t) in row.iter_mut().zip(&traces[i + 1..]) {
-            let ys = &t.values()[start..end];
+        for (slot, ys) in row.iter_mut().zip(&windows[i + 1..]) {
             let mut peak = *slot;
-            for (&x, &y) in xs.iter().zip(ys) {
+            for (&x, &y) in xs.iter().zip(*ys) {
                 peak = peak.max(x + y);
             }
             *slot = peak;
@@ -755,26 +878,22 @@ fn peak_window_rows(
 /// `[row_start, row_end)`. `snapshot` is the clock state *before* the
 /// window; each pair replays its own local copy so marker positions
 /// advance exactly as in the tick-by-tick path.
-#[allow(clippy::too_many_arguments)]
 fn p2_window_rows(
     n: usize,
     row_start: usize,
     row_end: usize,
-    traces: &[&TimeSeries],
-    start: usize,
-    end: usize,
+    windows: &[&[f64]],
     plane: &mut [P2Cell],
     snapshot: &P2Clock,
 ) {
     let mut offset = 0;
     for i in row_start..row_end {
-        let xs = &traces[i].values()[start..end];
+        let xs = windows[i];
         let row_len = n - i - 1;
         let row = &mut plane[offset..offset + row_len];
-        for (cell, t) in row.iter_mut().zip(&traces[i + 1..]) {
-            let ys = &t.values()[start..end];
+        for (cell, ys) in row.iter_mut().zip(&windows[i + 1..]) {
             let mut local = snapshot.clone();
-            for (&x, &y) in xs.iter().zip(ys) {
+            for (&x, &y) in xs.iter().zip(*ys) {
                 local.tick();
                 cell.push(x + y, &local);
             }

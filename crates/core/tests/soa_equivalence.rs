@@ -316,3 +316,162 @@ fn seed_reference_place(
 
     Placement::from_servers(bins.into_iter().map(|b| b.members).collect())
 }
+
+// ---- keyed matrix ≡ zero-padded universe matrix ---------------------------
+
+/// One period as the online controller sees it: a universe of `ids`
+/// ids of which a random subset (holes included) was sampled, each
+/// into a row of a randomly ordered row table that also carries free
+/// rows; some sampled VMs idled the whole period.
+struct KeyedPeriod {
+    occupants: Vec<Option<usize>>,
+    windows: Vec<Vec<f64>>,
+}
+
+fn draw_keyed_period(rng: &mut cavm_trace::SimRng, ids: usize, rows: usize) -> KeyedPeriod {
+    // Short periods exercise the exact-quantile start of the P² cells.
+    let len = 1 + rng.below(12);
+    let mut pool: Vec<usize> = (0..ids).collect();
+    rng.shuffle(&mut pool);
+    let sampled = rng.below(rows.min(ids) + 1);
+    let mut occupants: Vec<Option<usize>> = pool[..sampled].iter().map(|&id| Some(id)).collect();
+    occupants.resize(rows, None);
+    rng.shuffle(&mut occupants);
+    let windows = occupants
+        .iter()
+        .map(|occupant| {
+            if occupant.is_none() || rng.bernoulli(0.2) {
+                vec![0.0; len]
+            } else {
+                (0..len)
+                    .map(|_| {
+                        if rng.bernoulli(0.15) {
+                            0.0
+                        } else {
+                            rng.range_f64(0.0, 8.0)
+                        }
+                    })
+                    .collect()
+            }
+        })
+        .collect();
+    KeyedPeriod { occupants, windows }
+}
+
+/// The matrix the universe-indexed code holds for `period`: one row per
+/// id below `universe`, all zeros for an id nobody sampled.
+fn universe_matrix(period: &KeyedPeriod, universe: usize, reference: Reference) -> CostMatrix {
+    let len = period.windows[0].len();
+    let mut padded = vec![vec![0.0; len]; universe];
+    for (occupant, window) in period.occupants.iter().zip(&period.windows) {
+        if let Some(id) = *occupant {
+            padded[id] = window.clone();
+        }
+    }
+    let traces: Vec<TimeSeries> = padded
+        .into_iter()
+        .map(|values| TimeSeries::new(1.0, values).unwrap())
+        .collect();
+    let refs: Vec<&TimeSeries> = traces.iter().collect();
+    let mut dense = CostMatrix::new(universe, reference).unwrap();
+    dense.push_columns(&refs, 0, len).unwrap();
+    dense
+}
+
+fn assert_keyed_matches_universe(
+    keyed: &CostMatrix,
+    dense: &CostMatrix,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(keyed.len(), dense.len(), "{}: id bound", context);
+    prop_assert_eq!(keyed.samples(), dense.samples(), "{}: samples", context);
+    // Two ids past the bound: neutral on both sides.
+    for i in 0..dense.len() + 2 {
+        for j in 0..dense.len() + 2 {
+            let (a, b) = (keyed.cost_or_neutral(i, j), dense.cost_or_neutral(i, j));
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{}: pair ({}, {}) diverged: keyed={} universe={}",
+                context,
+                i,
+                j,
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The keyed matrix — planes over a recycled row table plus the
+    /// id → row key captured at the fill — answers every ordered pair
+    /// exactly as the universe-indexed matrix built from the same
+    /// windows zero-padded to every id: after a fill, after the id
+    /// bound advances over ids that postdate it, and after a refill
+    /// through the same allocation with a different occupancy.
+    #[test]
+    fn keyed_matrix_matches_zero_padded_universe_bitwise(seed in any::<u64>()) {
+        let mut rng = cavm_trace::SimRng::new(seed);
+        for reference in both_references() {
+            let ids = 1 + rng.below(12);
+            let rows = 1 + rng.below(ids + 2);
+            let mut keyed = CostMatrix::keyed(rows, reference).unwrap();
+            prop_assert_eq!(keyed.rows(), rows);
+            // Before any fill nothing is known: every pair is neutral.
+            keyed.extend_ids(ids);
+            for i in 0..ids + 2 {
+                for j in 0..ids + 2 {
+                    let expected = if i == j && i < ids { 1.0 } else { 1.5 };
+                    prop_assert_eq!(keyed.cost_or_neutral(i, j), expected);
+                }
+            }
+
+            for round in 0..3 {
+                let period = draw_keyed_period(&mut rng, ids, rows);
+                let windows: Vec<&[f64]> = period.windows.iter().map(Vec::as_slice).collect();
+                keyed.fill(&period.occupants, ids, &windows).unwrap();
+                prop_assert_eq!(keyed.rows(), rows);
+                assert_keyed_matches_universe(
+                    &keyed,
+                    &universe_matrix(&period, ids, reference),
+                    &format!("{reference:?} round {round} fill"),
+                )?;
+
+                // Ids registered after the fill: the universe-indexed
+                // code replays the same windows zero-padded to the new
+                // dimension; the keyed one only advances its bound.
+                let grown = ids + 1 + rng.below(4);
+                let mut extended = keyed.clone();
+                extended.extend_ids(grown);
+                assert_keyed_matches_universe(
+                    &extended,
+                    &universe_matrix(&period, grown, reference),
+                    &format!("{reference:?} round {round} extended"),
+                )?;
+            }
+        }
+    }
+}
+
+#[test]
+fn keyed_fill_rejects_malformed_occupancy() {
+    let mut plain = CostMatrix::new(2, Reference::Peak).unwrap();
+    let w = [1.0, 2.0];
+    assert!(plain.fill(&[Some(0), Some(1)], 2, &[&w, &w]).is_err());
+
+    let mut keyed = CostMatrix::keyed(2, Reference::Peak).unwrap();
+    // Row count, window lengths, id bound, one row per id.
+    assert!(keyed.fill(&[Some(0)], 2, &[&w, &w]).is_err());
+    assert!(keyed.fill(&[Some(0), Some(1)], 2, &[&w]).is_err());
+    assert!(keyed.fill(&[Some(0), Some(1)], 2, &[&w, &w[..1]]).is_err());
+    assert!(keyed.fill(&[Some(0), Some(2)], 2, &[&w, &w]).is_err());
+    assert!(keyed.fill(&[Some(1), Some(1)], 2, &[&w, &w]).is_err());
+    // None of the refusals touched the matrix.
+    assert_eq!((keyed.len(), keyed.samples()), (0, 0));
+    keyed.fill(&[Some(1), None], 3, &[&w, &[0.0, 0.0]]).unwrap();
+    assert_eq!((keyed.len(), keyed.rows(), keyed.samples()), (3, 2, 2));
+    assert_eq!(keyed.cost(1, 0), Some(1.0));
+    assert_eq!(keyed.cost(0, 2), Some(2.0));
+}

@@ -189,7 +189,8 @@ impl MetricSink for CellSink<'_> {
 /// [`snapshot`](Self::snapshot)/[`fork`](Self::fork) copy **cell-wise**
 /// (each cell's flat controller clones independently, plus the O(cells)
 /// routing tables), so a fork of a 256-cell session costs the sum of
-/// 256 small per-cell clones, never a fleet-wide dense matrix.
+/// 256 small per-cell clones — each a matrix over that cell's period
+/// rows, no trace copied — never a fleet-wide dense matrix.
 #[derive(Debug, Clone)]
 pub struct ShardedController {
     inner: Vec<DatacenterController>,
@@ -414,10 +415,16 @@ impl ShardedController {
         let profile = sketch.phase_profile();
         let cell = self.route_to_cell(ref_demand, &profile);
 
+        // The cell may admit on the spot and say so through the sink:
+        // the local → global translation must already know this VM.
         let local = self.global_of[cell].len();
-        let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
-        ctl.arrive(local, trace, lease_samples, &mut cell_sink)?;
         self.global_of[cell].push(id);
+        let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
+        if let Err(refused) = ctl.arrive(local, trace, lease_samples, &mut cell_sink) {
+            // The cell rolled the local id back; so does the router.
+            self.global_of[cell].pop();
+            return Err(refused);
+        }
         if self.route.len() <= id {
             self.route.resize_with(id + 1, || None);
         }
@@ -1113,6 +1120,49 @@ mod tests {
             sharded.tick(&mut sink).unwrap();
         }
         assert_eq!(sharded.live_vms(), 2);
+    }
+
+    /// Records the VM of every [`MetricSink::on_admit`].
+    #[derive(Default)]
+    struct AdmitLog(Vec<usize>);
+
+    impl MetricSink for AdmitLog {
+        fn on_admit(&mut self, _sample: usize, vm: usize, _server: usize) {
+            self.0.push(vm);
+        }
+    }
+
+    /// A mid-period arrival is admitted — and announced — inside the
+    /// cell's `arrive`: the announcement must carry the caller's id,
+    /// not the cell-local one, also after a refused arrival.
+    #[test]
+    fn mid_period_admissions_report_global_vm_ids() {
+        // Two cells of one 8-core server; a 3-core default demand means
+        // two VMs per cell.
+        let mut cfg = config(2);
+        cfg.default_demand = 3.0;
+        let mut sharded = ShardedController::new(cfg, 2).unwrap();
+        let mut log = AdmitLog::default();
+        let quiet = || TimeSeries::constant(5.0, 64, 1.0).unwrap();
+        // Ids far from the 0, 1, 2 the cells number their own VMs with.
+        sharded.arrive(40, quiet(), None, &mut log).unwrap();
+        sharded.arrive(41, quiet(), None, &mut log).unwrap();
+        sharded.tick(&mut log).unwrap();
+        assert_eq!(sharded.cell_populations(), vec![1, 1]);
+        assert!(log.0.is_empty(), "the batch pass announces no admission");
+
+        sharded.arrive(50, quiet(), None, &mut log).unwrap();
+        sharded.arrive(51, quiet(), None, &mut log).unwrap();
+        assert_eq!(sharded.cell_populations(), vec![2, 2]);
+        assert_eq!(log.0, vec![50, 51]);
+
+        assert!(matches!(
+            sharded.arrive(60, quiet(), None, &mut log),
+            Err(SimError::InsufficientServers { .. })
+        ));
+        sharded.depart(50).unwrap();
+        sharded.arrive(61, quiet(), None, &mut log).unwrap();
+        assert_eq!(log.0, vec![50, 51, 61]);
     }
 
     #[test]

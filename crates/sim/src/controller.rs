@@ -51,6 +51,8 @@
 //! [`Scenario::run`]: crate::config::Scenario::run
 //! [`AllocationPolicy::place_one`]: cavm_core::alloc::AllocationPolicy::place_one
 
+#[cfg(debug_assertions)]
+mod oracle;
 mod whatif;
 
 pub use self::whatif::{WhatIf, WhatIfDelta};
@@ -191,8 +193,11 @@ pub enum VmEvent {
     /// Ids are caller-chosen but must be fresh — a departed id cannot
     /// re-arrive.
     Arrive {
-        /// Fresh VM id; indexes the controller's registry (and the
-        /// period cost matrices) from now on.
+        /// Fresh VM id; names the VM in the controller's registry and
+        /// in every placement and event from now on. (Per-id state is
+        /// a few words; the period windows and cost matrix are sized
+        /// by the VMs a period holds, so sparse or ever-growing ids
+        /// are cheap.)
         id: usize,
         /// Demand trace starting at the arrival instant. Samples past
         /// its end (or after departure) read as zero demand.
@@ -424,21 +429,84 @@ impl ControllerConfig {
     }
 }
 
-/// One registered VM.
+/// What the registry remembers of an id — all that
+/// [`SimError::DuplicateVm`], [`SimError::UnknownVm`] and
+/// [`SimError::VmAlreadyDeparted`] need. Everything else about a VM
+/// lives in its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdState {
+    /// Never registered: a hole below the highest id seen, or a
+    /// refused arrival that was rolled back.
+    Vacant,
+    /// Live, in this row of the row table.
+    Live(usize),
+    /// Departed. Ids are never re-used, so this tombstone (and the
+    /// recorded lease end) stays — the VM's trace and predictor state
+    /// do not.
+    Departed,
+}
+
+/// One live VM.
 #[derive(Debug, Clone)]
 struct VmSlot {
+    id: usize,
     /// Demand trace; sample 0 is the arrival instant.
     trace: TimeSeries,
     /// Global sample index of the arrival.
     arrival: usize,
-    /// Global sample index at which the lease ends, when known.
-    lease_end: Option<usize>,
-    /// `false` once departed.
-    live: bool,
     /// Last observed per-period reference peak (predictor state).
     last_peak: Option<f64>,
     /// Last observed per-period 90th percentile (predictor state).
     last_off: Option<f64>,
+}
+
+impl VmSlot {
+    /// Demand at global sample `k` (zero before arrival or past the
+    /// end of the trace).
+    fn sample(&self, k: usize) -> f64 {
+        k.checked_sub(self.arrival)
+            .and_then(|i| self.trace.values().get(i).copied())
+            .unwrap_or(0.0)
+    }
+}
+
+/// Who a period row belongs to. Within one period a row has one
+/// occupant: a departure keeps its row (and the samples in it) to the
+/// period's close, and only then — or between periods, when no sample
+/// of the coming period exists yet — is the row handed on.
+#[derive(Debug, Clone)]
+enum Occupant {
+    /// Nobody: the row samples zeros until an arrival takes it.
+    Free,
+    /// A live VM.
+    Live(VmSlot),
+    /// The VM with this id departed during the running period; its
+    /// samples up to then stay in the row's window to the close.
+    Left(usize),
+}
+
+/// One row of the period tables: the index a VM's samples (and, from
+/// the close on, its pairs in the period [`CostMatrix`]) are stored
+/// under. Rows are recycled, so their number follows the largest
+/// population one period has seen, not the ids ever registered.
+#[derive(Debug, Clone)]
+struct Row {
+    occupant: Occupant,
+    /// The running period's samples, one per replayed tick — every
+    /// row, free ones included, so all windows are equally long (a row
+    /// opened since the last tick is still unallocated).
+    window: Vec<f64>,
+}
+
+impl Row {
+    /// The id whose samples this period's window holds.
+    fn id(&self) -> Option<usize> {
+        match &self.occupant {
+            Occupant::Free => None,
+            Occupant::Live(vm) => Some(vm.id),
+            Occupant::Left(id) => Some(*id),
+        }
+    }
 }
 
 /// The zero-demand descriptor of an id with no live VM behind it.
@@ -467,25 +535,17 @@ struct ServerSlot {
     overcommit_hold: usize,
 }
 
-/// Demand of a registered VM at global sample `k` (zero before arrival,
-/// after departure, or past the end of its trace).
-fn sample_of(slot: &Option<VmSlot>, k: usize) -> f64 {
-    match slot {
-        Some(s) if s.live && k >= s.arrival => {
-            s.trace.values().get(k - s.arrival).copied().unwrap_or(0.0)
-        }
-        _ => 0.0,
-    }
-}
-
 /// The stateful online allocation session. See the [module
 /// docs](self) for event semantics.
 ///
 /// The session is cheaply `Clone`-able end to end — registry, live
 /// placement, per-server cost aggregates, energy meters,
 /// guard/slack/overcommit controllers, health and the deferred queue
-/// are all value state (the period cost matrix is the only
-/// heavyweight member, O(live VMs²) floats). [`snapshot`](Self::snapshot)
+/// are all value state, and the registered traces are shared with the
+/// clone, not copied ([`TimeSeries`] clones alias their samples). The
+/// period cost matrix is the only heavyweight member: O(rows²) floats,
+/// rows being the largest population one period has held
+/// ([`period_rows`](Self::period_rows)). [`snapshot`](Self::snapshot)
 /// and [`fork`](Self::fork) build on that, and [`what_if`](Self::what_if)
 /// answers "what would a re-pack buy right now?" against a fork
 /// without perturbing the live session.
@@ -500,8 +560,22 @@ pub struct DatacenterController {
     /// `union_level[class][class_level]` → union axis column.
     union_level: Vec<Vec<usize>>,
 
-    // ---- registry & clock.
-    slots: Vec<Option<VmSlot>>,
+    // ---- registry & clock. `ids` is indexed by id and only remembers
+    // each id's state; the VMs themselves sit in `rows`, the dense
+    // table whose index — not the id — addresses the period windows
+    // and the period matrix. `free_rows` lists the `Occupant::Free`
+    // rows an arrival may take.
+    ids: Vec<IdState>,
+    rows: Vec<Row>,
+    free_rows: Vec<usize>,
+    /// Per id: the global sample index at which the VM's lease ends,
+    /// when known. Id-indexed rather than part of the row's `VmSlot`
+    /// because every admission reads it for every placed VM
+    /// ([`Self::drain_of`]) — and because it outlives the VM: between
+    /// a close and the next open the stale placement still lists VMs
+    /// that departed there, and an evacuation in that gap scores their
+    /// server by their lease too.
+    lease_end: Vec<Option<usize>>,
     clock: usize,
     period: usize,
     period_start: usize,
@@ -551,11 +625,21 @@ pub struct DatacenterController {
     /// [`ControllerConfig::max_deferred`].
     deferred: VecDeque<usize>,
 
-    // ---- period window & matrix state.
+    // ---- period matrix state (the running window is in `rows`).
+    /// Keyed by the row table as it stood at the last close; ids
+    /// registered since are covered by advancing its id bound.
     matrix: Option<CostMatrix>,
-    window: Vec<Vec<f64>>,
-    prev_window: Option<Vec<TimeSeries>>,
+    /// PCP only: the last closed period's window of every row that had
+    /// an occupant, by id — the envelopes the next re-pack clusters.
+    /// `Some` once a period closed with any id registered.
+    prev_window: Option<Vec<(usize, TimeSeries)>>,
+    /// Id-indexed scratch: the current sample of every live VM (other
+    /// entries are stale; only placed — hence live — ids are read).
     sample_buf: Vec<f64>,
+    /// Debug builds re-derive the universe-indexed matrix from the
+    /// registered traces and compare at every boundary.
+    #[cfg(debug_assertions)]
+    oracle: oracle::Oracle,
 
     // ---- run accumulators.
     class_energy: Vec<EnergyMeter>,
@@ -625,7 +709,10 @@ impl DatacenterController {
             freq_histogram: vec![vec![0u64; union_ghz.len()]; total_slots],
             union_ghz,
             union_level,
-            slots: Vec::new(),
+            ids: Vec::new(),
+            rows: Vec::new(),
+            free_rows: Vec::new(),
+            lease_end: Vec::new(),
             clock: 0,
             period: 0,
             period_start: 0,
@@ -649,9 +736,10 @@ impl DatacenterController {
             period_class_joules_start: vec![0.0; n_classes],
             dense_vms: Vec::new(),
             matrix: None,
-            window: Vec::new(),
             prev_window: None,
             sample_buf: Vec::new(),
+            #[cfg(debug_assertions)]
+            oracle: oracle::Oracle::default(),
             class_energy: vec![EnergyMeter::new(); n_classes],
             class_violations: vec![0; n_classes],
             class_migrations: vec![0; n_classes],
@@ -683,10 +771,34 @@ impl DatacenterController {
 
     /// Number of currently live VMs.
     pub fn live_vms(&self) -> usize {
-        self.slots
+        self.rows
             .iter()
-            .filter(|s| s.as_ref().is_some_and(|s| s.live))
+            .filter(|row| matches!(row.occupant, Occupant::Live(_)))
             .count()
+    }
+
+    /// Rows of the period tables (sample windows and the period cost
+    /// matrix): the largest number of VMs any one placement period has
+    /// held so far — rows are recycled as VMs depart — rather than the
+    /// number of ids ever registered
+    /// ([`predicted_vms`](Self::predicted_vms)`.len()`).
+    pub fn period_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The live VM registered under `id`.
+    fn live_slot(&self, id: usize) -> Option<&VmSlot> {
+        match self.ids.get(id) {
+            Some(&IdState::Live(row)) => match &self.rows[row].occupant {
+                Occupant::Live(vm) => Some(vm),
+                _ => unreachable!("a live id owns its row"),
+            },
+            _ => None,
+        }
+    }
+
+    fn is_live(&self, id: usize) -> bool {
+        matches!(self.ids.get(id), Some(IdState::Live(_)))
     }
 
     /// VMs admitted through the incremental (mid-period) path so far.
@@ -934,36 +1046,64 @@ impl DatacenterController {
         sink: &mut dyn MetricSink,
     ) -> crate::Result<()> {
         self.check_open()?;
-        if self.slots.get(id).is_some_and(|s| s.is_some()) {
+        if !matches!(self.ids.get(id), None | Some(IdState::Vacant)) {
             return Err(SimError::DuplicateVm { id });
         }
-        while self.slots.len() <= id {
-            let fresh = self.slots.len();
-            self.slots.push(None);
+        while self.ids.len() <= id {
+            let fresh = self.ids.len();
+            self.ids.push(IdState::Vacant);
+            self.lease_end.push(None);
             self.dense_vms.push(vacant_descriptor(fresh));
             self.window_max_vm.push(0.0);
         }
-        self.slots[id] = Some(VmSlot {
+        self.lease_end[id] = lease_samples.map(|l| self.clock.saturating_add(l));
+        #[cfg(debug_assertions)]
+        self.oracle.arrive(id, &trace, self.clock);
+        let row = self.occupy_row(VmSlot {
+            id,
             trace,
             arrival: self.clock,
-            lease_end: lease_samples.map(|l| self.clock.saturating_add(l)),
-            live: true,
             last_peak: None,
             last_off: None,
         });
+        self.ids[id] = IdState::Live(row);
         if self.in_period {
             let demand = self.cfg.default_demand;
             let vm = VmDescriptor::new(id, demand).with_off_peak(demand * 0.9);
             if let Err(refused) = self.admit_or_defer(vm, sink) {
                 // A refused arrival is atomic: the registration above
                 // is rolled back, so the id stays fresh and a retry is
-                // judged on capacity again.
-                self.slots[id] = None;
+                // judged on capacity again. The row was never sampled
+                // into, so it is free again at once.
+                self.free_row(row);
+                self.ids[id] = IdState::Vacant;
                 self.dense_vms[id] = vacant_descriptor(id);
+                #[cfg(debug_assertions)]
+                self.oracle.forget(id);
                 return Err(refused);
             }
         }
         Ok(())
+    }
+
+    /// Puts an arriving VM into a free row — a recycled one when there
+    /// is any, else a fresh row (whose window the next tick allocates,
+    /// keeping that cost out of the admission path).
+    fn occupy_row(&mut self, vm: VmSlot) -> usize {
+        if let Some(row) = self.free_rows.pop() {
+            self.rows[row].occupant = Occupant::Live(vm);
+            return row;
+        }
+        self.rows.push(Row {
+            occupant: Occupant::Live(vm),
+            window: Vec::new(),
+        });
+        self.rows.len() - 1
+    }
+
+    fn free_row(&mut self, row: usize) {
+        self.rows[row].occupant = Occupant::Free;
+        self.free_rows.push(row);
     }
 
     /// Ends a VM's lease.
@@ -973,15 +1113,21 @@ impl DatacenterController {
     /// See [`DatacenterController::apply`].
     pub fn depart(&mut self, id: usize) -> crate::Result<()> {
         self.check_open()?;
-        let slot = self
-            .slots
-            .get_mut(id)
-            .and_then(|s| s.as_mut())
-            .ok_or(SimError::UnknownVm { id })?;
-        if !slot.live {
-            return Err(SimError::VmAlreadyDeparted { id });
+        let row = match self.ids.get(id) {
+            Some(&IdState::Live(row)) => row,
+            Some(IdState::Departed) => return Err(SimError::VmAlreadyDeparted { id }),
+            Some(IdState::Vacant) | None => return Err(SimError::UnknownVm { id }),
+        };
+        self.ids[id] = IdState::Departed;
+        if self.in_period {
+            // The running period has (or may have) sampled the VM: its
+            // row keeps those samples, under its id, to the close.
+            self.rows[row].occupant = Occupant::Left(id);
+        } else {
+            self.free_row(row);
         }
-        slot.live = false;
+        #[cfg(debug_assertions)]
+        self.oracle.depart(id, self.clock);
         if self.deferred.contains(&id) {
             // A queued VM departing simply leaves the queue — it was
             // never placed.
@@ -1172,10 +1318,10 @@ impl DatacenterController {
         if self.deferred.is_empty() {
             return;
         }
-        let host_of = self.placement.assignment(self.slots.len());
-        let slots = &self.slots;
+        let host_of = self.placement.assignment(self.ids.len());
+        let ids = &self.ids;
         self.deferred
-            .retain(|&id| slots[id].as_ref().is_some_and(|s| s.live) && host_of[id].is_none());
+            .retain(|&id| matches!(ids[id], IdState::Live(_)) && host_of[id].is_none());
     }
 
     /// Retries every queued VM once, FIFO: those the fleet can now
@@ -1184,11 +1330,10 @@ impl DatacenterController {
     fn drain_deferred(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
         // Admissions below only ever place the id being retried, so one
         // host table serves the whole pass.
-        let host_of = self.placement.assignment(self.slots.len());
+        let host_of = self.placement.assignment(self.ids.len());
         let pending: Vec<usize> = self.deferred.drain(..).collect();
         for id in pending {
-            let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if !live || host_of[id].is_some() {
+            if !self.is_live(id) || host_of[id].is_some() {
                 continue;
             }
             let vm = self.dense_vms[id];
@@ -1270,9 +1415,10 @@ impl DatacenterController {
     // ---- snapshot / fork / what-if ----------------------------------------
 
     /// An independent copy of the session at this instant, for
-    /// inspection or archival. The copy shares nothing with the live
-    /// session; the dominant cost is the period cost matrix
-    /// (O(live VMs²) floats).
+    /// inspection or archival. The copy shares no mutable state with
+    /// the live session — the registered traces are immutable and
+    /// aliased, not copied — so the dominant cost is the period cost
+    /// matrix (O([`period_rows`](Self::period_rows)²) floats).
     pub fn snapshot(&self) -> Self {
         self.clone()
     }
@@ -1282,7 +1428,7 @@ impl DatacenterController {
     /// both the original and the fork an identical event suffix
     /// produces bit-identical reports (pinned by the fork-equivalence
     /// property tests), and events applied to one are invisible to
-    /// the other.
+    /// the other. Costs what [`snapshot`](Self::snapshot) costs.
     pub fn fork(&self) -> Self {
         self.clone()
     }
@@ -1317,33 +1463,21 @@ impl DatacenterController {
 
     // ---- period machinery -------------------------------------------------
 
-    /// Replays a window into a matrix with the same (possibly parallel)
-    /// kernel the batch engine used.
-    fn push_window(matrix: &mut CostMatrix, refs: &[&TimeSeries], len: usize) -> crate::Result<()> {
-        #[cfg(feature = "parallel")]
-        return matrix
-            .par_push_columns(refs, 0, len)
-            .map_err(SimError::Core);
-        #[cfg(not(feature = "parallel"))]
-        return matrix.push_columns(refs, 0, len).map_err(SimError::Core);
-    }
-
-    /// Builds a fresh matrix over `universe` VMs — from the previous
-    /// period's windows when they exist (zero-padded for VMs that
-    /// postdate them), else empty (period 0: all pairs neutral).
-    fn rebuild_matrix(&mut self, universe: usize) -> crate::Result<()> {
-        let mut matrix = CostMatrix::new(universe, self.cfg.reference).map_err(SimError::Core)?;
-        if let Some(windows) = &self.prev_window {
-            if !windows.is_empty() {
-                let len = windows[0].len();
-                let zero = TimeSeries::constant(self.cfg.sample_dt_s, len, 0.0)
-                    .map_err(SimError::Trace)?;
-                let mut refs: Vec<&TimeSeries> = windows.iter().collect();
-                refs.resize(universe, &zero);
-                Self::push_window(&mut matrix, &refs, len)?;
-            }
-        }
-        self.matrix = Some(matrix);
+    /// Makes the period matrix answer for every id below `universe`.
+    /// Ids registered since the last close have no row in it: they
+    /// pair as the all-zero windows they had that period, at no pair
+    /// work. Before the first close there is no sample at all and
+    /// every pair is neutral.
+    fn extend_matrix(&mut self, universe: usize) -> crate::Result<()> {
+        let matrix = match &mut self.matrix {
+            Some(matrix) => matrix,
+            None => self
+                .matrix
+                .insert(CostMatrix::keyed(0, self.cfg.reference).map_err(SimError::Core)?),
+        };
+        matrix.extend_ids(universe);
+        #[cfg(debug_assertions)]
+        self.oracle.refresh(universe, &self.cfg);
         Ok(())
     }
 
@@ -1368,21 +1502,26 @@ impl DatacenterController {
                 envelope_percentile,
                 affinity_threshold,
             } => match &self.prev_window {
-                Some(windows) if !windows.is_empty() => {
-                    // VMs that postdate the window cluster from an
+                Some(windows) => {
+                    // Ids without a row that period — departed before
+                    // it, or registered since — cluster from an
                     // all-zero envelope.
-                    let len = windows[0].len();
-                    let zero = TimeSeries::constant(self.cfg.sample_dt_s, len, 0.0)
-                        .map_err(SimError::Trace)?;
-                    let mut refs: Vec<&TimeSeries> = windows.iter().collect();
-                    refs.resize(self.slots.len(), &zero);
+                    let zero =
+                        TimeSeries::constant(self.cfg.sample_dt_s, self.cfg.period_samples, 0.0)
+                            .map_err(SimError::Trace)?;
+                    let mut refs = vec![&zero; self.ids.len()];
+                    for (id, window) in windows {
+                        refs[*id] = window;
+                    }
+                    #[cfg(debug_assertions)]
+                    self.oracle.check_pcp_windows(&refs, &self.cfg);
                     let pcp =
                         PcpPolicy::from_traces(&refs, envelope_percentile, affinity_threshold)
                             .map_err(SimError::Core)?;
                     let clusters = pcp.cluster_count();
                     (Box::new(pcp), Some(clusters))
                 }
-                _ => (Box::new(BfdPolicy), Some(1)),
+                None => (Box::new(BfdPolicy), Some(1)),
             },
         })
     }
@@ -1410,7 +1549,7 @@ impl DatacenterController {
     /// standing placement), count migrations, and plan every server's
     /// static frequency.
     fn start_period(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
-        let universe = self.slots.len();
+        let universe = self.ids.len();
         self.period_start = self.clock;
         self.period_ratio_floor = 0.0;
         // The boundary starts fresh violation counters; a guard armed
@@ -1422,24 +1561,21 @@ impl DatacenterController {
         // the configured default before the first observation).
         self.dense_vms.clear();
         let mut live_vms = Vec::new();
-        for (id, slot) in self.slots.iter().enumerate() {
-            let descriptor = match slot {
-                Some(s) if s.live => {
+        for id in 0..universe {
+            let descriptor = match self.live_slot(id) {
+                Some(s) => {
                     let demand = s.last_peak.unwrap_or(self.cfg.default_demand).max(0.0);
                     let off = s.last_off.unwrap_or(demand * 0.9).clamp(0.0, demand);
                     let d = VmDescriptor::new(id, demand).with_off_peak(off);
                     live_vms.push(d);
                     d
                 }
-                _ => vacant_descriptor(id),
+                None => vacant_descriptor(id),
             };
             self.dense_vms.push(descriptor);
         }
         if universe > 0 {
-            let stale = self.matrix.as_ref().is_none_or(|m| m.len() != universe);
-            if stale {
-                self.rebuild_matrix(universe)?;
-            }
+            self.extend_matrix(universe)?;
         }
         // A fresh period starts fresh dynamic-governor windows (the
         // off-cycle re-pack path preserves them instead) and a fresh
@@ -1460,6 +1596,8 @@ impl DatacenterController {
                 || (degraded && self.placement.server_count() > 0));
         if keep {
             self.keep_placement_boundary(sink)?;
+            #[cfg(debug_assertions)]
+            self.oracle.check(self, true);
             return Ok(());
         }
 
@@ -1481,6 +1619,8 @@ impl DatacenterController {
         if ran_allocate {
             self.emit_repack(RepackReason::Periodic, servers_before, migrations, sink);
         }
+        #[cfg(debug_assertions)]
+        self.oracle.check(self, true);
         Ok(())
     }
 
@@ -1494,7 +1634,7 @@ impl DatacenterController {
         placement: Placement,
         sink: &mut dyn MetricSink,
     ) -> crate::Result<usize> {
-        let universe = self.slots.len();
+        let universe = self.ids.len();
         let before = self.placement.assignment(universe);
         let after = placement.assignment(universe);
         let mut migrations = 0usize;
@@ -1542,7 +1682,7 @@ impl DatacenterController {
     /// migrations happen, and [`PeriodRecord::pcp_clusters`] stays
     /// `None` (no clustering ran).
     fn keep_placement_boundary(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
-        let universe = self.slots.len();
+        let universe = self.ids.len();
 
         // Members that departed between periods leave their (kept)
         // slots now; like any eviction this arms the fragmentation
@@ -1550,8 +1690,7 @@ impl DatacenterController {
         let mut evicted_any = false;
         let host_of = self.placement.assignment(universe);
         for (id, host) in host_of.iter().enumerate() {
-            let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if !live && host.is_some() {
+            if !self.is_live(id) && host.is_some() {
                 self.placement.evict(id).map_err(SimError::Core)?;
                 evicted_any = true;
             }
@@ -1661,8 +1800,7 @@ impl DatacenterController {
         // the caller.
         let host_of = self.placement.assignment(universe);
         for (id, host) in host_of.iter().enumerate() {
-            let live = self.slots[id].as_ref().is_some_and(|s| s.live);
-            if live && host.is_none() {
+            if self.is_live(id) && host.is_none() {
                 self.admit_or_defer(self.dense_vms[id], sink)?;
             }
         }
@@ -1729,9 +1867,13 @@ impl DatacenterController {
             let mut hotspot = members[0];
             let mut hotspot_peak = f64::NEG_INFINITY;
             for &m in &members {
-                let peak = match self.window.get(m).filter(|w| !w.is_empty()) {
-                    Some(win) => self.cfg.reference.of(win).map_err(SimError::Trace)?,
-                    None => 0.0,
+                let peak = match self.ids[m] {
+                    IdState::Live(row) if !self.rows[row].window.is_empty() => self
+                        .cfg
+                        .reference
+                        .of(&self.rows[row].window)
+                        .map_err(SimError::Trace)?,
+                    _ => 0.0,
                 };
                 if peak > hotspot_peak {
                     hotspot_peak = peak;
@@ -1763,20 +1905,18 @@ impl DatacenterController {
         reason: RepackReason,
         sink: &mut dyn MetricSink,
     ) -> crate::Result<()> {
-        let universe = self.slots.len();
+        let universe = self.ids.len();
         let live_vms: Vec<VmDescriptor> = (0..universe)
-            .filter(|&id| self.slots[id].as_ref().is_some_and(|s| s.live))
+            .filter(|&id| self.is_live(id))
             .map(|id| self.dense_vms[id])
             .collect();
         if live_vms.is_empty() {
             return Ok(());
         }
         // Mid-period arrivals may postdate the period matrix; the
-        // batch pass validates ids against it, so refresh the
-        // dimension first (new ids pair neutrally, as at a boundary).
-        if self.matrix.as_ref().is_none_or(|m| m.len() != universe) {
-            self.rebuild_matrix(universe)?;
-        }
+        // batch pass validates ids against it, so advance its id bound
+        // first (as a boundary does).
+        self.extend_matrix(universe)?;
         let servers_before = self.placement.active_server_count();
         let (placement, pcp_clusters) = self.place_live(&live_vms)?;
 
@@ -1806,6 +1946,8 @@ impl DatacenterController {
             ctl.observe(servers_before.saturating_sub(servers_after), migrations);
         }
         self.emit_repack(reason, servers_before, migrations, sink);
+        #[cfg(debug_assertions)]
+        self.oracle.check(self, true);
         Ok(())
     }
 
@@ -1842,20 +1984,25 @@ impl DatacenterController {
     /// Replays the current sample: per-server aggregation, dynamic
     /// DVFS, violations, energy and histograms.
     fn replay_tick(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
-        let universe = self.slots.len();
         let k = self.clock;
         let k_in_period = k - self.period_start;
-        let elapsed = k_in_period;
-        while self.window.len() < universe {
-            let mut w = Vec::with_capacity(self.cfg.period_samples);
-            w.resize(elapsed, 0.0);
-            self.window.push(w);
-        }
-        self.sample_buf.resize(universe, 0.0);
-        for id in 0..universe {
-            let v = sample_of(&self.slots[id], k);
-            self.sample_buf[id] = v;
-            self.window[id].push(v);
+        self.sample_buf.resize(self.ids.len(), 0.0);
+        for row in &mut self.rows {
+            if row.window.capacity() == 0 {
+                // A row opened since the last tick: like every other
+                // row it read zero for the period's samples so far.
+                row.window.reserve_exact(self.cfg.period_samples);
+                row.window.resize(k_in_period, 0.0);
+            }
+            let v = match &row.occupant {
+                Occupant::Live(vm) => {
+                    let v = vm.sample(k);
+                    self.sample_buf[vm.id] = v;
+                    v
+                }
+                Occupant::Free | Occupant::Left(_) => 0.0,
+            };
+            row.window.push(v);
         }
 
         let dt = self.cfg.sample_dt_s;
@@ -1939,37 +2086,63 @@ impl DatacenterController {
     /// Observes the completed period for the next UPDATE, rebuilds the
     /// matrix from the period window, and emits the period's metrics.
     fn end_period(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
-        let universe = self.slots.len();
-
         // ---- Observe this period for the next UPDATE.
-        for id in 0..universe {
-            if let Some(slot) = &mut self.slots[id] {
-                if slot.live {
-                    let win = &self.window[id];
-                    let peak = self.cfg.reference.of(win).map_err(SimError::Trace)?;
-                    slot.last_peak = Some(peak);
-                    let off = cavm_trace::percentile(win, 90.0).map_err(SimError::Trace)?;
-                    slot.last_off = Some(off);
-                }
+        for row in &mut self.rows {
+            if let Occupant::Live(vm) = &mut row.occupant {
+                let peak = self
+                    .cfg
+                    .reference
+                    .of(&row.window)
+                    .map_err(SimError::Trace)?;
+                vm.last_peak = Some(peak);
+                let off = cavm_trace::percentile(&row.window, 90.0).map_err(SimError::Trace)?;
+                vm.last_off = Some(off);
             }
         }
 
-        // ---- Window replay into the next period's matrix.
-        if universe > 0 {
-            let mut windows = Vec::with_capacity(universe);
-            for values in self.window.drain(..) {
-                windows
-                    .push(TimeSeries::new(self.cfg.sample_dt_s, values).map_err(SimError::Trace)?);
-            }
-            let mut matrix =
-                CostMatrix::new(universe, self.cfg.reference).map_err(SimError::Core)?;
-            let refs: Vec<&TimeSeries> = windows.iter().collect();
-            Self::push_window(&mut matrix, &refs, self.cfg.period_samples)?;
+        // ---- Window replay into the next period's matrix, keyed by
+        // the row table as it stands. The planes are re-used while the
+        // row count holds; when it grew, the old matrix goes before
+        // its successor is allocated.
+        if !self.rows.is_empty() {
+            let occupants: Vec<Option<usize>> = self.rows.iter().map(Row::id).collect();
+            let windows: Vec<&[f64]> = self.rows.iter().map(|r| r.window.as_slice()).collect();
+            let rows = self.rows.len();
+            let mut matrix = match self.matrix.take().filter(|m| m.rows() == rows) {
+                Some(matrix) => matrix,
+                None => CostMatrix::keyed(rows, self.cfg.reference).map_err(SimError::Core)?,
+            };
+            matrix
+                .fill(&occupants, self.ids.len(), &windows)
+                .map_err(SimError::Core)?;
             self.matrix = Some(matrix);
-            self.prev_window = Some(windows);
-        } else {
-            self.window.clear();
-            self.prev_window = Some(Vec::new());
+            if matches!(self.cfg.policy, Policy::Pcp { .. }) {
+                let mut kept = Vec::new();
+                for row in &self.rows {
+                    if let Some(id) = row.id() {
+                        let window = TimeSeries::new(self.cfg.sample_dt_s, row.window.clone())
+                            .map_err(SimError::Trace)?;
+                        kept.push((id, window));
+                    }
+                }
+                self.prev_window = Some(kept);
+            }
+            #[cfg(debug_assertions)]
+            {
+                self.oracle
+                    .close(self.period_start, self.clock, self.ids.len(), &self.cfg);
+                self.oracle.check(self, false);
+            }
+        }
+        // The close is where rows turn over: every window starts the
+        // next period empty, and a row whose VM left during this one
+        // is free from here on.
+        for (r, row) in self.rows.iter_mut().enumerate() {
+            row.window.clear();
+            if let Occupant::Left(_) = row.occupant {
+                row.occupant = Occupant::Free;
+                self.free_rows.push(r);
+            }
         }
 
         // ---- Per-class peaks and the period record.
@@ -2155,12 +2328,7 @@ impl DatacenterController {
         }
         let mut drain = 0usize;
         for &m in members {
-            match self
-                .slots
-                .get(m)
-                .and_then(|s| s.as_ref())
-                .and_then(|s| s.lease_end)
-            {
+            match self.lease_end[m] {
                 None => return None,
                 Some(end) => drain = drain.max(end.saturating_sub(self.clock)),
             }
@@ -2205,12 +2373,9 @@ impl DatacenterController {
         let id = vm.id;
         self.dense_vms[id] = vm;
         if self.matrix.is_none() {
-            self.rebuild_matrix(self.slots.len())?;
+            self.extend_matrix(self.ids.len())?;
         }
-        let lease = self.slots[id]
-            .as_ref()
-            .and_then(|s| s.lease_end)
-            .map(|end| end.saturating_sub(self.clock));
+        let lease = self.lease_end[id].map(|end| end.saturating_sub(self.clock));
 
         // Healing moves (guard splits, boundary trims, evacuations)
         // place at plain capacity — margin 0. A VM being moved *off*
@@ -2375,6 +2540,27 @@ mod tests {
             sample_dt_s: 5.0,
             max_deferred: 64,
         }
+    }
+
+    /// `fork()`/`snapshot()` copy no sample buffer: the fork's
+    /// registered traces are the parent's, by address.
+    #[test]
+    fn fork_aliases_the_registered_traces() {
+        let mut ctl = DatacenterController::new(config_with(None, None)).unwrap();
+        for id in 0..3 {
+            let trace = TimeSeries::constant(5.0, 64, 1.0 + id as f64).unwrap();
+            ctl.arrive(id, trace, None, &mut NullSink).unwrap();
+        }
+        for _ in 0..20 {
+            ctl.tick(&mut NullSink).unwrap();
+        }
+        let samples = |c: &DatacenterController| -> Vec<*const f64> {
+            (0..3)
+                .map(|id| c.live_slot(id).unwrap().trace.values().as_ptr())
+                .collect()
+        };
+        assert_eq!(samples(&ctl), samples(&ctl.fork()));
+        assert_eq!(samples(&ctl), samples(&ctl.snapshot()));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! thread with identical semantics.
 //!
 //! Above the single session sits the **service layer**: the controller
-//! is cheaply `Clone`-able, so [`DatacenterController::fork`] and the
+//! is cheaply `Clone`-able (registered traces are shared, and the
+//! period matrix is sized by the population, not by every id ever
+//! seen), so [`DatacenterController::fork`] and the
 //! [`WhatIf`] API answer "what if I re-packed now?" against a copy of
 //! live state without perturbing it, and [`service::SessionHost`]
 //! hosts many independent sessions at once, replaying an interleaved

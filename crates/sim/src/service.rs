@@ -64,7 +64,9 @@ use cavm_workload::lifecycle::{Lifecycle, LifecycleEntry};
 use std::thread;
 
 /// One schedule entry for a [`SessionHost`]: an event addressed to one
-/// hosted session.
+/// hosted session. Cloning an entry — or a whole schedule — copies no
+/// samples: an arrival's trace is shared with the clone
+/// ([`TimeSeries`](cavm_trace::TimeSeries) clones alias their buffer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionEvent {
     /// Index of the target session (`0..host.sessions()`).
@@ -394,7 +396,9 @@ pub fn lifecycle_events(
 /// position k+1 of any. Cross-session order is cosmetic — sessions are
 /// isolated, so any interleaving that preserves each session's own
 /// order produces the same [`ServiceReport`] — but a deterministic one
-/// keeps schedules comparable across runs.
+/// keeps schedules comparable across runs. The schedule's arrivals
+/// share their traces with the input streams; only the event records
+/// themselves are new.
 pub fn interleave(sessions: &[Vec<VmEvent>]) -> Vec<SessionEvent> {
     let mut schedule = Vec::with_capacity(sessions.iter().map(Vec::len).sum());
     let longest = sessions.iter().map(Vec::len).max().unwrap_or(0);

@@ -8,9 +8,15 @@
 //! dense `Vec<f64>` — because the paper's algorithms only ever consume
 //! equally-spaced samples (5 s fine-grained samples, 5 min coarse samples,
 //! 1 s testbed monitor samples).
+//!
+//! The samples are immutable once constructed, so the buffer is shared:
+//! cloning a [`TimeSeries`] is O(1) and the clone aliases the original's
+//! samples. Every transforming method returns a new series over a new
+//! buffer.
 
 use crate::{stats, Reference, TraceError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A finite, equally-spaced sampled signal.
 ///
@@ -18,6 +24,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// * the sampling interval is finite and strictly positive;
 /// * every sample is finite (no NaN / ±inf).
+///
+/// `Clone` is O(1): clones share one immutable sample buffer (equality
+/// is still by value).
 ///
 /// # Example
 ///
@@ -35,7 +44,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     dt: f64,
-    values: Vec<f64>,
+    /// Shared, never mutated after construction. (`Arc<Vec<_>>` rather
+    /// than `Arc<[_]>`: construction adopts the caller's vector instead
+    /// of copying it, and a sole owner gets it back from
+    /// [`TimeSeries::into_values`] for free.)
+    values: Arc<Vec<f64>>,
 }
 
 impl TimeSeries {
@@ -55,7 +68,10 @@ impl TimeSeries {
                 return Err(TraceError::NonFiniteSample { index, value });
             }
         }
-        Ok(Self { dt, values })
+        Ok(Self {
+            dt,
+            values: Arc::new(values),
+        })
     }
 
     /// Creates a series of `n` samples by evaluating `f` at indices
@@ -105,9 +121,11 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Consume the series and return the raw samples.
+    /// Consume the series and return the raw samples: the buffer
+    /// itself when this was its only owner, a copy when clones still
+    /// share it (they are left intact).
     pub fn into_values(self) -> Vec<f64> {
-        self.values
+        Arc::try_unwrap(self.values).unwrap_or_else(|shared| shared.to_vec())
     }
 
     /// Sample at `index`, or `None` past the end.
@@ -239,7 +257,7 @@ impl TimeSeries {
         assert!(lo <= hi, "clamp bounds inverted: {lo} > {hi}");
         TimeSeries {
             dt: self.dt,
-            values: self.values.iter().map(|v| v.clamp(lo, hi)).collect(),
+            values: Arc::new(self.values.iter().map(|v| v.clamp(lo, hi)).collect()),
         }
     }
 
@@ -256,7 +274,7 @@ impl TimeSeries {
         }
         Ok(TimeSeries {
             dt: self.dt,
-            values: self.values[start..end].to_vec(),
+            values: Arc::new(self.values[start..end].to_vec()),
         })
     }
 
@@ -308,7 +326,7 @@ impl TimeSeries {
             return Err(TraceError::InvalidParameter("refine factor must be >= 1"));
         }
         let mut values = Vec::with_capacity(self.values.len() * factor);
-        for &v in &self.values {
+        for &v in self.values.iter() {
             values.extend(std::iter::repeat_n(v, factor));
         }
         TimeSeries::new(self.dt / factor as f64, values)
@@ -510,6 +528,32 @@ mod tests {
         assert_eq!(t.values(), &[0.0, 1.0, 2.0, 3.0]);
         let c = TimeSeries::constant(1.0, 3, 7.5).unwrap();
         assert_eq!(c.values(), &[7.5, 7.5, 7.5]);
+    }
+
+    #[test]
+    fn clones_share_their_samples() {
+        let a = s(&[1.0, 2.0, 3.0]);
+        let b = a.clone();
+        assert_eq!(a.values().as_ptr(), b.values().as_ptr());
+        assert_eq!(a, b);
+        // Equality stays by value: a separately built series is equal
+        // without aliasing.
+        let c = s(&[1.0, 2.0, 3.0]);
+        assert_ne!(a.values().as_ptr(), c.values().as_ptr());
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn into_values_leaves_a_sharing_clone_intact() {
+        let a = s(&[1.0, 2.0, 3.0]);
+        let b = a.clone();
+        let mut taken = a.into_values();
+        taken[0] = 99.0;
+        assert_eq!(b.values(), &[1.0, 2.0, 3.0]);
+        // A sole owner hands its buffer over without copying.
+        let ptr = b.values().as_ptr();
+        let owned = b.into_values();
+        assert_eq!(owned.as_ptr(), ptr);
     }
 
     #[test]

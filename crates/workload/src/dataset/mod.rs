@@ -193,7 +193,9 @@ pub fn assemble<D: TraceDataset + ?Sized>(dataset: &mut D) -> crate::Result<(VmF
             name: record.name,
             group: record.group,
             // Datasets carry a single sampling grid; the coarse view
-            // is the same series (refinement factor 1).
+            // is the same series (refinement factor 1) — and, clones
+            // sharing their samples, the same buffer: `coarse` aliases
+            // `fine`, so ingest stores each trace once.
             coarse: fine.clone(),
             fine,
         });
