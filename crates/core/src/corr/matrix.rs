@@ -40,8 +40,8 @@
 //! # Parallel ticks
 //!
 //! With the `parallel` feature (default on),
-//! [`CostMatrix::par_push_sample`] and
-//! [`CostMatrix::par_push_columns`] split the triangle into
+//! [`CostMatrix::par_push_sample`], [`CostMatrix::par_push_columns`]
+//! and [`CostMatrix::fill`] can split the triangle into
 //! near-equal-pair row chunks and update them on scoped `std::thread`s.
 //! (The build environment has no crate registry, so this uses the
 //! standard library rather than rayon; the chunking is embarrassingly
@@ -49,6 +49,14 @@
 //! thread in tick order, so parallel results are bit-identical to
 //! serial ones — the equivalence tests in `tests/soa_equivalence.rs`
 //! pin this.
+//!
+//! Whether they *do* fan out is one rule, `threads_for`: scoped threads
+//! are spawned and joined per call, which costs about as much as
+//! 10⁵ Peak pair updates, so a call whose kernel is smaller than that
+//! (`pairs × samples`, a P² update counted 32-fold) runs on the
+//! calling thread and only larger ones use every core. A 16-VM
+//! session's period close is the former, a 1,000-VM fleet's the
+//! latter. The explicit `*_threads` forms take the count as given.
 //!
 //! Batch window replay ([`CostMatrix::push_columns`]) walks the
 //! triangle *pair-major* instead of tick-major: each pair's slot is
@@ -352,6 +360,21 @@ impl CostMatrix {
         Ok(())
     }
 
+    /// Threads a default-thread entry point uses to push `samples`
+    /// samples through every pair: [`threads_for`] applied to
+    /// `pairs × samples`, a P² update counted [`P2_WORK_WEIGHT`]-fold.
+    fn fan_out(&self, samples: usize) -> usize {
+        let weight = match self.storage {
+            Storage::Peak { .. } => 1,
+            Storage::Percentile { .. } => P2_WORK_WEIGHT,
+        };
+        threads_for(
+            self.pair_count()
+                .saturating_mul(samples)
+                .saturating_mul(weight),
+        )
+    }
+
     /// Feeds one monitoring tick: `utils[v]` is the utilization of the
     /// VM in row `v` at this instant. Cost: `O(n²)` flat constant-time
     /// updates.
@@ -481,8 +504,11 @@ impl CostMatrix {
     /// captures the id → row table from `occupants` (`occupants[r]` is
     /// the id sampled into row `r`, `None` for a row nobody held — its
     /// window should be all zeros), sets the id bound to `ids`, and
-    /// replays `windows[r]` into row `r` with the batch kernel (fanned
-    /// out over the available cores under the `parallel` feature).
+    /// replays `windows[r]` into row `r` with the batch kernel — on
+    /// the calling thread when the replay is too small to repay a
+    /// thread spawn, fanned out over the available cores otherwise
+    /// (the [module docs](self) give the rule; the answer is the same
+    /// bit for bit).
     ///
     /// # Errors
     ///
@@ -505,7 +531,7 @@ impl CostMatrix {
         }
         self.check_width(occupants.len())?;
         self.check_width(windows.len())?;
-        common_len(windows.iter().map(|w| w.len()))?;
+        let samples = common_len(windows.iter().map(|w| w.len()))?;
         let mut key = vec![NO_ROW; ids];
         for (row, id) in occupants.iter().enumerate() {
             let Some(id) = *id else { continue };
@@ -527,7 +553,7 @@ impl CostMatrix {
         self.key = Some(key);
         self.n = ids;
         self.reset();
-        self.replay(windows, default_threads());
+        self.replay(windows, self.fan_out(samples));
         Ok(())
     }
 
@@ -681,18 +707,22 @@ impl CostMatrix {
 #[cfg(feature = "parallel")]
 impl CostMatrix {
     /// [`Self::push_sample`] with the triangle update fanned out over
-    /// all available cores. Bit-identical to the serial path: each pair
-    /// is updated by exactly one thread, in tick order.
+    /// all available cores once the matrix is large enough for one
+    /// tick to repay the thread spawn (see the [module docs](self));
+    /// smaller matrices tick on the calling thread. Bit-identical to
+    /// the serial path: each pair is updated by exactly one thread, in
+    /// tick order.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::push_sample`].
     pub fn par_push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.push_sample_threads(utils, default_threads())
+        self.push_sample_threads(utils, self.fan_out(1))
     }
 
-    /// [`Self::par_push_sample`] with an explicit thread count
-    /// (`threads == 1` falls back to the serial kernel).
+    /// [`Self::par_push_sample`] with an explicit thread count,
+    /// honoured whatever the size (`threads == 1` is the serial
+    /// kernel).
     ///
     /// # Errors
     ///
@@ -702,7 +732,10 @@ impl CostMatrix {
     }
 
     /// [`Self::push_columns`] with the triangle replay fanned out over
-    /// all available cores. Bit-identical to the serial batch path.
+    /// all available cores once `pairs × window` is large enough to
+    /// repay the thread spawn (see the [module docs](self)); smaller
+    /// replays run on the calling thread. Bit-identical to the serial
+    /// batch path.
     ///
     /// # Errors
     ///
@@ -713,10 +746,11 @@ impl CostMatrix {
         start: usize,
         end: usize,
     ) -> crate::Result<()> {
-        self.push_columns_threads(traces, start, end, default_threads())
+        self.push_columns_threads(traces, start, end, self.fan_out(end.saturating_sub(start)))
     }
 
-    /// [`Self::par_push_columns`] with an explicit thread count.
+    /// [`Self::par_push_columns`] with an explicit thread count,
+    /// honoured whatever the size.
     ///
     /// # Errors
     ///
@@ -760,6 +794,44 @@ fn default_threads() -> usize {
             .map(|p| p.get())
             .unwrap_or(1)
     })
+}
+
+/// Kernel work, in Peak pair updates, up to which a default-thread
+/// entry point stays on the calling thread.
+///
+/// Spawning and joining the scoped helpers costs 40–130 µs on the
+/// 2-vCPU bench host — more than halving a kernel this small saves.
+/// `cargo bench -p cavm-bench --bench matrix_tick`, group
+/// `close_small`, medians of four runs, one thread → both cores:
+///
+/// | rows × samples      | work   | 1 thread | 2 threads |
+/// |---------------------|--------|----------|-----------|
+/// | 16 × 720, Peak      | 86 k   | 103 µs   | 155 µs    |
+/// | 120 × 12, Peak      | 86 k   | 105 µs   | 152 µs    |
+/// | 60 × 120, Peak      | 212 k  | 214 µs   | 219 µs    |
+/// | 48 × 720, P95       | 26 M   | 20.1 ms  | 11.5 ms   |
+///
+/// Break-even is somewhere past 2 × 10⁵; the line sits below it on
+/// purpose. ROADMAP item 1 has the reason (the benchmark driver reads
+/// a faster mid-size close as memory) and raising it is this one line.
+const SERIAL_WORK_MAX: usize = 1 << 17;
+
+/// What one P² pair update weighs in Peak pair updates: 14.9 ns against
+/// 0.51 ns per update in the benchmark ledger's `core.corr` rows
+/// (`flat-p95-day` and `sharded-day`), rounded up to a power of two.
+const P2_WORK_WEIGHT: usize = 32;
+
+/// The one fan-out rule of the default-thread entry points
+/// ([`CostMatrix::fill`], [`CostMatrix::par_push_columns`],
+/// [`CostMatrix::par_push_sample`]): the calling thread alone while
+/// the whole kernel costs less than spawning and joining helpers
+/// would, every core above that. `work` is in Peak pair updates.
+fn threads_for(work: usize) -> usize {
+    if work <= SERIAL_WORK_MAX {
+        1
+    } else {
+        default_threads()
+    }
 }
 
 /// Runs `kernel(row_start, row_end, sub_plane)` over the whole triangle
@@ -1135,6 +1207,41 @@ mod tests {
         assert_eq!(m.cost(1, 1), Some(1.0));
         assert!(CostMatrix::from_costs(3, vec![1.0]).is_err());
         assert!(CostMatrix::from_costs(0, vec![]).is_err());
+    }
+
+    #[test]
+    fn default_fan_out_follows_the_work_threshold() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(SERIAL_WORK_MAX), 1);
+        assert_eq!(threads_for(SERIAL_WORK_MAX + 1), default_threads());
+        assert_eq!(threads_for(usize::MAX), default_threads());
+        // Without the feature there is nothing to fan out over.
+        #[cfg(not(feature = "parallel"))]
+        assert_eq!(default_threads(), 1);
+
+        // Rows × samples either side of the line, P² updates weighted.
+        let p95 = Reference::Percentile(95.0);
+        for (rows, samples, reference, serial) in [
+            (16, 720, Reference::Peak, true),
+            (47, 120, Reference::Peak, true),
+            (48, 120, Reference::Peak, false),
+            (120, 12, Reference::Peak, true),
+            (8, 140, p95, true),
+            (8, 150, p95, false),
+            (4096, 1, Reference::Peak, false),
+            (64, 1, p95, true),
+        ] {
+            let matrix = CostMatrix::keyed(rows, reference).unwrap();
+            let expected = if serial { 1 } else { default_threads() };
+            assert_eq!(
+                matrix.fan_out(samples),
+                expected,
+                "{rows} rows x {samples} samples under {reference:?}"
+            );
+        }
+        // Work that overflows saturates instead of wrapping to "small".
+        let wide = CostMatrix::keyed(4096, Reference::Peak).unwrap();
+        assert_eq!(wide.fan_out(usize::MAX), default_threads());
     }
 
     #[cfg(feature = "parallel")]

@@ -73,6 +73,7 @@ proptest! {
 
     /// Serial ticks, parallel ticks and batch column replay all land on
     /// the same bits.
+    #[cfg(feature = "parallel")]
     #[test]
     fn tick_paths_are_interchangeable(samples in fleet(5, 30)) {
         for reference in both_references() {
@@ -474,4 +475,68 @@ fn keyed_fill_rejects_malformed_occupancy() {
     assert_eq!((keyed.len(), keyed.rows(), keyed.samples()), (3, 2, 2));
     assert_eq!(keyed.cost(1, 0), Some(1.0));
     assert_eq!(keyed.cost(0, 2), Some(2.0));
+}
+
+// ---- the default fan-out ≡ any explicit thread count ----------------------
+
+/// Row × sample shapes either side of the work threshold below which
+/// the default-thread entry points stay on the calling thread (2¹⁷
+/// Peak pair updates, a P² update weighing 32): whichever side a shape
+/// falls on, the answer is the explicit 1-thread and N-thread one.
+#[cfg(feature = "parallel")]
+const STRADDLING_SHAPES: [(usize, usize, Reference); 6] = [
+    (16, 720, Reference::Peak),
+    (47, 120, Reference::Peak),
+    (48, 120, Reference::Peak),
+    (120, 12, Reference::Peak),
+    (8, 140, Reference::Percentile(95.0)),
+    (8, 150, Reference::Percentile(95.0)),
+];
+
+#[cfg(feature = "parallel")]
+proptest! {
+    /// `fill` and `par_push_columns` choose their own fan-out; the
+    /// choice never shows in a single bit of a single pair.
+    #[test]
+    fn default_fan_out_matches_explicit_threads_bitwise(seed in any::<u64>()) {
+        let mut rng = cavm_trace::SimRng::new(seed);
+        for (rows, len, reference) in STRADDLING_SHAPES {
+            let traces: Vec<TimeSeries> = (0..rows)
+                .map(|_| {
+                    let values = (0..len).map(|_| rng.range_f64(0.0, 8.0)).collect();
+                    TimeSeries::new(1.0, values).unwrap()
+                })
+                .collect();
+            let refs: Vec<&TimeSeries> = traces.iter().collect();
+            let windows: Vec<&[f64]> = traces.iter().map(TimeSeries::values).collect();
+            let occupants: Vec<Option<usize>> = (0..rows).map(Some).collect();
+
+            let mut filled = CostMatrix::keyed(rows, reference).unwrap();
+            filled.fill(&occupants, rows, &windows).unwrap();
+            let mut pushed = CostMatrix::new(rows, reference).unwrap();
+            pushed.par_push_columns(&refs, 0, len).unwrap();
+            let mut one = CostMatrix::new(rows, reference).unwrap();
+            one.par_push_columns_threads(&refs, 0, len, 1).unwrap();
+            let mut many = CostMatrix::new(rows, reference).unwrap();
+            many.par_push_columns_threads(&refs, 0, len, 3).unwrap();
+
+            for i in 0..rows {
+                for j in 0..rows {
+                    let want = one.cost(i, j).map(f64::to_bits);
+                    for (name, got) in [
+                        ("fill", &filled),
+                        ("par_push_columns", &pushed),
+                        ("3 threads", &many),
+                    ] {
+                        prop_assert_eq!(
+                            got.cost(i, j).map(f64::to_bits),
+                            want,
+                            "{} diverged at ({}, {}) for {} x {} under {:?}",
+                            name, i, j, rows, len, reference
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

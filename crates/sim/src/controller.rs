@@ -1251,7 +1251,7 @@ impl DatacenterController {
             .map_err(SimError::Core)?;
         self.refresh_bin(server)?;
         let displaced = evacuees.into_iter().map(|id| (id, server)).collect();
-        let moved = self.readmit_displaced(displaced, true, sink)?;
+        let moved = self.readmit_displaced(displaced, Unhosted::Defer, sink)?;
         self.evacuations += moved;
         self.emit_repack(
             RepackReason::Evacuation { server },
@@ -1782,7 +1782,12 @@ impl DatacenterController {
             // re-admitting there would undo the trim), attributed like
             // any boundary migration. On a degraded fleet a trimmed VM
             // with nowhere to go queues like any other displaced VM.
-            let migrations = self.readmit_displaced(forced, degraded, sink)?;
+            let unhosted = if degraded {
+                Unhosted::Defer
+            } else {
+                Unhosted::Fail
+            };
+            let migrations = self.readmit_displaced(forced, unhosted, sink)?;
             self.emit_repack(
                 RepackReason::Overcommit {
                     servers: over_servers,
@@ -1829,7 +1834,10 @@ impl DatacenterController {
     /// exists to hold on to. If violations persist, the ratio
     /// re-crosses the threshold one heal-interval later and the next
     /// hotspot moves — gradual, self-limiting redistribution, with the
-    /// boundary capacity check as the stronger periodic backstop.
+    /// boundary capacity check as the stronger periodic backstop. On a
+    /// fleet with no room anywhere else the hotspot goes back onto its
+    /// origin — no migration counted or streamed, the breach still
+    /// folded into the period floor — instead of failing the tick.
     fn maybe_qos_repack(&mut self, sink: &mut dyn MetricSink) -> crate::Result<bool> {
         if !self.qos_armed {
             return Ok(false);
@@ -1884,7 +1892,9 @@ impl DatacenterController {
             forced.push((hotspot, s));
         }
 
-        let migrations = self.readmit_displaced(forced, false, sink)?;
+        // The move is optional: a hotspot no other server can host
+        // goes back where it came from instead of failing the tick.
+        let migrations = self.readmit_displaced(forced, Unhosted::Restore, sink)?;
         self.offcycle_repacks += 1;
         self.emit_repack(
             RepackReason::QosGuard { violations: worst },
@@ -2260,26 +2270,30 @@ impl DatacenterController {
     /// (guard split, boundary trim, evacuation) in id order through
     /// the policy's single-VM rule, never back onto their origin. Each
     /// landing is a migration, attributed to the destination's class
-    /// and streamed. A VM nothing can host enters the deferred queue
-    /// when `defer_unhosted`, else fails the pass. Returns the number
-    /// of VMs that landed.
+    /// and streamed. A VM no other server can host goes the way
+    /// `unhosted` says. Returns the number of VMs that landed.
     fn readmit_displaced(
         &mut self,
         mut displaced: Vec<(usize, usize)>,
-        defer_unhosted: bool,
+        unhosted: Unhosted,
         sink: &mut dyn MetricSink,
     ) -> crate::Result<usize> {
         displaced.sort_unstable();
         let mut moved = 0usize;
         for (id, origin) in displaced {
-            match self.admit_slot(self.dense_vms[id], Some(origin)) {
-                Ok(dest) => {
+            match (self.admit_slot(self.dense_vms[id], Some(origin)), unhosted) {
+                (Ok(dest), _) => {
                     moved += 1;
                     self.class_migrations[self.placement.classes()[dest]] += 1;
                     sink.on_migration(self.period, id, origin, dest);
                 }
-                Err(SimError::InsufficientServers { .. }) if defer_unhosted => self.defer(id)?,
-                Err(e) => return Err(e),
+                (Err(SimError::InsufficientServers { .. }), Unhosted::Defer) => self.defer(id)?,
+                (Err(SimError::InsufficientServers { .. }), Unhosted::Restore) => {
+                    // Not a migration: nothing moved, nothing is streamed.
+                    self.placement.admit(id, origin).map_err(SimError::Core)?;
+                    self.refresh_bin(origin)?;
+                }
+                (Err(e), _) => return Err(e),
             }
         }
         self.period_migrations += moved;
@@ -2419,6 +2433,20 @@ impl DatacenterController {
         self.replan_bin(server)?;
         Ok(server)
     }
+}
+
+/// What [`DatacenterController::readmit_displaced`] does with a
+/// displaced VM that no server other than its origin can host.
+#[derive(Debug, Clone, Copy)]
+enum Unhosted {
+    /// Fail the pass with [`SimError::InsufficientServers`].
+    Fail,
+    /// Queue it for deferred admission (a degraded fleet is short on
+    /// capacity until servers recover).
+    Defer,
+    /// Put it back on its origin and refresh that server's aggregate
+    /// and frequency plan: the move was optional.
+    Restore,
 }
 
 /// Routes a single-VM admission to the policy's `place_one` rule. PCP

@@ -190,6 +190,12 @@ impl SessionHost {
     /// untouched — `run` can be called again (every call opens fresh
     /// controller sessions from the stored configs).
     ///
+    /// The schedule is read twice and copied never: one pass validates
+    /// the session ids and counts each session's events, the second
+    /// moves every event into its session's vector, allocated once at
+    /// that count. Beyond the schedule itself a run therefore holds one
+    /// event slot per event, however lopsided the sessions.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownSession`] (before any session runs)
@@ -199,16 +205,23 @@ impl SessionHost {
     /// — deterministic regardless of worker count.
     pub fn run(&self, schedule: Vec<SessionEvent>) -> crate::Result<ServiceReport> {
         let sessions = self.configs.len();
+        // The validation pass also sizes the partition: each session's
+        // events move into a vector allocated once, at its final size.
+        let mut counts = vec![0usize; sessions];
         for entry in &schedule {
-            if entry.session >= sessions {
-                return Err(SimError::UnknownSession {
-                    session: entry.session,
-                    sessions,
-                });
+            match counts.get_mut(entry.session) {
+                Some(count) => *count += 1,
+                None => {
+                    return Err(SimError::UnknownSession {
+                        session: entry.session,
+                        sessions,
+                    })
+                }
             }
         }
         // Partition the schedule per session, preserving order.
-        let mut per_session: Vec<Vec<VmEvent>> = (0..sessions).map(|_| Vec::new()).collect();
+        let mut per_session: Vec<Vec<VmEvent>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
         for entry in schedule {
             per_session[entry.session].push(entry.event);
         }

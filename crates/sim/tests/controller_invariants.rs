@@ -1493,3 +1493,102 @@ fn refusals_actually_happen_on_the_undersized_fleet() {
         .sum();
     assert!(refused > 0, "no seed in 0..64 ever refused an arrival");
 }
+
+// ---- The guard's healing move on a fleet with nowhere to heal to.
+
+/// Both servers of the undersized fleet full by prediction (two
+/// 2-core-predicted tenants each), one tenant really drawing 3 cores:
+/// its server violates on every sample wherever the policy put it, the
+/// guard fires — and no other server can take the hotspot. The move
+/// is optional, so the hotspot must go back where it came from: every
+/// `tick` succeeds, the placement never changes, no migration is
+/// counted or streamed, and the ordinary invariants hold throughout.
+/// (The guard used to fail the tick with `InsufficientServers`, the
+/// hotspot already off its server.)
+#[test]
+fn guard_hotspot_with_nowhere_to_go_stays_on_its_origin() {
+    let fleet = undersized_fleet();
+    let schedule = Schedule {
+        trigger: RepackTrigger::Fragmentation { slack: 1 },
+        guard: Some(QosGuard {
+            violation_ratio: 0.10,
+        }),
+        adaptive_slack_max: None,
+        overcommit: None,
+    };
+    for policy in five_policies() {
+        let mut controller =
+            DatacenterController::new(harness_config(&fleet, policy, schedule, DvfsMode::Static))
+                .expect("harness config is valid");
+        let mut sink = cavm_sim::ReportSink::new();
+        let mut model = Model {
+            live: BTreeSet::new(),
+            clock: 0,
+        };
+        for id in 0..4 {
+            let level = if id == 0 { 3.0 } else { 1.5 };
+            let trace = TimeSeries::new(5.0, vec![level; 2 * PERIOD]).expect("non-empty trace");
+            controller
+                .arrive(id, trace, None, &mut sink)
+                .expect("four seats for four tenants");
+            model.live.insert(id);
+        }
+        let mut placed = None;
+        for k in 0..PERIOD {
+            controller
+                .tick(&mut sink)
+                .unwrap_or_else(|e| panic!("{}: tick {k} failed: {e}", policy.name()));
+            model.clock += 1;
+            check_invariants(&controller, &model, &fleet, policy, schedule)
+                .unwrap_or_else(|e| panic!("{}: after tick {k}: {e}", policy.name()));
+            if k + 1 == PERIOD {
+                break; // the close leaves the placement stale by contract
+            }
+            let hosts = controller.placement().assignment(4);
+            assert!(
+                controller
+                    .placement()
+                    .servers()
+                    .iter()
+                    .all(|m| m.len() == 2),
+                "{}: both servers are full",
+                policy.name()
+            );
+            assert_eq!(
+                *placed.get_or_insert_with(|| hosts.clone()),
+                hosts,
+                "{}: the guard moved a VM at tick {k}",
+                policy.name()
+            );
+        }
+        let healed: Vec<_> = sink
+            .repacks()
+            .iter()
+            .filter(|e| matches!(e.reason, RepackReason::QosGuard { .. }))
+            .collect();
+        assert!(
+            !healed.is_empty(),
+            "{}: the guard never fired — the test is vacuous",
+            policy.name()
+        );
+        for event in healed {
+            assert_eq!(
+                (event.servers_before, event.servers_after, event.migrations),
+                (2, 2, 0),
+                "{}: {event:?}",
+                policy.name()
+            );
+        }
+        assert_eq!(
+            sink.migrations(),
+            0,
+            "{}: streamed migrations",
+            policy.name()
+        );
+        let report = controller.report();
+        assert_eq!(report.total_migrations(), 0);
+        // The healed-in-vain server keeps its record: the breach is
+        // folded into the period floor, not forgotten.
+        assert!(report.periods[0].max_violation_ratio > 0.10);
+    }
+}

@@ -311,3 +311,58 @@ fn sixty_four_sessions_are_identical_on_one_and_eight_workers() {
     assert_eq!(a.merged.sessions, 64);
     assert!(a.merged.energy_joules > 0.0);
 }
+
+/// The partition is sized from per-session event counts: a lopsided
+/// schedule — one session with no event at all, one owning most of the
+/// schedule (a longer day), two ordinary ones — still hands every
+/// session exactly its own events in order. Each hosted report equals
+/// the session replayed alone on a fresh controller, on 1 worker and
+/// on 3.
+#[test]
+fn lopsided_schedule_equals_the_solo_replays() {
+    let policies = five_policies();
+    let mut configs = Vec::new();
+    let mut streams = Vec::new();
+    for (s, hours) in [(0u64, 2.0), (1, 2.0), (2, 8.0), (3, 2.0)] {
+        let traces = fleet(5, hours, 40 + s);
+        let horizon = traces.vms()[0].fine.len();
+        let lifecycle = churn(5, horizon, 1040 + s);
+        let scenario = scenario(
+            traces.clone(),
+            policies[s as usize % 5],
+            s % 2 == 0,
+            lifecycle.clone(),
+        );
+        configs.push(scenario.controller_config());
+        streams.push(lifecycle_events(&traces, &lifecycle, scenario.period_samples()).unwrap());
+    }
+    // Session 1 is hosted but never addressed.
+    streams[1].clear();
+    let total: usize = streams.iter().map(Vec::len).sum();
+    assert!(
+        2 * streams[2].len() > total,
+        "session 2 owns most of the schedule"
+    );
+
+    let solo: Vec<_> = configs
+        .iter()
+        .zip(&streams)
+        .map(|(config, events)| {
+            let mut controller = cavm_sim::DatacenterController::new(config.clone()).unwrap();
+            for event in events {
+                controller.apply(event.clone(), &mut NullSink).unwrap();
+            }
+            controller.finish(&mut NullSink).unwrap();
+            controller.report()
+        })
+        .collect();
+    assert!(solo[1].periods.is_empty());
+
+    let schedule = interleave(&streams);
+    for workers in [1, 3] {
+        let host = SessionHost::new(configs.clone(), workers).unwrap();
+        let report = host.run(schedule.clone()).unwrap();
+        assert_eq!(report.sessions, solo, "{workers} worker(s)");
+        assert_eq!(report.merged.sessions, 4);
+    }
+}

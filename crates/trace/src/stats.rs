@@ -15,10 +15,18 @@ use serde::{Deserialize, Serialize};
 /// samples the percentile `p` sits at virtual rank `p/100 * (n-1)` of the
 /// sorted data, interpolating between neighbours.
 ///
+/// O(n): one copy of the samples and one selection, never a sort — the
+/// lower neighbour is selected into place and the upper one is the
+/// minimum of what the selection left to its right. The value is the
+/// one a full sort would give, bit for bit (zeros ordered by sign,
+/// `-0.0` first).
+///
 /// # Errors
 ///
-/// Returns [`TraceError::EmptyInput`] for an empty slice and
-/// [`TraceError::InvalidPercentile`] when `p ∉ [0, 100]`.
+/// Returns [`TraceError::EmptyInput`] for an empty slice,
+/// [`TraceError::InvalidPercentile`] when `p ∉ [0, 100]`, and
+/// [`TraceError::NonFiniteSample`] naming the first NaN or infinite
+/// sample.
 ///
 /// # Example
 ///
@@ -36,26 +44,57 @@ pub fn percentile(values: &[f64], p: f64) -> crate::Result<f64> {
     if !(0.0..=100.0).contains(&p) || p.is_nan() {
         return Err(TraceError::InvalidPercentile(p));
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    Ok(percentile_of_sorted(&sorted, p))
+    let mut scratch = finite_copy(values)?;
+    let (lo, hi, w) = closest_ranks(scratch.len(), p);
+    let (_, &mut below, right) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return Ok(below);
+    }
+    // Nothing right of the selected rank is smaller than it, so the
+    // next order statistic is the smallest sample there.
+    let above = right
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .unwrap_or(below);
+    Ok(interpolate(below, above, w))
 }
 
-/// Percentile of an already-sorted slice; shared by the batch and
-/// envelope paths. `sorted` must be non-empty and ascending.
+/// Copies `values`, refusing the first sample that is NaN or infinite:
+/// what is left has a total order.
+fn finite_copy(values: &[f64]) -> crate::Result<Vec<f64>> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(TraceError::NonFiniteSample {
+            index,
+            value: values[index],
+        }),
+        None => Ok(values.to_vec()),
+    }
+}
+
+/// Where percentile `p` sits among `len ≥ 1` sorted samples: the two
+/// closest ranks and the weight of the upper one.
+fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// Linear interpolation between two neighbouring order statistics.
+fn interpolate(below: f64, above: f64, w: f64) -> f64 {
+    below * (1.0 - w) + above * w
+}
+
+/// Percentile of an already-sorted slice, for callers that need the
+/// sorted run anyway ([`Summary::of`], the streaming estimators'
+/// warm-up). `sorted` must be non-empty and ascending.
 pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, w) = closest_ranks(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        interpolate(sorted[lo], sorted[hi], w)
     }
 }
 
@@ -245,13 +284,15 @@ impl Summary {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::EmptyInput`] when `values` is empty.
+    /// Returns [`TraceError::EmptyInput`] when `values` is empty and
+    /// [`TraceError::NonFiniteSample`] naming the first NaN or infinite
+    /// sample.
     pub fn of(values: &[f64]) -> crate::Result<Summary> {
         if values.is_empty() {
             return Err(TraceError::EmptyInput);
         }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let mut sorted = finite_copy(values)?;
+        sorted.sort_unstable_by(f64::total_cmp);
         let mut w = Welford::new();
         for &v in values {
             w.push(v);
@@ -309,6 +350,56 @@ mod tests {
             percentile(&[1.0], f64::NAN),
             Err(TraceError::InvalidPercentile(_))
         ));
+    }
+
+    #[test]
+    fn percentile_names_the_first_non_finite_sample() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in [0, 3, 6] {
+                let mut v = [4.0, 1.0, 3.0, 2.0, 6.0, 5.0, 0.5];
+                v[index] = bad;
+                for p in [0.0, 50.0, 90.0, 100.0] {
+                    match percentile(&v, p) {
+                        Err(TraceError::NonFiniteSample { index: at, value }) => {
+                            assert_eq!(at, index);
+                            assert_eq!(value.to_bits(), bad.to_bits());
+                        }
+                        other => panic!("{bad} at {index}, p{p}: {other:?}"),
+                    }
+                }
+                assert!(matches!(
+                    Reference::Percentile(95.0).of(&v),
+                    Err(TraceError::NonFiniteSample { .. })
+                ));
+                assert!(matches!(
+                    Summary::of(&v),
+                    Err(TraceError::NonFiniteSample { index: at, .. }) if at == index
+                ));
+            }
+        }
+        // Two offenders: the first one is reported.
+        let v = [1.0, f64::NAN, 2.0, f64::INFINITY];
+        assert!(matches!(
+            percentile(&v, 50.0),
+            Err(TraceError::NonFiniteSample { index: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn percentile_selection_matches_a_full_sort() {
+        // Every rank of a small window with ties, both neighbours of
+        // each interpolation included.
+        let v = [3.0, 1.0, 2.0, 3.0, 0.0, 1.0, 3.0, 9.0, -4.0, 1.0];
+        let mut sorted = v.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        for tenth in 0..=1000 {
+            let p = tenth as f64 / 10.0;
+            assert_eq!(
+                percentile(&v, p).unwrap().to_bits(),
+                percentile_of_sorted(&sorted, p).to_bits(),
+                "p{p}"
+            );
+        }
     }
 
     #[test]

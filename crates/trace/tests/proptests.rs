@@ -159,3 +159,79 @@ proptest! {
         }
     }
 }
+
+/// What `percentile` did before it selected: copy, full stable sort,
+/// closest-rank interpolation. Kept here as the differential oracle.
+fn percentile_by_sorting(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let w = rank - lo as f64;
+        sorted[lo] * (1.0 - w) + sorted[hi] * w
+    }
+}
+
+/// The window shapes the selection must survive: continuous draws,
+/// heavy duplicates, all-equal, already sorted and reversed.
+fn window_shapes(rng: &mut SimRng, len: usize) -> Vec<Vec<f64>> {
+    let continuous: Vec<f64> = (0..len).map(|_| rng.range_f64(-50.0, 50.0)).collect();
+    let levels = 1 + rng.below(4);
+    let duplicates = (0..len)
+        .map(|_| 0.25 * rng.below(levels + 1) as f64)
+        .collect();
+    let mut ascending = continuous.clone();
+    ascending.sort_by(f64::total_cmp);
+    let descending = ascending.iter().rev().copied().collect();
+    vec![
+        vec![continuous[0]; len],
+        continuous,
+        duplicates,
+        ascending,
+        descending,
+    ]
+}
+
+proptest! {
+    /// Selection reads the very bits the full sort read, at the paper's
+    /// percentiles, the endpoints and anywhere in between.
+    #[test]
+    fn percentile_selection_is_bit_identical_to_sorting(
+        seed in any::<u64>(),
+        len in 1usize..=2000,
+        random_p in 0.0f64..=100.0,
+    ) {
+        let mut rng = SimRng::new(seed);
+        for window in window_shapes(&mut rng, len) {
+            for p in [0.0, 50.0, 90.0, 95.0, 99.0, 100.0, random_p] {
+                let got = percentile(&window, p).unwrap();
+                let want = percentile_by_sorting(&window, p);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "len {} p {}", len, p);
+            }
+        }
+    }
+
+    /// A window mixing -0.0 and +0.0 is the one place the two can
+    /// differ in bits: the sort kept equal zeros in input order, the
+    /// selection orders them by sign. Numerically they agree.
+    #[test]
+    fn percentile_selection_agrees_on_signed_zeros(
+        seed in any::<u64>(),
+        len in 1usize..=400,
+        p in 0.0f64..=100.0,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let window: Vec<f64> = (0..len)
+            .map(|_| match rng.below(4) {
+                0 => -0.0,
+                1 => 0.0,
+                2 => -1.0,
+                _ => 1.5,
+            })
+            .collect();
+        prop_assert_eq!(percentile(&window, p).unwrap(), percentile_by_sorting(&window, p));
+    }
+}
