@@ -3,6 +3,8 @@
 use crate::controller::{
     ControllerConfig, DatacenterController, OvercommitConfig, QosGuard, RepackTrigger,
 };
+#[cfg(doc)]
+use crate::controller::{OvercommitController, SlackController};
 use crate::SimError;
 use cavm_core::alloc::proposed::ProposedConfig;
 use cavm_core::dvfs::DvfsMode;
@@ -65,63 +67,30 @@ impl Policy {
     }
 }
 
-/// A fully-specified, validated simulation scenario.
+/// A fully-specified, validated simulation scenario: a
+/// [`ControllerConfig`] plus the inputs it is run over — the trace
+/// fleet and the optional arrival/departure and fault schedules.
 ///
 /// Build with [`ScenarioBuilder`]; run with [`Scenario::run`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
     pub(crate) fleet: VmFleet,
-    pub(crate) server_fleet: ServerFleet,
-    pub(crate) policy: Policy,
-    pub(crate) repack_trigger: RepackTrigger,
-    pub(crate) qos_guard: Option<QosGuard>,
-    pub(crate) adaptive_slack_max: Option<u32>,
-    pub(crate) overcommit: Option<OvercommitConfig>,
-    pub(crate) dvfs_mode: DvfsMode,
-    pub(crate) period_samples: usize,
-    pub(crate) reference: Reference,
-    pub(crate) dynamic_headroom: f64,
-    pub(crate) default_demand: f64,
+    pub(crate) config: ControllerConfig,
     pub(crate) lifecycle: Option<Lifecycle>,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) max_deferred: usize,
 }
 
 impl Scenario {
-    /// The placement policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// When the live placement is re-packed.
-    pub fn repack_trigger(&self) -> RepackTrigger {
-        self.repack_trigger
-    }
-
-    /// The QoS guard composed onto the re-pack schedule, if any.
-    pub fn qos_guard(&self) -> Option<QosGuard> {
-        self.qos_guard
-    }
-
-    /// The adaptive-slack upper bound, if adaptive slack is enabled.
-    pub fn adaptive_slack_max(&self) -> Option<u32> {
-        self.adaptive_slack_max
-    }
-
-    /// The deliberate-overcommit configuration, if overcommit is
-    /// enabled.
-    pub fn overcommit(&self) -> Option<OvercommitConfig> {
-        self.overcommit
+    /// The session knobs (server fleet, policy, re-pack schedule, DVFS
+    /// mode, period, reference, defaults), as validated by
+    /// [`ScenarioBuilder::build`].
+    pub fn config(&self) -> &ControllerConfig {
+        &self.config
     }
 
     /// Samples per placement period.
     pub fn period_samples(&self) -> usize {
-        self.period_samples
-    }
-
-    /// The server fleet the scenario replays against.
-    pub fn server_fleet(&self) -> &ServerFleet {
-        &self.server_fleet
+        self.config.period_samples
     }
 
     /// The arrival/departure schedule, or `None` for the closed-world
@@ -135,11 +104,6 @@ impl Scenario {
         self.faults.as_ref()
     }
 
-    /// Capacity of the degraded-mode deferred-admission queue.
-    pub fn max_deferred(&self) -> usize {
-        self.max_deferred
-    }
-
     /// Opens an online [`DatacenterController`] with this scenario's
     /// knobs (fleet, policy, DVFS mode, period, reference, defaults).
     /// [`Scenario::run`] is exactly this controller driven by the
@@ -147,32 +111,20 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError::InvalidParameter`] from controller
-    /// validation (the builder has already validated the same knobs).
+    /// None in practice: [`ScenarioBuilder::build`] ran the
+    /// controller's own validation on this very config, so a
+    /// `Scenario` that exists can always open its controller. The
+    /// `Result` is [`DatacenterController::new`]'s.
     pub fn controller(&self) -> crate::Result<DatacenterController> {
-        DatacenterController::new(self.controller_config())
+        DatacenterController::new(self.config.clone())
     }
 
-    /// The controller-side view of this scenario's knobs — what
+    /// An owned copy of [`Scenario::config`] — what
     /// [`Scenario::controller`] opens a session with. Useful to seed a
     /// [`SessionHost`](crate::service::SessionHost) with many
     /// identically-configured (or per-tenant varied) sessions.
     pub fn controller_config(&self) -> ControllerConfig {
-        ControllerConfig {
-            server_fleet: self.server_fleet.clone(),
-            policy: self.policy,
-            repack_trigger: self.repack_trigger,
-            qos_guard: self.qos_guard,
-            adaptive_slack_max: self.adaptive_slack_max,
-            overcommit: self.overcommit,
-            dvfs_mode: self.dvfs_mode,
-            period_samples: self.period_samples,
-            reference: self.reference,
-            dynamic_headroom: self.dynamic_headroom,
-            default_demand: self.default_demand,
-            sample_dt_s: self.fleet.vms()[0].fine.dt(),
-            max_deferred: self.max_deferred,
-        }
+        self.config.clone()
     }
 }
 
@@ -344,7 +296,7 @@ impl ScenarioBuilder {
     /// controller walks the slack between the trigger's configured
     /// value and `max` from each fired re-pack's realized
     /// servers-freed-per-migration gain (see
-    /// [`SlackController`](crate::SlackController)). Requires a
+    /// [`SlackController`]). Requires a
     /// trigger with a fragmentation dimension.
     pub fn adaptive_slack_max(mut self, max: u32) -> Self {
         self.adaptive_slack_max = Some(max);
@@ -355,7 +307,7 @@ impl ScenarioBuilder {
     /// admission and re-packs accept predicted per-VM sums up to
     /// `capacity x (1 + margin)` on servers whose Eqn (1) coincident
     /// estimate stays within plain capacity, with a per-class
-    /// [`OvercommitController`](crate::OvercommitController) walking
+    /// [`OvercommitController`] walking
     /// the live margin between 0 and `max_margin` from observed
     /// violation ratios. Requires [`ScenarioBuilder::qos_guard`] (the
     /// reactive backstop); `margin` must lie in `[0, max_margin]` and
@@ -429,15 +381,25 @@ impl ScenarioBuilder {
 
     /// Validates and freezes the scenario.
     ///
+    /// The knobs are checked by the controller's own validation (the
+    /// one [`DatacenterController::new`] runs), so the two entry
+    /// points reject the same configurations with the same errors;
+    /// what is checked here is only what a controller never sees — the
+    /// trace fleet and the schedules.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet,
     /// zero servers/cores, a period longer than the traces, mismatched
-    /// trace lengths, or out-of-range tuning values.
+    /// trace lengths, a lifecycle that does not match the fleet, or
+    /// out-of-range tuning values (a bad [`ProposedConfig`] surfaces
+    /// as [`SimError::Core`]); [`SimError::NonMonotoneClock`] /
+    /// [`SimError::UnknownServer`] for a fault plan with a backwards
+    /// clock or a target outside the server fleet.
     pub fn build(self) -> crate::Result<Scenario> {
-        if self.fleet.is_empty() {
+        let Some(first) = self.fleet.vms().first() else {
             return Err(SimError::InvalidParameter("fleet must not be empty"));
-        }
+        };
         let server_fleet = match self.server_fleet {
             Some(fleet) => fleet,
             None => {
@@ -454,107 +416,30 @@ impl ScenarioBuilder {
                 .map_err(SimError::Core)?
             }
         };
-        if server_fleet.total_slots().is_none() {
-            return Err(SimError::InvalidParameter(
-                "sim fleets must be bounded (no UNBOUNDED classes)",
-            ));
-        }
-        if self.period_samples == 0 {
-            return Err(SimError::InvalidParameter(
-                "period must be at least one sample",
-            ));
-        }
-        if self.repack_trigger.slack() == Some(0) {
-            return Err(SimError::InvalidParameter(
-                "fragmentation slack must be at least one server",
-            ));
-        }
-        if let Some(guard) = self.qos_guard {
-            if !(guard.violation_ratio.is_finite()
-                && guard.violation_ratio > 0.0
-                && guard.violation_ratio <= 1.0)
-            {
-                return Err(SimError::InvalidParameter(
-                    "qos guard violation ratio must lie in (0, 1]",
-                ));
-            }
-        }
-        if let Some(max) = self.adaptive_slack_max {
-            match self.repack_trigger.slack() {
-                None => {
-                    return Err(SimError::InvalidParameter(
-                        "adaptive slack requires a trigger with a fragmentation dimension",
-                    ))
-                }
-                Some(slack) if max < slack => {
-                    return Err(SimError::InvalidParameter(
-                        "adaptive slack bound must be at least the trigger's slack",
-                    ))
-                }
-                Some(_) => {}
-            }
-        }
-        if let Some(oc) = self.overcommit {
-            if self.qos_guard.is_none() {
-                return Err(SimError::InvalidParameter(
-                    "deliberate overcommit requires a qos guard as the reactive backstop",
-                ));
-            }
-            if !(oc.max_margin.is_finite() && oc.max_margin > 0.0 && oc.max_margin <= 1.0) {
-                return Err(SimError::InvalidParameter(
-                    "overcommit max margin must lie in (0, 1]",
-                ));
-            }
-            if !(oc.margin.is_finite() && (0.0..=oc.max_margin).contains(&oc.margin)) {
-                return Err(SimError::InvalidParameter(
-                    "overcommit margin must lie in [0, max_margin]",
-                ));
-            }
-        }
-        let len = self.fleet.vms()[0].fine.len();
-        if len < self.period_samples {
+        let config = ControllerConfig {
+            server_fleet,
+            policy: self.policy,
+            repack_trigger: self.repack_trigger,
+            qos_guard: self.qos_guard,
+            adaptive_slack_max: self.adaptive_slack_max,
+            overcommit: self.overcommit,
+            dvfs_mode: self.dvfs_mode,
+            period_samples: self.period_samples,
+            reference: self.reference,
+            dynamic_headroom: self.dynamic_headroom,
+            default_demand: self.default_demand,
+            sample_dt_s: first.fine.dt(),
+            max_deferred: self.max_deferred,
+        };
+        config.validate()?;
+        let len = first.fine.len();
+        if len < config.period_samples {
             return Err(SimError::InvalidParameter("traces shorter than one period"));
         }
         for vm in self.fleet.vms() {
             if vm.fine.len() != len {
                 return Err(SimError::InvalidParameter(
                     "all fine traces must have equal length",
-                ));
-            }
-        }
-        if !(self.dynamic_headroom.is_finite() && self.dynamic_headroom >= 0.0) {
-            return Err(SimError::InvalidParameter("dynamic headroom must be >= 0"));
-        }
-        if !(self.default_demand.is_finite() && self.default_demand > 0.0) {
-            return Err(SimError::InvalidParameter("default demand must be > 0"));
-        }
-        if let Policy::Pcp {
-            envelope_percentile,
-            affinity_threshold,
-        } = self.policy
-        {
-            if !(0.0 < envelope_percentile && envelope_percentile < 100.0) {
-                return Err(SimError::InvalidParameter(
-                    "pcp envelope percentile must lie in (0, 100)",
-                ));
-            }
-            if !(0.0..=1.0).contains(&affinity_threshold) {
-                return Err(SimError::InvalidParameter(
-                    "pcp affinity threshold must lie in [0, 1]",
-                ));
-            }
-        }
-        if let Policy::SuperVm { min_pair_cost } = self.policy {
-            if !min_pair_cost.is_finite() {
-                return Err(SimError::InvalidParameter(
-                    "super-vm pair-cost threshold must be finite",
-                ));
-            }
-        }
-        if let DvfsMode::Dynamic { interval_samples } = self.dvfs_mode {
-            if interval_samples == 0 {
-                return Err(SimError::InvalidParameter(
-                    "dynamic interval must be >= 1 sample",
                 ));
             }
         }
@@ -572,11 +457,6 @@ impl ScenarioBuilder {
                 }
             }
         }
-        if self.max_deferred == 0 {
-            return Err(SimError::InvalidParameter(
-                "deferred-admission queue needs at least one slot",
-            ));
-        }
         if let Some(plan) = &self.faults {
             // Hand-built plans may carry a backwards clock or aim past
             // the fleet; builder-made ones never do. Out-of-horizon
@@ -591,9 +471,10 @@ impl ScenarioBuilder {
                 }
                 previous = entry.sample;
             }
-            let servers = server_fleet
+            let servers = config
+                .server_fleet
                 .total_slots()
-                .expect("bounded fleet checked above");
+                .expect("validation rejects unbounded fleets");
             if let Some(max) = plan.max_server() {
                 if max >= servers {
                     return Err(SimError::UnknownServer {
@@ -605,20 +486,9 @@ impl ScenarioBuilder {
         }
         Ok(Scenario {
             fleet: self.fleet,
-            server_fleet,
-            policy: self.policy,
-            repack_trigger: self.repack_trigger,
-            qos_guard: self.qos_guard,
-            adaptive_slack_max: self.adaptive_slack_max,
-            overcommit: self.overcommit,
-            dvfs_mode: self.dvfs_mode,
-            period_samples: self.period_samples,
-            reference: self.reference,
-            dynamic_headroom: self.dynamic_headroom,
-            default_demand: self.default_demand,
+            config,
             lifecycle: self.lifecycle,
             faults: self.faults,
-            max_deferred: self.max_deferred,
         })
     }
 }
@@ -730,6 +600,29 @@ mod tests {
             .overcommit(0.0, 0.0)
             .build()
             .is_err());
+        // A bad proposed-policy tuning is rejected here, not at `run()`.
+        let defaults = ProposedConfig::default();
+        for bad in [
+            ProposedConfig {
+                alpha: 2.0,
+                ..defaults
+            },
+            ProposedConfig {
+                max_rounds: 0,
+                ..defaults
+            },
+            ProposedConfig {
+                th_floor: defaults.th_init + 0.1,
+                ..defaults
+            },
+        ] {
+            assert!(matches!(
+                ScenarioBuilder::new(fleet())
+                    .policy(Policy::Proposed(bad))
+                    .build(),
+                Err(SimError::Core(cavm_core::CoreError::InvalidParameter(_)))
+            ));
+        }
     }
 
     #[test]
@@ -741,11 +634,11 @@ mod tests {
             .period_samples(360)
             .build()
             .unwrap();
-        assert_eq!(s.policy().name(), "FFD");
+        assert_eq!(s.config().policy.name(), "FFD");
         assert_eq!(s.period_samples(), 360);
-        assert!(s.server_fleet().is_uniform());
-        assert_eq!(s.server_fleet().total_slots(), Some(5));
-        assert_eq!(s.server_fleet().class(0).unwrap().cores(), 4.0);
+        assert!(s.config().server_fleet.is_uniform());
+        assert_eq!(s.config().server_fleet.total_slots(), Some(5));
+        assert_eq!(s.config().server_fleet.class(0).unwrap().cores(), 4.0);
     }
 
     #[test]
@@ -760,7 +653,7 @@ mod tests {
             .server_fleet(hetero.clone())
             .build()
             .unwrap();
-        assert_eq!(s.server_fleet(), &hetero);
+        assert_eq!(s.config().server_fleet, hetero);
         let unbounded = ServerFleet::new(vec![ServerClass::new(
             "open",
             UNBOUNDED,

@@ -313,7 +313,10 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    fn validate(&self) -> crate::Result<()> {
+    /// The one owner of every knob rule: [`DatacenterController::new`]
+    /// and [`ScenarioBuilder::build`](crate::ScenarioBuilder::build)
+    /// both call it, so neither accepts what the other rejects.
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         if self.server_fleet.total_slots().is_none() {
             return Err(SimError::InvalidParameter(
                 "controller fleets must be bounded (no UNBOUNDED classes)",

@@ -83,7 +83,7 @@ impl Scenario {
         // and arrivals, failures, and finally the tick.
         let mut sample = 0usize;
         let mut sample_open = false;
-        for event in ScheduleLowering::new(&self.fleet, entries, self.period_samples)? {
+        for event in ScheduleLowering::new(&self.fleet, entries, self.config.period_samples)? {
             let event = event?;
             if !sample_open {
                 sample_open = true;

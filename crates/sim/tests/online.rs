@@ -1376,3 +1376,253 @@ fn refused_arrival_leaves_no_trace_and_is_retryable() {
     assert_eq!(controller.placement().server_of(1), Some(0));
     assert_eq!(controller.live_vms(), 1);
 }
+
+/// The two ways into a session — `ScenarioBuilder::build` and
+/// `DatacenterController::new` on a `ControllerConfig` literal — share
+/// one validator, so breaking any one knob is the *same* `SimError`
+/// (message included) from both; the rules about a scenario's inputs,
+/// which a controller never sees, are `build()`'s alone.
+#[test]
+fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
+    use cavm_core::alloc::proposed::ProposedConfig;
+    use cavm_core::fleet::{ServerClass, ServerFleet, UNBOUNDED};
+    use cavm_power::LinearPowerModel;
+    use cavm_sim::{ControllerConfig, DatacenterController, OvercommitConfig, QosGuard, SimError};
+    use cavm_workload::faults::{FaultEntry, FaultKind, FaultPlan};
+
+    type Knob = (
+        &'static str,
+        fn(ScenarioBuilder) -> ScenarioBuilder,
+        fn(&mut ControllerConfig),
+    );
+
+    fn unbounded() -> ServerFleet {
+        let open = ServerClass::new("open", UNBOUNDED, 8.0, LinearPowerModel::xeon_e5410());
+        ServerFleet::new(vec![open.unwrap()]).unwrap()
+    }
+    const GUARD: QosGuard = QosGuard {
+        violation_ratio: 0.05,
+    };
+    fn proposed(alpha: f64) -> Policy {
+        Policy::Proposed(ProposedConfig {
+            alpha,
+            ..Default::default()
+        })
+    }
+    fn pcp(envelope_percentile: f64, affinity_threshold: f64) -> Policy {
+        Policy::Pcp {
+            envelope_percentile,
+            affinity_threshold,
+        }
+    }
+    const NAN_PAIRS: Policy = Policy::SuperVm {
+        min_pair_cost: f64::NAN,
+    };
+    const NO_INTERVAL: DvfsMode = DvfsMode::Dynamic {
+        interval_samples: 0,
+    };
+
+    let traces = fleet(4, 2.0, 1);
+    let horizon = traces.vms()[0].fine.len();
+    let base = || ScenarioBuilder::new(traces.clone()).servers(12);
+    let base_config = base().build().unwrap().controller_config();
+    DatacenterController::new(base_config.clone()).expect("the base is valid");
+
+    // One row per `ControllerConfig::validate` rule a builder can reach.
+    let knobs: [Knob; 17] = [
+        (
+            "unbounded fleet",
+            |b| b.server_fleet(unbounded()),
+            |c| c.server_fleet = unbounded(),
+        ),
+        (
+            "zero-sample period",
+            |b| b.period_samples(0),
+            |c| c.period_samples = 0,
+        ),
+        (
+            "zero fragmentation slack",
+            |b| b.repack_trigger(RepackTrigger::Fragmentation { slack: 0 }),
+            |c| c.repack_trigger = RepackTrigger::Fragmentation { slack: 0 },
+        ),
+        (
+            "guard ratio out of (0, 1]",
+            |b| {
+                b.qos_guard(QosGuard {
+                    violation_ratio: 1.5,
+                })
+            },
+            |c| {
+                c.qos_guard = Some(QosGuard {
+                    violation_ratio: 1.5,
+                })
+            },
+        ),
+        (
+            "adaptive slack without a fragmentation trigger",
+            |b| b.adaptive_slack_max(3),
+            |c| c.adaptive_slack_max = Some(3),
+        ),
+        (
+            "adaptive slack bound below the trigger's slack",
+            |b| {
+                b.repack_trigger(RepackTrigger::Hybrid { slack: 2 })
+                    .adaptive_slack_max(1)
+            },
+            |c| {
+                c.repack_trigger = RepackTrigger::Hybrid { slack: 2 };
+                c.adaptive_slack_max = Some(1);
+            },
+        ),
+        (
+            "overcommit without a guard",
+            |b| b.overcommit(0.1, 0.25),
+            |c| {
+                c.overcommit = Some(OvercommitConfig {
+                    margin: 0.1,
+                    max_margin: 0.25,
+                })
+            },
+        ),
+        (
+            "overcommit max margin out of (0, 1]",
+            |b| b.qos_guard(GUARD).overcommit(0.0, 0.0),
+            |c| {
+                c.qos_guard = Some(GUARD);
+                c.overcommit = Some(OvercommitConfig {
+                    margin: 0.0,
+                    max_margin: 0.0,
+                });
+            },
+        ),
+        (
+            "overcommit margin above its max",
+            |b| b.qos_guard(GUARD).overcommit(0.3, 0.25),
+            |c| {
+                c.qos_guard = Some(GUARD);
+                c.overcommit = Some(OvercommitConfig {
+                    margin: 0.3,
+                    max_margin: 0.25,
+                });
+            },
+        ),
+        (
+            "negative dynamic headroom",
+            |b| b.dynamic_headroom(-1.0),
+            |c| c.dynamic_headroom = -1.0,
+        ),
+        (
+            "zero default demand",
+            |b| b.default_demand(0.0),
+            |c| c.default_demand = 0.0,
+        ),
+        (
+            "zero-slot deferred queue",
+            |b| b.max_deferred(0),
+            |c| c.max_deferred = 0,
+        ),
+        (
+            "bad proposed tuning",
+            |b| b.policy(proposed(2.0)),
+            |c| c.policy = proposed(2.0),
+        ),
+        (
+            "pcp envelope percentile out of (0, 100)",
+            |b| b.policy(pcp(0.0, 0.2)),
+            |c| c.policy = pcp(0.0, 0.2),
+        ),
+        (
+            "pcp affinity threshold out of [0, 1]",
+            |b| b.policy(pcp(90.0, 2.0)),
+            |c| c.policy = pcp(90.0, 2.0),
+        ),
+        (
+            "non-finite super-vm threshold",
+            |b| b.policy(NAN_PAIRS),
+            |c| c.policy = NAN_PAIRS,
+        ),
+        (
+            "zero dynamic interval",
+            |b| b.dvfs_mode(NO_INTERVAL),
+            |c| c.dvfs_mode = NO_INTERVAL,
+        ),
+    ];
+    let mut seen = Vec::new();
+    for (rule, through_builder, through_literal) in knobs {
+        let built = through_builder(base()).build().unwrap_err();
+        let mut config = base_config.clone();
+        through_literal(&mut config);
+        let opened = DatacenterController::new(config).unwrap_err();
+        assert_eq!(built, opened, "{rule}");
+        assert!(
+            matches!(built, SimError::InvalidParameter(_) | SimError::Core(_)),
+            "{rule}: {built:?}"
+        );
+        // Every row trips a rule of its own.
+        assert!(!seen.contains(&built), "{rule} repeats {built:?}");
+        seen.push(built);
+    }
+    // The 18th rule: a builder reads the sample interval off a trace
+    // (`TimeSeries` has already validated it), so only a literal can
+    // get it wrong.
+    let mut config = base_config.clone();
+    config.sample_dt_s = 0.0;
+    let dt = DatacenterController::new(config).unwrap_err();
+    assert!(matches!(dt, SimError::InvalidParameter(_)) && !seen.contains(&dt));
+
+    // Rules about the inputs: `build()` alone, one row each. (Traces of
+    // unequal length are the eighth; no public `VmFleet` constructor
+    // lets one through to try.)
+    let foreign = LifecycleEntry {
+        id: 9,
+        arrival_sample: 0,
+        departure_sample: None,
+    };
+    for (rule, builder) in [
+        ("empty fleet", ScenarioBuilder::new(traces.select_top(0))),
+        ("zero servers", base().servers(0)),
+        ("zero cores", base().cores_per_server(0)),
+        (
+            "traces shorter than a period",
+            base().period_samples(horizon + 1),
+        ),
+        (
+            "lifecycle horizon",
+            base().lifecycle(Lifecycle::all_at_start(4, horizon + 1).unwrap()),
+        ),
+        (
+            "lifecycle id range",
+            base().lifecycle(Lifecycle::from_entries(vec![foreign], horizon).unwrap()),
+        ),
+    ] {
+        let err = builder.build().unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidParameter(_)) && !seen.contains(&err),
+            "{rule}: {err:?}"
+        );
+    }
+    let entry = |sample, kind, server| FaultEntry {
+        sample,
+        kind,
+        server,
+    };
+    let backwards = FaultPlan::from_entries(vec![
+        entry(10, FaultKind::Fail, 0),
+        entry(5, FaultKind::Recover, 0),
+    ]);
+    assert_eq!(
+        base().faults(backwards).build().unwrap_err(),
+        SimError::NonMonotoneClock {
+            sample: 5,
+            previous: 10
+        }
+    );
+    let out_of_fleet = FaultPlan::from_entries(vec![entry(0, FaultKind::Fail, 12)]);
+    assert_eq!(
+        base().faults(out_of_fleet).build().unwrap_err(),
+        SimError::UnknownServer {
+            server: 12,
+            servers: 12
+        }
+    );
+}
