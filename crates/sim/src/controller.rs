@@ -56,6 +56,8 @@ mod oracle;
 mod whatif;
 
 pub use self::whatif::{WhatIf, WhatIfDelta};
+pub use crate::config::ControllerConfig;
+pub use crate::event::{RepackEvent, RepackReason, ViolationEvent, VmEvent};
 pub use crate::feedback::{
     OvercommitConfig, OvercommitController, QosGuard, RepackTrigger, SlackController,
 };
@@ -74,7 +76,7 @@ use cavm_core::fleet::{ServerFleet, ServerHealth};
 use cavm_core::servercost::{server_cost_of, ServerCostAggregate};
 use cavm_core::CoreError;
 use cavm_power::{EnergyMeter, PowerModel};
-use cavm_trace::{Reference, TimeSeries};
+use cavm_trace::TimeSeries;
 use std::collections::VecDeque;
 
 pub(crate) const VIOLATION_EPS: f64 = 1e-9;
@@ -104,332 +106,6 @@ pub(crate) fn union_ladder_ghz(fleet: &ServerFleet) -> Vec<f64> {
     ghz.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
     ghz.dedup();
     ghz
-}
-
-/// Why a re-pack ran, carried by [`RepackEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepackReason {
-    /// The period clock (Fig 2's every-`t_period` ALLOCATE pass). The
-    /// session's first placement of a live VM set fires with this
-    /// reason under every trigger.
-    Periodic,
-    /// The fragmentation predicate fired off-cycle: the Eqn (3) bound
-    /// `estimate` had dropped at least `slack` below the `active`
-    /// server count.
-    Fragmentation {
-        /// Eqn (3) lower bound at the firing instant.
-        estimate: usize,
-        /// Active (non-empty) servers at the firing instant.
-        active: usize,
-    },
-    /// The [`QosGuard`] fired off-cycle: some server had accumulated
-    /// `violations` over-capacity samples this period, pushing the
-    /// worst per-server violation ratio past the guard's threshold.
-    /// The breaching servers were surgically re-packed — predictions
-    /// refreshed from the period's observed samples, largest members
-    /// trimmed onto other servers until the refreshed load fits.
-    QosGuard {
-        /// Worst per-server over-capacity sample count at the firing
-        /// instant (divide by the period length for the ratio).
-        violations: usize,
-    },
-    /// A placement-keeping period boundary's capacity check (active
-    /// when a [`QosGuard`] is configured) evicted and re-admitted the
-    /// members of `servers` servers whose refreshed predicted Eqn (2)
-    /// aggregate exceeded their capacity.
-    Overcommit {
-        /// Servers whose predicted aggregate exceeded capacity.
-        servers: usize,
-    },
-    /// Server `server` failed ([`VmEvent::ServerFail`]) and its
-    /// residents were emergency-evacuated: each re-admitted through
-    /// the active policy's single-VM rule with every failed server
-    /// excluded. `migrations` counts the residents that landed on an
-    /// outliving server; the rest entered the deferred-admission
-    /// queue. Unlike every other reason this is not a consolidation
-    /// move and does not count toward
-    /// [`SimReport::offcycle_repacks`](crate::SimReport::offcycle_repacks).
-    Evacuation {
-        /// The failed server the residents fled.
-        server: usize,
-    },
-    /// A hypothetical re-pack run by a [`WhatIf`] probe on a **fork**
-    /// of the live session. Never emitted by a live controller: the
-    /// event only ever reaches the probe's internal capture sink (or a
-    /// sink the caller drives the fork with directly), and the live
-    /// session's state, counters and stream are untouched.
-    WhatIf,
-}
-
-/// One full re-pack of the live placement, as streamed to
-/// [`MetricSink::on_repack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepackEvent {
-    /// Global sample index at which the re-pack ran.
-    pub sample: usize,
-    /// Placement period the re-pack belongs to.
-    pub period: usize,
-    /// What fired it.
-    pub reason: RepackReason,
-    /// Active servers before the re-pack.
-    pub servers_before: usize,
-    /// Active servers after the re-pack.
-    pub servers_after: usize,
-    /// VMs whose server changed in the re-pack.
-    pub migrations: usize,
-    /// Fragmentation slack in effect *after* this re-pack — the
-    /// [`SlackController`] may have just adapted it from the re-pack's
-    /// realized outcome. `None` when the schedule has no fragmentation
-    /// dimension ([`RepackTrigger::Periodic`]).
-    pub slack_after: Option<u32>,
-}
-
-/// One step of a VM's lifecycle, applied with
-/// [`DatacenterController::apply`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum VmEvent {
-    /// A VM enters the datacenter. `trace` is its demand signal from
-    /// this instant on (sample 0 of the trace is the current tick).
-    /// Ids are caller-chosen but must be fresh — a departed id cannot
-    /// re-arrive.
-    Arrive {
-        /// Fresh VM id; names the VM in the controller's registry and
-        /// in every placement and event from now on. (Per-id state is
-        /// a few words; the period windows and cost matrix are sized
-        /// by the VMs a period holds, so sparse or ever-growing ids
-        /// are cheap.)
-        id: usize,
-        /// Demand trace starting at the arrival instant. Samples past
-        /// its end (or after departure) read as zero demand.
-        trace: TimeSeries,
-        /// Remaining lease in samples, when known (`None` =
-        /// open-ended). Lease-aware admission uses it to keep
-        /// soon-empty servers drainable; the caller remains
-        /// responsible for sending the matching
-        /// [`VmEvent::Depart`].
-        lease_samples: Option<usize>,
-    },
-    /// The VM's lease ends; it is evicted from its server before the
-    /// next sample is replayed.
-    Depart {
-        /// Id of a currently live VM.
-        id: usize,
-    },
-    /// A provisioned server fails. Its residents are
-    /// emergency-evacuated through the active policy (failed servers
-    /// excluded); residents the shrunken fleet cannot host enter the
-    /// bounded deferred-admission queue. While any server is failed
-    /// the controller runs **degraded**: fragmentation/hybrid
-    /// consolidation and deliberate boundary overcommit are suspended
-    /// (the [`QosGuard`] stays armed).
-    ServerFail {
-        /// Index of a currently provisioned, healthy server.
-        server: usize,
-    },
-    /// A failed server comes back. Its slot is admissible again and
-    /// the deferred-admission queue immediately retries in FIFO order.
-    ServerRecover {
-        /// Index of a currently failed server.
-        server: usize,
-    },
-    /// Advance one monitoring sample.
-    Tick,
-}
-
-/// One capacity violation instance, as streamed to
-/// [`MetricSink::on_violation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViolationEvent {
-    /// Global sample index.
-    pub sample: usize,
-    /// Placement period index.
-    pub period: usize,
-    /// Server (placement bin) index.
-    pub server: usize,
-    /// Fleet class of the server.
-    pub class: usize,
-    /// Aggregate demand at the instant, cores.
-    pub demand: f64,
-    /// Frequency-scaled capacity it exceeded, cores.
-    pub capacity: f64,
-}
-
-/// Static configuration of a controller session — the scenario knobs
-/// minus the trace fleet (traces arrive with the VMs).
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// The server fleet to place onto. Must be bounded.
-    pub server_fleet: ServerFleet,
-    /// Placement policy (periodic re-packs *and* the incremental
-    /// admission rule).
-    pub policy: Policy,
-    /// When the live placement is re-packed (default:
-    /// [`RepackTrigger::Periodic`], the paper's fixed schedule).
-    pub repack_trigger: RepackTrigger,
-    /// The QoS dimension of the re-pack schedule: fire an off-cycle
-    /// re-pack when the observed worst per-server violation ratio of
-    /// the running period exceeds the guard's threshold, and
-    /// force-repack overcommitted servers at placement-keeping period
-    /// boundaries. `None` (the default) disables both checks.
-    pub qos_guard: Option<QosGuard>,
-    /// Upper bound for the adaptive fragmentation slack: when set, a
-    /// [`SlackController`] walks the slack between the trigger's
-    /// configured value and this bound from each fired re-pack's
-    /// realized servers-freed-per-migration gain. Requires a trigger
-    /// with a fragmentation dimension; `None` keeps the slack static.
-    pub adaptive_slack_max: Option<u32>,
-    /// Deliberate correlation-gap overcommit: when set, admission and
-    /// re-packs accept predicted per-VM sums up to `capacity × (1 +
-    /// margin)` on servers whose Eqn (1) coincident estimate stays
-    /// within plain capacity, with a per-class
-    /// [`OvercommitController`] walking the live margin from observed
-    /// violation ratios. Requires a configured [`qos_guard`] (the
-    /// reactive backstop); suspended in degraded mode. `None` (the
-    /// default) keeps every margin at zero — bit-identical to the
-    /// margin-free controller.
-    ///
-    /// [`qos_guard`]: ControllerConfig::qos_guard
-    pub overcommit: Option<OvercommitConfig>,
-    /// Static or dynamic frequency scaling.
-    pub dvfs_mode: DvfsMode,
-    /// Samples per placement period.
-    pub period_samples: usize,
-    /// Reference utilization for provisioning.
-    pub reference: Reference,
-    /// Relative headroom of the dynamic governor.
-    pub dynamic_headroom: f64,
-    /// Demand assumed for a VM before its first observed period — also
-    /// the provisioning used to admit a brand-new arrival.
-    pub default_demand: f64,
-    /// Monitoring sample interval, seconds (the energy-integration dt).
-    pub sample_dt_s: f64,
-    /// Capacity of the degraded-mode deferred-admission queue: how
-    /// many live-but-unplaceable VMs the controller will hold and
-    /// retry (each tick, at every recovery and at period boundaries)
-    /// after server failures shrink the fleet. An event that would
-    /// overflow the queue is rejected atomically with
-    /// [`SimError::DeferredQueueFull`]. Must be at least 1.
-    pub max_deferred: usize,
-}
-
-impl ControllerConfig {
-    /// The one owner of every knob rule: [`DatacenterController::new`]
-    /// and [`ScenarioBuilder::build`](crate::ScenarioBuilder::build)
-    /// both call it, so neither accepts what the other rejects.
-    pub(crate) fn validate(&self) -> crate::Result<()> {
-        if self.server_fleet.total_slots().is_none() {
-            return Err(SimError::InvalidParameter(
-                "controller fleets must be bounded (no UNBOUNDED classes)",
-            ));
-        }
-        if self.period_samples == 0 {
-            return Err(SimError::InvalidParameter(
-                "period must be at least one sample",
-            ));
-        }
-        if self.repack_trigger.slack() == Some(0) {
-            // Slack 0 would fire on every armed tick regardless of
-            // fragmentation — a busy-loop, not a trigger.
-            return Err(SimError::InvalidParameter(
-                "fragmentation slack must be at least one server",
-            ));
-        }
-        if let Some(guard) = self.qos_guard {
-            if !(guard.violation_ratio.is_finite()
-                && guard.violation_ratio > 0.0
-                && guard.violation_ratio <= 1.0)
-            {
-                return Err(SimError::InvalidParameter(
-                    "qos guard violation ratio must lie in (0, 1]",
-                ));
-            }
-        }
-        if let Some(max) = self.adaptive_slack_max {
-            match self.repack_trigger.slack() {
-                None => {
-                    return Err(SimError::InvalidParameter(
-                        "adaptive slack requires a trigger with a fragmentation dimension",
-                    ))
-                }
-                Some(slack) if max < slack => {
-                    return Err(SimError::InvalidParameter(
-                        "adaptive slack bound must be at least the trigger's slack",
-                    ))
-                }
-                Some(_) => {}
-            }
-        }
-        if let Some(oc) = self.overcommit {
-            if self.qos_guard.is_none() {
-                return Err(SimError::InvalidParameter(
-                    "deliberate overcommit requires a qos guard as its reactive backstop",
-                ));
-            }
-            if !(oc.max_margin.is_finite() && oc.max_margin > 0.0 && oc.max_margin <= 1.0) {
-                return Err(SimError::InvalidParameter(
-                    "overcommit max margin must lie in (0, 1]",
-                ));
-            }
-            if !(oc.margin.is_finite() && oc.margin >= 0.0 && oc.margin <= oc.max_margin) {
-                return Err(SimError::InvalidParameter(
-                    "overcommit margin must lie in [0, max_margin]",
-                ));
-            }
-        }
-        if !(self.dynamic_headroom.is_finite() && self.dynamic_headroom >= 0.0) {
-            return Err(SimError::InvalidParameter("dynamic headroom must be >= 0"));
-        }
-        if !(self.default_demand.is_finite() && self.default_demand > 0.0) {
-            return Err(SimError::InvalidParameter("default demand must be > 0"));
-        }
-        if !(self.sample_dt_s.is_finite() && self.sample_dt_s > 0.0) {
-            return Err(SimError::InvalidParameter(
-                "sample interval must be finite and > 0",
-            ));
-        }
-        if self.max_deferred == 0 {
-            return Err(SimError::InvalidParameter(
-                "deferred-admission queue needs at least one slot",
-            ));
-        }
-        if let Policy::Proposed(config) = self.policy {
-            // Surface a bad tuning at session construction, not at the
-            // first period boundary (or, worse, silently at an
-            // incremental admit).
-            ProposedPolicy::new(config).map_err(SimError::Core)?;
-        }
-        if let Policy::Pcp {
-            envelope_percentile,
-            affinity_threshold,
-        } = self.policy
-        {
-            if !(0.0 < envelope_percentile && envelope_percentile < 100.0) {
-                return Err(SimError::InvalidParameter(
-                    "pcp envelope percentile must lie in (0, 100)",
-                ));
-            }
-            if !(0.0..=1.0).contains(&affinity_threshold) {
-                return Err(SimError::InvalidParameter(
-                    "pcp affinity threshold must lie in [0, 1]",
-                ));
-            }
-        }
-        if let Policy::SuperVm { min_pair_cost } = self.policy {
-            if !min_pair_cost.is_finite() {
-                return Err(SimError::InvalidParameter(
-                    "super-vm pair-cost threshold must be finite",
-                ));
-            }
-        }
-        if let DvfsMode::Dynamic { interval_samples } = self.dvfs_mode {
-            if interval_samples == 0 {
-                return Err(SimError::InvalidParameter(
-                    "dynamic interval must be >= 1 sample",
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// What the registry remembers of an id — all that
@@ -2478,6 +2154,7 @@ fn admit_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cavm_trace::Reference;
 
     /// Regression for the decay-streak bug: a zero-migration re-pack
     /// carries no cost signal, so it must leave an in-progress miss

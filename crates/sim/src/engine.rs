@@ -15,7 +15,9 @@
 //! [`Lifecycle`]: cavm_workload::lifecycle::Lifecycle
 
 use crate::config::Scenario;
-use crate::controller::{MetricSink, ReportSink, VmEvent};
+#[cfg(doc)]
+use crate::config::ScenarioBuilder;
+use crate::controller::{DatacenterController, MetricSink, ReportSink, VmEvent};
 use crate::report::SimReport;
 use crate::service::ScheduleLowering;
 use crate::SimError;
@@ -24,6 +26,21 @@ use cavm_workload::lifecycle::LifecycleEntry;
 use std::collections::BTreeSet;
 
 impl Scenario {
+    /// Opens an online [`DatacenterController`] with this scenario's
+    /// knobs (fleet, policy, DVFS mode, period, reference, defaults).
+    /// [`Scenario::run`] is exactly this controller driven by the
+    /// scenario's lifecycle (or the all-at-t0 default).
+    ///
+    /// # Errors
+    ///
+    /// None in practice: [`ScenarioBuilder::build`] ran the
+    /// controller's own validation on this very config, so a
+    /// `Scenario` that exists can always open its controller. The
+    /// `Result` is [`DatacenterController::new`]'s.
+    pub fn controller(&self) -> crate::Result<DatacenterController> {
+        DatacenterController::new(self.config.clone())
+    }
+
     /// Runs the scenario to completion. Deterministic: identical
     /// scenarios produce identical reports.
     ///

@@ -4,7 +4,9 @@
 //! the fragmentation slack and the deliberate-overcommit margin.
 
 #[cfg(doc)]
-use crate::controller::{ControllerConfig, RepackEvent, RepackReason};
+use crate::config::ControllerConfig;
+#[cfg(doc)]
+use crate::event::{RepackEvent, RepackReason};
 #[cfg(doc)]
 use cavm_core::alloc::Placement;
 use serde::{Deserialize, Serialize};

@@ -131,6 +131,7 @@ pub mod config;
 pub mod controller;
 mod engine;
 mod error;
+mod event;
 mod feedback;
 pub mod report;
 pub mod service;

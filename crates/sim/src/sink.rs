@@ -63,8 +63,8 @@
 
 #[cfg(doc)]
 use crate::controller::{DatacenterController, QosGuard, RepackTrigger, VmEvent};
-use crate::controller::{RepackEvent, RepackReason, ViolationEvent};
 use crate::error::SimError;
+use crate::event::{RepackEvent, RepackReason, ViolationEvent};
 use crate::report::{PeriodRecord, SimReport};
 use std::collections::VecDeque;
 use std::fmt;
@@ -743,7 +743,6 @@ impl<S: MetricSink + Send + 'static> Delivery for Threaded<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::RepackReason;
 
     /// Records the call order and the summary it received.
     #[derive(Default)]
