@@ -39,7 +39,6 @@
 //!
 //! # Parallel ticks
 //!
-//! With the `parallel` feature (default on),
 //! [`CostMatrix::par_push_sample`], [`CostMatrix::par_push_columns`]
 //! and [`CostMatrix::fill`] can split the triangle into
 //! near-equal-pair row chunks and update them on scoped `std::thread`s.
@@ -104,7 +103,6 @@ fn pair_index(n: usize, i: usize, j: usize) -> usize {
 }
 
 /// Offset of row `i`'s first pair `(i, i+1)` in the triangle.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 #[inline]
 fn row_offset(n: usize, i: usize) -> usize {
     i * (2 * n - i - 1) / 2
@@ -113,7 +111,6 @@ fn row_offset(n: usize, i: usize) -> usize {
 /// Splits rows `0..n-1` into at most `threads` contiguous chunks of
 /// near-equal *pair* count. Returns `(row_start, row_end)` half-open
 /// ranges; empty when `n < 2`.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 fn row_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let pairs = n * (n - 1) / 2;
     if pairs == 0 {
@@ -702,10 +699,7 @@ impl CostMatrix {
             })
             .collect()
     }
-}
 
-#[cfg(feature = "parallel")]
-impl CostMatrix {
     /// [`Self::push_sample`] with the triangle update fanned out over
     /// all available cores once the matrix is large enough for one
     /// tick to repay the thread spawn (see the [module docs](self));
@@ -779,12 +773,6 @@ fn common_len(lens: impl IntoIterator<Item = usize>) -> crate::Result<usize> {
     }
 }
 
-#[cfg(not(feature = "parallel"))]
-fn default_threads() -> usize {
-    1
-}
-
-#[cfg(feature = "parallel")]
 fn default_threads() -> usize {
     // `available_parallelism` is a syscall; resolve it once, not on
     // every monitoring tick.
@@ -835,18 +823,16 @@ fn threads_for(work: usize) -> usize {
 }
 
 /// Runs `kernel(row_start, row_end, sub_plane)` over the whole triangle
-/// `plane` of a `rows`-row matrix: in one call, or — under the
-/// `parallel` feature, when `threads` splits the rows into more than
-/// one chunk — one scoped thread per near-equal-pair row chunk. Each
-/// pair belongs to exactly one chunk, so the result does not depend on
-/// `threads`.
+/// `plane` of a `rows`-row matrix: in one call, or — when `threads`
+/// splits the rows into more than one chunk — one scoped thread per
+/// near-equal-pair row chunk. Each pair belongs to exactly one chunk,
+/// so the result does not depend on `threads`.
 fn over_row_chunks<T: Send>(
     rows: usize,
     threads: usize,
     plane: &mut [T],
     kernel: impl Fn(usize, usize, &mut [T]) + Sync,
 ) {
-    #[cfg(feature = "parallel")]
     if threads > 1 {
         let chunks = row_chunks(rows, threads);
         if chunks.len() > 1 {
@@ -859,14 +845,11 @@ fn over_row_chunks<T: Send>(
             return;
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
     kernel(0, rows.saturating_sub(1), plane);
 }
 
 /// Splits a triangle plane into the per-chunk mutable row slices
 /// described by `chunks`.
-#[cfg(feature = "parallel")]
 fn chunked_rows<'a, T>(
     n: usize,
     chunks: &'a [(usize, usize)],
@@ -1215,9 +1198,6 @@ mod tests {
         assert_eq!(threads_for(SERIAL_WORK_MAX), 1);
         assert_eq!(threads_for(SERIAL_WORK_MAX + 1), default_threads());
         assert_eq!(threads_for(usize::MAX), default_threads());
-        // Without the feature there is nothing to fan out over.
-        #[cfg(not(feature = "parallel"))]
-        assert_eq!(default_threads(), 1);
 
         // Rows × samples either side of the line, P² updates weighted.
         let p95 = Reference::Percentile(95.0);
@@ -1244,7 +1224,6 @@ mod tests {
         assert_eq!(wide.fan_out(usize::MAX), default_threads());
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_tick_is_bit_identical() {
         let mut rng = cavm_trace::SimRng::new(5);

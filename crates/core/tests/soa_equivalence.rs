@@ -73,7 +73,6 @@ proptest! {
 
     /// Serial ticks, parallel ticks and batch column replay all land on
     /// the same bits.
-    #[cfg(feature = "parallel")]
     #[test]
     fn tick_paths_are_interchangeable(samples in fleet(5, 30)) {
         for reference in both_references() {
@@ -483,7 +482,6 @@ fn keyed_fill_rejects_malformed_occupancy() {
 /// the default-thread entry points stay on the calling thread (2¹⁷
 /// Peak pair updates, a P² update weighing 32): whichever side a shape
 /// falls on, the answer is the explicit 1-thread and N-thread one.
-#[cfg(feature = "parallel")]
 const STRADDLING_SHAPES: [(usize, usize, Reference); 6] = [
     (16, 720, Reference::Peak),
     (47, 120, Reference::Peak),
@@ -493,7 +491,6 @@ const STRADDLING_SHAPES: [(usize, usize, Reference); 6] = [
     (8, 150, Reference::Percentile(95.0)),
 ];
 
-#[cfg(feature = "parallel")]
 proptest! {
     /// `fill` and `par_push_columns` choose their own fan-out; the
     /// choice never shows in a single bit of a single pair.
