@@ -10,8 +10,8 @@
 //!
 //! * the equivalence property tests pin the optimized kernel to this
 //!   implementation bit-for-bit, and
-//! * the `matrix_tick` benches and `exp_perf_corr` binary measure the
-//!   speedup against it (the checked-in baseline in `BENCH_corr.json`).
+//! * the `matrix_tick` criterion bench measures the speedup against
+//!   it.
 //!
 //! Do not grow this module; new functionality belongs in
 //! [`crate::corr::matrix`].
