@@ -6,11 +6,12 @@
 //!
 //! 1. **A churn day across N sessions** (default 64 sessions of 12 VMs
 //!    over 24h, cycling all five policies, guarded schedule on even
-//!    sessions): the interleaved schedule is replayed once on 1 worker
-//!    and once on the configured pool, the wall times of both are
-//!    recorded, and the run *asserts* the two `ServiceReport`s are
-//!    identical — the determinism contract, kept honest on every
-//!    regeneration.
+//!    sessions): the interleaved schedule is replayed on 1 worker and
+//!    on the configured pool, alternating, three times each; the
+//!    median wall time of either is recorded (a single replay apiece
+//!    measured which one ran first), and the run *asserts* the two
+//!    `ServiceReport`s are identical — the determinism contract, kept
+//!    honest on every regeneration.
 //! 2. **A what-if probe** — session 0 is replayed to mid-day, forked,
 //!    and asked "what would an off-cycle re-pack free right now?";
 //!    the delta (servers freed, migrations, energy estimate) lands in
@@ -47,16 +48,24 @@ use std::time::Instant;
 
 const PAR_SIZES: [usize; 2] = [1024, 4096];
 
+/// Timed replays of the day per worker count.
+const REPLAYS: usize = 3;
+
 /// Median ns of `reps` timed invocations of `f` (after one warm-up).
 fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
+    median(
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     times[times.len() / 2]
 }
@@ -199,22 +208,32 @@ fn main() {
     let narrow = SessionHost::new(day.configs.clone(), 1).expect("valid host");
     let wide = SessionHost::new(day.configs.clone(), workers).expect("valid host");
 
-    eprintln!("replaying on 1 worker ...");
-    let started = Instant::now();
-    let single = narrow.run(day.schedule.clone()).expect("single-worker run");
-    let single_wall_s = started.elapsed().as_secs_f64();
-    eprintln!("  {single_wall_s:.1}s");
-
-    eprintln!("replaying on {workers} workers (cores: {cores}) ...");
-    let started = Instant::now();
-    let multi = wide.run(day.schedule.clone()).expect("multi-worker run");
-    let multi_wall_s = started.elapsed().as_secs_f64();
-    eprintln!("  {multi_wall_s:.1}s");
+    // Whichever replay goes first pays for the cold caches and the
+    // first page faults, so the two alternate and each reports the
+    // median of its three walls.
+    eprintln!(
+        "replaying on 1 and on {workers} workers (cores: {cores}), {REPLAYS}x alternating ..."
+    );
+    let timed = |host: &SessionHost| {
+        let schedule = day.schedule.clone();
+        let started = Instant::now();
+        let report = host.run(schedule).expect("hosted run");
+        (started.elapsed().as_secs_f64(), report)
+    };
+    let replays: Vec<_> = (0..REPLAYS)
+        .map(|_| (timed(&narrow), timed(&wide)))
+        .collect();
+    let single_wall_s = median(replays.iter().map(|(single, _)| single.0).collect());
+    let multi_wall_s = median(replays.iter().map(|(_, multi)| multi.0).collect());
+    eprintln!("  1 worker {single_wall_s:.3}s, {workers} workers {multi_wall_s:.3}s (medians)");
 
     // The determinism contract, enforced on every regeneration: the
     // worker pool must change wall time only, never a single bit of
     // any report.
-    assert_eq!(single, multi, "1-worker and {workers}-worker runs diverged");
+    for ((_, single), (_, multi)) in &replays {
+        assert_eq!(single, multi, "1-worker and {workers}-worker runs diverged");
+    }
+    let (_, (_, multi)) = &replays[0];
     let merged = &multi.merged;
     eprintln!(
         "  merged: {:.3e} J, worst violation {:.2}%, {} admissions, {} off-cycle re-packs",

@@ -296,3 +296,113 @@ proptest! {
         prop_assert_eq!(a.server_count(), b.server_count());
     }
 }
+
+use cavm_core::alloc::OpenServer;
+use cavm_core::servercost::ServerCostAggregate;
+
+/// Margin-free [`OpenServer`] views over `aggs`, classes cycling;
+/// `hosts[s]` gives server `s` its health and drain horizon.
+fn open_servers<'a>(
+    aggs: &'a [ServerCostAggregate],
+    hosts: &[(usize, bool, usize)],
+    fleet: &ServerFleet,
+) -> Vec<OpenServer<'a>> {
+    aggs.iter()
+        .zip(hosts)
+        .enumerate()
+        .map(|(s, (agg, &(_, healthy, drain)))| {
+            let class = s % fleet.len();
+            OpenServer {
+                class,
+                cores: fleet.classes()[class].cores(),
+                watts_per_core: fleet.classes()[class].busy_watts_per_core(),
+                drain_samples: (drain % 3 != 0).then_some(drain),
+                agg,
+                healthy,
+                overcommit_margin: 0.0,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    /// BFD, FFD and PCP never read a pair cost. Batch placement —
+    /// `place`, and `place_with_margins` at zero margins — and
+    /// single-VM admission (`place_one`, margin 0) decide the same
+    /// against the matrix a matrix-blind controller session keeps (no
+    /// row, no sample, the id bound advanced over every id) as against
+    /// a filled one, with each side's open-server aggregates built
+    /// against its own matrix. This is the licence for such a session
+    /// to skip `CostMatrix::fill` at its period close.
+    #[test]
+    fn matrix_blind_policies_ignore_the_matrix(
+        demands in prop::collection::vec(0.05f64..6.0, 2..20),
+        labels in prop::collection::vec(0usize..3, 20),
+        class_cores in prop::collection::vec(3.0f64..20.0, 1..4),
+        window in prop::collection::vec(prop::collection::vec(0.0f64..8.0, 1..30), 20),
+        hosts in prop::collection::vec((0usize..6, any::<bool>(), 0usize..400), 20),
+        lease in 0usize..400,
+    ) {
+        let n = demands.len();
+        let vms: Vec<VmDescriptor> = demands
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| VmDescriptor::new(i, d).with_off_peak(d * 0.8))
+            .collect();
+        let mut blind = CostMatrix::keyed(0, Reference::Peak).unwrap();
+        blind.extend_ids(n);
+        let samples = window.iter().map(Vec::len).min().unwrap();
+        let windows: Vec<&[f64]> = window[..n].iter().map(|w| &w[..samples]).collect();
+        let occupants: Vec<Option<usize>> = (0..n).map(Some).collect();
+        let mut filled = CostMatrix::keyed(n, Reference::Peak).unwrap();
+        filled.fill(&occupants, n, &windows).unwrap();
+        prop_assert!(blind.samples() == 0 && filled.samples() > 0);
+
+        let classes: Vec<ServerClass> = class_cores
+            .iter()
+            .enumerate()
+            .map(|(i, &cores)| {
+                let model = LinearPowerModel::xeon_e5410()
+                    .scaled(1.0 + i as f64 * 0.3)
+                    .unwrap();
+                ServerClass::new(&format!("class{i}"), 4 * n, cores, model).unwrap()
+            })
+            .collect();
+        let fleet = ServerFleet::new(classes).unwrap();
+        let pcp = PcpPolicy::from_labels(labels[..n].to_vec()).unwrap();
+        let policies: [&dyn AllocationPolicy; 3] = [&BfdPolicy, &FfdPolicy, &pcp];
+        let margins = vec![0.0; fleet.len()];
+
+        // The live view: every VM but the last sits on one of up to six
+        // open servers; the last one arrives.
+        let (arriving, placed) = vms.split_last().unwrap();
+        let views_over = |matrix: &CostMatrix| -> Vec<ServerCostAggregate> {
+            let mut aggs = vec![ServerCostAggregate::new(); 6];
+            for (vm, &(host, _, _)) in placed.iter().zip(&hosts) {
+                aggs[host].push(vm.id, vm.demand, matrix);
+            }
+            aggs
+        };
+        let (blind_aggs, filled_aggs) = (views_over(&blind), views_over(&filled));
+        let lease = (lease % 4 != 0).then_some(lease);
+
+        for policy in policies {
+            let name = policy.name();
+            prop_assert_eq!(
+                policy.place(&vms, &blind, &fleet).unwrap(),
+                policy.place(&vms, &filled, &fleet).unwrap(),
+                "{}: place", name
+            );
+            prop_assert_eq!(
+                policy.place_with_margins(&vms, &blind, &fleet, &margins).unwrap(),
+                policy.place_with_margins(&vms, &filled, &fleet, &margins).unwrap(),
+                "{}: place_with_margins", name
+            );
+            prop_assert_eq!(
+                policy.place_one(arriving, lease, &open_servers(&blind_aggs, &hosts, &fleet), &blind),
+                policy.place_one(arriving, lease, &open_servers(&filled_aggs, &hosts, &fleet), &filled),
+                "{}: place_one", name
+            );
+        }
+    }
+}

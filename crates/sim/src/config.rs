@@ -127,6 +127,18 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
+    /// Whether anything in this session reads a pair cost out of the
+    /// period `M_cost`: the proposed policy (the Eqn 2/3 candidate
+    /// scans and the Eqn 4 frequency), SuperVM's joint sizing, and —
+    /// under any policy — the correlation-gap margin of deliberate
+    /// overcommit. BFD, FFD and PCP without overcommit pack by demand
+    /// and envelopes alone, so their sessions skip the fill at the
+    /// period close and keep the empty, all-neutral matrix.
+    pub(crate) fn reads_pair_costs(&self) -> bool {
+        matches!(self.policy, Policy::Proposed(_) | Policy::SuperVm { .. })
+            || self.overcommit.is_some()
+    }
+
     /// The one owner of every knob rule: [`DatacenterController::new`]
     /// and [`ScenarioBuilder::build`](crate::ScenarioBuilder::build)
     /// both call it, so neither accepts what the other rejects.
@@ -691,6 +703,43 @@ mod tests {
             affinity_threshold: 0.2
         }
         .correlation_aware_frequency());
+    }
+
+    #[test]
+    fn who_reads_the_pair_costs() {
+        let pcp = Policy::Pcp {
+            envelope_percentile: 90.0,
+            affinity_threshold: 0.2,
+        };
+        let super_vm = Policy::SuperVm {
+            min_pair_cost: 1.25,
+        };
+        let proposed = Policy::Proposed(Default::default());
+        for (policy, plain) in [
+            (Policy::Bfd, false),
+            (Policy::Ffd, false),
+            (pcp, false),
+            (super_vm, true),
+            (proposed, true),
+        ] {
+            let guarded = ScenarioBuilder::new(fleet())
+                .policy(policy)
+                .qos_guard(QosGuard {
+                    violation_ratio: 0.05,
+                });
+            let name = policy.name();
+            assert_eq!(
+                guarded.clone().build().unwrap().config().reads_pair_costs(),
+                plain,
+                "{name} without overcommit"
+            );
+            // The correlation-gap margin reads Eqn (2) under any policy.
+            let overcommitted = guarded.overcommit(0.1, 0.25).build().unwrap();
+            assert!(
+                overcommitted.config().reads_pair_costs(),
+                "{name} with overcommit"
+            );
+        }
     }
 
     #[test]

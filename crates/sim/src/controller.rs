@@ -1219,6 +1219,9 @@ impl DatacenterController {
         let placement = policy
             .place_with_margins(vms, matrix, &self.cfg.server_fleet, &self.batch_margins())
             .map_err(map_core)?;
+        #[cfg(debug_assertions)]
+        self.oracle
+            .check_blind_pass(policy.as_ref(), vms, &self.cfg, &placement);
         Ok((placement, pcp_clusters))
     }
 
@@ -1790,21 +1793,25 @@ impl DatacenterController {
         }
 
         // ---- Window replay into the next period's matrix, keyed by
-        // the row table as it stands. The planes are re-used while the
-        // row count holds; when it grew, the old matrix goes before
-        // its successor is allocated.
+        // the row table as it stands — in a session that will read a
+        // pair cost out of it; a matrix-blind one keeps the empty
+        // matrix `extend_matrix` made. The planes are re-used while
+        // the row count holds; when it grew, the old matrix goes
+        // before its successor is allocated.
         if !self.rows.is_empty() {
-            let occupants: Vec<Option<usize>> = self.rows.iter().map(Row::id).collect();
-            let windows: Vec<&[f64]> = self.rows.iter().map(|r| r.window.as_slice()).collect();
-            let rows = self.rows.len();
-            let mut matrix = match self.matrix.take().filter(|m| m.rows() == rows) {
-                Some(matrix) => matrix,
-                None => CostMatrix::keyed(rows, self.cfg.reference).map_err(SimError::Core)?,
-            };
-            matrix
-                .fill(&occupants, self.ids.len(), &windows)
-                .map_err(SimError::Core)?;
-            self.matrix = Some(matrix);
+            if self.cfg.reads_pair_costs() {
+                let occupants: Vec<Option<usize>> = self.rows.iter().map(Row::id).collect();
+                let windows: Vec<&[f64]> = self.rows.iter().map(|r| r.window.as_slice()).collect();
+                let rows = self.rows.len();
+                let mut matrix = match self.matrix.take().filter(|m| m.rows() == rows) {
+                    Some(matrix) => matrix,
+                    None => CostMatrix::keyed(rows, self.cfg.reference).map_err(SimError::Core)?,
+                };
+                matrix
+                    .fill(&occupants, self.ids.len(), &windows)
+                    .map_err(SimError::Core)?;
+                self.matrix = Some(matrix);
+            }
             if matches!(self.cfg.policy, Policy::Pcp { .. }) {
                 let mut kept = Vec::new();
                 for row in &self.rows {
@@ -2269,6 +2276,41 @@ mod tests {
         };
         assert_eq!(samples(&ctl), samples(&ctl.fork()));
         assert_eq!(samples(&ctl), samples(&ctl.snapshot()));
+    }
+
+    /// A session whose policy reads no pair cost never calls
+    /// `CostMatrix::fill`: periods close over occupied rows and the
+    /// matrix still holds no sample. The proposed policy, driven the
+    /// same way, has replayed its last window.
+    #[test]
+    fn blind_sessions_never_fill_the_period_matrix() {
+        let pcp = Policy::Pcp {
+            envelope_percentile: 90.0,
+            affinity_threshold: 0.2,
+        };
+        for (policy, fills) in [
+            (Policy::Bfd, false),
+            (Policy::Ffd, false),
+            (pcp, false),
+            (Policy::Proposed(Default::default()), true),
+        ] {
+            let mut cfg = config_with(None, None);
+            cfg.policy = policy;
+            let mut ctl = DatacenterController::new(cfg).unwrap();
+            for id in 0..3 {
+                let trace = TimeSeries::constant(5.0, 64, 1.0 + id as f64).unwrap();
+                ctl.arrive(id, trace, None, &mut NullSink).unwrap();
+            }
+            // Two closes of the 16-sample period, then mid-period.
+            for _ in 0..40 {
+                ctl.tick(&mut NullSink).unwrap();
+            }
+            assert_eq!(ctl.period_rows(), 3);
+            let matrix = ctl.matrix.as_ref().expect("placed sessions have one");
+            assert_eq!(matrix.len(), 3, "{}: id bound", policy.name());
+            let expected = if fills { 16 } else { 0 };
+            assert_eq!(matrix.samples(), expected, "{}", policy.name());
+        }
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! again, zero-padded, whenever ids were registered since — and
 //! asserts at every boundary that the two agree bit for bit on every
 //! pair of live ids, on every server's Eqn (2) aggregate, and on the
-//! windows PCP clusters. It exists only under `debug_assertions`, so
-//! every debug-build test that drives a controller runs the
-//! comparison; release builds carry none of it.
+//! windows PCP clusters. A matrix-blind session
+//! ([`ControllerConfig::reads_pair_costs`] is false) never fills its
+//! matrix, so there the dense one is replayed all the same and the
+//! assertion is the one that lets the fill go: every batch pass,
+//! re-run against the dense matrix, packs the same [`Placement`]. It
+//! exists only under `debug_assertions`, so every debug-build test
+//! that drives a controller runs the comparison; release builds carry
+//! none of it.
 
 use super::{ControllerConfig, DatacenterController, IdState};
+use cavm_core::alloc::{AllocationPolicy, Placement, VmDescriptor};
 use cavm_core::corr::CostMatrix;
 use cavm_core::servercost::ServerCostAggregate;
 use cavm_trace::TimeSeries;
@@ -121,8 +127,12 @@ impl Oracle {
     /// Asserts the session's matrix agrees on every pair of live ids
     /// and — when `servers`, i.e. at an instant the aggregates were
     /// just rebuilt against the current matrix — on every server's
-    /// aggregate.
+    /// aggregate. A matrix-blind session has no pair to compare: its
+    /// passes answer to [`Oracle::check_blind_pass`] instead.
     pub(super) fn check(&self, ctl: &DatacenterController, servers: bool) {
+        if !ctl.cfg.reads_pair_costs() {
+            return;
+        }
         let (dense, keyed) = match (&self.matrix, &ctl.matrix) {
             (None, None) => return,
             (Some(dense), Some(keyed)) => (dense, keyed),
@@ -162,6 +172,36 @@ impl Oracle {
                 ctl.clock,
             );
         }
+    }
+
+    /// Asserts that the batch pass a matrix-blind session just ran
+    /// against its empty matrix packs the same placement against the
+    /// dense one — i.e. that skipping the fill changed nothing. (Such
+    /// a session has no overcommit, so its margins are all zero and
+    /// the pass is the policy's plain `place`.)
+    pub(super) fn check_blind_pass(
+        &self,
+        policy: &dyn AllocationPolicy,
+        vms: &[VmDescriptor],
+        cfg: &ControllerConfig,
+        got: &Placement,
+    ) {
+        if cfg.reads_pair_costs() {
+            return;
+        }
+        let dense = self
+            .matrix
+            .as_ref()
+            .expect("refreshed before every batch pass");
+        let want = policy
+            .place(vms, dense, &cfg.server_fleet)
+            .expect("the session's own pass succeeded");
+        assert_eq!(
+            got,
+            &want,
+            "{} read the matrix it was declared blind to",
+            policy.name()
+        );
     }
 
     /// Asserts the id-indexed envelope windows PCP is about to cluster

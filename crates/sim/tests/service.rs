@@ -366,3 +366,169 @@ fn lopsided_schedule_equals_the_solo_replays() {
         assert_eq!(report.merged.sessions, 4);
     }
 }
+
+fn solo_replay(
+    config: &cavm_sim::ControllerConfig,
+    events: &[cavm_sim::VmEvent],
+) -> cavm_sim::SimReport {
+    let mut controller = cavm_sim::DatacenterController::new(config.clone()).unwrap();
+    for event in events {
+        controller.apply(event.clone(), &mut NullSink).unwrap();
+    }
+    controller.finish(&mut NullSink).unwrap();
+    controller.report()
+}
+
+/// Puts `event` right behind the `tick`-th `Tick` of `events`.
+fn insert_after_tick(events: &mut Vec<cavm_sim::VmEvent>, tick: usize, event: cavm_sim::VmEvent) {
+    let at = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| matches!(e, cavm_sim::VmEvent::Tick))
+        .nth(tick)
+        .expect("the stream has that many ticks")
+        .0;
+    events.insert(at + 1, event);
+}
+
+/// The host stores a run of consecutive ticks as one counter. Every
+/// shape that run-length form has to get right — a session with no
+/// event, one with nothing but ticks, non-tick events back to back
+/// (first thing in the stream, and last, behind the final tick), a
+/// fault pair splitting a run, one session owning most of the
+/// schedule — replays exactly as `DatacenterController::apply` over
+/// the session's own stream does, on 1, 3 and 8 workers.
+#[test]
+fn tick_runs_equal_the_solo_replays() {
+    use cavm_sim::VmEvent;
+    let policies = five_policies();
+    let mut configs = Vec::new();
+    let mut streams = Vec::new();
+    for (s, hours) in [(0u64, 2.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 8.0)] {
+        let traces = fleet(5, hours, 70 + s);
+        let horizon = traces.vms()[0].fine.len();
+        // Session 3 starts full, so server 0 exists when it is failed.
+        let lifecycle = if s == 3 {
+            Lifecycle::all_at_start(5, horizon).unwrap()
+        } else {
+            churn(5, horizon, 1070 + s)
+        };
+        let scenario = scenario(
+            traces.clone(),
+            policies[s as usize % 5],
+            s % 2 == 0,
+            lifecycle.clone(),
+        );
+        configs.push(scenario.controller_config());
+        streams.push(lifecycle_events(&traces, &lifecycle, scenario.period_samples()).unwrap());
+    }
+    // Session 0: hosted, never addressed. Session 1: ticks only.
+    streams[0].clear();
+    streams[1].retain(|e| matches!(e, VmEvent::Tick));
+    // Session 2: its arrivals move to the very front, back to back
+    // with no tick between, and a departure trails the last tick.
+    let (arrivals, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut streams[2])
+        .into_iter()
+        .filter(|e| !matches!(e, VmEvent::Depart { .. }))
+        .partition(|e| matches!(e, VmEvent::Arrive { .. }));
+    assert!(arrivals.len() >= 2 && matches!(rest.last(), Some(VmEvent::Tick)));
+    streams[2] = arrivals;
+    streams[2].extend(rest);
+    streams[2].push(VmEvent::Depart { id: 0 });
+    // Session 3: a fault pair inside what would be one tick run.
+    insert_after_tick(&mut streams[3], 100, VmEvent::ServerFail { server: 0 });
+    insert_after_tick(&mut streams[3], 130, VmEvent::ServerRecover { server: 0 });
+    let total: usize = streams.iter().map(Vec::len).sum();
+    assert!(
+        2 * streams[4].len() > total,
+        "session 4 owns most of the schedule"
+    );
+
+    let solo: Vec<_> = configs
+        .iter()
+        .zip(&streams)
+        .map(|(config, events)| solo_replay(config, events))
+        .collect();
+    assert!(solo[0].periods.is_empty());
+    assert_eq!(solo[1].periods.len(), 2);
+    assert_eq!(solo[3].server_failures, 1);
+
+    let schedule = interleave(&streams);
+    for workers in [1, 3, 8] {
+        let host = SessionHost::new(configs.clone(), workers).unwrap();
+        let report = host.run(schedule.clone()).unwrap();
+        assert_eq!(report.sessions, solo, "{workers} worker(s)");
+    }
+}
+
+/// `run` reads its schedule once, so it takes any iterator: a lazy
+/// filter and a generator closure give the report of the same entries
+/// collected into a `Vec` first.
+#[test]
+fn lazy_schedules_give_the_report_of_the_vec() {
+    let (configs, schedule) = service_schedule(4, 5, 2.0, 77);
+    let host = SessionHost::new(configs, 2).unwrap();
+    // Session 1 is filtered out of the stream: it still reports (an
+    // empty session), and nobody had to materialise the rest.
+    let eager: Vec<_> = schedule
+        .iter()
+        .filter(|entry| entry.session != 1)
+        .cloned()
+        .collect();
+    let from_vec = host.run(eager).unwrap();
+    assert!(from_vec.sessions[1].periods.is_empty());
+    assert!(!from_vec.sessions[0].periods.is_empty());
+
+    let filtered = host
+        .run(
+            schedule
+                .clone()
+                .into_iter()
+                .filter(|entry| entry.session != 1),
+        )
+        .unwrap();
+    assert_eq!(filtered, from_vec);
+
+    let mut source = schedule.into_iter();
+    let generated = host
+        .run(std::iter::from_fn(move || {
+            source.by_ref().find(|entry| entry.session != 1)
+        }))
+        .unwrap();
+    assert_eq!(generated, from_vec);
+}
+
+/// One pass, same contract: an unknown session id is reported before
+/// any session runs even when it is the *last* entry of a schedule
+/// whose earlier entries would have failed a session.
+#[test]
+fn unknown_session_at_the_end_still_wins_over_a_session_error() {
+    use cavm_sim::{SessionEvent, SimError, VmEvent};
+    let traces = fleet(3, 2.0, 5);
+    let scenario = ScenarioBuilder::new(traces).servers(4).build().unwrap();
+    let host = SessionHost::new(vec![scenario.controller_config(); 2], 2).unwrap();
+    let mut schedule = vec![SessionEvent {
+        session: 0,
+        event: VmEvent::Depart { id: 7 },
+    }];
+    schedule.extend((0..10).map(|k| SessionEvent {
+        session: k % 2,
+        event: VmEvent::Tick,
+    }));
+    assert_eq!(
+        host.run(schedule.clone()).unwrap_err(),
+        SimError::UnknownVm { id: 7 },
+        "on its own the schedule fails session 0"
+    );
+    schedule.push(SessionEvent {
+        session: 5,
+        event: VmEvent::Tick,
+    });
+    assert_eq!(
+        host.run(schedule).unwrap_err(),
+        SimError::UnknownSession {
+            session: 5,
+            sessions: 2
+        }
+    );
+}

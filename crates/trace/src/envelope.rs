@@ -10,6 +10,12 @@
 //!
 //! [`Envelope`] materializes that binary sequence and offers the overlap
 //! metrics the clustering step needs.
+//!
+//! **Layout.** The sequence is packed 64 samples to a `u64` word, with
+//! the active count cached beside it: PCP compares every pair of a
+//! period's envelopes at every re-pack, and on packed words an overlap
+//! is `popcount(a & b)` over 12 words for a 720-sample period, where
+//! one `bool` per sample took three passes over 720 bytes.
 
 use crate::{Reference, TimeSeries, TraceError};
 use serde::{Deserialize, Serialize};
@@ -31,7 +37,14 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Envelope {
-    bits: Vec<bool>,
+    /// Sample `k` is bit `k % 64` of `words[k / 64]`. The bits of the
+    /// last word past `len` are zero, so they never count and derived
+    /// equality is equality of the sequences.
+    words: Vec<u64>,
+    /// Number of samples covered.
+    len: usize,
+    /// Cached popcount of `words`: every overlap metric divides by it.
+    active: usize,
 }
 
 impl Envelope {
@@ -54,42 +67,49 @@ impl Envelope {
     /// Builds an envelope by thresholding at an absolute utilization
     /// value.
     pub fn from_threshold(series: &TimeSeries, threshold: f64) -> Self {
-        Self {
-            bits: series.values().iter().map(|&v| v >= threshold).collect(),
-        }
+        Self::pack(series.values().iter().map(|&v| v >= threshold))
     }
 
     /// Builds an envelope from raw bits.
     pub fn from_bits(bits: Vec<bool>) -> Self {
-        Self { bits }
+        Self::pack(bits.into_iter())
+    }
+
+    /// Packs the bits, 64 to a word.
+    fn pack(bits: impl ExactSizeIterator<Item = bool>) -> Self {
+        let len = bits.len();
+        let mut words = vec![0u64; len.div_ceil(64)];
+        let mut active = 0;
+        for (k, bit) in bits.enumerate() {
+            if bit {
+                words[k / 64] |= 1 << (k % 64);
+                active += 1;
+            }
+        }
+        Self { words, len, active }
     }
 
     /// Number of samples covered.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// `true` when the envelope covers no samples.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Borrow the raw bits.
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
+        self.len == 0
     }
 
     /// Number of active ('1') samples.
     pub fn active_count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.active
     }
 
     /// Fraction of active samples, 0.0 for an empty envelope.
     pub fn active_fraction(&self) -> f64 {
-        if self.bits.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.active_count() as f64 / self.bits.len() as f64
+            self.active as f64 / self.len as f64
         }
     }
 
@@ -106,11 +126,11 @@ impl Envelope {
             });
         }
         Ok(self
-            .bits
+            .words
             .iter()
-            .zip(&other.bits)
-            .filter(|&(&a, &b)| a && b)
-            .count())
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum())
     }
 
     /// Overlap normalized by the smaller active count: 1.0 means the
@@ -172,7 +192,7 @@ mod tests {
     fn threshold_envelope() {
         let t = series(&[0.1, 0.5, 0.9, 0.5, 0.1]);
         let e = Envelope::from_threshold(&t, 0.5);
-        assert_eq!(e.bits(), &[false, true, true, true, false]);
+        assert_eq!(e, Envelope::from_bits(vec![false, true, true, true, false]));
         assert_eq!(e.active_count(), 3);
         assert!((e.active_fraction() - 0.6).abs() < 1e-12);
     }
@@ -181,7 +201,7 @@ mod tests {
     fn reference_envelope_peak_marks_only_peaks() {
         let t = series(&[0.2, 0.8, 0.8, 0.1]);
         let e = Envelope::from_series(&t, Reference::Peak).unwrap();
-        assert_eq!(e.bits(), &[false, true, true, false]);
+        assert_eq!(e, Envelope::from_bits(vec![false, true, true, false]));
     }
 
     #[test]

@@ -235,3 +235,75 @@ proptest! {
         prop_assert_eq!(percentile(&window, p).unwrap(), percentile_by_sorting(&window, p));
     }
 }
+
+/// The overlap metrics as they read on one `bool` per sample — the
+/// formulas `Envelope` implemented before it packed its bits.
+fn bool_metrics(xs: &[bool], ys: &[bool]) -> (usize, usize, usize, f64, f64) {
+    let active_x = xs.iter().filter(|&&b| b).count();
+    let active_y = ys.iter().filter(|&&b| b).count();
+    let overlap = xs.iter().zip(ys).filter(|&(&a, &b)| a && b).count();
+    let smaller = active_x.min(active_y);
+    let containment = if smaller == 0 {
+        0.0
+    } else {
+        overlap as f64 / smaller as f64
+    };
+    let union = active_x + active_y - overlap;
+    let jaccard = if union == 0 {
+        0.0
+    } else {
+        overlap as f64 / union as f64
+    };
+    (active_x, active_y, overlap, containment, jaccard)
+}
+
+proptest! {
+    /// The packed envelope answers exactly what the `bool` sequence
+    /// does, at every length from 0 to 200 — each case also visits the
+    /// word boundaries (63, 64, 65, 127, 128) and an all-ones sequence,
+    /// where a tail bit of the last word that counted would show.
+    #[test]
+    fn packed_envelope_matches_the_bool_formulas(
+        bits in prop::collection::vec((any::<bool>(), any::<bool>()), 200),
+        len in 0usize..=200,
+    ) {
+        let (xs, ys): (Vec<bool>, Vec<bool>) = bits.into_iter().unzip();
+        for len in [len, 0, 1, 63, 64, 65, 127, 128] {
+            let (xs, ys) = (&xs[..len], &ys[..len]);
+            let a = Envelope::from_bits(xs.to_vec());
+            let b = Envelope::from_bits(ys.to_vec());
+            let (active_a, active_b, overlap, containment, jaccard) = bool_metrics(xs, ys);
+            prop_assert_eq!(a.len(), len);
+            prop_assert_eq!(a.is_empty(), len == 0);
+            prop_assert_eq!(a.active_count(), active_a, "len {}", len);
+            prop_assert_eq!(b.active_count(), active_b, "len {}", len);
+            prop_assert_eq!(a.overlap_count(&b).unwrap(), overlap, "len {}", len);
+            prop_assert_eq!(b.overlap_count(&a).unwrap(), overlap, "len {}", len);
+            prop_assert_eq!(a.containment(&b).unwrap(), containment, "len {}", len);
+            prop_assert_eq!(a.jaccard(&b).unwrap(), jaccard, "len {}", len);
+            prop_assert_eq!(a.is_disjoint(&b).unwrap(), overlap == 0, "len {}", len);
+            prop_assert_eq!(a == b, xs == ys, "len {}", len);
+
+            let ones = Envelope::from_bits(vec![true; len]);
+            prop_assert_eq!(ones.active_count(), len);
+            prop_assert_eq!(ones.overlap_count(&ones).unwrap(), len);
+            prop_assert_eq!(ones.overlap_count(&a).unwrap(), active_a, "len {}", len);
+        }
+    }
+
+    /// Thresholding packs the same sequence `from_bits` does.
+    #[test]
+    fn packed_envelope_from_threshold_is_from_bits(
+        values in prop::collection::vec(0.0f64..4.0, 0..200),
+        threshold in -0.5f64..4.5,
+    ) {
+        let series = TimeSeries::new(1.0, values.clone()).unwrap();
+        let want = Envelope::from_bits(values.iter().map(|&v| v >= threshold).collect());
+        prop_assert_eq!(Envelope::from_threshold(&series, threshold), want);
+        // A threshold that is itself a sample: `>=` keeps it active.
+        if let Some(&t) = values.first() {
+            let want = Envelope::from_bits(values.iter().map(|&v| v >= t).collect());
+            prop_assert_eq!(Envelope::from_threshold(&series, t), want);
+        }
+    }
+}
