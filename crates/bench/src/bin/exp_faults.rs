@@ -23,13 +23,10 @@
 //! ```
 //!
 //! Environment knobs (for CI smoke runs): `CAVM_FAULTS_VMS` (default
-//! 40), `CAVM_FAULTS_HOURS` (default 24), `CAVM_FAULTS_MTBFS`
-//! (comma-separated per-server MTBF hours to sweep, default
-//! `12,6,3`), `CAVM_FAULTS_MTTR_MIN` (mean repair minutes, default
-//! 20), `CAVM_FAULTS_QOS` (guard violation-ratio threshold, default
-//! 0.08), `CAVM_FAULTS_SLACK` (default 1), `CAVM_FAULTS_BOUND`
-//! (worst-period violation-percent ceiling asserted across the sweep,
-//! default 25).
+//! 40) and `CAVM_FAULTS_HOURS` (default 24). The sweep itself is fixed:
+//! per-server MTBFs of 12, 6 and 3 h, 20-minute mean repairs, the
+//! guarded hybrid schedule at slack 1 and guard ratio 0.08, and a 25%
+//! ceiling on the worst-period violation asserted across the sweep.
 
 use cavm_bench::env;
 use cavm_bench::sweep::{FaultCase, Schedule, SweepGrid, WorkloadCase};
@@ -42,6 +39,18 @@ use std::fmt::Write as _;
 
 /// Fine samples per hour (5 s sampling).
 const SAMPLES_PER_HOUR: f64 = 720.0;
+/// Per-server MTBFs swept, hours, harshest last.
+const MTBFS_HOURS: [f64; 3] = [12.0, 6.0, 3.0];
+/// Mean time to repair, minutes.
+const MTTR_MIN: f64 = 20.0;
+/// `Hybrid` fragmentation slack (servers).
+const SLACK: u32 = 1;
+/// `QosGuard` of the guarded schedule.
+const QOS_GUARD: QosGuard = QosGuard {
+    violation_ratio: 0.08,
+};
+/// Max tolerated worst-period violation, percent, at every fault rate.
+const VIOLATION_BOUND: f64 = 25.0;
 
 /// One row of the sweep: the plan's MTBF (`None` = fault-free
 /// baseline) and the resulting report.
@@ -54,13 +63,6 @@ struct Row {
 fn main() {
     let vms = env::parse_or("CAVM_FAULTS_VMS", 40);
     let hours = env::parse_or("CAVM_FAULTS_HOURS", 24.0);
-    let mtbfs = env::parse_list_or("CAVM_FAULTS_MTBFS", &[12.0, 6.0, 3.0]);
-    let mttr_min = env::parse_or("CAVM_FAULTS_MTTR_MIN", 20.0);
-    let slack = env::parse_or("CAVM_FAULTS_SLACK", 1) as u32;
-    let qos_guard = QosGuard {
-        violation_ratio: env::parse_or("CAVM_FAULTS_QOS", 0.08),
-    };
-    let violation_bound = env::parse_or("CAVM_FAULTS_BOUND", 25.0);
     let servers = vms.max(4);
 
     let fleet = DatacenterTraceBuilder::new((vms * 3).max(vms))
@@ -89,7 +91,7 @@ fn main() {
         .build()
         .expect("static lifecycle parameters are valid");
 
-    let schedule = Schedule::guarded_hybrid(slack, qos_guard, slack + 3);
+    let schedule = Schedule::guarded_hybrid(SLACK, QOS_GUARD, SLACK + 3);
     let grid = |faults: Vec<FaultCase>| {
         SweepGrid::over(vec![WorkloadCase::open(
             "departure-heavy",
@@ -112,12 +114,12 @@ fn main() {
                 band,
                 FaultModel {
                     mtbf_samples: mtbf_hours * SAMPLES_PER_HOUR,
-                    mttr_samples: mttr_min * SAMPLES_PER_HOUR / 60.0,
+                    mttr_samples: MTTR_MIN * SAMPLES_PER_HOUR / 60.0,
                     // A correlated whole-fleet outage about once per
                     // five mean server lifetimes, repaired in half the
                     // per-server time.
                     outage_mtbf_samples: Some(5.0 * mtbf_hours * SAMPLES_PER_HOUR),
-                    outage_mttr_samples: mttr_min * SAMPLES_PER_HOUR / 120.0,
+                    outage_mttr_samples: MTTR_MIN * SAMPLES_PER_HOUR / 120.0,
                 },
             )
             .build()
@@ -145,7 +147,7 @@ fn main() {
     // the baseline actually lives in.
     let fault_band = baseline.peak_servers_used().clamp(2, servers);
 
-    let plans: Vec<(f64, FaultPlan)> = mtbfs
+    let plans: Vec<(f64, FaultPlan)> = MTBFS_HOURS
         .iter()
         .map(|&mtbf| (mtbf, plan_for(mtbf, fault_band)))
         .collect();
@@ -169,9 +171,9 @@ fn main() {
     }
 
     println!(
-        "# Fault tolerance — proposed policy, guarded hybrid (slack {slack}, guard {:.0}%, adaptive ≤ {}), {} VMs over {hours} h on {servers} servers, faults on the {fault_band} hot slots, MTTR {mttr_min} min",
-        100.0 * qos_guard.violation_ratio,
-        slack + 3,
+        "# Fault tolerance — proposed policy, guarded hybrid (slack {SLACK}, guard {:.0}%, adaptive ≤ {}), {} VMs over {hours} h on {servers} servers, faults on the {fault_band} hot slots, MTTR {MTTR_MIN} min",
+        100.0 * QOS_GUARD.violation_ratio,
+        SLACK + 3,
         vms,
     );
     println!();
@@ -212,11 +214,11 @@ fn main() {
     for row in rows.iter().skip(1) {
         let r = &row.report;
         assert!(
-            r.max_violation_percent <= violation_bound,
+            r.max_violation_percent <= VIOLATION_BOUND,
             "mtbf {:?}: worst-period violations {}% exceed the {}% bound",
             row.mtbf_hours,
             r.max_violation_percent,
-            violation_bound,
+            VIOLATION_BOUND,
         );
     }
     let harshest = rows.last().expect("sweep has a baseline row");
@@ -232,7 +234,7 @@ fn main() {
         );
         println!();
         println!(
-            "(worst-period violations ≤ {violation_bound}% across the sweep; {} failures absorbed at the harshest point — asserted)",
+            "(worst-period violations ≤ {VIOLATION_BOUND}% across the sweep; {} failures absorbed at the harshest point — asserted)",
             harshest.report.server_failures
         );
     }
@@ -243,16 +245,16 @@ fn main() {
     let _ = writeln!(section, "    \"hours\": {hours},");
     let _ = writeln!(section, "    \"servers\": {servers},");
     let _ = writeln!(section, "    \"fault_band\": {fault_band},");
-    let _ = writeln!(section, "    \"mttr_minutes\": {mttr_min},");
-    let _ = writeln!(section, "    \"slack\": {slack},");
+    let _ = writeln!(section, "    \"mttr_minutes\": {MTTR_MIN},");
+    let _ = writeln!(section, "    \"slack\": {SLACK},");
     let _ = writeln!(
         section,
         "    \"qos_guard_ratio\": {},",
-        qos_guard.violation_ratio
+        QOS_GUARD.violation_ratio
     );
     let _ = writeln!(
         section,
-        "    \"violation_bound_percent\": {violation_bound},"
+        "    \"violation_bound_percent\": {VIOLATION_BOUND},"
     );
     section.push_str("    \"sweep\": [\n");
     for (i, row) in rows.iter().enumerate() {

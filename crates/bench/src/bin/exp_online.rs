@@ -26,14 +26,13 @@
 //!
 //! Environment knobs (for CI smoke runs): `CAVM_ONLINE_VMS` (default
 //! 40), `CAVM_ONLINE_HOURS` (default 24), `CAVM_ONLINE_TRIGGER`
-//! (`periodic` | `fragmentation` | `guarded` | `hybrid`; schedule of
-//! the main comparison, default `periodic`), `CAVM_ONLINE_SLACK`
-//! (default 1), `CAVM_ONLINE_QOS` (guard violation-ratio threshold,
-//! default 0.08), `CAVM_ONLINE_SLACK_MAX` (adaptive-slack upper bound
-//! of the `hybrid-adaptive` schedule, default slack + 3),
-//! `CAVM_ONLINE_OVERCOMMIT` (starting deliberate-overcommit margin of
-//! the `guarded-overcommit` schedule, default 0.25) and
+//! (`periodic` | `fragmentation` | `guarded` | `hybrid` |
+//! `hybrid-adaptive`; schedule of the main comparison, default
+//! `periodic`), `CAVM_ONLINE_OVERCOMMIT` (starting deliberate-overcommit
+//! margin of the `guarded-overcommit` schedule, default 0.25) and
 //! `CAVM_ONLINE_OVERCOMMIT_MAX` (its adaptive ceiling, default 0.35).
+//! The fragmentation slack (1 server), the guard's violation-ratio
+//! threshold (0.08) and the adaptive-slack bound (slack + 3) are fixed.
 
 use cavm_bench::env;
 use cavm_bench::sweep::{Schedule, SweepGrid, SweepRow, WorkloadCase};
@@ -42,6 +41,16 @@ use cavm_sim::{Policy, QosGuard};
 use cavm_workload::datacenter::DatacenterTraceBuilder;
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
+
+/// Fragmentation slack (servers) of every non-periodic schedule.
+const SLACK: u32 = 1;
+/// `QosGuard` of the `guarded` schedule: worst-per-server violation
+/// ratio threshold.
+const QOS_GUARD: QosGuard = QosGuard {
+    violation_ratio: 0.08,
+};
+/// `SlackController` upper bound of the `hybrid-adaptive` schedule.
+const SLACK_MAX: u32 = SLACK + 3;
 
 fn main() {
     let vms = env::parse_or("CAVM_ONLINE_VMS", 40);
@@ -76,12 +85,7 @@ fn main() {
         "churn schedule must contain mid-horizon arrivals"
     );
 
-    let slack = env::parse_or("CAVM_ONLINE_SLACK", 1) as u32;
-    let qos_guard = QosGuard {
-        violation_ratio: env::parse_or("CAVM_ONLINE_QOS", 0.08),
-    };
-    let slack_max = env::parse_or("CAVM_ONLINE_SLACK_MAX", slack as usize + 3) as u32;
-    let schedule = Schedule::from_env("CAVM_ONLINE_TRIGGER", slack, qos_guard, slack_max);
+    let schedule = Schedule::from_env("CAVM_ONLINE_TRIGGER", SLACK, QOS_GUARD, SLACK_MAX);
 
     let policies = vec![
         Policy::Bfd,
@@ -187,9 +191,9 @@ fn main() {
 
     let margin = env::parse_or("CAVM_ONLINE_OVERCOMMIT", 0.25);
     let max_margin = env::parse_or("CAVM_ONLINE_OVERCOMMIT_MAX", 0.35);
-    let mut adaptive_schedules = Schedule::standard(slack, qos_guard, slack_max).to_vec();
+    let mut adaptive_schedules = Schedule::standard(SLACK, QOS_GUARD, SLACK_MAX).to_vec();
     adaptive_schedules.push(Schedule::guarded_overcommit(
-        slack, qos_guard, margin, max_margin,
+        SLACK, QOS_GUARD, margin, max_margin,
     ));
     let adaptive: Vec<SweepRow> = SweepGrid::over(vec![WorkloadCase::open(
         "departure-heavy",
@@ -205,10 +209,10 @@ fn main() {
 
     println!();
     println!(
-        "# Adaptive consolidation — proposed policy, departure-heavy day ({} of {} leases end mid-run, slack {slack}, guard {:.0}%, adaptive slack ≤ {slack_max})",
+        "# Adaptive consolidation — proposed policy, departure-heavy day ({} of {} leases end mid-run, slack {SLACK}, guard {:.0}%, adaptive slack ≤ {SLACK_MAX})",
         departed_in_run,
         departure_heavy.len(),
-        100.0 * qos_guard.violation_ratio,
+        100.0 * QOS_GUARD.violation_ratio,
     );
     println!();
     println!(
@@ -341,13 +345,13 @@ fn main() {
     section.push_str("    ],\n");
     let _ = writeln!(section, "    \"adaptive\": {{");
     let _ = writeln!(section, "      \"policy\": \"Proposed\",");
-    let _ = writeln!(section, "      \"slack\": {slack},");
+    let _ = writeln!(section, "      \"slack\": {SLACK},");
     let _ = writeln!(
         section,
         "      \"qos_guard_ratio\": {},",
-        qos_guard.violation_ratio
+        QOS_GUARD.violation_ratio
     );
-    let _ = writeln!(section, "      \"adaptive_slack_max\": {slack_max},");
+    let _ = writeln!(section, "      \"adaptive_slack_max\": {SLACK_MAX},");
     let _ = writeln!(section, "      \"overcommit_margin\": {margin},");
     let _ = writeln!(section, "      \"overcommit_max_margin\": {max_margin},");
     let _ = writeln!(section, "      \"departed_leases\": {departed_in_run},");

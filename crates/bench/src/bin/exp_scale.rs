@@ -1,41 +1,35 @@
 //! Scale experiment: placement cells vs the O(n²) correlation wall.
 //!
-//! Two measurements, spliced into `BENCH_corr.json` as the `"scale"`
-//! section:
+//! **A synthetic datacenter day at 100k VMs**, spliced into
+//! `BENCH_corr.json` as the `"scale"` section: Poisson arrivals (~100k
+//! over the first 80% of a 24h day at 30s samples), exponential leases
+//! (mean 1.5h), diurnal demand traces, driven through a
+//! [`ShardedController`] (default 256 cells over 1536 8-core servers,
+//! hourly re-pack periods). Roughly one million events (arrivals +
+//! departures + per-cell ticks) — a fleet size the flat controller's
+//! dense matrix cannot touch (100k² pairs ≈ 40 GB at 8 B/pair; the
+//! cells hold ~0.15 GB total).
 //!
-//! 1. **Tick microbench** — ns per fleet-wide monitoring tick for one
-//!    dense `CostMatrix` over n VMs vs a [`CellFleet`] of the same VMs
-//!    sharded into cells (default n = 4096, 16 cells). At the default
-//!    full size the run *asserts* the sharded tick is ≥ 10× faster —
-//!    the PR's headline claim, kept honest on every regeneration.
-//! 2. **A synthetic datacenter day at 100k VMs** — Poisson arrivals
-//!    (~100k over the first 80% of a 24h day at 30s samples),
-//!    exponential leases (mean 1.5h), diurnal demand traces, driven
-//!    through a [`ShardedController`] (default 256 cells over 1536
-//!    8-core servers, hourly re-pack periods). Roughly one million
-//!    events (arrivals + departures + per-cell ticks) — a fleet size
-//!    the flat controller's dense matrix cannot touch (100k² pairs
-//!    ≈ 40 GB at 8 B/pair; the cells hold ~0.15 GB total).
+//! The run records the realized routing's pair work (Σ over cells of
+//! mᵢ(mᵢ−1)/2, mᵢ the ids ever routed to cell i) beside the dense
+//! matrix's n(n−1)/2, and with 16 or more cells *asserts* the cells
+//! do at most a tenth of the dense pair work — exact counts, not
+//! timings, so the claim holds on any host.
 //!
-//! Knobs (all env, for CI-sized smokes):
-//! `CAVM_SCALE_TICK_N`, `CAVM_SCALE_TICK_CELLS`, `CAVM_SCALE_VMS`,
-//! `CAVM_SCALE_CELLS`, `CAVM_SCALE_SERVERS`, `CAVM_SCALE_HOURS`,
-//! `CAVM_SCALE_SEED`.
+//! Knobs (all env, for CI-sized smokes): `CAVM_SCALE_VMS`,
+//! `CAVM_SCALE_CELLS`, `CAVM_SCALE_SERVERS`, `CAVM_SCALE_HOURS`.
 //!
 //! ```text
 //! cargo run --release -p cavm-bench --bin exp_scale
 //! ```
 
 use cavm_bench::env;
-use cavm_core::cells::CellFleet;
-use cavm_core::corr::CostMatrix;
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
 use cavm_sim::{ControllerConfig, NullSink, Policy, ShardedController};
 use cavm_trace::{Reference, SimRng, TimeSeries};
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
 
 const SAMPLE_DT_S: f64 = 30.0;
@@ -44,60 +38,8 @@ const PERIOD_SAMPLES: usize = SAMPLES_PER_HOUR; // hourly re-pack, as in the pap
 const MEAN_LEASE_SAMPLES: f64 = 1.5 * SAMPLES_PER_HOUR as f64;
 /// Arrivals land in the first 80% of the horizon so late VMs still live.
 const ARRIVAL_WINDOW: f64 = 0.8;
-
-/// Median ns of `reps` timed invocations of `f` (after one warm-up).
-fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
-}
-
-struct TickBench {
-    n: usize,
-    cells: usize,
-    dense_ns: f64,
-    sharded_ns: f64,
-    speedup: f64,
-    pair_work: usize,
-    dense_pair_work: usize,
-}
-
-/// Part 1: the per-tick cost of one dense matrix vs the same VMs
-/// sharded into cells.
-fn tick_bench(n: usize, cells: usize) -> TickBench {
-    let mut rng = SimRng::new(n as u64);
-    let utils: Vec<f64> = (0..n).map(|_| rng.f64() * 4.0).collect();
-    let reps = (2_000_000 / (n * n / 2).max(1)).clamp(9, 200);
-
-    let mut dense = CostMatrix::new(n, Reference::Peak).expect("valid size");
-    let dense_ns = median_ns(reps, || {
-        dense.push_sample(black_box(&utils)).expect("width")
-    });
-
-    let mut sharded = CellFleet::contiguous(n, cells, Reference::Peak).expect("valid shape");
-    // The sharded tick is cells× cheaper; scale reps so both sides get
-    // comparable total time under the median.
-    let sharded_ns = median_ns(reps * cells.min(32), || {
-        sharded.push_sample(black_box(&utils)).expect("width")
-    });
-
-    TickBench {
-        n,
-        cells,
-        dense_ns,
-        sharded_ns,
-        speedup: dense_ns / sharded_ns,
-        pair_work: sharded.pair_work(),
-        dense_pair_work: sharded.dense_pair_work(),
-    }
-}
+/// RNG seed for arrivals, leases and diurnal traces.
+const SEED: u64 = 2013;
 
 /// One VM's lifecycle in the synthetic day.
 struct VmPlan {
@@ -139,13 +81,8 @@ fn draw_trace(rng: &mut SimRng, arrival: usize, len: usize, day_samples: usize) 
 }
 
 struct DayResult {
-    vms: usize,
-    cells: usize,
-    servers: usize,
-    samples: usize,
     events: usize,
     wall_s: f64,
-    mean_tick_ms: f64,
     peak_live: usize,
     peak_servers: usize,
     violation_instances: usize,
@@ -159,12 +96,11 @@ struct DayResult {
     cell_rows: Vec<usize>,
 }
 
-/// Part 2: the 100k-VM synthetic day through the sharded controller.
-#[allow(clippy::too_many_lines)]
-fn run_day(vms: usize, cells: usize, servers: usize, hours: usize, seed: u64) -> DayResult {
+/// The 100k-VM synthetic day through the sharded controller.
+fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult {
     let total = hours * SAMPLES_PER_HOUR;
     let day_samples = 24 * SAMPLES_PER_HOUR;
-    let mut rng = SimRng::new(seed);
+    let mut rng = SimRng::new(SEED);
     let plans = draw_plans(&mut rng, vms, total);
 
     // Pre-bucket the schedule so the replay loop is O(total + events).
@@ -249,13 +185,8 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize, seed: u64) ->
         .collect();
 
     DayResult {
-        vms,
-        cells,
-        servers,
-        samples: total,
         events,
         wall_s,
-        mean_tick_ms: wall_s * 1e3 / total as f64,
         peak_live,
         peak_servers: report
             .periods
@@ -284,73 +215,54 @@ fn spread(per_cell: &[usize]) -> String {
 }
 
 fn main() {
-    let tick_n = env::parse_or("CAVM_SCALE_TICK_N", 4096);
-    let tick_cells = env::parse_or("CAVM_SCALE_TICK_CELLS", 16);
     let vms = env::parse_or("CAVM_SCALE_VMS", 100_000);
     let cells = env::parse_or("CAVM_SCALE_CELLS", 256);
     let servers = env::parse_or("CAVM_SCALE_SERVERS", 1536);
     let hours = env::parse_or("CAVM_SCALE_HOURS", 24);
-    let seed = env::parse_or("CAVM_SCALE_SEED", 2013);
-
-    eprintln!("tick microbench: dense n={tick_n} vs {tick_cells} cells ...");
-    let bench = tick_bench(tick_n, tick_cells);
-    eprintln!(
-        "  dense {:>12.0} ns/tick   sharded {:>12.0} ns/tick   speedup {:.1}x (pair work {} -> {})",
-        bench.dense_ns, bench.sharded_ns, bench.speedup, bench.dense_pair_work, bench.pair_work,
-    );
-    // The PR's headline claim, enforced at the full benchmark size
-    // (CI smokes run reduced sizes where constant overheads dominate).
-    if tick_n >= 4096 && tick_cells >= 16 {
-        assert!(
-            bench.speedup >= 10.0,
-            "cell-sharded tick must be >= 10x faster than the dense matrix at n={} ({}x measured)",
-            tick_n,
-            bench.speedup,
-        );
-    }
 
     eprintln!(
         "synthetic day: {vms} VMs, {cells} cells, {servers} servers, {hours}h @ {SAMPLE_DT_S}s samples ..."
     );
-    let day = run_day(vms, cells, servers, hours, seed);
+    let day = run_day(vms, cells, servers, hours);
     eprintln!(
-        "  done in {:.1}s: {} events, peak {} live VMs on {} servers, {} violations",
-        day.wall_s, day.events, day.peak_live, day.peak_servers, day.violation_instances,
+        "  done in {:.1}s: {} events, peak {} live VMs on {} servers, {} violations, pair work {} vs {} dense",
+        day.wall_s,
+        day.events,
+        day.peak_live,
+        day.peak_servers,
+        day.violation_instances,
+        day.pair_work,
+        day.dense_pair_work,
     );
+    // The sharding claim, on the day's own routing: with 16 or more
+    // cells the cells keep at most a tenth of the dense pair state.
+    if cells >= 16 {
+        assert!(
+            day.pair_work * 10 <= day.dense_pair_work,
+            "{cells} cells must do at most 1/10 of the dense pair work ({} vs {})",
+            day.pair_work,
+            day.dense_pair_work,
+        );
+    }
     // What the period tables are sized by (rows) against what they
     // used to be sized by (ids), per cell.
     eprintln!(
-        "  per cell at the end of the day (min / median / max over {} cells): period rows {}, ids seen {}; {} rows for {} ids in all",
-        day.cells,
+        "  per cell at the end of the day (min / median / max over {cells} cells): period rows {}, ids seen {}; {} rows for {} ids in all",
         spread(&day.cell_rows),
         spread(&day.cell_ids),
         day.cell_rows.iter().sum::<usize>(),
         day.cell_ids.iter().sum::<usize>(),
     );
 
+    let samples = hours * SAMPLES_PER_HOUR;
     let mut section = String::new();
     section.push_str("{\n");
     let _ = writeln!(
         section,
-        "    \"tick_bench\": {{\"n\": {}, \"cells\": {}, \"dense_ns_per_tick\": {:.0}, \"sharded_ns_per_tick\": {:.0}, \"speedup\": {:.2}, \"pair_work\": {}, \"dense_pair_work\": {}}},",
-        bench.n,
-        bench.cells,
-        bench.dense_ns,
-        bench.sharded_ns,
-        bench.speedup,
-        bench.pair_work,
-        bench.dense_pair_work,
-    );
-    let _ = writeln!(
-        section,
-        "    \"day\": {{\"vms\": {}, \"cells\": {}, \"servers\": {}, \"samples\": {}, \"events\": {}, \"wall_s\": {:.1}, \"mean_tick_ms\": {:.2}, \"peak_live_vms\": {}, \"peak_servers_used\": {}, \"violation_instances\": {}, \"online_admissions\": {}, \"deferred_peak\": {}, \"pair_work\": {}, \"dense_pair_work\": {}}}",
-        day.vms,
-        day.cells,
-        day.servers,
-        day.samples,
+        "    \"day\": {{\"vms\": {vms}, \"cells\": {cells}, \"servers\": {servers}, \"samples\": {samples}, \"events\": {}, \"wall_s\": {:.1}, \"mean_tick_ms\": {:.2}, \"peak_live_vms\": {}, \"peak_servers_used\": {}, \"violation_instances\": {}, \"online_admissions\": {}, \"deferred_peak\": {}, \"pair_work\": {}, \"dense_pair_work\": {}}}",
         day.events,
         day.wall_s,
-        day.mean_tick_ms,
+        day.wall_s * 1e3 / samples as f64,
         day.peak_live,
         day.peak_servers,
         day.violation_instances,

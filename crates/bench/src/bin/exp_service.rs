@@ -2,7 +2,7 @@
 //! [`SessionHost`], spliced into `BENCH_corr.json` as the `"service"`
 //! section.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **A churn day across N sessions** (default 64 sessions of 12 VMs
 //!    over 24h, cycling all five policies, guarded schedule on even
@@ -16,16 +16,9 @@
 //!    and asked "what would an off-cycle re-pack free right now?";
 //!    the delta (servers freed, migrations, energy estimate) lands in
 //!    the artifact without the live session noticing.
-//! 3. **`par_push_sample`** — the parallel monitoring tick at
-//!    n ∈ {1024, 4096}, with `cores` recorded per row; on a 1-core
-//!    host the parallel row is `null` (a "parallel" number from a
-//!    serial machine is noise, not data). This finally gives the PR 1
-//!    follow-up a standing artifact slot that fills in on a multi-core
-//!    host.
 //!
 //! Knobs (all env, for CI-sized smokes): `CAVM_SERVICE_SESSIONS`,
-//! `CAVM_SERVICE_WORKERS`, `CAVM_SERVICE_VMS`, `CAVM_SERVICE_HOURS`,
-//! `CAVM_SERVICE_SEED`.
+//! `CAVM_SERVICE_WORKERS`, `CAVM_SERVICE_VMS`, `CAVM_SERVICE_HOURS`.
 //!
 //! ```text
 //! cargo run --release -p cavm-bench --bin exp_service
@@ -34,36 +27,20 @@
 //! [`SessionHost`]: cavm_sim::SessionHost
 
 use cavm_bench::{env, mini_fleet};
-use cavm_core::corr::CostMatrix;
 use cavm_sim::service::{interleave, lifecycle_events, SessionHost};
 use cavm_sim::{
     ControllerConfig, NullSink, Policy, QosGuard, RepackTrigger, Scenario, ScenarioBuilder,
     SessionEvent, WhatIfDelta,
 };
-use cavm_trace::Reference;
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
-
-const PAR_SIZES: [usize; 2] = [1024, 4096];
 
 /// Timed replays of the day per worker count.
 const REPLAYS: usize = 3;
 
-/// Median ns of `reps` timed invocations of `f` (after one warm-up).
-fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    median(
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_nanos() as f64
-            })
-            .collect(),
-    )
-}
+/// RNG seed for every session's traces and churn schedule.
+const SEED: u64 = 2013;
 
 fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -86,11 +63,11 @@ fn five_policies() -> [Policy; 5] {
 }
 
 /// One tenant session: its own trace fleet, churn schedule and policy.
-fn session_scenario(s: usize, vms: usize, hours: usize, seed: u64) -> (Scenario, Lifecycle) {
-    let traces = mini_fleet(seed + s as u64, vms, hours as f64);
+fn session_scenario(s: usize, vms: usize, hours: usize) -> (Scenario, Lifecycle) {
+    let traces = mini_fleet(SEED + s as u64, vms, hours as f64);
     let horizon = traces.vms()[0].fine.len();
     let lifecycle = LifecycleBuilder::new(vms, horizon)
-        .seed(seed + 1000 + s as u64)
+        .seed(SEED + 1000 + s as u64)
         .arrivals(ArrivalProcess::Poisson {
             mean_gap_samples: horizon as f64 / (2.0 * vms as f64),
         })
@@ -121,22 +98,21 @@ struct Day {
     probe_events: Vec<cavm_sim::VmEvent>,
 }
 
-fn build_day(sessions: usize, vms: usize, hours: usize, seed: u64) -> Day {
+fn build_day(sessions: usize, vms: usize, hours: usize) -> Day {
     let mut configs = Vec::with_capacity(sessions);
     let mut streams = Vec::with_capacity(sessions);
     for s in 0..sessions {
-        let (scenario, lifecycle) = session_scenario(s, vms, hours, seed);
-        let traces = mini_fleet(seed + s as u64, vms, hours as f64);
+        let (scenario, lifecycle) = session_scenario(s, vms, hours);
+        let traces = mini_fleet(SEED + s as u64, vms, hours as f64);
         let events = lifecycle_events(&traces, &lifecycle, scenario.period_samples())
             .expect("valid schedule");
         streams.push(events);
         configs.push(scenario.controller_config());
     }
-    let probe_events = streams[0].clone();
     Day {
         configs,
         schedule: interleave(&streams),
-        probe_events,
+        probe_events: streams[0].clone(),
     }
 }
 
@@ -158,51 +134,15 @@ fn what_if_probe(config: ControllerConfig, events: &[cavm_sim::VmEvent]) -> What
     delta
 }
 
-struct ParRow {
-    n: usize,
-    serial_ns: f64,
-    par_ns: Option<f64>,
-}
-
-fn par_row(n: usize, cores: usize) -> ParRow {
-    let utils: Vec<f64> = {
-        let mut rng = cavm_trace::SimRng::new(n as u64);
-        (0..n).map(|_| rng.f64() * 4.0).collect()
-    };
-    let reps = (2_000_000 / (n * n / 2)).clamp(5, 200);
-    let mut serial = CostMatrix::new(n, Reference::Peak).expect("valid size");
-    let serial_ns = median_ns(reps, || {
-        serial.push_sample(black_box(&utils)).expect("width")
-    });
-    let par_ns = (cores > 1).then(|| {
-        let mut par = CostMatrix::new(n, Reference::Peak).expect("valid size");
-        median_ns(reps, || {
-            par.par_push_sample(black_box(&utils)).expect("width")
-        })
-    });
-    ParRow {
-        n,
-        serial_ns,
-        par_ns,
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x:.0}"))
-}
-
 fn main() {
     let sessions = env::parse_or("CAVM_SERVICE_SESSIONS", 64);
     let workers = env::parse_or("CAVM_SERVICE_WORKERS", 8);
     let vms = env::parse_or("CAVM_SERVICE_VMS", 12);
     let hours = env::parse_or("CAVM_SERVICE_HOURS", 24);
-    let seed = env::parse_or("CAVM_SERVICE_SEED", 2013);
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    eprintln!("building {sessions} sessions x {vms} VMs over {hours}h (seed {seed}) ...");
-    let day = build_day(sessions, vms, hours, seed);
+    eprintln!("building {sessions} sessions x {vms} VMs over {hours}h (seed {SEED}) ...");
+    let day = build_day(sessions, vms, hours);
     eprintln!("  schedule: {} events", day.schedule.len());
 
     let narrow = SessionHost::new(day.configs.clone(), 1).expect("valid host");
@@ -250,23 +190,11 @@ fn main() {
         delta.servers_freed, delta.servers_before, delta.migrations, delta.energy_estimate,
     );
 
-    eprintln!("par_push_sample (cores: {cores}) ...");
-    let par_rows: Vec<ParRow> = PAR_SIZES.iter().map(|&n| par_row(n, cores)).collect();
-    for row in &par_rows {
-        eprintln!(
-            "  n={:4}: serial {:>12.0} ns/tick  par {}",
-            row.n,
-            row.serial_ns,
-            row.par_ns
-                .map_or("skipped (1 core)".into(), |v| format!("{v:.0} ns/tick")),
-        );
-    }
-
     let mut section = String::new();
     section.push_str("{\n");
     let _ = writeln!(
         section,
-        "    \"sessions\": {sessions}, \"workers\": {workers}, \"vms_per_session\": {vms}, \"hours\": {hours}, \"seed\": {seed}, \"cores\": {cores},"
+        "    \"sessions\": {sessions}, \"workers\": {workers}, \"vms_per_session\": {vms}, \"hours\": {hours}, \"seed\": {SEED}, \"cores\": {cores},"
     );
     let _ = writeln!(
         section,
@@ -288,30 +216,13 @@ fn main() {
     );
     let _ = writeln!(
         section,
-        "    \"what_if\": {{\"servers_before\": {}, \"servers_after\": {}, \"servers_freed\": {}, \"migrations\": {}, \"energy_estimate_joules\": {:.1}}},",
+        "    \"what_if\": {{\"servers_before\": {}, \"servers_after\": {}, \"servers_freed\": {}, \"migrations\": {}, \"energy_estimate_joules\": {:.1}}}",
         delta.servers_before,
         delta.servers_after,
         delta.servers_freed,
         delta.migrations,
         delta.energy_estimate,
     );
-    section.push_str("    \"par_push_sample\": [\n");
-    for (i, row) in par_rows.iter().enumerate() {
-        let speedup = row
-            .par_ns
-            .map(|par| format!("{:.2}", row.serial_ns / par))
-            .unwrap_or_else(|| "null".to_string());
-        let _ = write!(
-            section,
-            "      {{\"n\": {}, \"cores\": {}, \"serial_ns_per_tick\": {:.0}, \"par_ns_per_tick\": {}, \"par_speedup_vs_serial\": {}}}",
-            row.n,
-            cores,
-            row.serial_ns,
-            json_opt(row.par_ns),
-            speedup,
-        );
-        section.push_str(if i + 1 < par_rows.len() { ",\n" } else { "\n" });
-    }
-    section.push_str("    ]\n  }");
+    section.push_str("  }");
     cavm_bench::artifact::splice_section("service", &section);
 }

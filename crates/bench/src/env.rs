@@ -10,17 +10,6 @@
 use std::any::type_name;
 use std::str::FromStr;
 
-/// Parses an explicitly-set knob value, panicking with the variable
-/// name, the offending value, and the expected type on failure.
-fn parse_value<T: FromStr>(key: &str, raw: &str) -> T {
-    raw.trim().parse().unwrap_or_else(|_| {
-        panic!(
-            "{key}={raw:?}: not a valid {}",
-            type_name::<T>().rsplit("::").next().expect("nonempty")
-        )
-    })
-}
-
 /// Reads `key` as a `T` (`usize`, `f64`, `u64`, `String`, …), falling
 /// back to `default` only when the variable is **unset**.
 ///
@@ -34,24 +23,12 @@ pub fn parse_or<T: FromStr>(key: &str, default: T) -> T {
         Err(std::env::VarError::NotUnicode(raw)) => {
             panic!("{key}={raw:?}: not unicode")
         }
-        Ok(raw) => parse_value(key, &raw),
-    }
-}
-
-/// Reads `key` as a comma-separated `f64` list, falling back to
-/// `default` only when the variable is **unset**.
-///
-/// # Panics
-///
-/// Panics — naming the variable and the rejected element — when any
-/// element does not parse (an empty element counts as malformed).
-pub fn parse_list_or(key: &str, default: &[f64]) -> Vec<f64> {
-    match std::env::var(key) {
-        Err(std::env::VarError::NotPresent) => default.to_vec(),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("{key}={raw:?}: not unicode")
-        }
-        Ok(raw) => raw.split(',').map(|s| parse_value(key, s)).collect(),
+        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
+            panic!(
+                "{key}={raw:?}: not a valid {}",
+                type_name::<T>().rsplit("::").next().expect("nonempty")
+            )
+        }),
     }
 }
 
@@ -66,7 +43,6 @@ mod tests {
     fn unset_means_default() {
         assert_eq!(parse_or("CAVM_ENVTEST_UNSET", 40usize), 40);
         assert_eq!(parse_or("CAVM_ENVTEST_UNSET", 0.08f64), 0.08);
-        assert_eq!(parse_list_or("CAVM_ENVTEST_UNSET", &[1.0, 2.0]), [1.0, 2.0]);
     }
 
     #[test]
@@ -79,11 +55,6 @@ mod tests {
         assert_eq!(
             parse_or("CAVM_ENVTEST_OK_STR", String::from("default")),
             "azure.csv"
-        );
-        std::env::set_var("CAVM_ENVTEST_OK_LIST", "4, 8,16.5");
-        assert_eq!(
-            parse_list_or("CAVM_ENVTEST_OK_LIST", &[1.0]),
-            [4.0, 8.0, 16.5]
         );
     }
 
@@ -99,12 +70,5 @@ mod tests {
     fn malformed_float_names_variable_and_value() {
         std::env::set_var("CAVM_ENVTEST_BAD_F64", "fast");
         parse_or("CAVM_ENVTEST_BAD_F64", 0.08f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "CAVM_ENVTEST_BAD_LIST=\"\": not a valid f64")]
-    fn malformed_list_element_names_variable_and_value() {
-        std::env::set_var("CAVM_ENVTEST_BAD_LIST", "1.0,,3");
-        parse_list_or("CAVM_ENVTEST_BAD_LIST", &[1.0]);
     }
 }

@@ -1,10 +1,13 @@
 //! Shared scaffolding for the experiment binaries and criterion benches.
 //!
 //! Every table and figure of the paper has a regenerator binary in
-//! `src/bin/` (run with `cargo run --release -p cavm-bench --bin exp_*`)
-//! and a scaled-down criterion bench in `benches/`. The canonical
-//! experiment parameters live here so binaries, benches and integration
-//! tests agree.
+//! `src/bin/` (run with `cargo run --release -p cavm-bench --bin exp_*`).
+//! The three criterion benches in `benches/` each carry one claim:
+//! `corr_throughput` the §IV-A cost-vs-Pearson argument, `matrix_tick`
+//! the fan-out threshold of `CostMatrix`'s window replay, and
+//! `alloc_scaling` the allocators' growth with fleet size. The
+//! canonical experiment parameters live here so binaries, benches and
+//! integration tests agree.
 
 use cavm_core::dvfs::DvfsMode;
 use cavm_sim::{Policy, ScenarioBuilder, SimReport};
@@ -39,7 +42,7 @@ pub fn setup2_fleet(seed: u64) -> VmFleet {
         .select_top(40)
 }
 
-/// A smaller fleet for criterion benches and smoke tests.
+/// A smaller fleet for experiment sessions and smoke tests.
 pub fn mini_fleet(seed: u64, vms: usize, hours: f64) -> VmFleet {
     DatacenterTraceBuilder::new(vms)
         .groups((vms / 4).max(2))

@@ -7,9 +7,9 @@
 //!
 //! # Storage layout
 //!
-//! The seed implementation (preserved as
-//! [`baseline::PairwiseCostMatrix`](crate::corr::baseline::PairwiseCostMatrix))
-//! kept one enum-dispatched [`CostMetric`](crate::corr::CostMetric) per
+//! The seed implementation (preserved, test-only, as
+//! `PairwiseCostMatrix` in `tests/baseline/`) kept one enum-dispatched
+//! [`CostMetric`](crate::corr::CostMetric) per
 //! pair: three boxed-enum trackers and ~640 bytes of state per pair,
 //! walked as an array of structs on every monitoring tick. This module
 //! flattens that hot path:
@@ -37,25 +37,27 @@
 //! smaller and the fleet tick ([`CostMatrix::push_sample`]) touches
 //! `n(n-1)/2 · 8` bytes instead of `· ~640`.
 //!
-//! # Parallel ticks
+//! # Parallel window replay
 //!
-//! [`CostMatrix::par_push_sample`], [`CostMatrix::par_push_columns`]
-//! and [`CostMatrix::fill`] can split the triangle into
-//! near-equal-pair row chunks and update them on scoped `std::thread`s.
-//! (The build environment has no crate registry, so this uses the
-//! standard library rather than rayon; the chunking is embarrassingly
-//! parallel either way.) Each pair is still updated by exactly one
-//! thread in tick order, so parallel results are bit-identical to
-//! serial ones — the equivalence tests in `tests/soa_equivalence.rs`
-//! pin this.
+//! A monitoring tick ([`CostMatrix::push_sample`]) always runs on the
+//! calling thread. Window replay — [`CostMatrix::fill`] at the period
+//! close and [`CostMatrix::par_push_columns`] — can split the triangle
+//! into near-equal-pair row chunks and update them on scoped
+//! `std::thread`s. (The build environment has no crate registry, so
+//! this uses the standard library rather than rayon; the chunking is
+//! embarrassingly parallel either way.) Each pair is still updated by
+//! exactly one thread in tick order, so parallel results are
+//! bit-identical to serial ones — the equivalence tests in
+//! `tests/soa_equivalence.rs` pin this.
 //!
 //! Whether they *do* fan out is one rule, `threads_for`: scoped threads
 //! are spawned and joined per call, which costs about as much as
-//! 10⁵ Peak pair updates, so a call whose kernel is smaller than that
+//! 10⁵ Peak pair updates, so a replay whose kernel is smaller than that
 //! (`pairs × samples`, a P² update counted 32-fold) runs on the
 //! calling thread and only larger ones use every core. A 16-VM
-//! session's period close is the former, a 1,000-VM fleet's the
-//! latter. The explicit `*_threads` forms take the count as given.
+//! session's period close is the former, `flat-p95-day`'s 48 × 720 P95
+//! close the latter. [`CostMatrix::par_push_columns_threads`] takes the
+//! count as given.
 //!
 //! Batch window replay ([`CostMatrix::push_columns`]) walks the
 //! triangle *pair-major* instead of tick-major: each pair's slot is
@@ -374,25 +376,17 @@ impl CostMatrix {
 
     /// Feeds one monitoring tick: `utils[v]` is the utilization of the
     /// VM in row `v` at this instant. Cost: `O(n²)` flat constant-time
-    /// updates.
+    /// updates, on the calling thread.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::SampleCountMismatch`] when `utils.len()`
     /// is not the row count.
     pub fn push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.push_sample_threads(utils, 1)
-    }
-
-    /// [`Self::push_sample`] over at most `threads` row chunks.
-    fn push_sample_threads(&mut self, utils: &[f64], threads: usize) -> crate::Result<()> {
         self.check_width(utils.len())?;
-        let rows = self.rows;
         match &mut self.storage {
             Storage::Peak { vm_peak, pair_peak } => {
-                over_row_chunks(rows, threads, pair_peak, |row_start, row_end, plane| {
-                    peak_tick_rows(rows, row_start, row_end, utils, plane);
-                });
+                peak_tick(utils, pair_peak);
                 for (slot, &u) in vm_peak.iter_mut().zip(utils) {
                     *slot = slot.max(u);
                 }
@@ -406,10 +400,7 @@ impl CostMatrix {
                 for (cell, &u) in vm_cells.iter_mut().zip(utils) {
                     cell.push(u, clock);
                 }
-                let clock = &*clock;
-                over_row_chunks(rows, threads, pair_cells, |row_start, row_end, plane| {
-                    p2_tick_rows(rows, row_start, row_end, utils, plane, clock);
-                });
+                p2_tick(utils, pair_cells, clock);
             }
         }
         self.samples += 1;
@@ -682,49 +673,6 @@ impl CostMatrix {
         }
     }
 
-    /// Dense symmetric snapshot of the matrix with `default` for
-    /// not-yet-observed pairs; diagonal 1.0. Row-major `n×n`.
-    pub fn to_dense(&self, default: f64) -> Vec<Vec<f64>> {
-        (0..self.n)
-            .map(|i| {
-                (0..self.n)
-                    .map(|j| {
-                        if i == j {
-                            1.0
-                        } else {
-                            self.cost(i, j).unwrap_or(default)
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// [`Self::push_sample`] with the triangle update fanned out over
-    /// all available cores once the matrix is large enough for one
-    /// tick to repay the thread spawn (see the [module docs](self));
-    /// smaller matrices tick on the calling thread. Bit-identical to
-    /// the serial path: each pair is updated by exactly one thread, in
-    /// tick order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::push_sample`].
-    pub fn par_push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.push_sample_threads(utils, self.fan_out(1))
-    }
-
-    /// [`Self::par_push_sample`] with an explicit thread count,
-    /// honoured whatever the size (`threads == 1` is the serial
-    /// kernel).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::push_sample`].
-    pub fn par_push_sample_threads(&mut self, utils: &[f64], threads: usize) -> crate::Result<()> {
-        self.push_sample_threads(utils, threads)
-    }
-
     /// [`Self::push_columns`] with the triangle replay fanned out over
     /// all available cores once `pairs × window` is large enough to
     /// repay the thread spawn (see the [module docs](self)); smaller
@@ -800,8 +748,9 @@ fn default_threads() -> usize {
 /// | 48 × 720, P95       | 26 M   | 20.1 ms  | 11.5 ms   |
 ///
 /// Break-even is somewhere past 2 × 10⁵; the line sits below it on
-/// purpose. ROADMAP item 1 has the reason (the benchmark driver reads
-/// a faster mid-size close as memory) and raising it is this one line.
+/// purpose. ROADMAP items 3(d) and 2(i) have the reason (the benchmark
+/// driver reads a faster mid-size close as memory) and raising it is
+/// this one line.
 const SERIAL_WORK_MAX: usize = 1 << 17;
 
 /// What one P² pair update weighs in Peak pair updates: 14.9 ns against
@@ -810,8 +759,8 @@ const SERIAL_WORK_MAX: usize = 1 << 17;
 const P2_WORK_WEIGHT: usize = 32;
 
 /// The one fan-out rule of the default-thread entry points
-/// ([`CostMatrix::fill`], [`CostMatrix::par_push_columns`],
-/// [`CostMatrix::par_push_sample`]): the calling thread alone while
+/// ([`CostMatrix::fill`], [`CostMatrix::par_push_columns`]): the
+/// calling thread alone while
 /// the whole kernel costs less than spawning and joining helpers
 /// would, every core above that. `work` is in Peak pair updates.
 fn threads_for(work: usize) -> usize {
@@ -867,14 +816,11 @@ fn chunked_rows<'a, T>(
     })
 }
 
-/// One tick of the Peak kernel over rows `[row_start, row_end)`.
-/// `plane` is the sub-slice of the pair plane covering exactly those
-/// rows.
-fn peak_tick_rows(n: usize, row_start: usize, row_end: usize, utils: &[f64], plane: &mut [f64]) {
+/// One tick of the Peak kernel over the whole pair plane.
+fn peak_tick(utils: &[f64], plane: &mut [f64]) {
     let mut offset = 0;
-    for i in row_start..row_end {
-        let ui = utils[i];
-        let row_len = n - i - 1;
+    for (i, &ui) in utils.iter().enumerate() {
+        let row_len = utils.len() - i - 1;
         let row = &mut plane[offset..offset + row_len];
         for (slot, &uj) in row.iter_mut().zip(&utils[i + 1..]) {
             *slot = slot.max(ui + uj);
@@ -883,19 +829,11 @@ fn peak_tick_rows(n: usize, row_start: usize, row_end: usize, utils: &[f64], pla
     }
 }
 
-/// One tick of the P² kernel over rows `[row_start, row_end)`.
-fn p2_tick_rows(
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-    utils: &[f64],
-    plane: &mut [P2Cell],
-    clock: &P2Clock,
-) {
+/// One tick of the P² kernel over the whole pair plane.
+fn p2_tick(utils: &[f64], plane: &mut [P2Cell], clock: &P2Clock) {
     let mut offset = 0;
-    for i in row_start..row_end {
-        let ui = utils[i];
-        let row_len = n - i - 1;
+    for (i, &ui) in utils.iter().enumerate() {
+        let row_len = utils.len() - i - 1;
         let row = &mut plane[offset..offset + row_len];
         for (cell, &uj) in row.iter_mut().zip(&utils[i + 1..]) {
             cell.push(ui + uj, clock);
@@ -1154,11 +1092,10 @@ mod tests {
         let mut m = CostMatrix::new(2, Reference::Peak).unwrap();
         m.push_sample(&[3.0, 0.0]).unwrap();
         m.push_sample(&[0.0, 3.0]).unwrap();
-        let d = m.to_dense(1.5);
-        assert_eq!(d[0][0], 1.0);
-        assert_eq!(d[1][1], 1.0);
-        assert_eq!(d[0][1], 2.0);
-        assert_eq!(d[0][1], d[1][0]);
+        assert_eq!(m.cost_or_neutral(0, 0), 1.0);
+        assert_eq!(m.cost_or_neutral(1, 1), 1.0);
+        assert_eq!(m.cost_or_neutral(0, 1), 2.0);
+        assert_eq!(m.cost_or_neutral(1, 0), 2.0);
     }
 
     #[test]
@@ -1222,31 +1159,5 @@ mod tests {
         // Work that overflows saturates instead of wrapping to "small".
         let wide = CostMatrix::keyed(4096, Reference::Peak).unwrap();
         assert_eq!(wide.fan_out(usize::MAX), default_threads());
-    }
-
-    #[test]
-    fn parallel_tick_is_bit_identical() {
-        let mut rng = cavm_trace::SimRng::new(5);
-        for reference in [Reference::Peak, Reference::Percentile(95.0)] {
-            let n = 23;
-            let mut serial = CostMatrix::new(n, reference).unwrap();
-            let mut parallel = CostMatrix::new(n, reference).unwrap();
-            for _ in 0..40 {
-                let sample: Vec<f64> = (0..n).map(|_| rng.f64() * 4.0).collect();
-                serial.push_sample(&sample).unwrap();
-                parallel.par_push_sample_threads(&sample, 4).unwrap();
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    let (a, b) = (serial.cost(i, j), parallel.cost(i, j));
-                    assert_eq!(
-                        a.map(f64::to_bits),
-                        b.map(f64::to_bits),
-                        "pair ({i},{j}) under {reference:?}"
-                    );
-                }
-            }
-            assert_eq!(serial.samples(), parallel.samples());
-        }
     }
 }

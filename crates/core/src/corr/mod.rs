@@ -14,7 +14,6 @@
 //! [`matrix::CostMatrix`] maintains the all-pairs matrix `M_cost` the
 //! allocator consumes.
 
-pub mod baseline;
 pub mod cost;
 pub mod matrix;
 pub mod pearson;

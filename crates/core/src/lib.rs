@@ -15,7 +15,6 @@
 //! | Baselines: FFD, BFD, PCP (Verma et al. \[6\]) | [`alloc`] |
 //! | Frequency decision, Eqn (4), static and dynamic | [`dvfs`] |
 //! | Heterogeneous server fleets (beyond the paper's uniform testbed) | [`fleet`] |
-//! | Placement cells: sharded cost matrices for 100k-VM fleets | [`cells`] |
 //!
 //! The paper's testbed is uniform, so its equations take one scalar
 //! capacity. This crate generalizes every layer to a [`fleet::ServerFleet`]
@@ -77,7 +76,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod cells;
 pub mod corr;
 pub mod dvfs;
 mod error;

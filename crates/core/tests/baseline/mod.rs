@@ -5,19 +5,15 @@
 //! pair — an array-of-structs layout whose per-sample enum dispatch and
 //! ~640-byte pair footprint made the fleet-wide UPDATE tick
 //! cache-hostile. It was replaced by the struct-of-arrays
-//! [`CostMatrix`](crate::corr::CostMatrix) kernel, but stays in-tree
-//! because:
-//!
-//! * the equivalence property tests pin the optimized kernel to this
-//!   implementation bit-for-bit, and
-//! * the `matrix_tick` criterion bench measures the speedup against
-//!   it.
+//! [`CostMatrix`](cavm_core::corr::CostMatrix) kernel, but stays
+//! in-tree, test-only, because the equivalence property tests pin the
+//! optimized kernel to this implementation bit-for-bit.
 //!
 //! Do not grow this module; new functionality belongs in
-//! [`crate::corr::matrix`].
+//! `cavm_core::corr::matrix`.
 
-use crate::corr::cost::CostMetric;
-use crate::CoreError;
+use cavm_core::corr::CostMetric;
+use cavm_core::CoreError;
 use cavm_trace::Reference;
 
 /// Per-pair streaming cost matrix (the seed implementation).
@@ -37,7 +33,7 @@ impl PairwiseCostMatrix {
     ///
     /// Returns [`CoreError::InvalidParameter`] when `n == 0` or the
     /// reference percentile is out of range.
-    pub fn new(n: usize, reference: Reference) -> crate::Result<Self> {
+    pub fn new(n: usize, reference: Reference) -> cavm_core::Result<Self> {
         if n == 0 {
             return Err(CoreError::InvalidParameter(
                 "cost matrix needs at least one vm",
@@ -81,7 +77,7 @@ impl PairwiseCostMatrix {
     ///
     /// Returns [`CoreError::SampleCountMismatch`] when
     /// `utils.len() != n`.
-    pub fn push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
+    pub fn push_sample(&mut self, utils: &[f64]) -> cavm_core::Result<()> {
         if utils.len() != self.n {
             return Err(CoreError::SampleCountMismatch {
                 got: utils.len(),

@@ -3,16 +3,19 @@
 //!
 //! * the struct-of-arrays [`CostMatrix`] must produce **bit-identical**
 //!   `cost(i, j)` to the seed per-pair
-//!   [`baseline::PairwiseCostMatrix`] under both `Reference::Peak` and
+//!   [`baseline::PairwiseCostMatrix`] (the seed path, kept test-only in
+//!   `tests/baseline/`) under both `Reference::Peak` and
 //!   `Reference::Percentile(95)`;
-//! * the parallel tick (`par_push_sample`) and the batch window replay
-//!   (`push_columns`) must be bit-identical to serial ticks;
+//! * the batch window replay (`push_columns`) must be bit-identical to
+//!   serial ticks;
 //! * the incremental [`ServerCostAggregate`] must match the direct
 //!   Eqn (2) evaluation, and the allocator built on it must emit the
 //!   **same placements**.
 
+mod baseline;
+
+use baseline::PairwiseCostMatrix;
 use cavm_core::alloc::{AllocationPolicy, Placement, ProposedPolicy, VmDescriptor};
-use cavm_core::corr::baseline::PairwiseCostMatrix;
 use cavm_core::corr::CostMatrix;
 use cavm_core::servercost::{server_cost, server_cost_with_candidate, ServerCostAggregate};
 use cavm_trace::{Reference, TimeSeries};
@@ -71,16 +74,13 @@ proptest! {
         }
     }
 
-    /// Serial ticks, parallel ticks and batch column replay all land on
-    /// the same bits.
+    /// Serial ticks and batch column replay land on the same bits.
     #[test]
     fn tick_paths_are_interchangeable(samples in fleet(5, 30)) {
         for reference in both_references() {
             let mut serial = CostMatrix::new(5, reference).unwrap();
-            let mut parallel = CostMatrix::new(5, reference).unwrap();
             for s in &samples {
                 serial.push_sample(s).unwrap();
-                parallel.par_push_sample_threads(s, 3).unwrap();
             }
 
             // Batch replay of the same ticks as two trace windows.
@@ -97,14 +97,12 @@ proptest! {
 
             for i in 0..5 {
                 for j in 0..5 {
-                    let s = serial.cost(i, j).map(f64::to_bits);
-                    prop_assert_eq!(s, parallel.cost(i, j).map(f64::to_bits),
-                        "parallel tick diverged at ({}, {}) under {:?}", i, j, reference);
-                    prop_assert_eq!(s, batch.cost(i, j).map(f64::to_bits),
+                    prop_assert_eq!(
+                        serial.cost(i, j).map(f64::to_bits),
+                        batch.cost(i, j).map(f64::to_bits),
                         "batch replay diverged at ({}, {}) under {:?}", i, j, reference);
                 }
             }
-            prop_assert_eq!(serial.samples(), parallel.samples());
             prop_assert_eq!(serial.samples(), batch.samples());
         }
     }

@@ -5,11 +5,10 @@
 //! [`CostMatrix`](cavm_core::corr::CostMatrix) over every VM id it has
 //! ever seen, so every monitoring tick costs O(n²) pair updates — 13 ms
 //! per tick at n = 4096 and unusable at 100k VMs. [`ShardedController`]
-//! shards the datacenter into **placement cells**
-//! ([`cavm_core::cells`]): each cell owns a slice of the server fleet
-//! ([`partition_fleet`]) and runs its *own* flat controller over only
-//! its residents, so the per-tick cost drops to O(Σ cellᵢ²) — a
-//! `cells`-fold reduction at equal occupancy.
+//! shards the datacenter into **placement cells**: each cell owns a
+//! slice of the server fleet (`partition_fleet`) and runs its *own*
+//! flat controller over only its residents, so the per-tick cost drops
+//! to O(Σ cellᵢ²) — a `cells`-fold reduction at equal occupancy.
 //!
 //! Arrivals are steered between cells by a constant-size
 //! [`MomentSketch`] router rather than any dense structure: each VM is
@@ -35,8 +34,8 @@
 //! With `cells = 1` the sink sees exactly the flat event stream. With
 //! `cells > 1` per-event callbacks are translated to global ids (VM
 //! ids, server indices offset by the cell's slot range, class indices
-//! mapped through the cell's [`CellSubfleet::class_map`]) and
-//! forwarded; [`MetricSink::on_period`] fires once per **cell** per
+//! mapped back to the global fleet's) and forwarded;
+//! [`MetricSink::on_period`] fires once per **cell** per
 //! period (records are cell-local), and only the sharded session's own
 //! [`MetricSink::on_summary`] fires — with the merged fleet-wide
 //! report.
@@ -88,9 +87,84 @@ use crate::controller::{
 };
 use crate::error::SimError;
 use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
-use cavm_core::cells::{partition_fleet, CellSubfleet};
+use cavm_core::fleet::{ServerClass, ServerFleet, UNBOUNDED};
 use cavm_power::EnergyMeter;
 use cavm_trace::{MomentSketch, TimeSeries, PHASE_BUCKETS};
+
+/// One cell's slice of a partitioned [`ServerFleet`]: the hardware the
+/// cell controls plus the mapping from its local class indices back to
+/// the global fleet's.
+#[derive(Debug)]
+struct CellSubfleet {
+    /// The cell's own (bounded) server fleet.
+    fleet: ServerFleet,
+    /// `class_map[local]` = global class index in the parent fleet.
+    class_map: Vec<usize>,
+}
+
+/// Splits a bounded [`ServerFleet`] into `n_cells` sub-fleets,
+/// class by class: each class's `count` is divided evenly, and the
+/// remainders rotate across cells so capacity stays balanced. Classes
+/// whose share in a cell is zero are omitted from that cell's fleet
+/// (a [`ServerClass`] cannot be empty), which is why each sub-fleet
+/// carries a `class_map` back to global class indices.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] for zero cells, an unbounded
+/// fleet, or more cells than servers (every cell must own at least one
+/// server).
+fn partition_fleet(fleet: &ServerFleet, n_cells: usize) -> crate::Result<Vec<CellSubfleet>> {
+    if n_cells == 0 {
+        return Err(SimError::InvalidParameter(
+            "fleet partition needs at least one cell",
+        ));
+    }
+    let slots = fleet.total_slots().ok_or(SimError::InvalidParameter(
+        "cannot partition an unbounded fleet into cells",
+    ))?;
+    if slots < n_cells {
+        return Err(SimError::InvalidParameter(
+            "fleet partition needs at least one server per cell",
+        ));
+    }
+    let mut shares = vec![Vec::<(usize, usize)>::new(); n_cells]; // (global class, count)
+    let mut rotation = 0usize;
+    for (gi, class) in fleet.classes().iter().enumerate() {
+        debug_assert_ne!(class.count(), UNBOUNDED);
+        let base = class.count() / n_cells;
+        let rem = class.count() % n_cells;
+        for (c, share) in shares.iter_mut().enumerate() {
+            let extra = usize::from((c + n_cells - rotation % n_cells) % n_cells < rem);
+            let count = base + extra;
+            if count > 0 {
+                share.push((gi, count));
+            }
+        }
+        rotation += rem;
+    }
+    shares
+        .into_iter()
+        .map(|share| {
+            let mut classes = Vec::with_capacity(share.len());
+            let mut class_map = Vec::with_capacity(share.len());
+            for (gi, count) in share {
+                let class = &fleet.classes()[gi];
+                classes.push(ServerClass::new(
+                    class.name(),
+                    count,
+                    class.cores(),
+                    class.power_model().clone(),
+                )?);
+                class_map.push(gi);
+            }
+            Ok(CellSubfleet {
+                fleet: ServerFleet::new(classes)?,
+                class_map,
+            })
+        })
+        .collect()
+}
 
 /// Where a global VM currently lives (or lived) in the shard layout.
 #[derive(Debug, Clone)]
@@ -223,7 +297,8 @@ pub struct ShardedController {
 impl ShardedController {
     /// Opens a sharded session over `cells` placement cells. The
     /// fleet in `base` is the **global** fleet; it is partitioned
-    /// class-by-class across the cells with [`partition_fleet`].
+    /// class-by-class across the cells, each class's servers split
+    /// evenly with the remainders rotating so every cell gets hardware.
     ///
     /// `cells = 1` is the degenerate flat configuration: every call
     /// delegates verbatim to one [`DatacenterController`] over the
@@ -231,9 +306,9 @@ impl ShardedController {
     ///
     /// # Errors
     ///
-    /// Propagates [`DatacenterController::new`] and
-    /// [`partition_fleet`] validation ([`SimError::InvalidParameter`]
-    /// for zero cells or more cells than servers).
+    /// Propagates [`DatacenterController::new`] validation, and returns
+    /// [`SimError::InvalidParameter`] for zero cells, an unbounded
+    /// fleet, or more cells than servers.
     pub fn new(base: ControllerConfig, cells: usize) -> crate::Result<Self> {
         let union_ghz = union_ladder_ghz(&base.server_fleet);
         let base_classes: Vec<(String, f64, usize, Vec<f64>)> = base
@@ -266,7 +341,7 @@ impl ShardedController {
                 vec![capacity],
             )
         } else {
-            let parts = partition_fleet(&base.server_fleet, cells).map_err(SimError::Core)?;
+            let parts = partition_fleet(&base.server_fleet, cells)?;
             let mut inner = Vec::with_capacity(cells);
             let mut class_maps = Vec::with_capacity(cells);
             let mut server_offsets = Vec::with_capacity(cells);
@@ -832,7 +907,6 @@ mod tests {
     use crate::config::Policy;
     use crate::controller::NullSink;
     use cavm_core::dvfs::DvfsMode;
-    use cavm_core::fleet::ServerFleet;
     use cavm_power::LinearPowerModel;
     use cavm_trace::{Reference, SimRng};
 
@@ -862,6 +936,84 @@ mod tests {
             (base + noise[i]).max(0.05)
         })
         .unwrap()
+    }
+
+    #[test]
+    fn fleet_partition_conserves_hardware() {
+        let fleet = ServerFleet::mixed_4_8_16(7, 5, 3).unwrap();
+        let parts = partition_fleet(&fleet, 4).unwrap();
+        assert_eq!(parts.len(), 4);
+        // Per-class counts are conserved and every cell is non-empty.
+        let mut totals = vec![0usize; fleet.len()];
+        for part in &parts {
+            assert!(part.fleet.total_slots().unwrap() >= 1);
+            for (local, class) in part.fleet.classes().iter().enumerate() {
+                let gi = part.class_map[local];
+                assert_eq!(class.cores(), fleet.classes()[gi].cores());
+                assert_eq!(class.name(), fleet.classes()[gi].name());
+                totals[gi] += class.count();
+            }
+        }
+        let counts: Vec<usize> = fleet.classes().iter().map(ServerClass::count).collect();
+        assert_eq!(totals, counts);
+    }
+
+    #[test]
+    fn fleet_partition_rotates_remainders_over_cells() {
+        // Three 1-server classes over 3 cells: without rotation every
+        // remainder would land on cell 0 and later cells would starve.
+        let xeon = LinearPowerModel::xeon_e5410();
+        let fleet = ServerFleet::new(vec![
+            ServerClass::new("a", 1, 8.0, xeon.clone()).unwrap(),
+            ServerClass::new("b", 1, 8.0, xeon.clone()).unwrap(),
+            ServerClass::new("c", 1, 8.0, xeon.clone()).unwrap(),
+        ])
+        .unwrap();
+        let parts = partition_fleet(&fleet, 3).unwrap();
+        for part in &parts {
+            assert_eq!(part.fleet.total_slots(), Some(1));
+        }
+    }
+
+    #[test]
+    fn fleet_partition_validation() {
+        let fleet = ServerFleet::uniform(4, 8.0, LinearPowerModel::xeon_e5410()).unwrap();
+        assert!(partition_fleet(&fleet, 0).is_err());
+        assert!(partition_fleet(&fleet, 5).is_err());
+        let unbounded = ServerFleet::unbounded(8.0).unwrap();
+        assert!(partition_fleet(&unbounded, 2).is_err());
+        // Degenerate single cell: the sub-fleet is the whole fleet.
+        let parts = partition_fleet(&fleet, 1).unwrap();
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].fleet, fleet);
+        assert_eq!(parts[0].class_map, vec![0]);
+    }
+
+    /// Every shape `new` cannot shard is the documented
+    /// `InvalidParameter`, whichever path (flat or partitioned) rejects
+    /// it — never a wrapped `CoreError`.
+    #[test]
+    fn unshardable_fleets_are_invalid_parameters() {
+        for cells in [0, 9] {
+            assert!(
+                matches!(
+                    ShardedController::new(config(8), cells),
+                    Err(SimError::InvalidParameter(_))
+                ),
+                "{cells} cells over 8 servers"
+            );
+        }
+        for cells in [1, 2] {
+            let mut cfg = config(8);
+            cfg.server_fleet = ServerFleet::unbounded(8.0).unwrap();
+            assert!(
+                matches!(
+                    ShardedController::new(cfg, cells),
+                    Err(SimError::InvalidParameter(_))
+                ),
+                "unbounded fleet over {cells} cells"
+            );
+        }
     }
 
     #[test]
