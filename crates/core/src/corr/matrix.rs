@@ -53,17 +53,24 @@
 //! Whether they *do* fan out is one rule, `threads_for`: scoped threads
 //! are spawned and joined per call, which costs about as much as
 //! 10⁵ Peak pair updates, so a replay whose kernel is smaller than that
-//! (`pairs × samples`, a P² update counted 32-fold) runs on the
+//! (`pairs × samples`, a P² update counted 16-fold) runs on the
 //! calling thread and only larger ones use every core. A 16-VM
-//! session's period close is the former, `flat-p95-day`'s 48 × 720 P95
+//! session's period close is the former, `flat-p95-day`'s 96 × 720 P95
 //! close the latter. [`CostMatrix::par_push_columns_threads`] takes the
 //! count as given.
 //!
-//! Batch window replay ([`CostMatrix::push_columns`]) walks the
-//! triangle *pair-major* instead of tick-major: each pair's slot is
-//! updated over the whole window while it is hot in cache, instead of
-//! re-touching the entire (possibly multi-megabyte) plane on every
-//! tick.
+//! Batch window replay ([`CostMatrix::push_columns`],
+//! [`CostMatrix::fill`]) walks the triangle row by row instead of
+//! tick-major, so a row's slots are updated over the whole window
+//! while they are hot in cache, instead of re-touching the entire
+//! (possibly multi-megabyte) plane on every tick. A Peak row goes one
+//! pair at a time. A P² row goes in blocks of four pairs (`P2_LANES`),
+//! each block copied out, replayed under one local clock, and copied
+//! back: a P² update is a serial chain of compares and divisions, and
+//! four independent chains keep the core busy where one waits on
+//! latency. The row's last `len % 4` pairs replay one at a time. Every
+//! pair still sees exactly its own samples in order, so the result is
+//! the per-pair one bit for bit.
 //!
 //! # Keyed form
 //!
@@ -381,9 +388,12 @@ impl CostMatrix {
     /// # Errors
     ///
     /// Returns [`CoreError::SampleCountMismatch`] when `utils.len()`
-    /// is not the row count.
+    /// is not the row count, and a [non-finite
+    /// sample](cavm_trace::TraceError::NonFiniteSample) error naming
+    /// the first NaN or infinite entry. A refused tick changes nothing.
     pub fn push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
         self.check_width(utils.len())?;
+        check_finite(utils)?;
         match &mut self.storage {
             Storage::Peak { vm_peak, pair_peak } => {
                 peak_tick(utils, pair_peak);
@@ -409,8 +419,8 @@ impl CostMatrix {
 
     /// Replays a half-open window `[start, end)` of trace columns into
     /// the matrix — the batch form of [`Self::push_sample`], equivalent
-    /// to pushing `end - start` individual ticks but walked pair-major
-    /// so each pair's state stays cache-resident across the window.
+    /// to pushing `end - start` individual ticks but walked row by row
+    /// so each row's state stays cache-resident across the window.
     ///
     /// # Errors
     ///
@@ -446,8 +456,8 @@ impl CostMatrix {
     }
 
     /// Replays one equally long sample window per row into the planes,
-    /// pair-major, over at most `threads` row chunks. Each pair replays
-    /// a local copy of the clock as it stood before the window, so
+    /// row by row, over at most `threads` row chunks. Each P² replay
+    /// ticks a local copy of the clock as it stood before the window, so
     /// marker positions advance exactly as in the tick-by-tick path.
     fn replay(&mut self, windows: &[&[f64]], threads: usize) {
         let rows = self.rows;
@@ -503,9 +513,11 @@ impl CostMatrix {
     /// Returns [`CoreError::InvalidParameter`] on a plain matrix, for
     /// an occupant id at or beyond `ids` and for an id holding two
     /// rows; [`CoreError::SampleCountMismatch`] when `occupants` or
-    /// `windows` do not cover exactly the rows; and a trace length
-    /// mismatch when the windows disagree. A failed fill changes
-    /// nothing.
+    /// `windows` do not cover exactly the rows; a trace length
+    /// mismatch when the windows disagree; and a [non-finite
+    /// sample](cavm_trace::TraceError::NonFiniteSample) error for the
+    /// first NaN or infinite sample, its `index` the position in its
+    /// row's window. A failed fill changes nothing.
     pub fn fill(
         &mut self,
         occupants: &[Option<usize>],
@@ -520,6 +532,7 @@ impl CostMatrix {
         self.check_width(occupants.len())?;
         self.check_width(windows.len())?;
         let samples = common_len(windows.iter().map(|w| w.len()))?;
+        windows.iter().try_for_each(|window| check_finite(window))?;
         let mut key = vec![NO_ROW; ids];
         for (row, id) in occupants.iter().enumerate() {
             let Some(id) = *id else { continue };
@@ -721,6 +734,20 @@ fn common_len(lens: impl IntoIterator<Item = usize>) -> crate::Result<usize> {
     }
 }
 
+/// Refuses the first NaN or infinite sample before it reaches a
+/// tracker: P² sorts its first five samples and cannot order a NaN,
+/// and a running `max` would silently drop one. (Trace windows are
+/// finite by construction; raw slices are not.)
+fn check_finite(samples: &[f64]) -> crate::Result<()> {
+    match samples.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(CoreError::Trace(cavm_trace::TraceError::NonFiniteSample {
+            index,
+            value: samples[index],
+        })),
+        None => Ok(()),
+    }
+}
+
 fn default_threads() -> usize {
     // `available_parallelism` is a syscall; resolve it once, not on
     // every monitoring tick.
@@ -738,25 +765,29 @@ fn default_threads() -> usize {
 /// Spawning and joining the scoped helpers costs 40–130 µs on the
 /// 2-vCPU bench host — more than halving a kernel this small saves.
 /// `cargo bench -p cavm-bench --bench matrix_tick`, group
-/// `close_small`, medians of four runs, one thread → both cores:
+/// `close_small`, medians of four runs, one thread → both cores; the
+/// P95 rows read per-pair replay → lane blocks ([`P2_LANES`]):
 ///
-/// | rows × samples      | work   | 1 thread | 2 threads |
-/// |---------------------|--------|----------|-----------|
-/// | 16 × 720, Peak      | 86 k   | 103 µs   | 155 µs    |
-/// | 120 × 12, Peak      | 86 k   | 105 µs   | 152 µs    |
-/// | 60 × 120, Peak      | 212 k  | 214 µs   | 219 µs    |
-/// | 48 × 720, P95       | 26 M   | 20.1 ms  | 11.5 ms   |
+/// | rows × samples         | work   | 1 thread          | 2 threads         |
+/// |------------------------|--------|-------------------|-------------------|
+/// | 16 × 720, Peak         | 86 k   | 119 µs            | 137 µs            |
+/// | 120 × 12, Peak         | 86 k   | 75 µs             | 115 µs            |
+/// | 60 × 120, Peak         | 212 k  | 204 µs            | 184 µs            |
+/// | 48 × 720, P95          | 13 M   | 19.0 → 17.2 ms    | 10.3 → 10.1 ms    |
+/// | 96 × 720, P95, ⅓ idle  | 53 M   | 84.2 → 73.6 ms    | 50.6 → 39.6 ms    |
 ///
 /// Break-even is somewhere past 2 × 10⁵; the line sits below it on
-/// purpose. ROADMAP items 3(d) and 2(i) have the reason (the benchmark
+/// purpose. ROADMAP items 6(d) and 5(i) have the reason (the benchmark
 /// driver reads a faster mid-size close as memory) and raising it is
 /// this one line.
 const SERIAL_WORK_MAX: usize = 1 << 17;
 
-/// What one P² pair update weighs in Peak pair updates: 14.9 ns against
-/// 0.51 ns per update in the benchmark ledger's `core.corr` rows
-/// (`flat-p95-day` and `sharded-day`), rounded up to a power of two.
-const P2_WORK_WEIGHT: usize = 32;
+/// What one P² pair update weighs in Peak pair updates, as a power of
+/// two: `close_small`'s serial rows above spend 21.2 ns (48 × 720 P95)
+/// and 22.4 ns (96 × 720 P95) per P² update against 0.96 ns per Peak
+/// update (60 × 120, the largest Peak replay) — 22 to 23 of them,
+/// nearer 16 than 32.
+const P2_WORK_WEIGHT: usize = 16;
 
 /// The one fan-out rule of the default-thread entry points
 /// ([`CostMatrix::fill`], [`CostMatrix::par_push_columns`]): the
@@ -867,10 +898,17 @@ fn peak_window_rows(
     }
 }
 
-/// Pair-major window replay of the P² kernel over rows
-/// `[row_start, row_end)`. `snapshot` is the clock state *before* the
-/// window; each pair replays its own local copy so marker positions
-/// advance exactly as in the tick-by-tick path.
+/// Pairs of one row that [`p2_window_rows`] replays side by side. One
+/// P² update is a serial chain of compares and divisions, so a lone
+/// pair leaves the core waiting on latency; this many independent
+/// chains overlap. 4 beat 2 and 8 on the 2-vCPU bench host.
+const P2_LANES: usize = 4;
+
+/// Window replay of the P² kernel over rows `[row_start, row_end)`,
+/// [`P2_LANES`] pairs of a row at a time. `snapshot` is the clock state
+/// *before* the window; each block of pairs (and each pair of a row's
+/// remainder) replays its own local copy, so every pair sees exactly
+/// its own samples, in order, under the clock of the tick-by-tick path.
 fn p2_window_rows(
     n: usize,
     row_start: usize,
@@ -884,7 +922,23 @@ fn p2_window_rows(
         let xs = windows[i];
         let row_len = n - i - 1;
         let row = &mut plane[offset..offset + row_len];
-        for (cell, ys) in row.iter_mut().zip(&windows[i + 1..]) {
+        let mut blocks = row.chunks_exact_mut(P2_LANES);
+        let mut others = windows[i + 1..].chunks_exact(P2_LANES);
+        for (block, ys) in (&mut blocks).zip(&mut others) {
+            // Every window is as long as `xs`: slicing to it lets the
+            // compiler drop the per-sample bounds checks.
+            let ys: [&[f64]; P2_LANES] = std::array::from_fn(|l| &ys[l][..xs.len()]);
+            let mut lanes: [P2Cell; P2_LANES] = std::array::from_fn(|l| block[l]);
+            let mut local = snapshot.clone();
+            for (t, &x) in xs.iter().enumerate() {
+                local.tick();
+                for (cell, y) in lanes.iter_mut().zip(ys) {
+                    cell.push(x + y[t], &local);
+                }
+            }
+            block.copy_from_slice(&lanes);
+        }
+        for (cell, ys) in blocks.into_remainder().iter_mut().zip(others.remainder()) {
             let mut local = snapshot.clone();
             for (&x, &y) in xs.iter().zip(*ys) {
                 local.tick();
@@ -984,6 +1038,56 @@ mod tests {
                 expected: 3
             })
         ));
+    }
+
+    /// Every answer the matrix gives, bit for bit.
+    fn answers(m: &CostMatrix) -> (usize, u64, Vec<Option<u64>>) {
+        let costs = (0..m.len())
+            .flat_map(|i| (0..m.len()).map(move |j| (i, j)))
+            .map(|(i, j)| m.cost(i, j).map(f64::to_bits))
+            .collect();
+        (m.len(), m.samples(), costs)
+    }
+
+    #[test]
+    fn non_finite_samples_are_refused_before_any_change() {
+        let refused = |err: CoreError, at: usize| {
+            matches!(
+                err,
+                CoreError::Trace(cavm_trace::TraceError::NonFiniteSample { index, .. })
+                    if index == at
+            )
+        };
+        for reference in [Reference::Peak, Reference::Percentile(95.0)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                // A tick: four clean ones, then the fifth, where P² sorts.
+                let mut m = CostMatrix::new(3, reference).unwrap();
+                for k in 0..4 {
+                    m.push_sample(&[k as f64, 1.0, 2.0]).unwrap();
+                }
+                let before = answers(&m);
+                let err = m.push_sample(&[1.0, bad, 2.0]).unwrap_err();
+                assert!(refused(err, 1), "{reference:?} tick with {bad}");
+                assert_eq!(answers(&m), before, "{reference:?} tick with {bad}");
+
+                // A fill: the bad sample sits past the warm-up of row 1.
+                let mut keyed = CostMatrix::keyed(3, reference).unwrap();
+                let rising: Vec<f64> = (0..8).map(f64::from).collect();
+                let falling: Vec<f64> = rising.iter().rev().copied().collect();
+                let idle = [0.0; 8];
+                let mut dirty = rising.clone();
+                dirty[6] = bad;
+                keyed
+                    .fill(&[Some(0), Some(1), None], 2, &[&rising, &falling, &idle])
+                    .unwrap();
+                let before = answers(&keyed);
+                let err = keyed
+                    .fill(&[Some(1), Some(0), None], 3, &[&rising, &dirty, &idle])
+                    .unwrap_err();
+                assert!(refused(err, 6), "{reference:?} fill with {bad}");
+                assert_eq!(answers(&keyed), before, "{reference:?} fill with {bad}");
+            }
+        }
     }
 
     #[test]
@@ -1143,8 +1247,10 @@ mod tests {
             (47, 120, Reference::Peak, true),
             (48, 120, Reference::Peak, false),
             (120, 12, Reference::Peak, true),
-            (8, 140, p95, true),
-            (8, 150, p95, false),
+            (8, 290, p95, true),
+            (8, 300, p95, false),
+            // `flat-p95-day`'s smallest close (its smoke size).
+            (24, 720, p95, false),
             (4096, 1, Reference::Peak, false),
             (64, 1, p95, true),
         ] {
