@@ -22,7 +22,7 @@ use cavm_core::predict::{
 use cavm_sim::Policy;
 use cavm_trace::{Reference, TimeSeries};
 
-fn main() {
+pub fn run() {
     metric_ablation();
     threshold_ablation();
     predictor_ablation();

@@ -1,9 +1,9 @@
-//! Fault-tolerance experiment: the guarded consolidation schedule of
-//! the online experiment re-run with servers actually dying under it.
+//! Fault tolerance: the guarded consolidation schedule of the online
+//! section re-run with servers actually dying under it.
 //!
 //! An MTBF sweep injects per-server Poisson failures (plus a
 //! correlated whole-fleet outage process) into the departure-heavy
-//! day the adaptive-consolidation section measures: every failure
+//! day the adaptive-consolidation rows measure: every failure
 //! triggers an **emergency evacuation** through the live policy's
 //! incremental placement, capacity loss beyond what the shrunken
 //! fleet can host flows into the bounded **deferred-admission queue**
@@ -13,28 +13,17 @@
 //! one cell per MTBF. The run prints one row per MTBF against the
 //! fault-free baseline and asserts the robustness headline: even at
 //! the harshest point of the sweep the QoS-guarded schedule keeps the
-//! worst-period violation ratio bounded, every deferred VM is
-//! eventually admitted (none lost), and the fault-free row reproduces
-//! the no-fault run bit-for-bit. A `"faults"` section lands in
-//! `BENCH_corr.json`.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_faults
-//! ```
-//!
-//! Environment knobs (for CI smoke runs): `CAVM_FAULTS_VMS` (default
-//! 40) and `CAVM_FAULTS_HOURS` (default 24). The sweep itself is fixed:
-//! per-server MTBFs of 12, 6 and 3 h, 20-minute mean repairs, the
-//! guarded hybrid schedule at slack 1 and guard ratio 0.08, and a 25%
-//! ceiling on the worst-period violation asserted across the sweep.
+//! worst-period violation ratio bounded, and the fault-free row
+//! reproduces the no-fault run bit-for-bit. 40 VMs over 24 h on 40
+//! servers; per-server MTBFs of 12, 6 and 3 h, 20-minute mean repairs,
+//! the guarded hybrid schedule at slack 1 and guard ratio 0.08, and a
+//! 25% ceiling on the worst-period violation.
 
-use cavm_bench::env;
+use crate::online::{departure_heavy, HOURS, QOS_GUARD, SLACK, SLACK_MAX, VMS};
 use cavm_bench::sweep::{FaultCase, Schedule, SweepGrid, WorkloadCase};
-use cavm_bench::{artifact, bar};
-use cavm_sim::{Policy, QosGuard, SimReport};
-use cavm_workload::datacenter::DatacenterTraceBuilder;
+use cavm_bench::{bar, setup2_fleet, SETUP2_SEED};
+use cavm_sim::{Policy, SimReport};
 use cavm_workload::faults::{FaultModel, FaultPlan, FaultPlanBuilder};
-use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
 
 /// Fine samples per hour (5 s sampling).
@@ -43,12 +32,6 @@ const SAMPLES_PER_HOUR: f64 = 720.0;
 const MTBFS_HOURS: [f64; 3] = [12.0, 6.0, 3.0];
 /// Mean time to repair, minutes.
 const MTTR_MIN: f64 = 20.0;
-/// `Hybrid` fragmentation slack (servers).
-const SLACK: u32 = 1;
-/// `QosGuard` of the guarded schedule.
-const QOS_GUARD: QosGuard = QosGuard {
-    violation_ratio: 0.08,
-};
 /// Max tolerated worst-period violation, percent, at every fault rate.
 const VIOLATION_BOUND: f64 = 25.0;
 
@@ -60,38 +43,16 @@ struct Row {
     report: SimReport,
 }
 
-fn main() {
-    let vms = env::parse_or("CAVM_FAULTS_VMS", 40);
-    let hours = env::parse_or("CAVM_FAULTS_HOURS", 24.0);
-    let servers = vms.max(4);
-
-    let fleet = DatacenterTraceBuilder::new((vms * 3).max(vms))
-        .groups((vms / 4).max(2))
-        .seed(2013)
-        .idle_fraction(0.4)
-        .vm_scale_range(0.35, 1.05)
-        .duration_hours(hours)
-        .build()
-        .expect("static builder parameters are valid")
-        .select_top(vms);
+pub fn run() -> String {
+    // One 8-core slot per VM, as in the online section.
+    let servers = VMS;
+    let fleet = setup2_fleet(SETUP2_SEED);
     let horizon = fleet.vms()[0].fine.len();
-
-    // The departure-heavy day of the adaptive-consolidation section:
-    // short leases keep servers emptying out all day, so failures land
+    // Short leases keep servers emptying out all day, so failures land
     // on a fleet that is constantly consolidating.
-    let lifecycle: Lifecycle = LifecycleBuilder::new(vms, horizon)
-        .seed(7)
-        .arrivals(ArrivalProcess::Poisson {
-            mean_gap_samples: horizon as f64 * 0.7 / vms as f64,
-        })
-        .lifetimes(LifetimeModel::Uniform {
-            min_samples: (horizon * 8 / 100).max(1),
-            max_samples: (horizon / 4).max(2),
-        })
-        .build()
-        .expect("static lifecycle parameters are valid");
+    let lifecycle = departure_heavy(horizon);
 
-    let schedule = Schedule::guarded_hybrid(SLACK, QOS_GUARD, SLACK + 3);
+    let schedule = Schedule::guarded_hybrid(SLACK, QOS_GUARD, SLACK_MAX);
     let grid = |faults: Vec<FaultCase>| {
         SweepGrid::over(vec![WorkloadCase::open(
             "departure-heavy",
@@ -171,10 +132,8 @@ fn main() {
     }
 
     println!(
-        "# Fault tolerance — proposed policy, guarded hybrid (slack {SLACK}, guard {:.0}%, adaptive ≤ {}), {} VMs over {hours} h on {servers} servers, faults on the {fault_band} hot slots, MTTR {MTTR_MIN} min",
+        "# Fault tolerance — proposed policy, guarded hybrid (slack {SLACK}, guard {:.0}%, adaptive ≤ {SLACK_MAX}), {VMS} VMs over {HOURS} h on {servers} servers, faults on the {fault_band} hot slots, MTTR {MTTR_MIN} min",
         100.0 * QOS_GUARD.violation_ratio,
-        SLACK + 3,
-        vms,
     );
     println!();
     println!(
@@ -221,28 +180,25 @@ fn main() {
             VIOLATION_BOUND,
         );
     }
-    let harshest = rows.last().expect("sweep has a baseline row");
-    if harshest.mtbf_hours.is_some() {
-        // Scheduled transitions can miss momentarily-unprovisioned
-        // slots, but the harshest point of the sweep must actually
-        // exercise the fault path — otherwise the bound above proves
-        // nothing.
-        assert!(
-            harshest.report.server_failures > 0,
-            "mtbf {:?}: no scheduled fault ever reached a provisioned server",
-            harshest.mtbf_hours
-        );
-        println!();
-        println!(
-            "(worst-period violations ≤ {VIOLATION_BOUND}% across the sweep; {} failures absorbed at the harshest point — asserted)",
-            harshest.report.server_failures
-        );
-    }
+    // Scheduled transitions can miss momentarily-unprovisioned slots,
+    // but the harshest point of the sweep must actually exercise the
+    // fault path — otherwise the bound above proves nothing.
+    let harshest = rows.last().expect("sweep has rows");
+    assert!(
+        harshest.report.server_failures > 0,
+        "mtbf {:?}: no scheduled fault ever reached a provisioned server",
+        harshest.mtbf_hours
+    );
+    println!();
+    println!(
+        "(worst-period violations ≤ {VIOLATION_BOUND}% across the sweep; {} failures absorbed at the harshest point — asserted)",
+        harshest.report.server_failures
+    );
 
     let mut section = String::new();
     section.push_str("{\n");
-    let _ = writeln!(section, "    \"vms\": {vms},");
-    let _ = writeln!(section, "    \"hours\": {hours},");
+    let _ = writeln!(section, "    \"vms\": {VMS},");
+    let _ = writeln!(section, "    \"hours\": {HOURS},");
     let _ = writeln!(section, "    \"servers\": {servers},");
     let _ = writeln!(section, "    \"fault_band\": {fault_band},");
     let _ = writeln!(section, "    \"mttr_minutes\": {MTTR_MIN},");
@@ -278,5 +234,5 @@ fn main() {
         section.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     section.push_str("    ]\n  }");
-    artifact::splice_section("faults", &section);
+    section
 }

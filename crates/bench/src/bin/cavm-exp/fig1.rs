@@ -10,7 +10,7 @@ use cavm_core::corr::{cost_of_traces, pearson_of_traces};
 use cavm_trace::Reference;
 use cavm_workload::{ClientWave, WebSearchCluster};
 
-fn main() {
+pub fn run() {
     let cluster = WebSearchCluster::paper_setup1().expect("paper preset is valid");
     let wave = ClientWave::sine(0.0, 300.0, 1200.0).expect("wave parameters are valid");
     let clients = wave.sample(1.0, 1200).expect("sampling succeeds");

@@ -8,7 +8,7 @@
 use cavm_bench::bar;
 use cavm_cluster::experiment::{run_setup1, Setup1Config, Setup1Placement};
 
-fn main() {
+pub fn run() {
     let config = Setup1Config::default();
     for placement in [
         Setup1Placement::Segregated,

@@ -10,7 +10,7 @@
 use cavm_cluster::experiment::{run_setup1, Setup1Config, Setup1Placement};
 use cavm_power::{Frequency, LinearPowerModel, PowerModel};
 
-fn main() {
+pub fn run() {
     let mut rows = Vec::new();
     for closed_loop in [false, true] {
         let full = Setup1Config {

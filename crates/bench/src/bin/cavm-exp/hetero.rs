@@ -1,57 +1,27 @@
-//! Heterogeneous-fleet experiment: all five policies on a 3-class
-//! datacenter (4/8/16-core server classes with scaled power models).
+//! Heterogeneous fleet: all five policies on a 3-class datacenter
+//! (4/8/16-core server classes with scaled power models).
 //!
 //! The paper's testbed is uniform; related work (Esfandiarpoor et al.,
 //! Akhter et al.) treats mixed server generations as the baseline
-//! setting. This experiment replays the Setup-2-style trace fleet
-//! against such a mix: the correlation-aware policy keeps its edge
-//! because the Eqn (2)/(3) machinery is evaluated per class (largest,
-//! most efficient boxes fill first) and Eqn (4) discounts each server's
-//! frequency on its own class ladder.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_hetero
-//! ```
-//!
-//! Environment knobs (for CI smoke runs): `CAVM_HETERO_VMS` (default
-//! 40), `CAVM_HETERO_HOURS` (default 24).
+//! setting. This section replays the Setup-2 trace fleet (40 VMs over
+//! 24 h) against such a mix: the correlation-aware policy keeps its
+//! edge because the Eqn (2)/(3) machinery is evaluated per class
+//! (largest, most efficient boxes fill first) and Eqn (4) discounts
+//! each server's frequency on its own class ladder.
 
-use cavm_bench::env;
-use cavm_bench::{bar, PCP_AFFINITY_THRESHOLD, PCP_ENVELOPE_PERCENTILE};
+use crate::online::{policies, HOURS, VMS};
+use cavm_bench::{bar, setup2_fleet, SETUP2_SEED};
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
-use cavm_sim::{Policy, ScenarioBuilder, SimReport};
-use cavm_workload::datacenter::DatacenterTraceBuilder;
+use cavm_sim::{ScenarioBuilder, SimReport};
 
-fn main() {
-    let vms = env::parse_or("CAVM_HETERO_VMS", 40);
-    let hours = env::parse_or("CAVM_HETERO_HOURS", 24.0);
-    let fleet = DatacenterTraceBuilder::new((vms * 3).max(vms))
-        .groups((vms / 4).max(2))
-        .seed(2013)
-        .idle_fraction(0.4)
-        .vm_scale_range(0.35, 1.05)
-        .duration_hours(hours)
-        .build()
-        .expect("static builder parameters are valid")
-        .select_top(vms);
+pub fn run() {
+    let fleet = setup2_fleet(SETUP2_SEED);
     let server_fleet = ServerFleet::mixed_4_8_16(24, 16, 4).expect("valid counts");
 
-    let policies = [
-        Policy::Bfd,
-        Policy::Ffd,
-        Policy::Pcp {
-            envelope_percentile: PCP_ENVELOPE_PERCENTILE,
-            affinity_threshold: PCP_AFFINITY_THRESHOLD,
-        },
-        Policy::SuperVm {
-            min_pair_cost: 1.25,
-        },
-        Policy::Proposed(Default::default()),
-    ];
-    let reports: Vec<SimReport> = policies
-        .iter()
-        .map(|&policy| {
+    let reports: Vec<SimReport> = policies()
+        .into_iter()
+        .map(|policy| {
             ScenarioBuilder::new(fleet.clone())
                 .server_fleet(server_fleet.clone())
                 .policy(policy)
@@ -68,7 +38,7 @@ fn main() {
         .expect("BFD is in the policy set")
         .energy;
 
-    println!("# Heterogeneous 3-class fleet — {vms} VMs over {hours} h, static DVFS");
+    println!("# Heterogeneous 3-class fleet — {VMS} VMs over {HOURS} h, static DVFS");
     println!(
         "  fleet: {}",
         server_fleet
@@ -132,19 +102,16 @@ fn main() {
         "the correlation-aware policy must not lose to the blind baselines here"
     );
     println!("(proposed ≤ both correlation-blind baselines — asserted)");
-    // At the canonical size, pin the headline ratio so the class-aware
-    // open-server scoring (watts-per-served-core tie-break) can only
-    // improve on the ≈89% the fleet PR landed at, never regress past
-    // 92%.
-    if vms == 40 && (hours - 24.0).abs() < 1e-9 {
-        let ratio = proposed
-            .energy
-            .normalized_to(&bfd.energy)
-            .expect("nonzero baseline");
-        assert!(
-            ratio <= 0.92,
-            "proposed/BFD hetero energy regressed to {ratio:.4} (> 0.92)"
-        );
-        println!("(proposed/BFD ratio {ratio:.4} ≤ 0.92 — asserted)");
-    }
+    // Pin the headline ratio so the class-aware open-server scoring
+    // (watts-per-served-core tie-break) can only improve on the ≈89%
+    // the fleet PR landed at, never regress past 92%.
+    let ratio = proposed
+        .energy
+        .normalized_to(&bfd.energy)
+        .expect("nonzero baseline");
+    assert!(
+        ratio <= 0.92,
+        "proposed/BFD hetero energy regressed to {ratio:.4} (> 0.92)"
+    );
+    println!("(proposed/BFD ratio {ratio:.4} ≤ 0.92 — asserted)");
 }

@@ -1,6 +1,6 @@
-//! Online-churn experiment: all five policies as a long-running
-//! allocation service under continuous VM arrivals and departures —
-//! the open-system setting the paper never measured (its Setup-2 is a
+//! Online churn: all five policies as a long-running allocation
+//! service under continuous VM arrivals and departures — the
+//! open-system setting the paper never measured (its Setup-2 is a
 //! closed world where every VM exists for the whole horizon).
 //!
 //! VMs arrive by a Poisson process over the day and hold bounded
@@ -8,71 +8,93 @@
 //! must be admitted through the **incremental single-VM placement**
 //! (`AllocationPolicy::place_one` — no re-pack, lease-aware) and
 //! departures that power servers off. Both comparisons are declared as
-//! [`SweepGrid`]s: policies × the env-selected schedule on the churn
-//! workload, then the proposed policy × the five standard re-pack
+//! [`SweepGrid`]s: the five policies under the periodic schedule on the
+//! churn workload, then the proposed policy × the five standard re-pack
 //! schedules (`periodic`, `fragmentation`, QoS-**guarded**
-//! fragmentation, `hybrid`, `hybrid-adaptive`) on a departure-heavy
-//! schedule. The run asserts that every policy exercised the
-//! incremental admit path, that `hybrid` never burns more energy than
-//! the paper's periodic-only clock, and that `guarded` recovers the
-//! pure fragmentation schedule's violation drift (worst-period ratio ≤
-//! periodic's) while keeping energy ≤ 0.95× periodic — and splices an
-//! `"online"` section (comparison + adaptive rows) into
-//! `BENCH_corr.json`.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_online
-//! ```
-//!
-//! Environment knobs (for CI smoke runs): `CAVM_ONLINE_VMS` (default
-//! 40), `CAVM_ONLINE_HOURS` (default 24), `CAVM_ONLINE_TRIGGER`
-//! (`periodic` | `fragmentation` | `guarded` | `hybrid` |
-//! `hybrid-adaptive`; schedule of the main comparison, default
-//! `periodic`), `CAVM_ONLINE_OVERCOMMIT` (starting deliberate-overcommit
-//! margin of the `guarded-overcommit` schedule, default 0.25) and
-//! `CAVM_ONLINE_OVERCOMMIT_MAX` (its adaptive ceiling, default 0.35).
-//! The fragmentation slack (1 server), the guard's violation-ratio
-//! threshold (0.08) and the adaptive-slack bound (slack + 3) are fixed.
+//! fragmentation, `hybrid`, `hybrid-adaptive`) plus
+//! `guarded-overcommit` on a departure-heavy schedule. The run asserts
+//! that every policy exercised the incremental admit path, that
+//! `hybrid` never burns more energy than the paper's periodic-only
+//! clock, that `guarded` recovers the pure fragmentation schedule's
+//! violation drift (worst-period ratio ≤ periodic's) while keeping
+//! energy ≤ 0.95× periodic, that adaptive slack never out-migrates
+//! static slack, and that `guarded-overcommit` keeps ≤ 0.95× guarded
+//! energy at ≤ periodic violations. 40 VMs over 24 h, fragmentation
+//! slack 1 server, guard ratio 0.08, adaptive-slack bound slack + 3,
+//! overcommit margin 0.25 with ceiling 0.35.
 
-use cavm_bench::env;
 use cavm_bench::sweep::{Schedule, SweepGrid, SweepRow, WorkloadCase};
-use cavm_bench::{artifact, bar, PCP_AFFINITY_THRESHOLD, PCP_ENVELOPE_PERCENTILE};
+use cavm_bench::{bar, setup2_fleet, PCP_AFFINITY_THRESHOLD, PCP_ENVELOPE_PERCENTILE, SETUP2_SEED};
 use cavm_sim::{Policy, QosGuard};
-use cavm_workload::datacenter::DatacenterTraceBuilder;
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
 
+/// VMs in the churn schedules (the 40 busiest of the Setup-2 fleet).
+pub const VMS: usize = 40;
+/// Trace horizon, hours.
+pub const HOURS: f64 = 24.0;
 /// Fragmentation slack (servers) of every non-periodic schedule.
-const SLACK: u32 = 1;
+pub const SLACK: u32 = 1;
 /// `QosGuard` of the `guarded` schedule: worst-per-server violation
 /// ratio threshold.
-const QOS_GUARD: QosGuard = QosGuard {
+pub const QOS_GUARD: QosGuard = QosGuard {
     violation_ratio: 0.08,
 };
 /// `SlackController` upper bound of the `hybrid-adaptive` schedule.
-const SLACK_MAX: u32 = SLACK + 3;
+pub const SLACK_MAX: u32 = SLACK + 3;
+/// Starting deliberate-overcommit margin of `guarded-overcommit`.
+const OVERCOMMIT_MARGIN: f64 = 0.25;
+/// `OvercommitController` ceiling of `guarded-overcommit`.
+const OVERCOMMIT_MAX_MARGIN: f64 = 0.35;
 
-fn main() {
-    let vms = env::parse_or("CAVM_ONLINE_VMS", 40);
-    let hours = env::parse_or("CAVM_ONLINE_HOURS", 24.0);
-    let fleet = DatacenterTraceBuilder::new((vms * 3).max(vms))
-        .groups((vms / 4).max(2))
-        .seed(2013)
-        .idle_fraction(0.4)
-        .vm_scale_range(0.35, 1.05)
-        .duration_hours(hours)
+/// The five policies in report order.
+pub fn policies() -> [Policy; 5] {
+    [
+        Policy::Bfd,
+        Policy::Ffd,
+        Policy::Pcp {
+            envelope_percentile: PCP_ENVELOPE_PERCENTILE,
+            affinity_threshold: PCP_AFFINITY_THRESHOLD,
+        },
+        Policy::SuperVm {
+            min_pair_cost: 1.25,
+        },
+        Policy::Proposed(Default::default()),
+    ]
+}
+
+/// The departure-heavy day: short leases (8–25% of the horizon)
+/// arriving over the first ~70% keep servers emptying out mid-period
+/// all day long, so the periodic clock spends up to an hour hosting
+/// half-empty servers after every departure wave — the consolidation
+/// opportunity the off-cycle triggers exist for — while its last-period
+/// predictions chronically trail the churn (a sizable violation budget
+/// the guarded schedule must stay under).
+pub fn departure_heavy(horizon: usize) -> Lifecycle {
+    LifecycleBuilder::new(VMS, horizon)
+        .seed(7)
+        .arrivals(ArrivalProcess::Poisson {
+            mean_gap_samples: horizon as f64 * 0.7 / VMS as f64,
+        })
+        .lifetimes(LifetimeModel::Uniform {
+            min_samples: (horizon * 8 / 100).max(1),
+            max_samples: (horizon / 4).max(2),
+        })
         .build()
-        .expect("static builder parameters are valid")
-        .select_top(vms);
+        .expect("static lifecycle parameters are valid")
+}
+
+pub fn run() -> String {
+    let fleet = setup2_fleet(SETUP2_SEED);
     let horizon = fleet.vms()[0].fine.len();
 
     // Churn: arrivals spread over the first ~60% of the horizon (so
     // late arrivals still run for a while), leases of 30–80% of the
     // horizon. Both are deterministic given the seed.
-    let lifecycle: Lifecycle = LifecycleBuilder::new(vms, horizon)
+    let lifecycle: Lifecycle = LifecycleBuilder::new(VMS, horizon)
         .seed(2013)
         .arrivals(ArrivalProcess::Poisson {
-            mean_gap_samples: horizon as f64 * 0.6 / vms as f64,
+            mean_gap_samples: horizon as f64 * 0.6 / VMS as f64,
         })
         .lifetimes(LifetimeModel::Uniform {
             min_samples: (horizon * 3) / 10,
@@ -85,27 +107,14 @@ fn main() {
         "churn schedule must contain mid-horizon arrivals"
     );
 
-    let schedule = Schedule::from_env("CAVM_ONLINE_TRIGGER", SLACK, QOS_GUARD, SLACK_MAX);
-
-    let policies = vec![
-        Policy::Bfd,
-        Policy::Ffd,
-        Policy::Pcp {
-            envelope_percentile: PCP_ENVELOPE_PERCENTILE,
-            affinity_threshold: PCP_AFFINITY_THRESHOLD,
-        },
-        Policy::SuperVm {
-            min_pair_cost: 1.25,
-        },
-        Policy::Proposed(Default::default()),
-    ];
+    let schedule = Schedule::periodic();
     let rows: Vec<SweepRow> = SweepGrid::over(vec![WorkloadCase::open(
         "churn",
         fleet.clone(),
         lifecycle.clone(),
     )])
-    .servers(vec![vms.max(4)])
-    .policies(policies)
+    .servers(vec![VMS])
+    .policies(policies().to_vec())
     .schedules(vec![schedule])
     .run_with(|cell, report| {
         assert!(
@@ -123,9 +132,9 @@ fn main() {
         .energy;
 
     println!(
-        "# Online churn — {} of {} VMs scheduled over {hours} h ({} peak concurrent), static DVFS, {} re-packs",
+        "# Online churn — {} of {} VMs scheduled over {HOURS} h ({} peak concurrent), static DVFS, {} re-packs",
         lifecycle.len(),
-        vms,
+        VMS,
         lifecycle.max_concurrent(),
         schedule.name,
     );
@@ -159,26 +168,8 @@ fn main() {
         bfd.violation_instances,
     );
 
-    // ---- Adaptive consolidation under a departure-heavy schedule:
-    // short leases (8–25% of the day) arriving over the first ~70%
-    // keep servers emptying out mid-period all day long, so the
-    // periodic clock spends up to an hour hosting half-empty servers
-    // after every departure wave — the consolidation opportunity the
-    // off-cycle triggers exist for — while its last-period predictions
-    // chronically trail the churn (a sizable violation budget the
-    // guarded schedule must stay under).
-    let horizon_f = horizon as f64;
-    let departure_heavy: Lifecycle = LifecycleBuilder::new(vms, horizon)
-        .seed(7)
-        .arrivals(ArrivalProcess::Poisson {
-            mean_gap_samples: horizon_f * 0.7 / vms as f64,
-        })
-        .lifetimes(LifetimeModel::Uniform {
-            min_samples: (horizon * 8 / 100).max(1),
-            max_samples: (horizon / 4).max(2),
-        })
-        .build()
-        .expect("static lifecycle parameters are valid");
+    // ---- Adaptive consolidation under the departure-heavy schedule.
+    let departure_heavy = departure_heavy(horizon);
     let departed_in_run = departure_heavy
         .entries()
         .iter()
@@ -189,18 +180,19 @@ fn main() {
         "departure-heavy schedule must retire most leases mid-run"
     );
 
-    let margin = env::parse_or("CAVM_ONLINE_OVERCOMMIT", 0.25);
-    let max_margin = env::parse_or("CAVM_ONLINE_OVERCOMMIT_MAX", 0.35);
     let mut adaptive_schedules = Schedule::standard(SLACK, QOS_GUARD, SLACK_MAX).to_vec();
     adaptive_schedules.push(Schedule::guarded_overcommit(
-        SLACK, QOS_GUARD, margin, max_margin,
+        SLACK,
+        QOS_GUARD,
+        OVERCOMMIT_MARGIN,
+        OVERCOMMIT_MAX_MARGIN,
     ));
     let adaptive: Vec<SweepRow> = SweepGrid::over(vec![WorkloadCase::open(
         "departure-heavy",
         fleet,
         departure_heavy.clone(),
     )])
-    .servers(vec![vms.max(4)])
+    .servers(vec![VMS])
     .policies(vec![Policy::Proposed(Default::default())])
     .schedules(adaptive_schedules)
     .run()
@@ -237,11 +229,7 @@ fn main() {
     let guarded = &adaptive[2].report;
     let hybrid = &adaptive[3].report;
     let hybrid_adaptive = &adaptive[4].report;
-    let overcommit = &adaptive
-        .iter()
-        .find(|r| r.schedule == "guarded-overcommit")
-        .expect("the overcommit schedule is in the grid")
-        .report;
+    let overcommit = &adaptive[5].report;
     assert!(
         hybrid.offcycle_repacks > 0,
         "the departure-heavy schedule must fire off-cycle re-packs"
@@ -255,7 +243,8 @@ fn main() {
     );
     // The headline of the guarded schedule: the QoS guard recovers the
     // pure fragmentation schedule's violation drift to (at worst) the
-    // periodic clock's level, without ever costing energy over it.
+    // periodic clock's level, with at least a 5% energy win over it
+    // (measured 0.933).
     assert!(
         guarded.max_violation_percent <= periodic.max_violation_percent + 1e-9,
         "the QoS guard must recover violations to periodic level \
@@ -264,62 +253,48 @@ fn main() {
         periodic.max_violation_percent,
     );
     assert!(
-        guarded.energy.joules() <= periodic_energy.joules(),
-        "guarded fragmentation must not burn more energy than periodic \
+        guarded.energy.joules() <= 0.95 * periodic_energy.joules(),
+        "guarded fragmentation must keep at least a 5% energy win over periodic \
          ({} J vs {} J)",
         guarded.energy.joules(),
         periodic_energy.joules(),
     );
-    // The deliberate overcommit bets only on anti-aligned peaks, so
-    // the guard must not see more violation pressure than the paper's
-    // periodic clock leaves behind.
+    // The adaptive slack exists to cut the hybrid clock's migration
+    // bill; it must never spend *more* migrations than static slack.
+    assert!(
+        hybrid_adaptive.total_migrations() <= hybrid.total_migrations(),
+        "adaptive slack must not out-migrate the static hybrid schedule \
+         ({} vs {})",
+        hybrid_adaptive.total_migrations(),
+        hybrid.total_migrations(),
+    );
+    // The deliberate-overcommit headline: packing into the correlation
+    // gap (betting only on anti-aligned peaks) beats even the guarded
+    // schedule by ≥5% energy at no worse QoS than periodic.
     assert!(
         overcommit.max_violation_percent <= periodic.max_violation_percent + 1e-9,
-        "guarded-overcommit must stay within the periodic clock's worst-period violations          ({}% vs {}%)",
+        "guarded-overcommit must stay within the periodic clock's worst-period violations \
+         ({}% vs {}%)",
         overcommit.max_violation_percent,
         periodic.max_violation_percent,
     );
-    // At the canonical size the headroom is real: pin the ≥5% energy
-    // win over periodic (measured 0.933 at 40 VMs / 24 h) and the
-    // adaptive slack's migration savings. Reduced smoke sizes leave
-    // too little churn for the margins to be meaningful.
-    if vms >= 40 && hours >= 24.0 {
-        assert!(
-            guarded.energy.joules() <= 0.95 * periodic_energy.joules(),
-            "guarded fragmentation must keep at least a 5% energy win over periodic \
-             ({} J vs {} J)",
-            guarded.energy.joules(),
-            periodic_energy.joules(),
-        );
-        // The adaptive slack exists to cut the hybrid clock's
-        // migration bill; it must never spend *more* migrations than
-        // static slack.
-        assert!(
-            hybrid_adaptive.total_migrations() <= hybrid.total_migrations(),
-            "adaptive slack must not out-migrate the static hybrid schedule \
-             ({} vs {})",
-            hybrid_adaptive.total_migrations(),
-            hybrid.total_migrations(),
-        );
-        // The deliberate-overcommit headline: packing into the
-        // correlation gap beats even the guarded schedule by ≥5%
-        // energy at no worse QoS than periodic.
-        assert!(
-            overcommit.energy.joules() <= 0.95 * guarded.energy.joules(),
-            "guarded-overcommit must keep at least a 5% energy win over guarded              ({} J vs {} J)",
-            overcommit.energy.joules(),
-            guarded.energy.joules(),
-        );
-        println!();
-        println!(
-            "(guarded ≤ 0.95× periodic energy at ≤ periodic QoS, adaptive ≤ hybrid migrations,              guarded-overcommit ≤ 0.95× guarded energy — asserted)"
-        );
-    }
+    assert!(
+        overcommit.energy.joules() <= 0.95 * guarded.energy.joules(),
+        "guarded-overcommit must keep at least a 5% energy win over guarded \
+         ({} J vs {} J)",
+        overcommit.energy.joules(),
+        guarded.energy.joules(),
+    );
+    println!();
+    println!(
+        "(guarded ≤ 0.95× periodic energy at ≤ periodic QoS, adaptive ≤ hybrid migrations, \
+         guarded-overcommit ≤ 0.95× guarded energy — asserted)"
+    );
 
     let mut section = String::new();
     section.push_str("{\n");
-    let _ = writeln!(section, "    \"vms\": {vms},");
-    let _ = writeln!(section, "    \"hours\": {hours},");
+    let _ = writeln!(section, "    \"vms\": {VMS},");
+    let _ = writeln!(section, "    \"hours\": {HOURS},");
     let _ = writeln!(section, "    \"scheduled\": {},", lifecycle.len());
     let _ = writeln!(
         section,
@@ -332,7 +307,7 @@ fn main() {
         let r = &row.report;
         let _ = write!(
             section,
-            "      {{\"policy\": \"{}\", \"energy_kwh\": {:.3}, \"normalized_power\": {:.4}, \"max_violation_percent\": {:.3}, \"migrations\": {}, \"online_admissions\": {}}}",
+            "      {{\"policy\": \"{}\", \"energy_kwh\": {:.3}, \"normalized_power\": {:.4}, \"max_violation_percent\": {:.3}, \"migrations\": {}, \"online_admissions\": {}",
             r.policy,
             r.energy.kilowatt_hours(),
             r.energy.normalized_to(&baseline).expect("baseline > 0"),
@@ -340,6 +315,10 @@ fn main() {
             r.total_migrations(),
             r.online_admissions,
         );
+        if let Some(single) = r.pcp_single_cluster_periods() {
+            let _ = write!(section, ", \"single_cluster_periods\": {single}");
+        }
+        section.push('}');
         section.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     section.push_str("    ],\n");
@@ -352,8 +331,11 @@ fn main() {
         QOS_GUARD.violation_ratio
     );
     let _ = writeln!(section, "      \"adaptive_slack_max\": {SLACK_MAX},");
-    let _ = writeln!(section, "      \"overcommit_margin\": {margin},");
-    let _ = writeln!(section, "      \"overcommit_max_margin\": {max_margin},");
+    let _ = writeln!(section, "      \"overcommit_margin\": {OVERCOMMIT_MARGIN},");
+    let _ = writeln!(
+        section,
+        "      \"overcommit_max_margin\": {OVERCOMMIT_MAX_MARGIN},"
+    );
     let _ = writeln!(section, "      \"departed_leases\": {departed_in_run},");
     section.push_str("      \"triggers\": [\n");
     for (i, row) in adaptive.iter().enumerate() {
@@ -371,5 +353,5 @@ fn main() {
         section.push_str(if i + 1 < adaptive.len() { ",\n" } else { "\n" });
     }
     section.push_str("      ]\n    }\n  }");
-    artifact::splice_section("online", &section);
+    section
 }

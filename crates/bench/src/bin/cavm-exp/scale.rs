@@ -1,37 +1,35 @@
-//! Scale experiment: placement cells vs the O(n²) correlation wall.
+//! Scale: placement cells vs the O(n²) correlation wall.
 //!
-//! **A synthetic datacenter day at 100k VMs**, spliced into
-//! `BENCH_corr.json` as the `"scale"` section: Poisson arrivals (~100k
+//! **A synthetic datacenter day at 100k VMs**: Poisson arrivals (~100k
 //! over the first 80% of a 24h day at 30s samples), exponential leases
 //! (mean 1.5h), diurnal demand traces, driven through a
-//! [`ShardedController`] (default 256 cells over 1536 8-core servers,
-//! hourly re-pack periods). Roughly one million events (arrivals +
-//! departures + per-cell ticks) — a fleet size the flat controller's
-//! dense matrix cannot touch (100k² pairs ≈ 40 GB at 8 B/pair; the
-//! cells hold ~0.15 GB total).
+//! [`ShardedController`] (256 cells over 1536 8-core servers, hourly
+//! re-pack periods). Roughly one million events (arrivals, departures
+//! and per-cell ticks) — a fleet size the flat controller's dense
+//! matrix cannot touch (100k² pairs ≈ 40 GB at 8 B/pair; the cells
+//! hold ~0.15 GB total).
 //!
 //! The run records the realized routing's pair work (Σ over cells of
 //! mᵢ(mᵢ−1)/2, mᵢ the ids ever routed to cell i) beside the dense
-//! matrix's n(n−1)/2, and with 16 or more cells *asserts* the cells
-//! do at most a tenth of the dense pair work — exact counts, not
-//! timings, so the claim holds on any host.
-//!
-//! Knobs (all env, for CI-sized smokes): `CAVM_SCALE_VMS`,
-//! `CAVM_SCALE_CELLS`, `CAVM_SCALE_SERVERS`, `CAVM_SCALE_HOURS`.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_scale
-//! ```
+//! matrix's n(n−1)/2 and *asserts* the cells do at most a tenth of the
+//! dense pair work — exact counts, not timings, so the claim holds on
+//! any host. The day's wall time is `benchmark/`'s business: its
+//! `sharded-day` is this day at 1/16 scale.
 
-use cavm_bench::env;
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
 use cavm_sim::{ControllerConfig, NullSink, Policy, ShardedController};
 use cavm_trace::{Reference, SimRng, TimeSeries};
-use std::fmt::Write as _;
-use std::time::Instant;
 
+/// VMs arriving over the day.
+const VMS: usize = 100_000;
+/// Placement cells sharding the day's fleet.
+const CELLS: usize = 256;
+/// 8-core servers in the day's fleet.
+const SERVERS: usize = 1536;
+/// Day horizon, hours.
+const HOURS: usize = 24;
 const SAMPLE_DT_S: f64 = 30.0;
 const SAMPLES_PER_HOUR: usize = 120;
 const PERIOD_SAMPLES: usize = SAMPLES_PER_HOUR; // hourly re-pack, as in the paper
@@ -82,7 +80,6 @@ fn draw_trace(rng: &mut SimRng, arrival: usize, len: usize, day_samples: usize) 
 
 struct DayResult {
     events: usize,
-    wall_s: f64,
     peak_live: usize,
     peak_servers: usize,
     violation_instances: usize,
@@ -97,11 +94,11 @@ struct DayResult {
 }
 
 /// The 100k-VM synthetic day through the sharded controller.
-fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult {
-    let total = hours * SAMPLES_PER_HOUR;
+fn run_day() -> DayResult {
+    let total = HOURS * SAMPLES_PER_HOUR;
     let day_samples = 24 * SAMPLES_PER_HOUR;
     let mut rng = SimRng::new(SEED);
-    let plans = draw_plans(&mut rng, vms, total);
+    let plans = draw_plans(&mut rng, VMS, total);
 
     // Pre-bucket the schedule so the replay loop is O(total + events).
     let mut arrivals_at: Vec<Vec<usize>> = vec![Vec::new(); total];
@@ -115,7 +112,7 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult 
 
     let mut dc = ShardedController::new(
         ControllerConfig {
-            server_fleet: ServerFleet::uniform(servers, 8.0, LinearPowerModel::xeon_e5410())
+            server_fleet: ServerFleet::uniform(SERVERS, 8.0, LinearPowerModel::xeon_e5410())
                 .expect("valid fleet"),
             policy: Policy::Proposed(Default::default()),
             repack_trigger: Default::default(),
@@ -128,16 +125,15 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult 
             dynamic_headroom: 0.1,
             default_demand: 0.6,
             sample_dt_s: SAMPLE_DT_S,
-            max_deferred: vms.max(1),
+            max_deferred: VMS,
         },
-        cells,
+        CELLS,
     )
     .expect("valid sharded config");
 
     let mut sink = NullSink;
     let mut events = 0usize;
     let mut peak_live = 0usize;
-    let started = Instant::now();
     for k in 0..total {
         for &id in &departures_at[k] {
             dc.depart(id).expect("scheduled departure");
@@ -152,27 +148,25 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult 
             events += 1;
         }
         dc.tick(&mut sink).expect("tick");
-        events += cells; // one matrix tick per cell
+        events += CELLS; // one matrix tick per cell
         peak_live = peak_live.max(dc.live_vms());
         if (k + 1) % (total / 10).max(1) == 0 {
             eprintln!(
-                "  sample {:>6}/{}: live {:>7}, {:>9} events, {:>6.1}s",
+                "  sample {:>6}/{}: live {:>7}, {:>9} events",
                 k + 1,
                 total,
                 dc.live_vms(),
                 events,
-                started.elapsed().as_secs_f64(),
             );
         }
     }
     dc.finish(&mut sink).expect("finish");
-    let wall_s = started.elapsed().as_secs_f64();
     let report = dc.report();
 
     // Pair work of the realized routing vs the dense matrix the flat
     // controller would have kept over every id ever seen.
-    let mut per_cell = vec![0usize; cells.max(1)];
-    for id in 0..vms {
+    let mut per_cell = vec![0usize; CELLS];
+    for id in 0..VMS {
         if let Some(c) = dc.cell_of_vm(id) {
             per_cell[c] += 1;
         }
@@ -180,13 +174,12 @@ fn run_day(vms: usize, cells: usize, servers: usize, hours: usize) -> DayResult 
     let pair_work: usize = per_cell.iter().map(|&m| m * m.saturating_sub(1) / 2).sum();
     let routed: usize = per_cell.iter().sum();
     let dense_pair_work = routed * routed.saturating_sub(1) / 2;
-    let cell_rows = (0..cells)
+    let cell_rows = (0..CELLS)
         .map(|c| dc.cell_controller(c).map_or(0, |ctl| ctl.period_rows()))
         .collect();
 
     DayResult {
         events,
-        wall_s,
         peak_live,
         peak_servers: report
             .periods
@@ -214,19 +207,13 @@ fn spread(per_cell: &[usize]) -> String {
     }
 }
 
-fn main() {
-    let vms = env::parse_or("CAVM_SCALE_VMS", 100_000);
-    let cells = env::parse_or("CAVM_SCALE_CELLS", 256);
-    let servers = env::parse_or("CAVM_SCALE_SERVERS", 1536);
-    let hours = env::parse_or("CAVM_SCALE_HOURS", 24);
-
+pub fn run() -> String {
     eprintln!(
-        "synthetic day: {vms} VMs, {cells} cells, {servers} servers, {hours}h @ {SAMPLE_DT_S}s samples ..."
+        "synthetic day: {VMS} VMs, {CELLS} cells, {SERVERS} servers, {HOURS}h @ {SAMPLE_DT_S}s samples ..."
     );
-    let day = run_day(vms, cells, servers, hours);
+    let day = run_day();
     eprintln!(
-        "  done in {:.1}s: {} events, peak {} live VMs on {} servers, {} violations, pair work {} vs {} dense",
-        day.wall_s,
+        "  done: {} events, peak {} live VMs on {} servers, {} violations, pair work {} vs {} dense",
         day.events,
         day.peak_live,
         day.peak_servers,
@@ -234,35 +221,28 @@ fn main() {
         day.pair_work,
         day.dense_pair_work,
     );
-    // The sharding claim, on the day's own routing: with 16 or more
-    // cells the cells keep at most a tenth of the dense pair state.
-    if cells >= 16 {
-        assert!(
-            day.pair_work * 10 <= day.dense_pair_work,
-            "{cells} cells must do at most 1/10 of the dense pair work ({} vs {})",
-            day.pair_work,
-            day.dense_pair_work,
-        );
-    }
+    // The sharding claim, on the day's own routing: the cells keep at
+    // most a tenth of the dense pair state.
+    assert!(
+        day.pair_work * 10 <= day.dense_pair_work,
+        "{CELLS} cells must do at most 1/10 of the dense pair work ({} vs {})",
+        day.pair_work,
+        day.dense_pair_work,
+    );
     // What the period tables are sized by (rows) against what they
     // used to be sized by (ids), per cell.
     eprintln!(
-        "  per cell at the end of the day (min / median / max over {cells} cells): period rows {}, ids seen {}; {} rows for {} ids in all",
+        "  per cell at the end of the day (min / median / max over {CELLS} cells): period rows {}, ids seen {}; {} rows for {} ids in all",
         spread(&day.cell_rows),
         spread(&day.cell_ids),
         day.cell_rows.iter().sum::<usize>(),
         day.cell_ids.iter().sum::<usize>(),
     );
 
-    let samples = hours * SAMPLES_PER_HOUR;
-    let mut section = String::new();
-    section.push_str("{\n");
-    let _ = writeln!(
-        section,
-        "    \"day\": {{\"vms\": {vms}, \"cells\": {cells}, \"servers\": {servers}, \"samples\": {samples}, \"events\": {}, \"wall_s\": {:.1}, \"mean_tick_ms\": {:.2}, \"peak_live_vms\": {}, \"peak_servers_used\": {}, \"violation_instances\": {}, \"online_admissions\": {}, \"deferred_peak\": {}, \"pair_work\": {}, \"dense_pair_work\": {}}}",
+    let samples = HOURS * SAMPLES_PER_HOUR;
+    format!(
+        "{{\n    \"day\": {{\"vms\": {VMS}, \"cells\": {CELLS}, \"servers\": {SERVERS}, \"samples\": {samples}, \"events\": {}, \"peak_live_vms\": {}, \"peak_servers_used\": {}, \"violation_instances\": {}, \"online_admissions\": {}, \"deferred_peak\": {}, \"pair_work\": {}, \"dense_pair_work\": {}}}\n  }}",
         day.events,
-        day.wall_s,
-        day.wall_s * 1e3 / samples as f64,
         day.peak_live,
         day.peak_servers,
         day.violation_instances,
@@ -270,7 +250,5 @@ fn main() {
         day.deferred_peak,
         day.pair_work,
         day.dense_pair_work,
-    );
-    section.push_str("  }");
-    cavm_bench::artifact::splice_section("scale", &section);
+    )
 }

@@ -1,32 +1,23 @@
-//! Service experiment: many concurrent controller sessions behind a
-//! [`SessionHost`], spliced into `BENCH_corr.json` as the `"service"`
-//! section.
+//! Service: many concurrent controller sessions behind a
+//! [`SessionHost`].
 //!
-//! Two measurements:
+//! Two checks:
 //!
-//! 1. **A churn day across N sessions** (default 64 sessions of 12 VMs
-//!    over 24h, cycling all five policies, guarded schedule on even
-//!    sessions): the interleaved schedule is replayed on 1 worker and
-//!    on the configured pool, alternating, three times each; the
-//!    median wall time of either is recorded (a single replay apiece
-//!    measured which one ran first), and the run *asserts* the two
-//!    `ServiceReport`s are identical — the determinism contract, kept
-//!    honest on every regeneration.
+//! 1. **A churn day across 64 sessions** (12 VMs each over 24h, cycling
+//!    all five policies, guarded schedule on even sessions): the
+//!    interleaved schedule is replayed once on 1 worker and once on 8,
+//!    and the run *asserts* the two `ServiceReport`s are identical —
+//!    the determinism contract, kept honest on every regeneration. The
+//!    merged report is recorded; the replay's speed is `benchmark/`'s
+//!    `service-day`.
 //! 2. **A what-if probe** — session 0 is replayed to mid-day, forked,
 //!    and asked "what would an off-cycle re-pack free right now?";
-//!    the delta (servers freed, migrations, energy estimate) lands in
-//!    the artifact without the live session noticing.
-//!
-//! Knobs (all env, for CI-sized smokes): `CAVM_SERVICE_SESSIONS`,
-//! `CAVM_SERVICE_WORKERS`, `CAVM_SERVICE_VMS`, `CAVM_SERVICE_HOURS`.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_service
-//! ```
+//!    the delta (servers freed, migrations, energy estimate) is
+//!    recorded without the live session noticing.
 //!
 //! [`SessionHost`]: cavm_sim::SessionHost
 
-use cavm_bench::{env, mini_fleet};
+use cavm_bench::mini_fleet;
 use cavm_sim::service::{interleave, lifecycle_events, SessionHost};
 use cavm_sim::{
     ControllerConfig, NullSink, Policy, QosGuard, RepackTrigger, Scenario, ScenarioBuilder,
@@ -34,18 +25,17 @@ use cavm_sim::{
 };
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
-use std::time::Instant;
 
-/// Timed replays of the day per worker count.
-const REPLAYS: usize = 3;
-
+/// Concurrent controller sessions behind the host.
+const SESSIONS: usize = 64;
+/// Worker threads of the wide run (the narrow run uses 1).
+const WORKERS: usize = 8;
+/// VMs per session.
+const VMS: usize = 12;
+/// Per-session churn horizon, hours.
+const HOURS: usize = 24;
 /// RNG seed for every session's traces and churn schedule.
 const SEED: u64 = 2013;
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
-}
 
 fn five_policies() -> [Policy; 5] {
     [
@@ -63,13 +53,13 @@ fn five_policies() -> [Policy; 5] {
 }
 
 /// One tenant session: its own trace fleet, churn schedule and policy.
-fn session_scenario(s: usize, vms: usize, hours: usize) -> (Scenario, Lifecycle) {
-    let traces = mini_fleet(SEED + s as u64, vms, hours as f64);
+fn session_scenario(s: usize) -> (Scenario, Lifecycle) {
+    let traces = mini_fleet(SEED + s as u64, VMS, HOURS as f64);
     let horizon = traces.vms()[0].fine.len();
-    let lifecycle = LifecycleBuilder::new(vms, horizon)
+    let lifecycle = LifecycleBuilder::new(VMS, horizon)
         .seed(SEED + 1000 + s as u64)
         .arrivals(ArrivalProcess::Poisson {
-            mean_gap_samples: horizon as f64 / (2.0 * vms as f64),
+            mean_gap_samples: horizon as f64 / (2.0 * VMS as f64),
         })
         .lifetimes(LifetimeModel::Exponential {
             mean_samples: horizon as f64 / 3.0,
@@ -77,7 +67,7 @@ fn session_scenario(s: usize, vms: usize, hours: usize) -> (Scenario, Lifecycle)
         .build()
         .expect("valid lifecycle");
     let mut builder = ScenarioBuilder::new(traces)
-        .servers(2 * vms)
+        .servers(2 * VMS)
         .policy(five_policies()[s % 5])
         .repack_trigger(RepackTrigger::Hybrid { slack: 1 })
         .lifecycle(lifecycle.clone());
@@ -98,12 +88,12 @@ struct Day {
     probe_events: Vec<cavm_sim::VmEvent>,
 }
 
-fn build_day(sessions: usize, vms: usize, hours: usize) -> Day {
-    let mut configs = Vec::with_capacity(sessions);
-    let mut streams = Vec::with_capacity(sessions);
-    for s in 0..sessions {
-        let (scenario, lifecycle) = session_scenario(s, vms, hours);
-        let traces = mini_fleet(SEED + s as u64, vms, hours as f64);
+fn build_day() -> Day {
+    let mut configs = Vec::with_capacity(SESSIONS);
+    let mut streams = Vec::with_capacity(SESSIONS);
+    for s in 0..SESSIONS {
+        let (scenario, lifecycle) = session_scenario(s);
+        let traces = mini_fleet(SEED + s as u64, VMS, HOURS as f64);
         let events = lifecycle_events(&traces, &lifecycle, scenario.period_samples())
             .expect("valid schedule");
         streams.push(events);
@@ -134,46 +124,26 @@ fn what_if_probe(config: ControllerConfig, events: &[cavm_sim::VmEvent]) -> What
     delta
 }
 
-fn main() {
-    let sessions = env::parse_or("CAVM_SERVICE_SESSIONS", 64);
-    let workers = env::parse_or("CAVM_SERVICE_WORKERS", 8);
-    let vms = env::parse_or("CAVM_SERVICE_VMS", 12);
-    let hours = env::parse_or("CAVM_SERVICE_HOURS", 24);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    eprintln!("building {sessions} sessions x {vms} VMs over {hours}h (seed {SEED}) ...");
-    let day = build_day(sessions, vms, hours);
+pub fn run() -> String {
+    eprintln!("building {SESSIONS} sessions x {VMS} VMs over {HOURS}h (seed {SEED}) ...");
+    let day = build_day();
     eprintln!("  schedule: {} events", day.schedule.len());
 
-    let narrow = SessionHost::new(day.configs.clone(), 1).expect("valid host");
-    let wide = SessionHost::new(day.configs.clone(), workers).expect("valid host");
-
-    // Whichever replay goes first pays for the cold caches and the
-    // first page faults, so the two alternate and each reports the
-    // median of its three walls.
-    eprintln!(
-        "replaying on 1 and on {workers} workers (cores: {cores}), {REPLAYS}x alternating ..."
-    );
-    let timed = |host: &SessionHost| {
-        let schedule = day.schedule.clone();
-        let started = Instant::now();
-        let report = host.run(schedule).expect("hosted run");
-        (started.elapsed().as_secs_f64(), report)
-    };
-    let replays: Vec<_> = (0..REPLAYS)
-        .map(|_| (timed(&narrow), timed(&wide)))
-        .collect();
-    let single_wall_s = median(replays.iter().map(|(single, _)| single.0).collect());
-    let multi_wall_s = median(replays.iter().map(|(_, multi)| multi.0).collect());
-    eprintln!("  1 worker {single_wall_s:.3}s, {workers} workers {multi_wall_s:.3}s (medians)");
-
     // The determinism contract, enforced on every regeneration: the
-    // worker pool must change wall time only, never a single bit of
-    // any report.
-    for ((_, single), (_, multi)) in &replays {
-        assert_eq!(single, multi, "1-worker and {workers}-worker runs diverged");
-    }
-    let (_, (_, multi)) = &replays[0];
+    // worker pool must never change a single bit of any report.
+    eprintln!("replaying on 1 and on {WORKERS} workers ...");
+    let replay = |workers: usize| {
+        SessionHost::new(day.configs.clone(), workers)
+            .expect("valid host")
+            .run(day.schedule.clone())
+            .expect("hosted run")
+    };
+    let multi = replay(WORKERS);
+    assert_eq!(
+        replay(1),
+        multi,
+        "1-worker and {WORKERS}-worker runs diverged"
+    );
     let merged = &multi.merged;
     eprintln!(
         "  merged: {:.3e} J, worst violation {:.2}%, {} admissions, {} off-cycle re-packs",
@@ -194,14 +164,12 @@ fn main() {
     section.push_str("{\n");
     let _ = writeln!(
         section,
-        "    \"sessions\": {sessions}, \"workers\": {workers}, \"vms_per_session\": {vms}, \"hours\": {hours}, \"seed\": {SEED}, \"cores\": {cores},"
+        "    \"sessions\": {SESSIONS}, \"workers\": {WORKERS}, \"vms_per_session\": {VMS}, \"hours\": {HOURS}, \"seed\": {SEED},"
     );
     let _ = writeln!(
         section,
-        "    \"schedule_events\": {}, \"single_worker_wall_s\": {:.2}, \"multi_worker_wall_s\": {:.2}, \"deterministic\": true,",
+        "    \"schedule_events\": {}, \"deterministic\": true,",
         day.schedule.len(),
-        single_wall_s,
-        multi_wall_s,
     );
     let _ = writeln!(
         section,
@@ -224,5 +192,5 @@ fn main() {
         delta.energy_estimate,
     );
     section.push_str("  }");
-    cavm_bench::artifact::splice_section("service", &section);
+    section
 }

@@ -5,22 +5,20 @@
 //! parentheses in the paper) and next to each PARSEC co-runner on a
 //! shared last-level cache. Also prints the contrast case the paper's
 //! argument implies: a cache-resident workload IS hurt by co-location.
+//! The largest IPC deviation and the contrast's IPC loss are recorded.
 
-use cavm_bench::env;
 use cavm_microarch::{machine::Machine, stream::StreamProfile};
 
 const INSTRUCTIONS: u64 = 3_000_000;
 const SEED: u64 = 1;
 
-fn main() {
-    // `CAVM_T1_INSTRUCTIONS` shrinks the run for CI smoke checks.
-    let instructions = env::parse_or("CAVM_T1_INSTRUCTIONS", INSTRUCTIONS);
+pub fn run() -> String {
     let machine = Machine::opteron_like().expect("preset machine is valid");
     let (solo, paired) = machine
         .colocation_study(
             &StreamProfile::web_search(),
             &StreamProfile::parsec_corunners(),
-            instructions,
+            INSTRUCTIONS,
             SEED,
         )
         .expect("study runs to completion");
@@ -55,16 +53,17 @@ fn main() {
     println!("(paper: 'only negligible variations over all the metrics')");
 
     let resident_solo = machine
-        .run_solo(&StreamProfile::cache_resident(), instructions, SEED)
+        .run_solo(&StreamProfile::cache_resident(), INSTRUCTIONS, SEED)
         .expect("solo run succeeds");
     let (resident_paired, _) = machine
         .run_pair(
             &StreamProfile::cache_resident(),
             &StreamProfile::canneal(),
-            instructions,
+            INSTRUCTIONS,
             SEED,
         )
         .expect("pair run succeeds");
+    let resident_loss = 100.0 * (resident_solo.ipc - resident_paired.ipc) / resident_solo.ipc;
     println!();
     println!("# Contrast: cache-resident workload w/ canneal (sharing is NOT free here)");
     println!(
@@ -73,6 +72,12 @@ fn main() {
         resident_solo.ipc,
         100.0 * resident_paired.l3_miss_rate,
         100.0 * resident_solo.l3_miss_rate,
-        100.0 * (resident_solo.ipc - resident_paired.ipc) / resident_solo.ipc,
+        resident_loss,
     );
+
+    format!(
+        "{{\"instructions\": {INSTRUCTIONS}, \"max_ipc_deviation_percent\": {:.3}, \"cache_resident_ipc_loss_percent\": {:.3}}}",
+        100.0 * max_ipc_delta,
+        resident_loss,
+    )
 }

@@ -1,6 +1,5 @@
-//! Trace replay experiment: the checked-in sample traces — one file
-//! per supported CSV dialect — driven end-to-end through both
-//! controller shapes.
+//! Trace replay: the checked-in sample traces — one file per supported
+//! CSV dialect — driven end-to-end through both controller shapes.
 //!
 //! For each fixture (`crates/workload/testdata/azure_sample.csv`,
 //! Azure-VM style readings; `crates/workload/testdata/huawei_sample.csv`,
@@ -13,30 +12,22 @@
 //!    (which carries real per-sample correlation structure) the run
 //!    *asserts* proposed never burns more energy than BFD,
 //! 3. replays the same workload through a cell-sharded
-//!    [`ShardedController`] (default 16 cells), admitting every VM
-//!    through sketch-routed admission,
+//!    [`ShardedController`] (16 cells by default), admitting every VM
+//!    through sketch-routed admission.
 //!
-//! and splices a `"trace"` section (flat rows + sharded summary per
-//! dialect) into `BENCH_corr.json`.
-//!
-//! ```text
-//! cargo run --release -p cavm-bench --bin exp_trace
-//! ```
-//!
-//! Environment knobs (for CI smoke runs and byo-trace replays):
-//! `CAVM_TRACE_AZURE` / `CAVM_TRACE_HUAWEI` (fixture paths),
-//! `CAVM_TRACE_DT_S` (sample period, default 300), `CAVM_TRACE_HORIZON`
-//! (samples, default 48), `CAVM_TRACE_PERIOD_SAMPLES` (placement
-//! period, default 12), `CAVM_TRACE_SERVERS` (default 24),
-//! `CAVM_TRACE_CELLS` (default 16), `CAVM_TRACE_SLACK` (default 1),
-//! `CAVM_TRACE_QOS` (default 0.08).
+//! Environment knobs (for bring-your-own-trace replays):
+//! `CAVM_TRACE_AZURE` / `CAVM_TRACE_HUAWEI` (fixture paths; unset, the
+//! checked-in fixtures under the workspace root), `CAVM_TRACE_DT_S`
+//! (sample period, default 300), `CAVM_TRACE_HORIZON` (samples, default
+//! 48), `CAVM_TRACE_PERIOD_SAMPLES` (placement period, default 12),
+//! `CAVM_TRACE_SERVERS` (default 24), `CAVM_TRACE_CELLS` (default 16),
+//! `CAVM_TRACE_SLACK` (default 1), `CAVM_TRACE_QOS` (default 0.08).
 //!
 //! [`TraceDataset`]: cavm_workload::dataset::TraceDataset
 //! [`ShardedController`]: cavm_sim::ShardedController
 
-use cavm_bench::env;
 use cavm_bench::sweep::{Schedule, SweepGrid, SweepRow, WorkloadCase};
-use cavm_bench::{artifact, bar};
+use cavm_bench::{bar, env};
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
@@ -48,6 +39,7 @@ use cavm_workload::datacenter::VmFleet;
 use cavm_workload::dataset::{assemble, AzureTraceReader, HuaweiTraceReader};
 use cavm_workload::lifecycle::Lifecycle;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 struct Knobs {
     dt_s: f64,
@@ -57,6 +49,19 @@ struct Knobs {
     cells: usize,
     slack: u32,
     qos: QosGuard,
+}
+
+/// The fixture path `key` names, as shown in the tables and the
+/// artifact, and the path to open: a set variable keeps its meaning
+/// relative to the working directory, the repo-relative default is
+/// resolved against the workspace root.
+fn fixture(key: &str, default: &str) -> (String, PathBuf) {
+    let shown = env::parse_or(key, default.to_string());
+    let open = match std::env::var_os(key) {
+        Some(_) => PathBuf::from(&shown),
+        None => PathBuf::from(crate::WORKSPACE_ROOT).join(default),
+    };
+    (shown, open)
 }
 
 /// Replays an assembled workload through the cell-sharded controller,
@@ -195,7 +200,7 @@ fn run_dialect(
     }
 }
 
-fn main() {
+pub fn run() -> String {
     let knobs = Knobs {
         dt_s: env::parse_or("CAVM_TRACE_DT_S", 300.0),
         horizon: env::parse_or("CAVM_TRACE_HORIZON", 48),
@@ -207,22 +212,22 @@ fn main() {
             violation_ratio: env::parse_or("CAVM_TRACE_QOS", 0.08),
         },
     };
-    let azure_path = env::parse_or(
+    let (azure_path, azure_file) = fixture(
         "CAVM_TRACE_AZURE",
-        "crates/workload/testdata/azure_sample.csv".to_string(),
+        "crates/workload/testdata/azure_sample.csv",
     );
-    let huawei_path = env::parse_or(
+    let (huawei_path, huawei_file) = fixture(
         "CAVM_TRACE_HUAWEI",
-        "crates/workload/testdata/huawei_sample.csv".to_string(),
+        "crates/workload/testdata/huawei_sample.csv",
     );
 
-    let mut azure_reader = AzureTraceReader::open(&azure_path, knobs.dt_s, knobs.horizon)
+    let mut azure_reader = AzureTraceReader::open(&azure_file, knobs.dt_s, knobs.horizon)
         .expect("azure fixture opens");
     let (azure_fleet, azure_lifecycle) =
         assemble(&mut azure_reader).expect("azure fixture assembles");
     let azure = run_dialect("azure", azure_path, azure_fleet, azure_lifecycle, &knobs);
 
-    let mut huawei_reader = HuaweiTraceReader::open(&huawei_path, knobs.dt_s, knobs.horizon)
+    let mut huawei_reader = HuaweiTraceReader::open(&huawei_file, knobs.dt_s, knobs.horizon)
         .expect("huawei fixture opens");
     let (huawei_fleet, huawei_lifecycle) =
         assemble(&mut huawei_reader).expect("huawei fixture assembles");
@@ -344,5 +349,5 @@ fn main() {
         section.push_str(if d == 0 { "    },\n" } else { "    }\n" });
     }
     section.push_str("  }");
-    artifact::splice_section("trace", &section);
+    section
 }

@@ -1,11 +1,10 @@
-//! Strict parsing for the `CAVM_*` environment knobs of the
-//! experiment binaries.
+//! Strict parsing for the `CAVM_TRACE_*` environment knobs of
+//! `cavm-exp trace`.
 //!
-//! Every knob is CI surface: a typo like `CAVM_ONLINE_VMS=4O` must
-//! abort naming the variable and the rejected value — not silently
-//! fall back to the default, run the wrong-sized experiment, and
-//! splice its numbers into the artifact as if they were the requested
-//! ones. Only an *unset* variable means "use the default".
+//! A typo like `CAVM_TRACE_HORIZON=4O` must abort naming the variable
+//! and the rejected value — not silently fall back to the default and
+//! replay the wrong-sized trace as if it were the requested one. Only
+//! an *unset* variable means "use the default".
 
 use std::any::type_name;
 use std::str::FromStr;

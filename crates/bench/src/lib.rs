@@ -1,19 +1,19 @@
-//! Shared scaffolding for the experiment binaries and criterion benches.
+//! Shared scaffolding for the experiment binary and criterion benches.
 //!
-//! Every table and figure of the paper has a regenerator binary in
-//! `src/bin/` (run with `cargo run --release -p cavm-bench --bin exp_*`).
-//! The three criterion benches in `benches/` each carry one claim:
-//! `corr_throughput` the §IV-A cost-vs-Pearson argument, `matrix_tick`
-//! the fan-out threshold of `CostMatrix`'s window replay, and
-//! `alloc_scaling` the allocators' growth with fleet size. The
-//! canonical experiment parameters live here so binaries, benches and
-//! integration tests agree.
+//! Every table and figure of the paper is a section of the `cavm-exp`
+//! binary in `src/bin/cavm-exp/` (`cargo run --release -p cavm-bench
+//! --bin cavm-exp -- <section>|all`; `all` also rewrites
+//! `BENCH_corr.json`). The three criterion benches in `benches/` each
+//! carry one claim: `corr_throughput` the §IV-A cost-vs-Pearson
+//! argument, `matrix_tick` the fan-out threshold of `CostMatrix`'s
+//! window replay, and `alloc_scaling` the allocators' growth with fleet
+//! size. The canonical experiment parameters live here so the binary,
+//! benches and integration tests agree.
 
 use cavm_core::dvfs::DvfsMode;
 use cavm_sim::{Policy, ScenarioBuilder, SimReport};
 use cavm_workload::datacenter::{DatacenterTraceBuilder, VmFleet};
 
-pub mod artifact;
 pub mod env;
 pub mod sweep;
 

@@ -17,8 +17,8 @@
 //! and [`SweepGrid::run`] replays every cell through
 //! [`ScenarioBuilder`], yielding one labelled [`SweepRow`] per cell in
 //! a documented deterministic order (workload-major, then faults,
-//! servers, policy, schedule, DVFS-minor). `exp_online`, `exp_faults`
-//! and `exp_trace` are thin formatters over these rows.
+//! servers, policy, schedule, DVFS-minor). The `online`, `faults` and
+//! `trace` sections of `cavm-exp` are thin formatters over these rows.
 //!
 //! # Example
 //!
@@ -142,24 +142,6 @@ impl Schedule {
             slack_max: None,
             overcommit: Some(OvercommitConfig { margin, max_margin }),
         }
-    }
-
-    /// Looks a schedule up by name in [`Schedule::standard`] via an
-    /// environment variable; only an unset variable falls back to
-    /// `periodic`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable names no standard schedule or is not
-    /// unicode — the env knobs are CI surface, and a typo must fail
-    /// loudly.
-    pub fn from_env(key: &str, slack: u32, guard: QosGuard, slack_max: u32) -> Self {
-        let all = Schedule::standard(slack, guard, slack_max);
-        let name = crate::env::parse_or(key, "periodic".to_string());
-        *all.iter().find(|s| s.name == name).unwrap_or_else(|| {
-            let names: Vec<&str> = all.iter().map(|s| s.name).collect();
-            panic!("{key}={name}: expected {}", names.join("|"))
-        })
     }
 
     /// Composes this schedule onto a scenario builder.
@@ -537,45 +519,6 @@ mod tests {
                 ("FFD", "hybrid"),
             ]
         );
-    }
-
-    // Each `from_env` test owns a unique variable name: the harness
-    // runs tests in parallel and the environment is process-global.
-
-    const GUARD: QosGuard = QosGuard {
-        violation_ratio: 0.08,
-    };
-
-    #[test]
-    fn from_env_resolves_hybrid_adaptive() {
-        std::env::set_var("CAVM_SWEEPTEST_ADAPTIVE", "hybrid-adaptive");
-        let schedule = Schedule::from_env("CAVM_SWEEPTEST_ADAPTIVE", 1, GUARD, 4);
-        assert_eq!(schedule, Schedule::standard(1, GUARD, 4)[4]);
-        assert_eq!(
-            Schedule::from_env("CAVM_SWEEPTEST_UNSET", 1, GUARD, 4),
-            Schedule::periodic()
-        );
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "CAVM_SWEEPTEST_UNKNOWN=bogus: expected periodic|fragmentation|guarded|hybrid|hybrid-adaptive"
-    )]
-    fn from_env_unknown_name_lists_every_schedule() {
-        std::env::set_var("CAVM_SWEEPTEST_UNKNOWN", "bogus");
-        Schedule::from_env("CAVM_SWEEPTEST_UNKNOWN", 1, GUARD, 4);
-    }
-
-    /// A set but non-unicode value is not "unset": it must not quietly
-    /// run `periodic`.
-    #[cfg(unix)]
-    #[test]
-    #[should_panic(expected = "CAVM_SWEEPTEST_NON_UNICODE=\"hyb\\xFFrid\": not unicode")]
-    fn from_env_non_unicode_value_panics() {
-        use std::os::unix::ffi::OsStrExt;
-        let raw = std::ffi::OsStr::from_bytes(b"hyb\xffrid");
-        std::env::set_var("CAVM_SWEEPTEST_NON_UNICODE", raw);
-        Schedule::from_env("CAVM_SWEEPTEST_NON_UNICODE", 1, GUARD, 4);
     }
 
     #[test]

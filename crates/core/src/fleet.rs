@@ -235,7 +235,7 @@ impl ServerFleet {
     /// machines, with wattages scaled to the board size (per-core
     /// efficiency improves with density, so the fill order — largest
     /// first — is also the efficient order). Shared by the
-    /// `exp_hetero` experiment, the heterogeneous benches and the
+    /// `cavm-exp hetero` experiment, the heterogeneous benches and the
     /// acceptance tests so they all pin the *same* scenario.
     ///
     /// # Errors

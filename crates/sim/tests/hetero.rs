@@ -1,7 +1,7 @@
 //! Heterogeneous-fleet acceptance tests: on a 3-class datacenter
 //! (4/8/16-core classes with scaled power models) the correlation-aware
 //! policy must beat the correlation-blind baselines on total energy —
-//! the `exp_hetero` experiment's headline, pinned at test size.
+//! the `cavm-exp hetero` headline, pinned at test size.
 
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;

@@ -3,7 +3,7 @@
 //!
 //! The fixtures are deterministic renders of `SyntheticTrace`
 //! workloads through the two CSV writers, so the repo carries real
-//! parse targets for CI (and `exp_trace` replays them end-to-end)
+//! parse targets for CI (and `cavm-exp trace` replays them end-to-end)
 //! without shipping megabytes of real cloud traces. The plain tests
 //! assert the checked-in bytes still match the generators and that the
 //! readers ingest them; run the `#[ignore]`d regeneration tests after
@@ -30,7 +30,7 @@ const HORIZON: usize = 48;
 /// The Azure-format fixture's source workload: ten VMs in three apps —
 /// two correlated diurnal groups peaking at different hours plus an
 /// uncorrelated batch group — so a correlation-aware policy has
-/// structure to exploit when `exp_trace` replays the file.
+/// structure to exploit when `cavm-exp trace` replays the file.
 fn azure_source() -> SyntheticTrace {
     SyntheticTraceBuilder::new(HORIZON)
         .sample_dt_s(SAMPLE_DT_S)

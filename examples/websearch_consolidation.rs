@@ -11,8 +11,8 @@ use cavm::prelude::*;
 use cavm_cluster::experiment::setup1_sim_config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Shortened run so the example finishes quickly; the bench binary
-    // exp_fig5 runs the full 20-minute period.
+    // Shortened run so the example finishes quickly; `cavm-exp fig5`
+    // runs the full 20-minute period.
     let config = Setup1Config {
         duration_s: 600.0,
         wave_period_s: 600.0,
