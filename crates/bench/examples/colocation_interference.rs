@@ -6,9 +6,9 @@
 //! alone and against each PARSEC co-runner, then shows the contrast — a
 //! cache-resident workload that co-location genuinely hurts.
 //!
-//! Run with: `cargo run --release --example colocation_interference`
+//! Run with: `cargo run --release -p cavm-bench --example colocation_interference`
 
-use cavm::prelude::*;
+use cavm_microarch::{Machine, StreamProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = Machine::opteron_like()?;

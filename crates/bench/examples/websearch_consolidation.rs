@@ -5,10 +5,13 @@
 //! *discovers* the good placement by itself from measured utilization
 //! traces — no human told it the clusters are anti-phased.
 //!
-//! Run with: `cargo run --release --example websearch_consolidation`
+//! Run with: `cargo run --release -p cavm-bench --example websearch_consolidation`
 
-use cavm::prelude::*;
 use cavm_cluster::experiment::setup1_sim_config;
+use cavm_cluster::{run_setup1, ClusterSim, Setup1Config, Setup1Placement};
+use cavm_core::alloc::{AllocationPolicy, ProposedPolicy, VmDescriptor};
+use cavm_core::corr::CostMatrix;
+use cavm_trace::{Reference, TimeSeries};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Shortened run so the example finishes quickly; `cavm-exp fig5`

@@ -31,6 +31,7 @@ use cavm_bench::{bar, env};
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
+use cavm_sim::service::lifecycle_events;
 use cavm_sim::{
     ControllerConfig, NullSink, Policy, QosGuard, RepackTrigger, ShardedController, SimReport,
 };
@@ -65,24 +66,15 @@ fn fixture(key: &str, default: &str) -> (String, PathBuf) {
 }
 
 /// Replays an assembled workload through the cell-sharded controller,
-/// event for event: departures, then arrivals (trace sliced to the
-/// live window, lease passed through), then the per-sample tick.
+/// event for event, over the same lowered stream the flat rows'
+/// `Scenario::run` drives: per sample the departures, then the
+/// arrivals (trace sliced to the live window, lease passed through),
+/// then the tick.
 fn replay_sharded(fleet: &VmFleet, lifecycle: &Lifecycle, knobs: &Knobs) -> SimReport {
-    let horizon = fleet.vms()[0].fine.len();
     // The partition needs servers per cell; sketch routing spreads a
     // small trace thinly, so give each cell a few slots (idle servers
     // stay powered off and cost nothing).
     let servers = knobs.servers.max(4 * knobs.cells);
-    let mut arrivals_at: Vec<Vec<usize>> = vec![Vec::new(); horizon];
-    let mut departures_at: Vec<Vec<usize>> = vec![Vec::new(); horizon];
-    for entry in lifecycle.entries() {
-        arrivals_at[entry.arrival_sample].push(entry.id);
-        if let Some(d) = entry.departure_sample {
-            if d < horizon {
-                departures_at[d].push(entry.id);
-            }
-        }
-    }
 
     let mut dc = ShardedController::new(
         ControllerConfig {
@@ -106,25 +98,10 @@ fn replay_sharded(fleet: &VmFleet, lifecycle: &Lifecycle, knobs: &Knobs) -> SimR
     .expect("valid sharded config");
 
     let mut sink = NullSink;
-    for k in 0..horizon {
-        for &id in &departures_at[k] {
-            dc.depart(id).expect("scheduled departure");
-        }
-        for &id in &arrivals_at[k] {
-            let entry = &lifecycle.entries()[lifecycle
-                .entries()
-                .iter()
-                .position(|e| e.id == id)
-                .expect("entry exists")];
-            let end = entry.departure_sample.unwrap_or(horizon).min(horizon);
-            let trace = fleet.vms()[id]
-                .fine
-                .slice(k, end)
-                .expect("live window is in range");
-            let lease = entry.departure_sample.map(|d| d - k);
-            dc.arrive(id, trace, lease, &mut sink).expect("admission");
-        }
-        dc.tick(&mut sink).expect("tick");
+    let events =
+        lifecycle_events(fleet, lifecycle, knobs.period_samples).expect("lifecycle lowers");
+    for event in events {
+        dc.apply(event, &mut sink).expect("replayed event");
     }
     dc.finish(&mut sink).expect("finish");
     dc.report()

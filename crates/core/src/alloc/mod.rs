@@ -278,49 +278,6 @@ impl Placement {
         map
     }
 
-    /// Total descriptor demand per active server, computed in one pass
-    /// (an id-indexed demand table is built once and reused for every
-    /// member, instead of a linear descriptor search per member).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member id is outside `vms` — placements and
-    /// descriptor tables travel together.
-    pub fn server_demands(&self, vms: &[VmDescriptor]) -> Vec<f64> {
-        let demand_of_id = demand_table(vms);
-        self.servers
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .map(|&id| {
-                        demand_of_id
-                            .get(&id)
-                            .unwrap_or_else(|| panic!("vm {id} missing from descriptor table"))
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Total descriptor demand packed on server `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or a member id is outside
-    /// `vms` — placements and descriptor tables travel together.
-    pub fn demand_of(&self, index: usize, vms: &[VmDescriptor]) -> f64 {
-        let demand_of_id = demand_table(vms);
-        self.servers[index]
-            .iter()
-            .map(|&id| {
-                demand_of_id
-                    .get(&id)
-                    .unwrap_or_else(|| panic!("vm {id} missing from descriptor table"))
-            })
-            .sum()
-    }
-
     /// Checks coverage only: every descriptor placed exactly once and no
     /// foreign ids. Capacity is *not* checked — policies that provision
     /// below peak (PCP's off-peak plus shared buffer) legitimately pack
@@ -391,7 +348,8 @@ impl Placement {
         capacity_of: impl Fn(usize) -> Option<f64>,
     ) -> crate::Result<()> {
         let mut seen = std::collections::HashSet::new();
-        let ids = demand_table(vms);
+        let ids: std::collections::HashMap<usize, f64> =
+            vms.iter().map(|d| (d.id, d.demand)).collect();
         for (s, server) in self.servers.iter().enumerate() {
             let mut load = 0.0;
             for &vm in server {
@@ -422,11 +380,6 @@ impl Placement {
         }
         Ok(())
     }
-}
-
-/// The id-indexed demand lookup shared by the placement accessors.
-fn demand_table(vms: &[VmDescriptor]) -> std::collections::HashMap<usize, f64> {
-    vms.iter().map(|d| (d.id, d.demand)).collect()
 }
 
 /// A VM-to-server allocation heuristic.
@@ -740,9 +693,6 @@ mod tests {
         assert_eq!(p.classes(), &[0, 0]);
         assert_eq!(p.class_of(1), Some(0));
         assert_eq!(p.class_of(9), None);
-        let vms = descs(&[1.0, 2.0, 3.0]);
-        assert_eq!(p.demand_of(0, &vms), 4.0);
-        assert_eq!(p.server_demands(&vms), vec![4.0, 2.0]);
         assert_eq!(p.assignment(3), vec![Some(0), Some(1), Some(0)]);
         assert_eq!(p.assignment(2), vec![Some(0), Some(1)]);
     }

@@ -207,11 +207,6 @@ impl FleetFrequencyPlanner {
         self.planners.is_empty()
     }
 
-    /// The per-class planner, or `None` for an unknown class.
-    pub fn class_planner(&self, class: usize) -> Option<&FrequencyPlanner> {
-        self.planners.get(class)
-    }
-
     fn lookup(&self, class: usize) -> crate::Result<(&FrequencyPlanner, f64)> {
         match (self.planners.get(class), self.cores.get(class)) {
             (Some(p), Some(&c)) => Ok((p, c)),
@@ -359,8 +354,6 @@ mod tests {
         assert!(fp.static_level_worst_case(9, 1.0).is_err());
         assert!(fp.static_level_correlation_aware(9, 1.0, 1.0).is_err());
         assert!(fp.dynamic_level(9, 1.0, 0.0).is_err());
-        assert!(fp.class_planner(0).is_some());
-        assert!(fp.class_planner(9).is_none());
     }
 
     #[test]

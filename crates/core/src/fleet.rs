@@ -280,11 +280,6 @@ impl ServerFleet {
         self.classes.is_empty()
     }
 
-    /// `true` for a degenerate one-class fleet.
-    pub fn is_uniform(&self) -> bool {
-        self.classes.len() == 1
-    }
-
     /// Class indices in fill order: descending capacity, ties broken by
     /// ascending busy-watts-per-core, then declaration order.
     pub fn fill_order(&self) -> &[usize] {
@@ -310,14 +305,6 @@ impl ServerFleet {
                 UNBOUNDED => None,
                 n => Some(acc + n as f64 * c.cores),
             })
-    }
-
-    /// The largest per-server capacity in the fleet.
-    pub fn max_cores(&self) -> f64 {
-        self.classes
-            .iter()
-            .map(|c| c.cores)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Eqn (3) generalized to a heterogeneous fleet: the length of the
@@ -470,12 +457,10 @@ mod tests {
         assert!(ServerFleet::new(vec![]).is_err());
         assert!(ServerFleet::unbounded(-1.0).is_err());
         let fleet = ServerFleet::uniform(20, 8.0, xeon()).unwrap();
-        assert!(fleet.is_uniform());
         assert!(!fleet.is_empty());
         assert_eq!(fleet.len(), 1);
         assert_eq!(fleet.total_slots(), Some(20));
         assert_eq!(fleet.total_cores(), Some(160.0));
-        assert_eq!(fleet.max_cores(), 8.0);
         assert_eq!(fleet.class(0).unwrap().cores(), 8.0);
         assert!(fleet.class(1).is_none());
         let unbounded = ServerFleet::unbounded(8.0).unwrap();

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let f = Frequency::from_ghz(2.3);
 /// assert_eq!(f.as_ghz(), 2.3);
-/// assert!((Frequency::from_mhz(1900.0).as_ghz() - 1.9).abs() < 1e-12);
+/// assert_eq!(f.to_string(), "2.30 GHz");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Frequency(f64);
@@ -38,23 +38,9 @@ impl Frequency {
         Self(ghz)
     }
 
-    /// Creates a frequency from MHz.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Frequency::from_ghz`].
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self::from_ghz(mhz / 1000.0)
-    }
-
     /// The frequency in GHz.
     pub fn as_ghz(&self) -> f64 {
         self.0
-    }
-
-    /// The frequency in MHz.
-    pub fn as_mhz(&self) -> f64 {
-        self.0 * 1000.0
     }
 
     /// `self / other`, the dimensionless scaling factor between two
@@ -190,78 +176,6 @@ impl DvfsLadder {
     }
 }
 
-/// Anti-oscillation guard for dynamic DVFS.
-///
-/// The paper re-evaluates the dynamic v/f level only every 12 samples
-/// "to prevent frequent oscillations of v/f level (which affects server
-/// reliability \[17\])". [`DwellGuard`] generalizes that: upward switches
-/// (more capacity) pass immediately — they are safety-critical — while
-/// downward switches are suppressed until the current level has dwelled
-/// for a minimum number of samples.
-///
-/// # Example
-///
-/// ```
-/// use cavm_power::DwellGuard;
-///
-/// let mut guard = DwellGuard::new(3);
-/// assert_eq!(guard.filter(1), 1); // first decision passes
-/// assert_eq!(guard.filter(0), 1); // down-switch suppressed (dwell)
-/// assert_eq!(guard.filter(2), 2); // up-switch always passes
-/// assert_eq!(guard.filter(0), 2);
-/// assert_eq!(guard.filter(0), 2);
-/// assert_eq!(guard.filter(0), 0); // dwell satisfied, down-switch passes
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DwellGuard {
-    min_dwell: u32,
-    current: Option<usize>,
-    dwelled: u32,
-}
-
-impl DwellGuard {
-    /// Creates a guard requiring `min_dwell` consecutive decisions at a
-    /// level before a *downward* switch is honoured. `min_dwell == 0`
-    /// disables the guard.
-    pub fn new(min_dwell: u32) -> Self {
-        Self {
-            min_dwell,
-            current: None,
-            dwelled: 0,
-        }
-    }
-
-    /// Filters a proposed level index; returns the level to actually use.
-    pub fn filter(&mut self, proposed: usize) -> usize {
-        let decided = match self.current {
-            None => proposed,
-            // Up-switches are safety-critical and always pass; a
-            // down-switch must wait out the dwell.
-            Some(current) if proposed > current => proposed,
-            Some(current) if proposed < current && self.dwelled >= self.min_dwell => proposed,
-            Some(current) => current,
-        };
-        if Some(decided) == self.current {
-            self.dwelled = self.dwelled.saturating_add(1);
-        } else {
-            self.current = Some(decided);
-            self.dwelled = 1;
-        }
-        decided
-    }
-
-    /// The level currently held, or `None` before the first decision.
-    pub fn current(&self) -> Option<usize> {
-        self.current
-    }
-
-    /// Forgets history (keeps the dwell requirement).
-    pub fn reset(&mut self) {
-        self.current = None;
-        self.dwelled = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,9 +194,8 @@ mod tests {
 
     #[test]
     fn frequency_conversions_and_ratio() {
-        let f = Frequency::from_mhz(2300.0);
-        assert!((f.as_ghz() - 2.3).abs() < 1e-12);
-        assert!((f.as_mhz() - 2300.0).abs() < 1e-9);
+        let f = Frequency::from_ghz(2.3);
+        assert_eq!(f.as_ghz(), 2.3);
         let g = Frequency::from_ghz(2.0);
         assert!((g.ratio_to(f) - 2.0 / 2.3).abs() < 1e-12);
         assert_eq!(format!("{f}"), "2.30 GHz");
@@ -353,29 +266,5 @@ mod tests {
         assert_eq!(l.index_of(Frequency::from_ghz(2.1)), None);
         assert_eq!(l.get(1).unwrap().as_ghz(), 2.3);
         assert_eq!(l.get(2), None);
-    }
-
-    #[test]
-    fn dwell_guard_zero_passes_everything() {
-        let mut g = DwellGuard::new(0);
-        assert_eq!(g.filter(2), 2);
-        assert_eq!(g.filter(0), 0);
-        assert_eq!(g.filter(1), 1);
-    }
-
-    #[test]
-    fn dwell_guard_suppresses_flapping() {
-        let mut g = DwellGuard::new(2);
-        assert_eq!(g.filter(1), 1);
-        // Immediate down-switch suppressed.
-        assert_eq!(g.filter(0), 1);
-        assert_eq!(g.current(), Some(1));
-        // After enough dwell the down-switch goes through.
-        assert_eq!(g.filter(0), 0);
-        // Up-switch always goes through.
-        assert_eq!(g.filter(3), 3);
-        g.reset();
-        assert_eq!(g.current(), None);
-        assert_eq!(g.filter(0), 0);
     }
 }

@@ -24,8 +24,6 @@
 //! assert_eq!(bfd.seconds(), 3600.0);
 //! ```
 
-use crate::{Frequency, PowerModel};
-use cavm_trace::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// Accumulates energy (the time integral of power) over a simulation.
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// meter.add(250.0, 5.0); // 250 W for 5 s
 /// meter.add(100.0, 5.0);
 /// assert_eq!(meter.joules(), 1750.0);
-/// assert!((meter.watt_hours() - 1750.0 / 3600.0).abs() < 1e-9);
+/// assert_eq!(meter.seconds(), 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
@@ -80,11 +78,6 @@ impl EnergyMeter {
         self.joules
     }
 
-    /// Total accumulated energy in watt-hours.
-    pub fn watt_hours(&self) -> f64 {
-        self.joules / 3600.0
-    }
-
     /// Total accumulated energy in kilowatt-hours.
     pub fn kilowatt_hours(&self) -> f64 {
         self.joules / 3.6e6
@@ -93,15 +86,6 @@ impl EnergyMeter {
     /// Total covered time in seconds.
     pub fn seconds(&self) -> f64 {
         self.seconds
-    }
-
-    /// Mean power over the covered time, or 0.0 when nothing was added.
-    pub fn mean_watts(&self) -> f64 {
-        if self.seconds == 0.0 {
-            0.0
-        } else {
-            self.joules / self.seconds
-        }
     }
 
     /// This meter's energy as a fraction of `baseline`'s (the Table II
@@ -116,44 +100,18 @@ impl EnergyMeter {
     }
 }
 
-/// Integrates a power model over a utilization trace at a fixed
-/// frequency.
-///
-/// `utilization` carries the fraction of server capacity in use at each
-/// sample (values are clamped into `[0, 1]`, tolerating small numeric
-/// overshoot from upstream aggregation).
-///
-/// # Errors
-///
-/// Propagates [`crate::PowerError::UnknownLevel`] from the model.
-pub fn energy_of_trace<M: PowerModel + ?Sized>(
-    model: &M,
-    utilization: &TimeSeries,
-    frequency: Frequency,
-) -> crate::Result<EnergyMeter> {
-    let mut meter = EnergyMeter::new();
-    for &u in utilization.values() {
-        let p = model.power(u.clamp(0.0, 1.0), frequency)?;
-        meter.add(p, utilization.dt());
-    }
-    Ok(meter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinearPowerModel;
 
     #[test]
     fn meter_accumulates_and_converts() {
         let mut m = EnergyMeter::new();
-        assert_eq!(m.mean_watts(), 0.0);
+        assert_eq!(m.joules(), 0.0);
         m.add(100.0, 36.0);
         assert_eq!(m.joules(), 3600.0);
-        assert_eq!(m.watt_hours(), 1.0);
         assert!((m.kilowatt_hours() - 0.001).abs() < 1e-12);
         assert_eq!(m.seconds(), 36.0);
-        assert_eq!(m.mean_watts(), 100.0);
     }
 
     #[test]
@@ -187,31 +145,5 @@ mod tests {
     #[should_panic(expected = "bad dt")]
     fn meter_rejects_negative_dt() {
         EnergyMeter::new().add(1.0, -1.0);
-    }
-
-    #[test]
-    fn trace_integration_matches_hand_computation() {
-        let model = LinearPowerModel::xeon_e5410();
-        let f = Frequency::from_ghz(2.0);
-        let trace = TimeSeries::new(5.0, vec![0.0, 1.0]).unwrap();
-        let meter = energy_of_trace(&model, &trace, f).unwrap();
-        // 160 W idle for 5 s + 250 W busy for 5 s.
-        assert!((meter.joules() - (160.0 * 5.0 + 250.0 * 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_integration_clamps_overshoot() {
-        let model = LinearPowerModel::xeon_e5410();
-        let f = Frequency::from_ghz(2.0);
-        let trace = TimeSeries::new(1.0, vec![1.2, -0.1]).unwrap();
-        let meter = energy_of_trace(&model, &trace, f).unwrap();
-        assert!((meter.joules() - (250.0 + 160.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_integration_unknown_level_errors() {
-        let model = LinearPowerModel::xeon_e5410();
-        let trace = TimeSeries::new(1.0, vec![0.5]).unwrap();
-        assert!(energy_of_trace(&model, &trace, Frequency::from_ghz(4.0)).is_err());
     }
 }

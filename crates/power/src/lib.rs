@@ -6,14 +6,13 @@
 //! require:
 //!
 //! * [`dvfs`] — discrete frequency ladders ([`DvfsLadder`]) with snap-up
-//!   level selection and an anti-oscillation dwell guard. The paper's
-//!   testbeds expose exactly two levels each (Opteron 6174: 1.9/2.1 GHz,
-//!   Xeon E5410: 2.0/2.3 GHz).
-//! * [`model`] — the [`PowerModel`] trait with a per-level linear model
+//!   level selection. The paper's testbeds expose exactly two levels
+//!   each (Opteron 6174: 1.9/2.1 GHz, Xeon E5410: 2.0/2.3 GHz).
+//! * [`model`] — the [`PowerModel`] trait and its per-level linear model
 //!   (idle/busy watts per frequency, the form used by Pedram et al. \[13\],
-//!   which the paper adopts) and an analytic cubic-in-frequency model.
+//!   which the paper adopts).
 //! * [`energy`] — [`EnergyMeter`], integrating instantaneous power over
-//!   sampled traces into joules, and normalized comparisons between
+//!   sampled intervals into joules, and normalized comparisons between
 //!   policies (Table II reports power normalized to BFD).
 //!
 //! # Example
@@ -42,10 +41,10 @@ pub mod energy;
 mod error;
 pub mod model;
 
-pub use dvfs::{DvfsLadder, DwellGuard, Frequency};
+pub use dvfs::{DvfsLadder, Frequency};
 pub use energy::EnergyMeter;
 pub use error::PowerError;
-pub use model::{CubicPowerModel, LinearPowerModel, PowerModel};
+pub use model::{LinearPowerModel, PowerModel};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, PowerError>;

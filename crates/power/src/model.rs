@@ -5,9 +5,7 @@
 //! which expresses server power as an affine function of CPU utilization
 //! with frequency-dependent coefficients. [`LinearPowerModel`] is exactly
 //! that shape: per frequency level, an idle wattage and a busy wattage,
-//! interpolated linearly in utilization. [`CubicPowerModel`] is an
-//! analytic alternative (static + dynamic `∝ u·f³`) for sensitivity
-//! studies with many-level ladders.
+//! interpolated linearly in utilization.
 //!
 //! Utilization here is the fraction `u ∈ [0, 1]` of the server's
 //! capacity **at the given frequency** that is busy. Energy comparisons
@@ -213,70 +211,6 @@ impl PowerModel for LinearPowerModel {
     }
 }
 
-/// Analytic model: `P(u, f) = P_static + C_dyn · (f/f_max)³ · (k + (1-k)·u)`.
-///
-/// `k ∈ [0, 1]` is the fraction of the dynamic power that is
-/// utilization-independent (clock tree, uncore). Useful for studying
-/// ladders with many levels, where hand calibration of a
-/// [`LinearPowerModel`] would be tedious.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CubicPowerModel {
-    ladder: DvfsLadder,
-    static_watts: f64,
-    dynamic_watts: f64,
-    idle_fraction: f64,
-}
-
-impl CubicPowerModel {
-    /// Builds the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::InvalidParameter`] for negative/non-finite
-    /// wattages or `idle_fraction ∉ [0, 1]`.
-    pub fn new(
-        ladder: DvfsLadder,
-        static_watts: f64,
-        dynamic_watts: f64,
-        idle_fraction: f64,
-    ) -> crate::Result<Self> {
-        let ok = static_watts.is_finite()
-            && dynamic_watts.is_finite()
-            && static_watts >= 0.0
-            && dynamic_watts >= 0.0
-            && (0.0..=1.0).contains(&idle_fraction);
-        if !ok {
-            return Err(PowerError::InvalidParameter(
-                "cubic model requires finite non-negative watts and idle_fraction in [0,1]",
-            ));
-        }
-        Ok(Self {
-            ladder,
-            static_watts,
-            dynamic_watts,
-            idle_fraction,
-        })
-    }
-}
-
-impl PowerModel for CubicPowerModel {
-    fn power(&self, u: f64, f: Frequency) -> crate::Result<f64> {
-        if !(0.0..=1.0).contains(&u) || u.is_nan() {
-            return Err(PowerError::InvalidUtilization(u));
-        }
-        if self.ladder.index_of(f).is_none() {
-            return Err(PowerError::UnknownLevel(f));
-        }
-        let scale = f.ratio_to(self.ladder.max()).powi(3);
-        let activity = self.idle_fraction + (1.0 - self.idle_fraction) * u;
-        Ok(self.static_watts + self.dynamic_watts * scale * activity)
-    }
-
-    fn ladder(&self) -> &DvfsLadder {
-        &self.ladder
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,35 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn cubic_model_scales_with_f_cubed() {
-        let ladder =
-            DvfsLadder::new(vec![Frequency::from_ghz(1.0), Frequency::from_ghz(2.0)]).unwrap();
-        let m = CubicPowerModel::new(ladder, 100.0, 200.0, 0.0).unwrap();
-        let p_lo = m.power(1.0, Frequency::from_ghz(1.0)).unwrap();
-        let p_hi = m.power(1.0, Frequency::from_ghz(2.0)).unwrap();
-        // Dynamic part at f/2 is 1/8 of the part at f.
-        assert!((p_lo - (100.0 + 200.0 / 8.0)).abs() < 1e-9);
-        assert!((p_hi - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cubic_model_validates() {
-        let ladder = DvfsLadder::xeon_e5410();
-        assert!(CubicPowerModel::new(ladder.clone(), -1.0, 10.0, 0.5).is_err());
-        assert!(CubicPowerModel::new(ladder.clone(), 1.0, 10.0, 1.5).is_err());
-        let m = CubicPowerModel::new(ladder, 10.0, 10.0, 0.3).unwrap();
-        assert!(matches!(
-            m.power(0.5, Frequency::from_ghz(9.0)),
-            Err(PowerError::UnknownLevel(_))
-        ));
-        assert!(m.power(2.0, Frequency::from_ghz(2.0)).is_err());
-    }
-
-    #[test]
     fn models_are_object_safe() {
         let models: Vec<Box<dyn PowerModel>> = vec![
             Box::new(LinearPowerModel::xeon_e5410()),
-            Box::new(CubicPowerModel::new(DvfsLadder::xeon_e5410(), 100.0, 150.0, 0.2).unwrap()),
+            Box::new(LinearPowerModel::opteron_6174()),
         ];
         for m in &models {
             let p = m.power(0.5, m.ladder().max()).unwrap();

@@ -1,8 +1,6 @@
 //! Property-based tests for the power/DVFS models.
 
-use cavm_power::{
-    CubicPowerModel, DvfsLadder, DwellGuard, EnergyMeter, Frequency, LinearPowerModel, PowerModel,
-};
+use cavm_power::{DvfsLadder, EnergyMeter, Frequency, LinearPowerModel, PowerModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,30 +35,6 @@ proptest! {
         prop_assert!(m.power(lo, f).unwrap() <= m.power(hi, f).unwrap() + 1e-12);
     }
 
-    /// Cubic model power is monotone in both utilization and frequency.
-    #[test]
-    fn cubic_power_monotone(
-        u1 in 0.0f64..=1.0,
-        u2 in 0.0f64..=1.0,
-        stat in 0.0f64..300.0,
-        dyn_w in 0.0f64..300.0,
-        idle_frac in 0.0f64..=1.0,
-    ) {
-        let ladder = DvfsLadder::new(vec![
-            Frequency::from_ghz(1.0),
-            Frequency::from_ghz(1.7),
-            Frequency::from_ghz(2.4),
-        ]).unwrap();
-        let m = CubicPowerModel::new(ladder, stat, dyn_w, idle_frac).unwrap();
-        let (lo, hi) = if u1 <= u2 { (u1, u2) } else { (u2, u1) };
-        for &f in m.ladder().levels() {
-            prop_assert!(m.power(lo, f).unwrap() <= m.power(hi, f).unwrap() + 1e-12);
-        }
-        for fs in m.ladder().levels().windows(2) {
-            prop_assert!(m.power(u1, fs[0]).unwrap() <= m.power(u1, fs[1]).unwrap() + 1e-12);
-        }
-    }
-
     /// EnergyMeter is additive: splitting an interval changes nothing.
     #[test]
     fn energy_meter_additive(w in 0.0f64..1000.0, dt in 0.0f64..100.0, split in 0.0f64..=1.0) {
@@ -71,26 +45,5 @@ proptest! {
         parts.add(w, dt * (1.0 - split));
         prop_assert!((whole.joules() - parts.joules()).abs() < 1e-6);
         prop_assert!((whole.seconds() - parts.seconds()).abs() < 1e-9);
-    }
-
-    /// DwellGuard output is always either the proposal or the held level,
-    /// and up-switches always pass.
-    #[test]
-    fn dwell_guard_sound(dwell in 0u32..5, proposals in prop::collection::vec(0usize..4, 1..50)) {
-        let mut g = DwellGuard::new(dwell);
-        let mut held: Option<usize> = None;
-        for &p in &proposals {
-            let out = g.filter(p);
-            match held {
-                None => prop_assert_eq!(out, p),
-                Some(h) => {
-                    prop_assert!(out == p || out == h);
-                    if p > h {
-                        prop_assert_eq!(out, p, "up-switch must pass");
-                    }
-                }
-            }
-            held = Some(out);
-        }
     }
 }

@@ -260,7 +260,7 @@ impl MetricSink for CellSink<'_> {
 /// [module docs](self).
 ///
 /// Like the flat controller the whole session is `Clone`-able:
-/// [`snapshot`](Self::snapshot)/[`fork`](Self::fork) copy **cell-wise**
+/// [`fork`](Self::fork) copies **cell-wise**
 /// (each cell's flat controller clones independently, plus the O(cells)
 /// routing tables), so a fork of a 256-cell session costs the sum of
 /// 256 small per-cell clones — each a matrix over that cell's period
@@ -412,10 +412,10 @@ impl ShardedController {
     /// The cell a live or departed global VM was routed to, or `None`
     /// for an id this session never admitted. In the degenerate
     /// `cells = 1` configuration the router is bypassed and every
-    /// registered id reports cell 0.
+    /// admitted id reports cell 0.
     pub fn cell_of_vm(&self, id: usize) -> Option<usize> {
         if self.inner.len() == 1 {
-            return (id < self.inner[0].predicted_vms().len()).then_some(0);
+            return self.inner[0].is_registered(id).then_some(0);
         }
         self.route.get(id).and_then(|r| r.as_ref()).map(|r| r.cell)
     }
@@ -664,6 +664,15 @@ impl ShardedController {
         (&mut self.inner[cell], cell_sink)
     }
 
+    /// Servers currently provisioned across every cell — what
+    /// [`SimError::UnknownServer`] reports, as the flat controller does.
+    fn provisioned_servers(&self) -> usize {
+        self.inner
+            .iter()
+            .map(|c| c.placement().server_count())
+            .sum()
+    }
+
     /// Re-bases a cell's server-health error into the global namespace:
     /// the server index by the cell's slot offset, and the provisioned
     /// count to the fleet-wide one.
@@ -672,11 +681,7 @@ impl ShardedController {
         match error {
             SimError::UnknownServer { server, .. } => SimError::UnknownServer {
                 server: server + offset,
-                servers: self
-                    .inner
-                    .iter()
-                    .map(|c| c.placement().server_count())
-                    .sum(),
+                servers: self.provisioned_servers(),
             },
             SimError::ServerAlreadyFailed { server } => SimError::ServerAlreadyFailed {
                 server: server + offset,
@@ -692,7 +697,7 @@ impl ShardedController {
         if server >= self.total_slots {
             return Err(SimError::UnknownServer {
                 server,
-                servers: self.total_slots,
+                servers: self.provisioned_servers(),
             });
         }
         let cell = match self.server_offsets.binary_search(&server) {
@@ -849,14 +854,6 @@ impl ShardedController {
     /// Read access to one cell's flat controller, for inspection.
     pub fn cell_controller(&self, cell: usize) -> Option<&DatacenterController> {
         self.inner.get(cell)
-    }
-
-    /// An independent copy of the whole sharded session, cell-wise.
-    ///
-    /// Alias of [`fork`](Self::fork); see
-    /// [`DatacenterController::snapshot`] for the semantics.
-    pub fn snapshot(&self) -> Self {
-        self.clone()
     }
 
     /// Forks the sharded session: every cell's flat controller is
@@ -1170,13 +1167,25 @@ mod tests {
         assert_eq!(sharded.locate_server(3).unwrap(), (0, 3));
         assert_eq!(sharded.locate_server(4).unwrap(), (1, 0));
         assert_eq!(sharded.locate_server(7).unwrap(), (1, 3));
-        assert!(matches!(
+        // Past the fleet, the error counts provisioned servers (one per
+        // cell here), as it does for an unprovisioned index inside it.
+        let provisioned: usize = (0..2)
+            .map(|c| {
+                sharded
+                    .cell_controller(c)
+                    .unwrap()
+                    .placement()
+                    .server_count()
+            })
+            .sum();
+        assert_eq!(provisioned, 2);
+        assert_eq!(
             sharded.server_fail(8, &mut sink),
             Err(SimError::UnknownServer {
                 server: 8,
-                servers: 8
+                servers: provisioned
             })
-        ));
+        );
         // Failing a provisioned global server reaches the right cell.
         let report_failures_before = sharded.report().server_failures;
         sharded.server_fail(0, &mut sink).unwrap();
@@ -1272,6 +1281,32 @@ mod tests {
             sharded.tick(&mut sink).unwrap();
         }
         assert_eq!(sharded.live_vms(), 2);
+    }
+
+    /// One cell answers from the flat controller's id registry, like the
+    /// routing table does for several: an id below the highest one that
+    /// never arrived, and an arrival the cell refused, are in no cell.
+    #[test]
+    fn single_cell_locates_only_admitted_vms() {
+        // Two 8-core servers; a 6-core default demand fills one each.
+        let mut cfg = config(2);
+        cfg.default_demand = 6.0;
+        let mut sharded = ShardedController::new(cfg, 1).unwrap();
+        let mut sink = NullSink;
+        let quiet = || TimeSeries::constant(5.0, 64, 1.0).unwrap();
+        sharded.arrive(0, quiet(), None, &mut sink).unwrap();
+        sharded.arrive(2, quiet(), None, &mut sink).unwrap();
+        sharded.tick(&mut sink).unwrap();
+        assert!(matches!(
+            sharded.arrive(4, quiet(), None, &mut sink),
+            Err(SimError::InsufficientServers { .. })
+        ));
+        sharded.depart(0).unwrap();
+        assert_eq!(sharded.cell_of_vm(0), Some(0), "departed");
+        assert_eq!(sharded.cell_of_vm(2), Some(0), "live");
+        assert_eq!(sharded.cell_of_vm(1), None, "never arrived");
+        assert_eq!(sharded.cell_of_vm(4), None, "refused");
+        assert_eq!(sharded.cell_of_vm(5), None, "past every id");
     }
 
     /// Records the VM of every [`MetricSink::on_admit`].

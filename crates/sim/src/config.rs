@@ -849,7 +849,7 @@ mod tests {
             .unwrap();
         assert_eq!(s.config().policy.name(), "FFD");
         assert_eq!(s.period_samples(), 360);
-        assert!(s.config().server_fleet.is_uniform());
+        assert_eq!(s.config().server_fleet.len(), 1);
         assert_eq!(s.config().server_fleet.total_slots(), Some(5));
         assert_eq!(s.config().server_fleet.class(0).unwrap().cores(), 4.0);
     }

@@ -224,10 +224,10 @@ struct ServerSlot {
 /// clone, not copied ([`TimeSeries`] clones alias their samples). The
 /// period cost matrix is the only heavyweight member: O(rows²) floats,
 /// rows being the largest population one period has held
-/// ([`period_rows`](Self::period_rows)). [`snapshot`](Self::snapshot)
-/// and [`fork`](Self::fork) build on that, and [`what_if`](Self::what_if)
-/// answers "what would a re-pack buy right now?" against a fork
-/// without perturbing the live session.
+/// ([`period_rows`](Self::period_rows)). [`fork`](Self::fork) builds
+/// on that, and [`what_if`](Self::what_if) answers "what would a
+/// re-pack buy right now?" against a fork without perturbing the live
+/// session.
 #[derive(Debug, Clone)]
 pub struct DatacenterController {
     cfg: ControllerConfig,
@@ -478,6 +478,12 @@ impl DatacenterController {
 
     fn is_live(&self, id: usize) -> bool {
         matches!(self.ids.get(id), Some(IdState::Live(_)))
+    }
+
+    /// Whether `id` was ever admitted (live or departed): a hole below
+    /// the highest id and a refused arrival are not.
+    pub(crate) fn is_registered(&self, id: usize) -> bool {
+        matches!(self.ids.get(id), Some(IdState::Live(_) | IdState::Departed))
     }
 
     /// VMs admitted through the incremental (mid-period) path so far.
@@ -1091,23 +1097,17 @@ impl DatacenterController {
         }
     }
 
-    // ---- snapshot / fork / what-if ----------------------------------------
-
-    /// An independent copy of the session at this instant, for
-    /// inspection or archival. The copy shares no mutable state with
-    /// the live session — the registered traces are immutable and
-    /// aliased, not copied — so the dominant cost is the period cost
-    /// matrix (O([`period_rows`](Self::period_rows)²) floats).
-    pub fn snapshot(&self) -> Self {
-        self.clone()
-    }
+    // ---- fork / what-if ----------------------------------------------------
 
     /// Forks the session: the returned controller is a fully
     /// independent session that continues from this instant. Feeding
     /// both the original and the fork an identical event suffix
     /// produces bit-identical reports (pinned by the fork-equivalence
     /// property tests), and events applied to one are invisible to
-    /// the other. Costs what [`snapshot`](Self::snapshot) costs.
+    /// the other. The fork shares no mutable state with the live
+    /// session — the registered traces are immutable and aliased, not
+    /// copied — so the dominant cost is the period cost matrix
+    /// (O([`period_rows`](Self::period_rows)²) floats).
     pub fn fork(&self) -> Self {
         self.clone()
     }
@@ -2257,8 +2257,8 @@ mod tests {
         }
     }
 
-    /// `fork()`/`snapshot()` copy no sample buffer: the fork's
-    /// registered traces are the parent's, by address.
+    /// `fork()` copies no sample buffer: the fork's registered traces
+    /// are the parent's, by address.
     #[test]
     fn fork_aliases_the_registered_traces() {
         let mut ctl = DatacenterController::new(config_with(None, None)).unwrap();
@@ -2275,7 +2275,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(samples(&ctl), samples(&ctl.fork()));
-        assert_eq!(samples(&ctl), samples(&ctl.snapshot()));
     }
 
     /// A session whose policy reads no pair cost never calls

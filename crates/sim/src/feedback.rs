@@ -227,16 +227,6 @@ impl SlackController {
         self.current
     }
 
-    /// The `(min, max)` bounds the slack walks between.
-    pub fn bounds(&self) -> (u32, u32) {
-        (self.min, self.max)
-    }
-
-    /// Whether the bounds actually leave room to adapt.
-    pub fn is_adaptive(&self) -> bool {
-        self.min != self.max
-    }
-
     /// Feeds back one fired re-pack's realized outcome; a re-pack with
     /// no migrations carries no cost signal and leaves the slack —
     /// *and* an in-progress [`SlackController::MISS_STREAK`] — fully

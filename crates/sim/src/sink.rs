@@ -501,11 +501,6 @@ impl<S: MetricSink> Buffered<S> {
         &self.inner
     }
 
-    /// The wrapped sink, mutably.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Drains the queue and returns the wrapped sink.
     pub fn into_inner(mut self) -> S {
         self.drain();

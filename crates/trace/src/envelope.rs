@@ -104,15 +104,6 @@ impl Envelope {
         self.active
     }
 
-    /// Fraction of active samples, 0.0 for an empty envelope.
-    pub fn active_fraction(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.active as f64 / self.len as f64
-        }
-    }
-
     /// Number of samples where both envelopes are active.
     ///
     /// # Errors
@@ -153,31 +144,6 @@ impl Envelope {
             Ok(overlap as f64 / denom as f64)
         }
     }
-
-    /// Jaccard similarity of the active sets (|A∩B| / |A∪B|); 0.0 when
-    /// both are entirely inactive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::LengthMismatch`] when lengths differ.
-    pub fn jaccard(&self, other: &Envelope) -> crate::Result<f64> {
-        let overlap = self.overlap_count(other)?;
-        let union = self.active_count() + other.active_count() - overlap;
-        if union == 0 {
-            Ok(0.0)
-        } else {
-            Ok(overlap as f64 / union as f64)
-        }
-    }
-
-    /// `true` when the two envelopes never peak simultaneously.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::LengthMismatch`] when lengths differ.
-    pub fn is_disjoint(&self, other: &Envelope) -> crate::Result<bool> {
-        Ok(self.overlap_count(other)? == 0)
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +160,7 @@ mod tests {
         let e = Envelope::from_threshold(&t, 0.5);
         assert_eq!(e, Envelope::from_bits(vec![false, true, true, true, false]));
         assert_eq!(e.active_count(), 3);
-        assert!((e.active_fraction() - 0.6).abs() < 1e-12);
+        assert_eq!(e.len(), 5);
     }
 
     #[test]
@@ -208,7 +174,7 @@ mod tests {
     fn empty_envelope() {
         let e = Envelope::from_bits(vec![]);
         assert!(e.is_empty());
-        assert_eq!(e.active_fraction(), 0.0);
+        assert_eq!(e.active_count(), 0);
         let t = TimeSeries::new(1.0, vec![]).unwrap();
         assert!(Envelope::from_series(&t, Reference::Percentile(90.0)).is_err());
     }
@@ -217,18 +183,19 @@ mod tests {
     fn overlap_and_jaccard() {
         let a = Envelope::from_bits(vec![true, true, false, false]);
         let b = Envelope::from_bits(vec![false, true, true, false]);
-        assert_eq!(a.overlap_count(&b).unwrap(), 1);
-        assert!((a.jaccard(&b).unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        let overlap = a.overlap_count(&b).unwrap();
+        assert_eq!(overlap, 1);
+        // Jaccard |A∩B| / |A∪B| from the counts: 1 / (2 + 2 - 1).
+        let union = a.active_count() + b.active_count() - overlap;
+        assert!((overlap as f64 / union as f64 - 1.0 / 3.0).abs() < 1e-12);
         assert!((a.containment(&b).unwrap() - 0.5).abs() < 1e-12);
-        assert!(!a.is_disjoint(&b).unwrap());
     }
 
     #[test]
     fn disjoint_envelopes() {
         let a = Envelope::from_bits(vec![true, false, true, false]);
         let b = Envelope::from_bits(vec![false, true, false, true]);
-        assert!(a.is_disjoint(&b).unwrap());
-        assert_eq!(a.jaccard(&b).unwrap(), 0.0);
+        assert_eq!(a.overlap_count(&b).unwrap(), 0);
         assert_eq!(a.containment(&b).unwrap(), 0.0);
     }
 
@@ -236,7 +203,7 @@ mod tests {
     fn all_inactive_has_zero_affinity() {
         let a = Envelope::from_bits(vec![false, false]);
         let b = Envelope::from_bits(vec![false, false]);
-        assert_eq!(a.jaccard(&b).unwrap(), 0.0);
+        assert_eq!(a.overlap_count(&b).unwrap(), 0);
         assert_eq!(a.containment(&b).unwrap(), 0.0);
     }
 
@@ -249,15 +216,7 @@ mod tests {
             Err(TraceError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            a.jaccard(&b),
-            Err(TraceError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
             a.containment(&b),
-            Err(TraceError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            a.is_disjoint(&b),
             Err(TraceError::LengthMismatch { .. })
         ));
     }

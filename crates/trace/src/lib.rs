@@ -8,8 +8,8 @@
 //! * [`stats`] — batch statistics: Welford mean/variance, exact
 //!   percentiles, and the *reference utilization* û used throughout the
 //!   paper ([`Reference`]: peak or N-th percentile).
-//! * [`streaming`] — constant-memory statistics: the P² quantile
-//!   estimator, exponentially-weighted moving averages, windowed maxima.
+//! * [`streaming`] — constant-memory statistics: the running peak and
+//!   the P² quantile estimator (standalone and banked behind one clock).
 //! * [`sketch`] — constant-size per-VM demand summaries ([`MomentSketch`]:
 //!   running moments + a phase envelope) that let the placement-cell
 //!   router steer arrivals in O(cells) without any dense pair structure.
@@ -56,7 +56,7 @@ pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use sketch::{MomentSketch, PHASE_BUCKETS};
 pub use stats::{percentile, Reference, Summary, Welford};
-pub use streaming::{Ewma, P2Cell, P2Clock, P2Quantile, StreamingPeak, WindowedMax};
+pub use streaming::{P2Cell, P2Clock, P2Quantile, StreamingPeak};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TraceError>;

@@ -282,15 +282,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -454,14 +445,5 @@ mod tests {
             v, sorted,
             "shuffle left the identity permutation (astronomically unlikely)"
         );
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = SimRng::new(71);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let one = [42u8];
-        assert_eq!(rng.choose(&one), Some(&42));
     }
 }

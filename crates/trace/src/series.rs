@@ -46,8 +46,7 @@ pub struct TimeSeries {
     dt: f64,
     /// Shared, never mutated after construction. (`Arc<Vec<_>>` rather
     /// than `Arc<[_]>`: construction adopts the caller's vector instead
-    /// of copying it, and a sole owner gets it back from
-    /// [`TimeSeries::into_values`] for free.)
+    /// of copying it.)
     values: Arc<Vec<f64>>,
 }
 
@@ -119,13 +118,6 @@ impl TimeSeries {
     /// Borrow the raw samples.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Consume the series and return the raw samples: the buffer
-    /// itself when this was its only owner, a copy when clones still
-    /// share it (they are left intact).
-    pub fn into_values(self) -> Vec<f64> {
-        Arc::try_unwrap(self.values).unwrap_or_else(|shared| shared.to_vec())
     }
 
     /// Sample at `index`, or `None` past the end.
@@ -297,41 +289,6 @@ impl TimeSeries {
         TimeSeries::new(self.dt * factor as f64, values)
     }
 
-    /// Coarsens the series by taking the maximum of consecutive groups of
-    /// `factor` samples (peak-preserving downsampling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidParameter`] when `factor == 0`.
-    pub fn coarsen_max(&self, factor: usize) -> crate::Result<TimeSeries> {
-        if factor == 0 {
-            return Err(TraceError::InvalidParameter("coarsen factor must be >= 1"));
-        }
-        let values = self
-            .values
-            .chunks(factor)
-            .map(|c| c.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-            .collect();
-        TimeSeries::new(self.dt * factor as f64, values)
-    }
-
-    /// Repeats every sample `factor` times (zero-order-hold refinement),
-    /// dividing the sampling interval accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidParameter`] when `factor == 0`.
-    pub fn refine_hold(&self, factor: usize) -> crate::Result<TimeSeries> {
-        if factor == 0 {
-            return Err(TraceError::InvalidParameter("refine factor must be >= 1"));
-        }
-        let mut values = Vec::with_capacity(self.values.len() * factor);
-        for &v in self.values.iter() {
-            values.extend(std::iter::repeat_n(v, factor));
-        }
-        TimeSeries::new(self.dt / factor as f64, values)
-    }
-
     /// Splits the series into consecutive windows of `window` samples.
     /// The last window may be shorter.
     ///
@@ -470,20 +427,7 @@ mod tests {
         let m = t.coarsen_mean(2).unwrap();
         assert_eq!(m.values(), &[2.0, 4.0, 5.0]);
         assert_eq!(m.dt(), 2.0);
-        let x = t.coarsen_max(2).unwrap();
-        assert_eq!(x.values(), &[3.0, 6.0, 5.0]);
         assert!(t.coarsen_mean(0).is_err());
-        assert!(t.coarsen_max(0).is_err());
-    }
-
-    #[test]
-    fn refine_hold_inverts_coarsen_on_constant() {
-        let t = s(&[2.0, 4.0]);
-        let r = t.refine_hold(3).unwrap();
-        assert_eq!(r.values(), &[2.0, 2.0, 2.0, 4.0, 4.0, 4.0]);
-        assert!((r.dt() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(r.coarsen_mean(3).unwrap().values(), t.values());
-        assert!(t.refine_hold(0).is_err());
     }
 
     #[test]
@@ -541,19 +485,6 @@ mod tests {
         let c = s(&[1.0, 2.0, 3.0]);
         assert_ne!(a.values().as_ptr(), c.values().as_ptr());
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn into_values_leaves_a_sharing_clone_intact() {
-        let a = s(&[1.0, 2.0, 3.0]);
-        let b = a.clone();
-        let mut taken = a.into_values();
-        taken[0] = 99.0;
-        assert_eq!(b.values(), &[1.0, 2.0, 3.0]);
-        // A sole owner hands its buffer over without copying.
-        let ptr = b.values().as_ptr();
-        let owned = b.into_values();
-        assert_eq!(owned.as_ptr(), ptr);
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl Reference {
     pub fn of_series(&self, series: &TimeSeries) -> crate::Result<f64> {
         self.of(series.values())
     }
-
-    /// `true` if this is worst-case (peak) provisioning.
-    pub fn is_peak(&self) -> bool {
-        matches!(self, Reference::Peak)
-    }
 }
 
 impl Default for Reference {
@@ -220,15 +215,6 @@ impl Welford {
             0.0
         } else {
             self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (divides by `n - 1`; 0.0 when fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -408,8 +394,6 @@ mod tests {
         assert_eq!(Reference::Peak.of(&v).unwrap(), 99.0);
         let p90 = Reference::Percentile(90.0).of(&v).unwrap();
         assert!(p90 < 99.0 && p90 > 85.0);
-        assert!(Reference::Peak.is_peak());
-        assert!(!Reference::Percentile(90.0).is_peak());
     }
 
     #[test]
@@ -436,13 +420,11 @@ mod tests {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
 
         let mut w1 = Welford::new();
         w1.push(7.0);
         assert_eq!(w1.mean(), 7.0);
         assert_eq!(w1.population_variance(), 0.0);
-        assert_eq!(w1.sample_variance(), 0.0);
     }
 
     #[test]

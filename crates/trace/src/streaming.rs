@@ -8,17 +8,12 @@
 //! * [`StreamingPeak`] — running maximum (û under [`Reference::Peak`]).
 //! * [`P2Quantile`] — the P² algorithm of Jain & Chlamtac: a five-marker
 //!   streaming quantile estimator (û under [`Reference::Percentile`]).
-//! * [`Ewma`] — exponentially weighted moving average, used by the EWMA
-//!   workload predictor.
-//! * [`WindowedMax`] — sliding-window maximum with amortized O(1) updates
-//!   (monotonic deque), used by the dynamic DVFS governor.
 //!
 //! [`Reference::Peak`]: crate::Reference::Peak
 //! [`Reference::Percentile`]: crate::Reference::Percentile
 
 use crate::TraceError;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Running maximum of a sample stream.
 ///
@@ -462,147 +457,6 @@ impl P2Cell {
     }
 }
 
-/// Exponentially weighted moving average.
-///
-/// `y_k = α·x_k + (1-α)·y_{k-1}`, seeded with the first sample.
-///
-/// # Example
-///
-/// ```
-/// use cavm_trace::Ewma;
-///
-/// # fn main() -> Result<(), cavm_trace::TraceError> {
-/// let mut e = Ewma::new(0.5)?;
-/// e.push(0.0);
-/// e.push(10.0);
-/// assert_eq!(e.value().unwrap(), 5.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha ∈ (0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidParameter`] unless `0 < alpha <= 1`.
-    pub fn new(alpha: f64) -> crate::Result<Self> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(TraceError::InvalidParameter(
-                "EWMA alpha must lie in (0, 1]",
-            ));
-        }
-        Ok(Self { alpha, value: None })
-    }
-
-    /// Smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Feeds one sample and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let next = match self.value {
-            None => x,
-            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average, or `None` before any sample.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forgets the state (keeps `alpha`).
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Sliding-window maximum with amortized O(1) push (monotonic deque).
-///
-/// Used by the dynamic DVFS governor, which re-evaluates the frequency
-/// from the peak utilization of the last `k` samples.
-///
-/// # Example
-///
-/// ```
-/// use cavm_trace::WindowedMax;
-///
-/// # fn main() -> Result<(), cavm_trace::TraceError> {
-/// let mut w = WindowedMax::new(3)?;
-/// for (x, expect) in [(1.0, 1.0), (5.0, 5.0), (2.0, 5.0), (0.5, 5.0), (0.2, 2.0)] {
-///     w.push(x);
-///     assert_eq!(w.max().unwrap(), expect);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WindowedMax {
-    window: usize,
-    /// (sequence index, value), values strictly decreasing front→back.
-    deque: VecDeque<(u64, f64)>,
-    next_index: u64,
-}
-
-impl WindowedMax {
-    /// Creates a tracker over the last `window` samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidParameter`] when `window == 0`.
-    pub fn new(window: usize) -> crate::Result<Self> {
-        if window == 0 {
-            return Err(TraceError::InvalidParameter("window must be >= 1"));
-        }
-        Ok(Self {
-            window,
-            deque: VecDeque::new(),
-            next_index: 0,
-        })
-    }
-
-    /// Window length in samples.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Feeds one sample.
-    pub fn push(&mut self, x: f64) {
-        let idx = self.next_index;
-        self.next_index += 1;
-        while matches!(self.deque.back(), Some(&(_, v)) if v <= x) {
-            self.deque.pop_back();
-        }
-        self.deque.push_back((idx, x));
-        // Expire entries that slid out of the window.
-        let min_live = idx + 1 - (self.window as u64).min(idx + 1);
-        while matches!(self.deque.front(), Some(&(i, _)) if i < min_live) {
-            self.deque.pop_front();
-        }
-    }
-
-    /// Maximum over the last `window` samples, or `None` before any
-    /// sample.
-    pub fn max(&self) -> Option<f64> {
-        self.deque.front().map(|&(_, v)| v)
-    }
-
-    /// Forgets all samples (keeps the window length).
-    pub fn reset(&mut self) {
-        self.deque.clear();
-        self.next_index = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,46 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_basics() {
-        assert!(Ewma::new(0.0).is_err());
-        assert!(Ewma::new(1.5).is_err());
-        let mut e = Ewma::new(1.0).unwrap();
-        assert_eq!(e.value(), None);
-        e.push(3.0);
-        e.push(9.0);
-        // alpha = 1 tracks the last sample exactly.
-        assert_eq!(e.value(), Some(9.0));
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.alpha(), 1.0);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.2).unwrap();
-        for _ in 0..200 {
-            e.push(4.0);
-        }
-        assert!((e.value().unwrap() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn windowed_max_matches_naive() {
-        let mut rng = SimRng::new(3);
-        let xs: Vec<f64> = (0..500).map(|_| rng.f64()).collect();
-        for window in [1, 3, 7, 64] {
-            let mut w = WindowedMax::new(window).unwrap();
-            for (i, &x) in xs.iter().enumerate() {
-                w.push(x);
-                let lo = i + 1 - window.min(i + 1);
-                let naive = xs[lo..=i].iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(w.max().unwrap(), naive, "window={window} i={i}");
-            }
-        }
-        assert!(WindowedMax::new(0).is_err());
-    }
-
-    #[test]
     fn p2_cell_bit_identical_to_p2_quantile() {
         for (seed, p) in [(1u64, 0.5), (7, 0.9), (13, 0.95), (99, 0.05)] {
             let mut rng = SimRng::new(seed);
@@ -787,16 +601,5 @@ mod tests {
             batch_q.estimate().unwrap().to_bits()
         );
         assert_eq!(serial_q.count(), batch_q.count());
-    }
-
-    #[test]
-    fn windowed_max_reset() {
-        let mut w = WindowedMax::new(2).unwrap();
-        w.push(9.0);
-        w.reset();
-        assert_eq!(w.max(), None);
-        w.push(1.0);
-        assert_eq!(w.max(), Some(1.0));
-        assert_eq!(w.window(), 2);
     }
 }

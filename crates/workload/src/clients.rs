@@ -4,10 +4,10 @@
 //! number of clients from 0∼300 with the form of sine and cosine waves
 //! for Cluster1 and Cluster2, respectively". [`ClientWave`] reproduces
 //! those signals (plus a few extra shapes useful for ablations) as
-//! deterministic or noisy [`TimeSeries`].
+//! deterministic [`TimeSeries`].
 
 use crate::WorkloadError;
-use cavm_trace::{SimRng, TimeSeries};
+use cavm_trace::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// Periodic waveform shape.
@@ -92,12 +92,6 @@ impl ClientWave {
         Self::new(WaveShape::Cosine, min, max, period_s)
     }
 
-    /// Returns the wave shifted by an additional phase (radians).
-    pub fn with_phase(mut self, phase_rad: f64) -> Self {
-        self.phase_rad += phase_rad;
-        self
-    }
-
     /// The waveform shape.
     pub fn shape(&self) -> WaveShape {
         self.shape
@@ -156,25 +150,6 @@ impl ClientWave {
             self.value_at(i as f64 * dt)
         })?)
     }
-
-    /// Samples with additive Gaussian noise, clamped to `[min, max]`
-    /// (client counts cannot exceed the emulated population or go
-    /// negative).
-    ///
-    /// # Errors
-    ///
-    /// Propagates series-construction errors (invalid `dt`).
-    pub fn sample_noisy(
-        &self,
-        dt: f64,
-        n: usize,
-        noise_std: f64,
-        rng: &mut SimRng,
-    ) -> crate::Result<TimeSeries> {
-        Ok(TimeSeries::from_fn(dt, n, |i| {
-            (self.value_at(i as f64 * dt) + rng.normal(0.0, noise_std)).clamp(self.min, self.max)
-        })?)
-    }
 }
 
 #[cfg(test)]
@@ -209,14 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn with_phase_shifts() {
-        let s = ClientWave::sine(0.0, 2.0, 100.0).unwrap();
-        let shifted = s.with_phase(std::f64::consts::PI);
-        assert!((s.value_at(25.0) - 2.0).abs() < 1e-9);
-        assert!((shifted.value_at(25.0) - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn square_and_triangle_stay_in_bounds() {
         for shape in [WaveShape::Square, WaveShape::Triangle] {
             let w = ClientWave::new(shape, 1.0, 9.0, 60.0).unwrap();
@@ -242,17 +209,5 @@ mod tests {
         for i in 0..50 {
             assert!((t.values()[i] - t.values()[i + 50]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn noisy_sample_is_clamped_and_deterministic() {
-        let w = ClientWave::sine(0.0, 300.0, 1200.0).unwrap();
-        let mut r1 = SimRng::new(5);
-        let mut r2 = SimRng::new(5);
-        let a = w.sample_noisy(1.0, 500, 30.0, &mut r1).unwrap();
-        let b = w.sample_noisy(1.0, 500, 30.0, &mut r2).unwrap();
-        assert_eq!(a, b);
-        assert!(a.peak() <= 300.0);
-        assert!(a.min() >= 0.0);
     }
 }

@@ -236,11 +236,6 @@ impl VmFleet {
         self.vms.iter().map(|v| &v.fine).collect()
     }
 
-    /// Coarse traces, in VM order.
-    pub fn coarse_traces(&self) -> Vec<&TimeSeries> {
-        self.vms.iter().map(|v| &v.coarse).collect()
-    }
-
     /// The paper keeps only the busiest VMs: "we selected the top 40 VMs
     /// in terms of CPU utilization". Returns a new fleet with the `n`
     /// VMs of largest mean fine utilization (ids preserved), in

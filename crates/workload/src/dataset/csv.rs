@@ -136,17 +136,6 @@ impl Row {
                 value: self.fields[idx].clone(),
             })
     }
-
-    /// Field `idx` parsed as `usize`, with a line-numbered typed error.
-    pub fn parse_usize(&self, idx: usize, column: &'static str) -> crate::Result<usize> {
-        self.fields[idx]
-            .parse()
-            .map_err(|_| WorkloadError::BadField {
-                line: self.line,
-                column,
-                value: self.fields[idx].clone(),
-            })
-    }
 }
 
 /// Splits one physical line into trimmed fields.
@@ -237,14 +226,6 @@ mod tests {
                 value: "banana".into()
             }
         );
-        assert_eq!(
-            row.parse_usize(1, "cpu").unwrap_err(),
-            WorkloadError::BadField {
-                line: 2,
-                column: "cpu",
-                value: "banana".into()
-            }
-        );
     }
 
     #[test]
@@ -252,6 +233,6 @@ mod tests {
         let mut r = reader("a, b\r\n 1 ,2\r\n");
         assert_eq!(r.header(), ["a", "b"]);
         let row = r.next_row().unwrap().unwrap();
-        assert_eq!(row.parse_usize(0, "a").unwrap(), 1);
+        assert_eq!(row.parse_f64(0, "a").unwrap(), 1.0);
     }
 }

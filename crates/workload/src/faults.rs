@@ -156,15 +156,6 @@ impl FaultPlan {
         self.entries.is_empty()
     }
 
-    /// The transitions scheduled at exactly `sample`. Requires a
-    /// sample-ordered plan (which builder-made plans are; hand-built
-    /// plans are validated at scenario construction).
-    pub fn events_at(&self, sample: usize) -> &[FaultEntry] {
-        let lo = self.entries.partition_point(|e| e.sample < sample);
-        let hi = self.entries.partition_point(|e| e.sample <= sample);
-        &self.entries[lo..hi]
-    }
-
     /// The largest server index any transition touches.
     pub fn max_server(&self) -> Option<usize> {
         self.entries.iter().map(|e| e.server).max()
@@ -411,17 +402,14 @@ mod tests {
         assert!(!plan.is_empty(), "5 MTBFs of horizon must produce outages");
         // Every scheduled sample must carry transitions for all 5
         // servers of the block at once.
-        let mut k = 0;
-        while k < plan.len() {
-            let sample = plan.entries()[k].sample;
-            let batch = plan.events_at(sample);
+        for batch in plan.entries().chunk_by(|a, b| a.sample == b.sample) {
+            let sample = batch[0].sample;
             assert_eq!(batch.len() % 5, 0, "whole-block transitions at {sample}");
-            k += batch.len();
         }
     }
 
     #[test]
-    fn events_at_slices_by_sample() {
+    fn explicit_plans_count_their_transitions() {
         let plan = FaultPlan::from_entries(vec![
             FaultEntry {
                 sample: 3,
@@ -439,10 +427,8 @@ mod tests {
                 server: 0,
             },
         ]);
-        assert_eq!(plan.events_at(0).len(), 0);
-        assert_eq!(plan.events_at(3).len(), 2);
-        assert_eq!(plan.events_at(9).len(), 1);
         assert_eq!(plan.failures(), 2);
+        assert_eq!(plan.max_server(), Some(1));
         assert_eq!(plan.len(), 3);
         assert!(FaultPlan::empty().is_empty());
     }

@@ -188,27 +188,6 @@ impl WebSearchCluster {
             .collect()
     }
 
-    /// Deterministic expected per-ISN utilization traces (cores) for a
-    /// client-count trace — the smooth curves of Fig 1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates series-construction errors.
-    pub fn offered_load_traces(&self, clients: &TimeSeries) -> crate::Result<Vec<TimeSeries>> {
-        (0..self.config.isns)
-            .map(|i| {
-                Ok(TimeSeries::new(
-                    clients.dt(),
-                    clients
-                        .values()
-                        .iter()
-                        .map(|&c| self.expected_isn_load(c, i))
-                        .collect(),
-                )?)
-            })
-            .collect()
-    }
-
     /// Stochastic per-ISN utilization traces (cores): per sample window,
     /// a Poisson number of queries arrives and each contributes a
     /// jittered demand. This is what a 1 s `xenstat` monitor would record
@@ -309,31 +288,6 @@ mod tests {
             "cluster peak {}",
             total / 8.0
         );
-    }
-
-    #[test]
-    fn offered_load_tracks_clients() {
-        let c = WebSearchCluster::paper_setup1().unwrap();
-        let wave = ClientWave::sine(0.0, 300.0, 1200.0).unwrap();
-        let clients = wave.sample(1.0, 1200).unwrap();
-        let loads = c.offered_load_traces(&clients).unwrap();
-        assert_eq!(loads.len(), 2);
-        // Correlation with the client signal is exact (linear map).
-        let peak_idx = clients
-            .values()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        let load_peak_idx = loads[0]
-            .values()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(peak_idx, load_peak_idx);
     }
 
     #[test]

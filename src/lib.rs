@@ -4,16 +4,16 @@
 //! Lederberger, *"Correlation-Aware Virtual Machine Allocation for
 //! Energy-Efficient Datacenters"*, DATE 2013.
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the Setup-2 pipeline — everything but
+//! the Setup-1 simulators (`cavm-cluster`, Figs 1/4/5; `cavm-microarch`,
+//! Table I), which only the `cavm-bench` experiments use:
 //!
 //! * [`trace`] — time-series substrate (sampled signals, streaming stats,
 //!   envelopes, deterministic RNG).
 //! * [`workload`] — workload generators (client waveforms, web-search
-//!   clusters, datacenter trace synthesis, PARSEC-like stream profiles).
+//!   clusters, datacenter trace synthesis, trace readers, lifecycles,
+//!   fault plans).
 //! * [`power`] — DVFS ladders, power models, energy metering.
-//! * [`microarch`] — shared-cache interference simulator (paper Table I).
-//! * [`cluster`] — discrete-event web-search cluster simulator (paper
-//!   Setup-1: Figs 1, 4, 5).
 //! * [`core`] — the paper's contribution: the correlation cost metric
 //!   (Eqn 1), cost matrix, server cost (Eqn 2), the UPDATE/ALLOCATE
 //!   placement heuristic (Fig 2), baselines (FFD, BFD, PCP, SuperVM)
@@ -71,9 +71,7 @@
 
 #![forbid(unsafe_code)]
 
-pub use cavm_cluster as cluster;
 pub use cavm_core as core;
-pub use cavm_microarch as microarch;
 pub use cavm_power as power;
 pub use cavm_sim as sim;
 pub use cavm_trace as trace;
@@ -81,9 +79,6 @@ pub use cavm_workload as workload;
 
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
-    pub use cavm_cluster::{
-        run_setup1, ClusterSim, ClusterSimConfig, Setup1Config, Setup1Placement,
-    };
     pub use cavm_core::{
         alloc::{
             AllocationPolicy, BfdPolicy, FfdPolicy, PcpPolicy, Placement, ProposedPolicy,
@@ -95,7 +90,6 @@ pub mod prelude {
         predict::{EwmaPredictor, LastValuePredictor, MovingAveragePredictor, Predictor},
         servercost::{server_cost, server_cost_of},
     };
-    pub use cavm_microarch::{machine::Machine, stream::StreamProfile};
     pub use cavm_power::{DvfsLadder, EnergyMeter, Frequency, LinearPowerModel, PowerModel};
     pub use cavm_sim::{
         Buffered, ClassBreakdown, ControllerConfig, DatacenterController, MergedReport, MetricSink,

@@ -156,29 +156,6 @@ fn setup2_dynamic_mode_narrows_the_power_gap() {
 }
 
 #[test]
-fn setup1_placement_ordering_holds() {
-    let config = Setup1Config {
-        duration_s: 400.0,
-        wave_period_s: 400.0,
-        warmup_s: 40.0,
-        ..Setup1Config::default()
-    };
-    let seg = run_setup1(Setup1Placement::Segregated, &config).expect("runs");
-    let unc = run_setup1(Setup1Placement::SharedUncorrelated, &config).expect("runs");
-    let cor = run_setup1(Setup1Placement::SharedCorrelated, &config).expect("runs");
-    for c in 0..2 {
-        assert!(
-            unc.p90_response[c] < seg.p90_response[c],
-            "sharing must beat segregation"
-        );
-        assert!(
-            cor.p90_response[c] < unc.p90_response[c] * 1.05,
-            "correlation-aware sharing must not lose to blind sharing"
-        );
-    }
-}
-
-#[test]
 fn fig3_bound_holds_on_sampled_sets() {
     let fleet = fleet(7);
     let traces = fleet.traces();
@@ -211,26 +188,6 @@ fn fig3_bound_holds_on_sampled_sets() {
 }
 
 #[test]
-fn microarch_table1_claim_holds() {
-    let machine = Machine::opteron_like().expect("preset is valid");
-    let (solo, paired) = machine
-        .colocation_study(
-            &StreamProfile::web_search(),
-            &StreamProfile::parsec_corunners(),
-            1_000_000,
-            3,
-        )
-        .expect("study completes");
-    for (name, m) in &paired {
-        let delta = (m.ipc - solo.ipc).abs() / solo.ipc;
-        assert!(
-            delta < 0.05,
-            "{name}: co-location moved web-search IPC by {delta}"
-        );
-    }
-}
-
-#[test]
 fn prelude_covers_the_pipeline_types() {
     // Compile-time check that the prelude exposes what the examples use.
     fn assert_impl<T: ?Sized>() {}
@@ -251,6 +208,5 @@ fn prelude_covers_the_pipeline_types() {
     assert_impl::<ClientWave>();
     assert_impl::<WebSearchCluster>();
     assert_impl::<DailyArchetype>();
-    assert_impl::<ClusterSimConfig>();
     assert_impl::<Scenario>();
 }
