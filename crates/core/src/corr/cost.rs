@@ -248,6 +248,13 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_lengths_rejected() {
+        let a = series(&[4.0, 0.0, 2.0]);
+        let b = series(&[0.0, 4.0]);
+        assert!(cost_of_traces(&a, &b, Reference::Peak).is_err());
+    }
+
+    #[test]
     fn idle_pair_defaults_to_two() {
         let z = series(&[0.0, 0.0, 0.0]);
         assert_eq!(cost_of_traces(&z, &z, Reference::Peak).unwrap(), 2.0);

@@ -1007,26 +1007,6 @@ fn p2_window_rows(
     }
 }
 
-/// Batch-exact pairwise cost of two utilization *slices* (helper for
-/// tests and experiments that already hold raw samples).
-///
-/// # Errors
-///
-/// Returns trace errors for empty or mismatched slices.
-pub fn cost_of_slices(a: &[f64], b: &[f64], reference: Reference) -> crate::Result<f64> {
-    if a.len() != b.len() {
-        return Err(CoreError::Trace(cavm_trace::TraceError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        }));
-    }
-    let u_a = reference.of(a)?;
-    let u_b = reference.of(b)?;
-    let sum: Vec<f64> = a.iter().zip(b).map(|(x, y)| x + y).collect();
-    let u_sum = reference.of(&sum)?;
-    Ok(combine_cost(u_a, u_b, u_sum))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1258,18 +1238,6 @@ mod tests {
         assert_eq!(m.cost_or_neutral(1, 1), 1.0);
         assert_eq!(m.cost_or_neutral(0, 1), 2.0);
         assert_eq!(m.cost_or_neutral(1, 0), 2.0);
-    }
-
-    #[test]
-    fn cost_of_slices_agrees_with_trace_path() {
-        let xs = [4.0, 0.0, 2.0];
-        let ys = [0.0, 4.0, 2.0];
-        let via_slices = cost_of_slices(&xs, &ys, Reference::Peak).unwrap();
-        let a = TimeSeries::new(1.0, xs.to_vec()).unwrap();
-        let b = TimeSeries::new(1.0, ys.to_vec()).unwrap();
-        let via_traces = crate::corr::cost_of_traces(&a, &b, Reference::Peak).unwrap();
-        assert_eq!(via_slices, via_traces);
-        assert!(cost_of_slices(&xs, &ys[..2], Reference::Peak).is_err());
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! It extends the *pairwise* Eqn (1) to a whole server and is the
 //! quantity the ALLOCATE phase maximizes when picking the next VM, and
 //! the `1/Cost_server` factor by which Eqn (4) lowers the frequency.
-//! Because Eqn (1) only captures pairs, Cost_server is an (empirically
-//! linear, Fig 3) *lower bound* on the server's true peak-aggregation
-//! benefit `Σ û_j / û(Σ VMs)` — which is why scaling frequency by it is
-//! "aggressive-yet-safe".
+//! Fig 3 shows Cost_server tracking the server's true peak-aggregation
+//! benefit `Σ û_j / û(Σ VMs)` from below, roughly linearly — which is
+//! why scaling frequency by it is "aggressive-yet-safe". The bound is
+//! empirical, not a theorem: Eqn (1) only captures pairs, and three VMs
+//! where two peak together and the third peaks alone read 5/3 against
+//! a true ratio of 1.5 (pinned by this module's tests).
 
 use crate::alloc::VmDescriptor;
 use crate::corr::CostMatrix;
@@ -349,6 +351,23 @@ mod tests {
         let c12 = m.cost(1, 2).unwrap(); // 1.0
         let expected = ((c01 + c02) / 2.0 + (c01 + c12) / 2.0 + (c02 + c12) / 2.0) / 3.0;
         assert!((c - expected).abs() < 1e-12);
+    }
+
+    /// The Fig 3 gap: Eqn (2) can read above the true aggregation ratio
+    /// `Σû / û(Σ)`. VM0 and VM1 peak together, VM2 peaks alone.
+    #[test]
+    fn pairwise_cost_can_exceed_the_true_aggregation_ratio() {
+        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
+        m.push_sample(&[1.0, 1.0, 0.0]).unwrap();
+        m.push_sample(&[0.0, 0.0, 1.0]).unwrap();
+        assert_eq!(m.cost(0, 1), Some(1.0));
+        assert_eq!(m.cost(0, 2), Some(2.0));
+        assert_eq!(m.cost(1, 2), Some(2.0));
+        let x = server_cost(&[(0, 1.0), (1, 1.0), (2, 1.0)], &m);
+        assert!((x - 5.0 / 3.0).abs() < 1e-12, "server cost {x}");
+        // Σû = 3 over an aggregate peak of 2 (samples 2 and 1).
+        let y = 3.0 / 2.0;
+        assert!(x > y);
     }
 
     #[test]

@@ -4,13 +4,12 @@ use cavm_core::alloc::proposed::estimate_server_count;
 use cavm_core::alloc::{
     AllocationPolicy, BfdPolicy, FfdPolicy, PcpPolicy, ProposedPolicy, SuperVmPolicy, VmDescriptor,
 };
-use cavm_core::corr::matrix::cost_of_slices;
-use cavm_core::corr::CostMatrix;
-use cavm_core::dvfs::FrequencyPlanner;
+use cavm_core::corr::{cost_of_traces, CostMatrix};
+use cavm_core::dvfs::FleetFrequencyPlanner;
 use cavm_core::fleet::{ServerClass, ServerFleet};
 use cavm_core::servercost::server_cost;
 use cavm_power::{DvfsLadder, LinearPowerModel};
-use cavm_trace::Reference;
+use cavm_trace::{Reference, TimeSeries};
 use proptest::prelude::*;
 
 fn util_pairs(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -22,8 +21,10 @@ proptest! {
     #[test]
     fn cost_bounds_and_symmetry(pairs in util_pairs(120)) {
         let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        let ab = cost_of_slices(&xs, &ys, Reference::Peak).unwrap();
-        let ba = cost_of_slices(&ys, &xs, Reference::Peak).unwrap();
+        let a = TimeSeries::new(1.0, xs).unwrap();
+        let b = TimeSeries::new(1.0, ys).unwrap();
+        let ab = cost_of_traces(&a, &b, Reference::Peak).unwrap();
+        let ba = cost_of_traces(&b, &a, Reference::Peak).unwrap();
         prop_assert_eq!(ab, ba);
         prop_assert!((1.0 - 1e-9..=2.0 + 1e-9).contains(&ab), "cost {}", ab);
     }
@@ -140,13 +141,14 @@ proptest! {
         cost_a in 1.0f64..2.0,
         cost_b in 1.0f64..2.0
     ) {
-        let planner = FrequencyPlanner::new(DvfsLadder::xeon_e5410());
+        let xeon = LinearPowerModel::xeon_e5410();
+        let planner = FleetFrequencyPlanner::new(&ServerFleet::uniform(1, 8.0, xeon).unwrap());
         let (lo, hi) = if cost_a <= cost_b { (cost_a, cost_b) } else { (cost_b, cost_a) };
-        let f_lo_cost = planner.static_level_correlation_aware(demand, 8.0, lo).unwrap();
-        let f_hi_cost = planner.static_level_correlation_aware(demand, 8.0, hi).unwrap();
+        let f_lo_cost = planner.static_level_correlation_aware(0, demand, lo).unwrap();
+        let f_hi_cost = planner.static_level_correlation_aware(0, demand, hi).unwrap();
         prop_assert!(f_hi_cost <= f_lo_cost);
-        prop_assert!(planner.ladder().index_of(f_lo_cost).is_some());
-        let worst = planner.static_level_worst_case(demand, 8.0).unwrap();
+        prop_assert!(DvfsLadder::xeon_e5410().index_of(f_lo_cost).is_some());
+        let worst = planner.static_level_worst_case(0, demand).unwrap();
         prop_assert!(f_lo_cost <= worst);
     }
 

@@ -23,22 +23,28 @@
 //! Inside a cell nothing is approximated: members are placed, DVFS'd
 //! and accounted by the unmodified flat controller with exact Eqn
 //! (1)/(2) quantities. The approximation is confined to the routing
-//! boundary (pair costs *between* cells are never materialized). The
-//! degenerate `cells = 1` configuration bypasses the router entirely
-//! and delegates every call verbatim to one flat controller —
-//! bit-identical by construction, pinned by the `controller_invariants`
-//! equivalence property tests.
+//! boundary (pair costs *between* cells are never materialized). Every
+//! cell count takes the same path: one cell owns the whole fleet
+//! (`partition_fleet(fleet, 1)` is the identity), and its arrivals,
+//! ticks, faults, summary and merged report cross the router, the
+//! sink adapter and the report merge like sixteen cells' do. The
+//! `controller_invariants` equivalence property tests pin that one
+//! cell to the flat controller, bit for bit.
+//!
+//! One rule depends on the cell count: a sole cell keeps each VM's
+//! global id as its local id, because the flat controller breaks
+//! placement ties in id order. Several cells number their residents
+//! densely in arrival order.
 //!
 //! # Observer semantics
 //!
-//! With `cells = 1` the sink sees exactly the flat event stream. With
-//! `cells > 1` per-event callbacks are translated to global ids (VM
-//! ids, server indices offset by the cell's slot range, class indices
-//! mapped back to the global fleet's) and forwarded;
-//! [`MetricSink::on_period`] fires once per **cell** per
-//! period (records are cell-local), and only the sharded session's own
-//! [`MetricSink::on_summary`] fires — with the merged fleet-wide
-//! report.
+//! Per-event callbacks are translated to global ids (VM ids, server
+//! indices offset by the cell's slot range, class indices mapped back
+//! to the global fleet's) and forwarded, so one cell streams exactly
+//! the flat event sequence. [`MetricSink::on_period`] fires once per
+//! **cell** per period (records are cell-local), and only the sharded
+//! session's own [`MetricSink::on_summary`] fires — with the merged
+//! fleet-wide report.
 //!
 //! # Example
 //!
@@ -82,11 +88,12 @@
 //! ```
 
 use crate::controller::{
-    union_ladder_ghz, ControllerConfig, DatacenterController, MetricSink, RepackEvent,
-    ViolationEvent, VmEvent,
+    union_ladder_ghz, ControllerConfig, DatacenterController, MetricSink, RepackReason, VmEvent,
 };
 use crate::error::SimError;
 use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
+use crate::sink::{Relay, SinkEvent};
+use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::{ServerClass, ServerFleet, UNBOUNDED};
 use cavm_power::EnergyMeter;
 use cavm_trace::{MomentSketch, TimeSeries, PHASE_BUCKETS};
@@ -191,66 +198,50 @@ struct CellSink<'a> {
     outer: &'a mut dyn MetricSink,
     server_offset: usize,
     class_map: &'a [usize],
+    /// `global_of[local]` → global VM id; empty for a sole cell, whose
+    /// local ids are the global ones.
     global_of: &'a [usize],
 }
 
-impl CellSink<'_> {
-    fn vm(&self, local: usize) -> usize {
-        self.global_of.get(local).copied().unwrap_or(local)
+impl Relay for CellSink<'_> {
+    fn relay(&mut self, mut event: SinkEvent) {
+        let offset = self.server_offset;
+        let vm = |local: usize| self.global_of.get(local).copied().unwrap_or(local);
+        match &mut event {
+            SinkEvent::Period(_) => {}
+            SinkEvent::Repack(repack) => {
+                if let RepackReason::Evacuation { server } = &mut repack.reason {
+                    *server += offset;
+                }
+            }
+            SinkEvent::Migration {
+                vm: id, from, to, ..
+            } => {
+                *id = vm(*id);
+                *from += offset;
+                *to += offset;
+            }
+            SinkEvent::Violation(violation) => {
+                violation.server += offset;
+                violation.class = self.class_map[violation.class];
+            }
+            SinkEvent::ClassEnergy { class, .. } => *class = self.class_map[*class],
+            SinkEvent::Admit { vm: id, server, .. } => {
+                *id = vm(*id);
+                *server += offset;
+            }
+            SinkEvent::ServerFail { server, .. } | SinkEvent::ServerRecover { server, .. } => {
+                *server += offset;
+            }
+        }
+        event.deliver(&mut *self.outer);
     }
-}
 
-impl MetricSink for CellSink<'_> {
-    fn on_period(&mut self, record: &PeriodRecord) {
+    fn period(&mut self, record: &PeriodRecord) {
         self.outer.on_period(record);
     }
 
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.outer.on_repack(event);
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.outer.on_migration(
-            period,
-            self.vm(vm),
-            from + self.server_offset,
-            to + self.server_offset,
-        );
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        let mut event = *event;
-        event.server += self.server_offset;
-        event.class = self
-            .class_map
-            .get(event.class)
-            .copied()
-            .unwrap_or(event.class);
-        self.outer.on_violation(&event);
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        let class = self.class_map.get(class).copied().unwrap_or(class);
-        self.outer
-            .on_class_energy(period, class, name, period_joules);
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.outer
-            .on_admit(sample, self.vm(vm), server + self.server_offset);
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.outer
-            .on_server_fail(sample, server + self.server_offset, residents);
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.outer
-            .on_server_recover(sample, server + self.server_offset);
-    }
-
-    fn on_summary(&mut self, _report: &SimReport) {
+    fn summary(&mut self, _report: &SimReport) {
         // The sharded session emits the merged summary itself.
     }
 }
@@ -267,13 +258,16 @@ impl MetricSink for CellSink<'_> {
 /// rows, no trace copied — never a fleet-wide dense matrix.
 #[derive(Debug, Clone)]
 pub struct ShardedController {
+    /// The global configuration the cells were cut from.
+    base: ControllerConfig,
     inner: Vec<DatacenterController>,
     /// `class_maps[cell][local_class]` → global class index.
     class_maps: Vec<Vec<usize>>,
     /// `server_offsets[cell]` = first global server index of the cell
     /// (prefix sums of the sub-fleet slot counts).
     server_offsets: Vec<usize>,
-    /// `global_of[cell][local_vm]` → global VM id.
+    /// `global_of[cell][local_vm]` → global VM id (empty for a sole
+    /// cell, which keeps the global ids).
     global_of: Vec<Vec<usize>>,
     /// Routing table by global VM id.
     route: Vec<Option<RouteEntry>>,
@@ -283,13 +277,6 @@ pub struct ShardedController {
     ref_load: Vec<f64>,
     /// Per-cell total core capacity.
     capacity: Vec<f64>,
-    /// Global union frequency axis (sorted GHz) for the merged report.
-    union_ghz: Vec<f64>,
-    total_slots: usize,
-    period_samples: usize,
-    policy_name: String,
-    dynamic_dvfs: bool,
-    base_classes: Vec<(String, f64, usize, Vec<f64>)>,
     clock: usize,
     finished: bool,
 }
@@ -300,9 +287,10 @@ impl ShardedController {
     /// class-by-class across the cells, each class's servers split
     /// evenly with the remainders rotating so every cell gets hardware.
     ///
-    /// `cells = 1` is the degenerate flat configuration: every call
-    /// delegates verbatim to one [`DatacenterController`] over the
-    /// whole fleet (bit-identical, including the sink event stream).
+    /// `cells = 1` gives the one cell the whole fleet; it still routes
+    /// through the same layer as any other count, and is bit-identical
+    /// to a flat [`DatacenterController`] (including the sink event
+    /// stream).
     ///
     /// # Errors
     ///
@@ -310,77 +298,37 @@ impl ShardedController {
     /// [`SimError::InvalidParameter`] for zero cells, an unbounded
     /// fleet, or more cells than servers.
     pub fn new(base: ControllerConfig, cells: usize) -> crate::Result<Self> {
-        let union_ghz = union_ladder_ghz(&base.server_fleet);
-        let base_classes: Vec<(String, f64, usize, Vec<f64>)> = base
-            .server_fleet
-            .classes()
-            .iter()
-            .map(|c| {
-                (
-                    c.name().to_string(),
-                    c.cores(),
-                    c.count(),
-                    c.ladder().levels().iter().map(|f| f.as_ghz()).collect(),
-                )
-            })
-            .collect();
-        let policy_name = base.policy.name().to_string();
-        let dynamic_dvfs = matches!(base.dvfs_mode, cavm_core::dvfs::DvfsMode::Dynamic { .. });
-        let period_samples = base.period_samples;
-
-        let (inner, class_maps, server_offsets, capacity) = if cells == 1 {
-            // Degenerate flat path: one controller over the untouched
-            // global fleet, no routing layer at all.
-            let capacity = base.server_fleet.total_cores().unwrap_or(f64::INFINITY);
-            let n_classes = base.server_fleet.len();
-            let ctl = DatacenterController::new(base)?;
-            (
-                vec![ctl],
-                vec![(0..n_classes).collect()],
-                vec![0],
-                vec![capacity],
-            )
-        } else {
-            let parts = partition_fleet(&base.server_fleet, cells)?;
-            let mut inner = Vec::with_capacity(cells);
-            let mut class_maps = Vec::with_capacity(cells);
-            let mut server_offsets = Vec::with_capacity(cells);
-            let mut capacity = Vec::with_capacity(cells);
-            let mut offset = 0usize;
-            for CellSubfleet { fleet, class_map } in parts {
-                server_offsets.push(offset);
-                offset += fleet
-                    .total_slots()
-                    .expect("partitioned sub-fleets are bounded");
-                capacity.push(
-                    fleet
-                        .total_cores()
-                        .expect("partitioned sub-fleets are bounded"),
-                );
-                let mut cfg = base.clone();
-                cfg.server_fleet = fleet;
-                inner.push(DatacenterController::new(cfg)?);
-                class_maps.push(class_map);
-            }
-            (inner, class_maps, server_offsets, capacity)
-        };
-        let n_cells = inner.len();
-        let total_slots = base_classes.iter().map(|(_, _, count, _)| *count).sum();
+        let parts = partition_fleet(&base.server_fleet, cells)?;
+        let mut inner = Vec::with_capacity(cells);
+        let mut class_maps = Vec::with_capacity(cells);
+        let mut server_offsets = Vec::with_capacity(cells);
+        let mut capacity = Vec::with_capacity(cells);
+        let mut offset = 0usize;
+        for CellSubfleet { fleet, class_map } in parts {
+            server_offsets.push(offset);
+            offset += fleet
+                .total_slots()
+                .expect("partitioned sub-fleets are bounded");
+            capacity.push(
+                fleet
+                    .total_cores()
+                    .expect("partitioned sub-fleets are bounded"),
+            );
+            let mut cfg = base.clone();
+            cfg.server_fleet = fleet;
+            inner.push(DatacenterController::new(cfg)?);
+            class_maps.push(class_map);
+        }
         Ok(Self {
+            base,
             inner,
             class_maps,
             server_offsets,
-            global_of: vec![Vec::new(); n_cells],
+            global_of: vec![Vec::new(); cells],
             route: Vec::new(),
-            phase_load: vec![[0.0; PHASE_BUCKETS]; n_cells],
-            ref_load: vec![0.0; n_cells],
+            phase_load: vec![[0.0; PHASE_BUCKETS]; cells],
+            ref_load: vec![0.0; cells],
             capacity,
-            union_ghz,
-            total_slots,
-            period_samples,
-            policy_name,
-            dynamic_dvfs,
-            base_classes,
             clock: 0,
             finished: false,
         })
@@ -410,13 +358,10 @@ impl ShardedController {
     }
 
     /// The cell a live or departed global VM was routed to, or `None`
-    /// for an id this session never admitted. In the degenerate
-    /// `cells = 1` configuration the router is bypassed and every
-    /// admitted id reports cell 0.
+    /// for an id this session never admitted (a hole below the highest
+    /// id, or an arrival its cell refused). A sole cell answers 0 for
+    /// every admitted id.
     pub fn cell_of_vm(&self, id: usize) -> Option<usize> {
-        if self.inner.len() == 1 {
-            return self.inner[0].is_registered(id).then_some(0);
-        }
         self.route.get(id).and_then(|r| r.as_ref()).map(|r| r.cell)
     }
 
@@ -477,27 +422,30 @@ impl ShardedController {
         sink: &mut dyn MetricSink,
     ) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            return self.inner[0].arrive(id, trace, lease_samples, sink);
-        }
         if self.route.get(id).is_some_and(Option::is_some) {
             return Err(SimError::DuplicateVm { id });
         }
-        let sketch = MomentSketch::from_series(&trace, self.clock, self.period_samples)
+        let sketch = MomentSketch::from_series(&trace, self.clock, self.base.period_samples)
             .map_err(SimError::Trace)?;
-        let reference = self.inner[0].config().reference;
-        let ref_demand = sketch.reference(reference);
+        let ref_demand = sketch.reference(self.base.reference);
         let profile = sketch.phase_profile();
         let cell = self.route_to_cell(ref_demand, &profile);
 
-        // The cell may admit on the spot and say so through the sink:
-        // the local → global translation must already know this VM.
-        let local = self.global_of[cell].len();
-        self.global_of[cell].push(id);
+        // A sole cell keeps the global id: the flat controller breaks
+        // placement ties in id order, so renumbering would change its
+        // results. Several cells number densely in arrival order, and
+        // record the id first — the cell may admit on the spot and say
+        // so through the sink, in global ids.
+        let local = if self.inner.len() == 1 {
+            id
+        } else {
+            self.global_of[cell].push(id);
+            self.global_of[cell].len() - 1
+        };
         let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
         if let Err(refused) = ctl.arrive(local, trace, lease_samples, &mut cell_sink) {
             // The cell rolled the local id back; so does the router.
-            self.global_of[cell].pop();
+            self.global_of[cell].truncate(local);
             return Err(refused);
         }
         if self.route.len() <= id {
@@ -567,9 +515,6 @@ impl ShardedController {
     /// See [`DatacenterController::depart`].
     pub fn depart(&mut self, id: usize) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            return self.inner[0].depart(id);
-        }
         let entry = self
             .route
             .get_mut(id)
@@ -597,10 +542,6 @@ impl ShardedController {
     /// See [`DatacenterController::tick`].
     pub fn tick(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            self.clock += 1;
-            return self.inner[0].tick(sink);
-        }
         for cell in 0..self.inner.len() {
             let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
             ctl.tick(&mut cell_sink)?;
@@ -619,9 +560,6 @@ impl ShardedController {
     /// fleet.
     pub fn server_fail(&mut self, server: usize, sink: &mut dyn MetricSink) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            return self.inner[0].server_fail(server, sink);
-        }
         let (cell, local) = self.locate_server(server)?;
         let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
         let result = ctl.server_fail(local, &mut cell_sink);
@@ -639,9 +577,6 @@ impl ShardedController {
         sink: &mut dyn MetricSink,
     ) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            return self.inner[0].server_recover(server, sink);
-        }
         let (cell, local) = self.locate_server(server)?;
         let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
         let result = ctl.server_recover(local, &mut cell_sink);
@@ -693,8 +628,16 @@ impl ShardedController {
         }
     }
 
+    /// Servers in the global fleet.
+    fn total_slots(&self) -> usize {
+        self.base
+            .server_fleet
+            .total_slots()
+            .expect("a partitioned fleet is bounded")
+    }
+
     fn locate_server(&self, server: usize) -> crate::Result<(usize, usize)> {
-        if server >= self.total_slots {
+        if server >= self.total_slots() {
             return Err(SimError::UnknownServer {
                 server,
                 servers: self.provisioned_servers(),
@@ -715,10 +658,6 @@ impl ShardedController {
     /// Returns [`SimError::SessionFinished`] if already finished.
     pub fn finish(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
         self.check_open()?;
-        if self.inner.len() == 1 {
-            self.finished = true;
-            return self.inner[0].finish(sink);
-        }
         for cell in 0..self.inner.len() {
             let (ctl, mut cell_sink) = self.cell_mut(cell, sink);
             ctl.finish(&mut cell_sink)?;
@@ -728,9 +667,9 @@ impl ShardedController {
         Ok(())
     }
 
-    /// The fleet-wide aggregate. With one cell this is exactly the
-    /// flat controller's report; with several it merges the per-cell
-    /// reports into the global namespace: per-period rows are summed
+    /// The fleet-wide aggregate: merges the per-cell reports into the
+    /// global namespace (for a sole cell, bit for bit the flat
+    /// controller's report). Per-period rows are summed
     /// across cells (violation ratios take the worst cell), class
     /// rows merge through each cell's class map, per-server frequency
     /// histograms land at the cell's global slot offset, and scalar
@@ -738,9 +677,6 @@ impl ShardedController {
     /// per-cell peaks, an upper bound on the true simultaneous global
     /// peak.
     pub fn report(&self) -> SimReport {
-        if self.inner.len() == 1 {
-            return self.inner[0].report();
-        }
         let reports: Vec<SimReport> = self
             .inner
             .iter()
@@ -773,19 +709,20 @@ impl ShardedController {
         let (max_violation_percent, mean_violation_percent) = violation_percents(&periods);
 
         // ---- classes: merge through each cell's class map.
-        let mut classes: Vec<ClassBreakdown> = self
-            .base_classes
+        let fleet = &self.base.server_fleet;
+        let mut classes: Vec<ClassBreakdown> = fleet
+            .classes()
             .iter()
-            .map(|(name, cores, count, levels)| ClassBreakdown {
-                name: name.clone(),
-                cores: *cores,
-                servers_available: *count,
+            .map(|class| ClassBreakdown {
+                name: class.name().to_string(),
+                cores: class.cores(),
+                servers_available: class.count(),
                 peak_servers_used: 0,
                 energy: EnergyMeter::new(),
                 violation_instances: 0,
                 migrations_in: 0,
-                freq_levels_ghz: levels.clone(),
-                freq_histogram: vec![0; levels.len()],
+                freq_levels_ghz: class.ladder().levels().iter().map(|f| f.as_ghz()).collect(),
+                freq_histogram: vec![0; class.ladder().len()],
             })
             .collect();
         for (cell, report) in reports.iter().enumerate() {
@@ -807,13 +744,14 @@ impl ShardedController {
 
         // ---- per-server histograms: remap each cell's union axis
         // onto the global one and land rows at the cell's offset.
-        let mut freq_histogram = vec![vec![0u64; self.union_ghz.len()]; self.total_slots];
+        let union_ghz = union_ladder_ghz(fleet);
+        let mut freq_histogram = vec![vec![0u64; union_ghz.len()]; self.total_slots()];
         for (cell, report) in reports.iter().enumerate() {
             let col_map: Vec<usize> = report
                 .freq_levels_ghz
                 .iter()
                 .map(|g| {
-                    self.union_ghz
+                    union_ghz
                         .iter()
                         .position(|u| u == g)
                         .expect("cell ladders are subsets of the global union")
@@ -828,8 +766,8 @@ impl ShardedController {
         }
 
         SimReport {
-            policy: self.policy_name.clone(),
-            dynamic_dvfs: self.dynamic_dvfs,
+            policy: self.base.policy.name().to_string(),
+            dynamic_dvfs: matches!(self.base.dvfs_mode, DvfsMode::Dynamic { .. }),
             energy,
             max_violation_percent,
             mean_violation_percent,
@@ -837,7 +775,7 @@ impl ShardedController {
             periods,
             classes,
             freq_histogram,
-            freq_levels_ghz: self.union_ghz.clone(),
+            freq_levels_ghz: union_ghz,
             online_admissions: reports.iter().map(|r| r.online_admissions).sum(),
             offcycle_repacks: reports.iter().map(|r| r.offcycle_repacks).sum(),
             // Inner controllers report 0 here (only a `Buffered`
@@ -903,7 +841,6 @@ mod tests {
     use super::*;
     use crate::config::Policy;
     use crate::controller::NullSink;
-    use cavm_core::dvfs::DvfsMode;
     use cavm_power::LinearPowerModel;
     use cavm_trace::{Reference, SimRng};
 
@@ -979,7 +916,7 @@ mod tests {
         assert!(partition_fleet(&fleet, 5).is_err());
         let unbounded = ServerFleet::unbounded(8.0).unwrap();
         assert!(partition_fleet(&unbounded, 2).is_err());
-        // Degenerate single cell: the sub-fleet is the whole fleet.
+        // A single cell: the sub-fleet is the whole fleet.
         let parts = partition_fleet(&fleet, 1).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].fleet, fleet);
@@ -987,8 +924,8 @@ mod tests {
     }
 
     /// Every shape `new` cannot shard is the documented
-    /// `InvalidParameter`, whichever path (flat or partitioned) rejects
-    /// it — never a wrapped `CoreError`.
+    /// `InvalidParameter`, for one cell as for several — never a
+    /// wrapped `CoreError`.
     #[test]
     fn unshardable_fleets_are_invalid_parameters() {
         for cells in [0, 9] {
@@ -1283,9 +1220,9 @@ mod tests {
         assert_eq!(sharded.live_vms(), 2);
     }
 
-    /// One cell answers from the flat controller's id registry, like the
-    /// routing table does for several: an id below the highest one that
-    /// never arrived, and an arrival the cell refused, are in no cell.
+    /// One cell answers from the routing table, as several do: an id
+    /// below the highest one that never arrived, and an arrival the
+    /// cell refused, are in no cell.
     #[test]
     fn single_cell_locates_only_admitted_vms() {
         // Two 8-core servers; a 6-core default demand fills one each.
@@ -1350,6 +1287,50 @@ mod tests {
         sharded.depart(50).unwrap();
         sharded.arrive(61, quiet(), None, &mut log).unwrap();
         assert_eq!(log.0, vec![50, 51, 61]);
+    }
+
+    /// Records the server indices of the fault stream: failures,
+    /// evacuation re-packs and migrations.
+    #[derive(Default)]
+    struct FaultLog {
+        failed: Vec<usize>,
+        evacuated: Vec<usize>,
+        moves: Vec<(usize, usize)>,
+    }
+
+    impl MetricSink for FaultLog {
+        fn on_server_fail(&mut self, _sample: usize, server: usize, _residents: usize) {
+            self.failed.push(server);
+        }
+
+        fn on_repack(&mut self, event: &crate::controller::RepackEvent) {
+            if let RepackReason::Evacuation { server } = event.reason {
+                self.evacuated.push(server);
+            }
+        }
+
+        fn on_migration(&mut self, _period: usize, _vm: usize, from: usize, to: usize) {
+            self.moves.push((from, to));
+        }
+    }
+
+    /// An evacuation re-pack names the failed server in the global
+    /// namespace, like the failure and the migrations it causes.
+    #[test]
+    fn evacuation_repack_speaks_global_server_index() {
+        // Two cells of three servers: cell 1 owns global servers 3..6.
+        let mut sharded = ShardedController::new(config(6), 2).unwrap();
+        let mut log = FaultLog::default();
+        for id in 0..6 {
+            let t = TimeSeries::constant(5.0, 64, 1.0).unwrap();
+            sharded.arrive(id, t, None, &mut log).unwrap();
+        }
+        sharded.tick(&mut log).unwrap();
+        assert_eq!(sharded.cell_populations(), vec![3, 3]);
+        sharded.server_fail(3, &mut log).unwrap();
+        assert_eq!(log.failed, vec![3]);
+        assert_eq!(log.moves, vec![(3, 4); 3]);
+        assert_eq!(log.evacuated, vec![3]);
     }
 
     #[test]

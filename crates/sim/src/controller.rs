@@ -480,12 +480,6 @@ impl DatacenterController {
         matches!(self.ids.get(id), Some(IdState::Live(_)))
     }
 
-    /// Whether `id` was ever admitted (live or departed): a hole below
-    /// the highest id and a refused arrival are not.
-    pub(crate) fn is_registered(&self, id: usize) -> bool {
-        matches!(self.ids.get(id), Some(IdState::Live(_) | IdState::Departed))
-    }
-
     /// VMs admitted through the incremental (mid-period) path so far.
     pub fn online_admissions(&self) -> usize {
         self.online_admissions

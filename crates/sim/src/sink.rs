@@ -331,9 +331,9 @@ pub enum SinkEvent {
 
 impl SinkEvent {
     /// Replays this event into `sink` through the matching
-    /// [`MetricSink`] method. Shared by [`Buffered::drain`] and the
-    /// [`Threaded`] worker loop so both adapters deliver batches
-    /// identically.
+    /// [`MetricSink`] method. Shared by [`Buffered::drain`], the
+    /// [`Threaded`] worker loop and the sharded session's per-cell
+    /// adapter, so every relay delivers identically.
     pub fn deliver(self, sink: &mut dyn MetricSink) {
         match self {
             SinkEvent::Period(record) => sink.on_period(&record),
@@ -365,7 +365,9 @@ impl SinkEvent {
 /// The producer half both adapters share: a bounded queue whose
 /// overflow drops the incoming event and counts it. The drop decision
 /// is made here, on the replay thread, which is what makes both
-/// adapters deterministic under any thread schedule.
+/// adapters deterministic under any thread schedule. Period records
+/// and the terminal summary never touch the queue, so they can never
+/// be dropped.
 #[derive(Debug, Clone)]
 struct BoundedQueue {
     events: VecDeque<SinkEvent>,
@@ -392,37 +394,50 @@ impl BoundedQueue {
             self.events.push_back(event);
         }
     }
+
+    /// The summary an adapter's inner sink sees: `report` with this
+    /// queue's drop counter folded in. The fold is **additive** — a
+    /// controller report always arrives with `sink_dropped_events ==
+    /// 0`, so standalone behaviour is unchanged, but when adapters
+    /// nest (e.g. [`Threaded`]`<Buffered<S>>`) each layer adds its own
+    /// drops instead of the inner layer overwriting the outer layer's
+    /// count.
+    fn fold_drops(&self, report: &SimReport) -> SimReport {
+        let mut report = report.clone();
+        report.sink_dropped_events += self.dropped;
+        report
+    }
 }
 
-/// Where an adapter's flushed batches go — inline into the wrapped
-/// sink ([`Buffered`]) or across a channel to its worker thread
-/// ([`Threaded`]). Everything else about the two adapters is the one
-/// [`MetricSink`] impl below.
-trait Delivery {
-    fn queue(&mut self) -> &mut BoundedQueue;
+/// A [`MetricSink`] that handles its per-event callbacks as one
+/// stream of [`SinkEvent`]s: [`Buffered`] and [`Threaded`] queue them,
+/// and the sharded session's per-cell adapter rewrites their ids into
+/// the global namespace. The blanket impl below is their one
+/// [`MetricSink`] impl; a completed period and the terminal summary
+/// keep their own methods, because every implementor treats them as
+/// flush points rather than as events.
+pub(crate) trait Relay {
+    /// One per-event callback (never [`SinkEvent::Period`]).
+    fn relay(&mut self, event: SinkEvent);
 
-    /// Delivers every queued event in arrival order, then `record`.
-    fn deliver_period(&mut self, record: &PeriodRecord);
+    /// A completed period ([`MetricSink::on_period`]).
+    fn period(&mut self, record: &PeriodRecord);
 
-    /// Delivers every queued event in arrival order, then `report`.
-    fn deliver_summary(&mut self, report: SimReport);
+    /// The terminal report ([`MetricSink::on_summary`]).
+    fn summary(&mut self, report: &SimReport);
 }
 
-/// The producer side of [`Buffered`] and [`Threaded`]: per-event
-/// callbacks land in the bounded queue; a completed period and the
-/// terminal summary are the flush points. Flush-point payloads never
-/// touch the queue, so they can never be dropped.
-impl<T: Delivery> MetricSink for T {
+impl<T: Relay> MetricSink for T {
     fn on_period(&mut self, record: &PeriodRecord) {
-        self.deliver_period(record);
+        self.period(record);
     }
 
     fn on_repack(&mut self, event: &RepackEvent) {
-        self.queue().push(SinkEvent::Repack(*event));
+        self.relay(SinkEvent::Repack(*event));
     }
 
     fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.queue().push(SinkEvent::Migration {
+        self.relay(SinkEvent::Migration {
             period,
             vm,
             from,
@@ -431,11 +446,11 @@ impl<T: Delivery> MetricSink for T {
     }
 
     fn on_violation(&mut self, event: &ViolationEvent) {
-        self.queue().push(SinkEvent::Violation(*event));
+        self.relay(SinkEvent::Violation(*event));
     }
 
     fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.queue().push(SinkEvent::ClassEnergy {
+        self.relay(SinkEvent::ClassEnergy {
             period,
             class,
             name: name.to_string(),
@@ -444,11 +459,11 @@ impl<T: Delivery> MetricSink for T {
     }
 
     fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.queue().push(SinkEvent::Admit { sample, vm, server });
+        self.relay(SinkEvent::Admit { sample, vm, server });
     }
 
     fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.queue().push(SinkEvent::ServerFail {
+        self.relay(SinkEvent::ServerFail {
             sample,
             server,
             residents,
@@ -456,22 +471,11 @@ impl<T: Delivery> MetricSink for T {
     }
 
     fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.queue()
-            .push(SinkEvent::ServerRecover { sample, server });
+        self.relay(SinkEvent::ServerRecover { sample, server });
     }
 
     fn on_summary(&mut self, report: &SimReport) {
-        // The inner sink sees the summary exactly once, with the
-        // adapter's drop counter folded in. The fold is **additive** —
-        // a controller report always arrives with
-        // `sink_dropped_events == 0`, so standalone behaviour is
-        // unchanged, but when adapters nest (e.g.
-        // [`Threaded`]`<Buffered<S>>`) each layer adds its own drops
-        // instead of the inner layer overwriting the outer layer's
-        // count.
-        let mut report = report.clone();
-        report.sink_dropped_events += self.queue().dropped;
-        self.deliver_summary(report);
+        self.summary(report);
     }
 }
 
@@ -527,17 +531,18 @@ impl<S: MetricSink> Buffered<S> {
     }
 }
 
-impl<S: MetricSink> Delivery for Buffered<S> {
-    fn queue(&mut self) -> &mut BoundedQueue {
-        &mut self.queue
+impl<S: MetricSink> Relay for Buffered<S> {
+    fn relay(&mut self, event: SinkEvent) {
+        self.queue.push(event);
     }
 
-    fn deliver_period(&mut self, record: &PeriodRecord) {
+    fn period(&mut self, record: &PeriodRecord) {
         self.drain();
         self.inner.on_period(record);
     }
 
-    fn deliver_summary(&mut self, report: SimReport) {
+    fn summary(&mut self, report: &SimReport) {
+        let report = self.queue.fold_drops(report);
         self.drain();
         self.inner.on_summary(&report);
     }
@@ -718,18 +723,19 @@ impl<S> Drop for Threaded<S> {
     }
 }
 
-impl<S: MetricSink + Send + 'static> Delivery for Threaded<S> {
-    fn queue(&mut self) -> &mut BoundedQueue {
-        &mut self.queue
+impl<S: MetricSink + Send + 'static> Relay for Threaded<S> {
+    fn relay(&mut self, event: SinkEvent) {
+        self.queue.push(event);
     }
 
-    fn deliver_period(&mut self, record: &PeriodRecord) {
+    fn period(&mut self, record: &PeriodRecord) {
         let mut batch: Vec<SinkEvent> = self.queue.events.drain(..).collect();
         batch.push(SinkEvent::Period(record.clone()));
         self.send(WorkerMsg::Batch(batch));
     }
 
-    fn deliver_summary(&mut self, report: SimReport) {
+    fn summary(&mut self, report: &SimReport) {
+        let report = self.queue.fold_drops(report);
         self.flush();
         self.send(WorkerMsg::Summary(report));
     }

@@ -39,12 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = ProposedPolicy::default().place_uniform(&vms, &matrix, 8.0)?;
     println!("\nplacement on {} servers:", placement.server_count());
 
-    // Eqn 4: per-server frequency on the Xeon E5410 ladder.
-    let planner = FrequencyPlanner::new(DvfsLadder::xeon_e5410());
+    // Eqn 4: per-server frequency on the Xeon E5410 ladder (the
+    // testbed's one server class).
+    let xeons = ServerFleet::uniform(
+        placement.server_count(),
+        8.0,
+        LinearPowerModel::xeon_e5410(),
+    )?;
+    let planner = FleetFrequencyPlanner::new(&xeons);
     for (s, members) in placement.servers().iter().enumerate() {
         let demand: f64 = members.iter().map(|&id| vms[id].demand).sum();
         let cost = server_cost_of(members, &vms, &matrix);
-        let f = planner.static_level_correlation_aware(demand, 8.0, cost.max(1.0))?;
+        let f = planner.static_level_correlation_aware(0, demand, cost.max(1.0))?;
         println!("  server{s}: vms {members:?}  Σû = {demand:.2} cores, cost = {cost:.2} → {f}");
     }
     Ok(())

@@ -85,7 +85,7 @@ pub mod prelude {
             SuperVmPolicy, VmDescriptor,
         },
         corr::{cost_of_traces, CostMatrix, CostMetric, PearsonStream},
-        dvfs::{DvfsMode, FleetFrequencyPlanner, FrequencyPlanner},
+        dvfs::{DvfsMode, FleetFrequencyPlanner},
         fleet::{ServerClass, ServerFleet, ServerHealth},
         predict::{EwmaPredictor, LastValuePredictor, MovingAveragePredictor, Predictor},
         servercost::{server_cost, server_cost_of},
