@@ -8,9 +8,9 @@
 //! incremental placement, capacity loss beyond what the shrunken
 //! fleet can host flows into the bounded **deferred-admission queue**
 //! (graceful degradation), and recoveries drain it back. The sweep is
-//! declared as a [`SweepGrid`] over the fault axis: one fault-free
-//! cell (plus an empty-plan cell asserted bit-identical to it), then
-//! one cell per MTBF. The run prints one row per MTBF against the
+//! a loop over fault plans: one fault-free run (plus an empty-plan run
+//! asserted bit-identical to it), then one run per MTBF. The section
+//! prints one row per MTBF against the
 //! fault-free baseline and asserts the robustness headline: even at
 //! the harshest point of the sweep the QoS-guarded schedule keeps the
 //! worst-period violation ratio bounded, and the fault-free row
@@ -20,9 +20,8 @@
 //! 25% ceiling on the worst-period violation.
 
 use crate::online::{departure_heavy, HOURS, QOS_GUARD, SLACK, SLACK_MAX, VMS};
-use cavm_bench::sweep::{FaultCase, Schedule, SweepGrid, WorkloadCase};
-use cavm_bench::{bar, setup2_fleet, SETUP2_SEED};
-use cavm_sim::{Policy, SimReport};
+use cavm_bench::{bar, setup2_fleet, Schedule, SETUP2_SEED};
+use cavm_sim::{Policy, ScenarioBuilder, SimReport};
 use cavm_workload::faults::{FaultModel, FaultPlan, FaultPlanBuilder};
 use std::fmt::Write as _;
 
@@ -53,18 +52,20 @@ pub fn run() -> String {
     let lifecycle = departure_heavy(horizon);
 
     let schedule = Schedule::guarded_hybrid(SLACK, QOS_GUARD, SLACK_MAX);
-    let grid = |faults: Vec<FaultCase>| {
-        SweepGrid::over(vec![WorkloadCase::open(
-            "departure-heavy",
-            fleet.clone(),
-            lifecycle.clone(),
-        )])
-        .servers(vec![servers])
-        .policies(vec![Policy::Proposed(Default::default())])
-        .schedules(vec![schedule])
-        .faults(faults)
-        .run()
-        .expect("fault grid runs to completion")
+    let run = |faults: Option<FaultPlan>| {
+        let mut builder = ScenarioBuilder::new(fleet.clone())
+            .servers(servers)
+            .policy(Policy::Proposed(Default::default()))
+            .lifecycle(lifecycle.clone());
+        if let Some(plan) = faults {
+            builder = builder.faults(plan);
+        }
+        schedule
+            .apply(builder)
+            .build()
+            .expect("static scenario parameters are valid")
+            .run()
+            .expect("fault sweep runs to completion")
     };
 
     let plan_for = |mtbf_hours: f64, band: usize| -> FaultPlan {
@@ -89,12 +90,8 @@ pub fn run() -> String {
 
     // Fault-free baseline — and the no-fault path is bit-identical to
     // a scenario that never heard of fault plans.
-    let mut baseline_rows = grid(vec![
-        FaultCase::none(),
-        FaultCase::plan("empty-plan", FaultPlan::empty()),
-    ]);
-    let empty_plan = baseline_rows.pop().expect("grid ran two cells").report;
-    let baseline = baseline_rows.pop().expect("grid ran two cells").report;
+    let baseline = run(None);
+    let empty_plan = run(Some(FaultPlan::empty()));
     assert_eq!(
         baseline, empty_plan,
         "an empty fault plan must be bit-identical to no plan at all"
@@ -108,26 +105,17 @@ pub fn run() -> String {
     // the baseline actually lives in.
     let fault_band = baseline.peak_servers_used().clamp(2, servers);
 
-    let plans: Vec<(f64, FaultPlan)> = MTBFS_HOURS
-        .iter()
-        .map(|&mtbf| (mtbf, plan_for(mtbf, fault_band)))
-        .collect();
     let mut rows = vec![Row {
         mtbf_hours: None,
         scheduled_failures: 0,
         report: baseline,
     }];
-    let swept = grid(
-        plans
-            .iter()
-            .map(|(mtbf, plan)| FaultCase::plan(format!("mtbf {mtbf} h"), plan.clone()))
-            .collect(),
-    );
-    for ((mtbf, plan), row) in plans.iter().zip(swept) {
+    for mtbf in MTBFS_HOURS {
+        let plan = plan_for(mtbf, fault_band);
         rows.push(Row {
-            mtbf_hours: Some(*mtbf),
+            mtbf_hours: Some(mtbf),
             scheduled_failures: plan.failures(),
-            report: row.report,
+            report: run(Some(plan)),
         });
     }
 

@@ -7,11 +7,11 @@
 //! (uniform) leases, so placement periods see mid-period arrivals that
 //! must be admitted through the **incremental single-VM placement**
 //! (`AllocationPolicy::place_one` — no re-pack, lease-aware) and
-//! departures that power servers off. Both comparisons are declared as
-//! [`SweepGrid`]s: the five policies under the periodic schedule on the
-//! churn workload, then the proposed policy × the five standard re-pack
-//! schedules (`periodic`, `fragmentation`, QoS-**guarded**
-//! fragmentation, `hybrid`, `hybrid-adaptive`) plus
+//! departures that power servers off. Both comparisons are plain loops
+//! over [`ScenarioBuilder`]: the five policies under the periodic
+//! schedule on the churn workload, then the proposed policy × the five
+//! standard re-pack schedules (`periodic`, `fragmentation`,
+//! QoS-**guarded** fragmentation, `hybrid`, `hybrid-adaptive`) plus
 //! `guarded-overcommit` on a departure-heavy schedule. The run asserts
 //! that every policy exercised the incremental admit path, that
 //! `hybrid` never burns more energy than the paper's periodic-only
@@ -23,9 +23,11 @@
 //! slack 1 server, guard ratio 0.08, adaptive-slack bound slack + 3,
 //! overcommit margin 0.25 with ceiling 0.35.
 
-use cavm_bench::sweep::{Schedule, SweepGrid, SweepRow, WorkloadCase};
-use cavm_bench::{bar, setup2_fleet, PCP_AFFINITY_THRESHOLD, PCP_ENVELOPE_PERCENTILE, SETUP2_SEED};
-use cavm_sim::{Policy, QosGuard};
+use cavm_bench::{
+    bar, setup2_fleet, Schedule, PCP_AFFINITY_THRESHOLD, PCP_ENVELOPE_PERCENTILE, SETUP2_SEED,
+};
+use cavm_sim::{Policy, QosGuard, ScenarioBuilder, SimReport};
+use cavm_workload::datacenter::VmFleet;
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
 use std::fmt::Write as _;
 
@@ -46,6 +48,26 @@ pub const SLACK_MAX: u32 = SLACK + 3;
 const OVERCOMMIT_MARGIN: f64 = 0.25;
 /// `OvercommitController` ceiling of `guarded-overcommit`.
 const OVERCOMMIT_MAX_MARGIN: f64 = 0.35;
+
+/// Runs `policy` under `schedule` over the open workload
+/// (`fleet`, `lifecycle`) on one 8-core server per VM.
+fn run_open(
+    fleet: &VmFleet,
+    lifecycle: &Lifecycle,
+    policy: Policy,
+    schedule: &Schedule,
+) -> SimReport {
+    let builder = ScenarioBuilder::new(fleet.clone())
+        .servers(VMS)
+        .policy(policy)
+        .lifecycle(lifecycle.clone());
+    schedule
+        .apply(builder)
+        .build()
+        .expect("static scenario parameters are valid")
+        .run()
+        .expect("scenario runs to completion")
+}
 
 /// The five policies in report order.
 pub fn policies() -> [Policy; 5] {
@@ -108,28 +130,19 @@ pub fn run() -> String {
     );
 
     let schedule = Schedule::periodic();
-    let rows: Vec<SweepRow> = SweepGrid::over(vec![WorkloadCase::open(
-        "churn",
-        fleet.clone(),
-        lifecycle.clone(),
-    )])
-    .servers(vec![VMS])
-    .policies(policies().to_vec())
-    .schedules(vec![schedule])
-    .run_with(|cell, report| {
-        assert!(
-            report.online_admissions > 0,
-            "{}: mid-horizon arrivals must go through the incremental admit path",
-            cell.policy.name()
-        );
-    })
-    .expect("churn grid runs to completion");
-    let baseline = rows
-        .iter()
-        .find(|r| r.policy == "BFD")
-        .expect("BFD is in the policy set")
-        .report
-        .energy;
+    let rows: Vec<SimReport> = policies()
+        .into_iter()
+        .map(|policy| {
+            let report = run_open(&fleet, &lifecycle, policy, &schedule);
+            assert!(
+                report.online_admissions > 0,
+                "{}: mid-horizon arrivals must go through the incremental admit path",
+                policy.name()
+            );
+            report
+        })
+        .collect();
+    let baseline = rows[0].energy;
 
     println!(
         "# Online churn — {} of {} VMs scheduled over {HOURS} h ({} peak concurrent), static DVFS, {} re-packs",
@@ -143,8 +156,7 @@ pub fn run() -> String {
         "{:<10} {:>12} {:>12} {:>10} {:>12} {:>8}  normalized bar",
         "policy", "energy kWh", "norm. power", "max viol%", "migrations", "admits"
     );
-    for row in &rows {
-        let r = &row.report;
+    for r in &rows {
         let norm = r.energy.normalized_to(&baseline).expect("baseline > 0");
         println!(
             "{:<10} {:>12.2} {:>12.3} {:>10.2} {:>12} {:>8}  {}",
@@ -158,8 +170,8 @@ pub fn run() -> String {
         );
     }
 
-    let proposed = &rows[4].report;
-    let bfd = &rows[0].report;
+    let proposed = &rows[4];
+    let bfd = &rows[0];
     println!();
     println!(
         "proposed vs BFD under churn: {:.1}% energy, {} vs {} violation instances",
@@ -187,17 +199,15 @@ pub fn run() -> String {
         OVERCOMMIT_MARGIN,
         OVERCOMMIT_MAX_MARGIN,
     ));
-    let adaptive: Vec<SweepRow> = SweepGrid::over(vec![WorkloadCase::open(
-        "departure-heavy",
-        fleet,
-        departure_heavy.clone(),
-    )])
-    .servers(vec![VMS])
-    .policies(vec![Policy::Proposed(Default::default())])
-    .schedules(adaptive_schedules)
-    .run()
-    .expect("adaptive grid runs to completion");
-    let periodic_energy = adaptive[0].report.energy;
+    let adaptive: Vec<(&str, SimReport)> = adaptive_schedules
+        .iter()
+        .map(|schedule| {
+            let policy = Policy::Proposed(Default::default());
+            let report = run_open(&fleet, &departure_heavy, policy, schedule);
+            (schedule.name, report)
+        })
+        .collect();
+    let periodic_energy = adaptive[0].1.energy;
 
     println!();
     println!(
@@ -211,12 +221,11 @@ pub fn run() -> String {
         "{:<14} {:>12} {:>12} {:>10} {:>12} {:>9}  vs periodic",
         "schedule", "energy kWh", "norm. power", "max viol%", "migrations", "re-packs"
     );
-    for row in &adaptive {
-        let r = &row.report;
+    for (schedule, r) in &adaptive {
         let norm = r.energy.normalized_to(&periodic_energy).expect("nonzero");
         println!(
             "{:<14} {:>12.2} {:>12.3} {:>10.2} {:>12} {:>9}  {}",
-            row.schedule,
+            schedule,
             r.energy.kilowatt_hours(),
             norm,
             r.max_violation_percent,
@@ -225,11 +234,11 @@ pub fn run() -> String {
             bar(norm, 30),
         );
     }
-    let periodic = &adaptive[0].report;
-    let guarded = &adaptive[2].report;
-    let hybrid = &adaptive[3].report;
-    let hybrid_adaptive = &adaptive[4].report;
-    let overcommit = &adaptive[5].report;
+    let periodic = &adaptive[0].1;
+    let guarded = &adaptive[2].1;
+    let hybrid = &adaptive[3].1;
+    let hybrid_adaptive = &adaptive[4].1;
+    let overcommit = &adaptive[5].1;
     assert!(
         hybrid.offcycle_repacks > 0,
         "the departure-heavy schedule must fire off-cycle re-packs"
@@ -303,8 +312,7 @@ pub fn run() -> String {
     );
     let _ = writeln!(section, "    \"trigger\": \"{}\",", schedule.name);
     section.push_str("    \"policies\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
+    for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             section,
             "      {{\"policy\": \"{}\", \"energy_kwh\": {:.3}, \"normalized_power\": {:.4}, \"max_violation_percent\": {:.3}, \"migrations\": {}, \"online_admissions\": {}",
@@ -338,12 +346,11 @@ pub fn run() -> String {
     );
     let _ = writeln!(section, "      \"departed_leases\": {departed_in_run},");
     section.push_str("      \"triggers\": [\n");
-    for (i, row) in adaptive.iter().enumerate() {
-        let r = &row.report;
+    for (i, (schedule, r)) in adaptive.iter().enumerate() {
         let _ = write!(
             section,
             "        {{\"trigger\": \"{}\", \"energy_kwh\": {:.3}, \"normalized_power\": {:.4}, \"max_violation_percent\": {:.3}, \"migrations\": {}, \"offcycle_repacks\": {}}}",
-            row.schedule,
+            schedule,
             r.energy.kilowatt_hours(),
             r.energy.normalized_to(&periodic_energy).expect("nonzero"),
             r.max_violation_percent,

@@ -7,8 +7,8 @@
 //!
 //! 1. ingests the file through its [`TraceDataset`] reader into a
 //!    `(VmFleet, Lifecycle)` pair,
-//! 2. replays it through the **flat guarded controller** as a
-//!    [`SweepGrid`] of BFD vs the proposed policy — on the Azure trace
+//! 2. replays it through the **flat guarded controller** under BFD and
+//!    the proposed policy — on the Azure trace
 //!    (which carries real per-sample correlation structure) the run
 //!    *asserts* proposed never burns more energy than BFD,
 //! 3. replays the same workload through a cell-sharded
@@ -26,14 +26,14 @@
 //! [`TraceDataset`]: cavm_workload::dataset::TraceDataset
 //! [`ShardedController`]: cavm_sim::ShardedController
 
-use cavm_bench::sweep::{Schedule, SweepGrid, SweepRow, WorkloadCase};
-use cavm_bench::{bar, env};
+use cavm_bench::{bar, env, Schedule};
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
 use cavm_sim::service::lifecycle_events;
 use cavm_sim::{
-    ControllerConfig, NullSink, Policy, QosGuard, RepackTrigger, ShardedController, SimReport,
+    ControllerConfig, NullSink, Policy, QosGuard, RepackTrigger, ScenarioBuilder,
+    ShardedController, SimReport,
 };
 use cavm_trace::Reference;
 use cavm_workload::datacenter::VmFleet;
@@ -111,7 +111,7 @@ struct DialectResult {
     name: &'static str,
     path: String,
     vms: usize,
-    flat: Vec<SweepRow>,
+    flat: Vec<SimReport>,
     sharded: SimReport,
 }
 
@@ -130,23 +130,28 @@ fn run_dialect(
         slack_max: None,
         overcommit: None,
     };
-    let flat = SweepGrid::over(vec![WorkloadCase::open(
-        name,
-        fleet.clone(),
-        lifecycle.clone(),
-    )])
-    .servers(vec![knobs.servers])
-    .policies(vec![Policy::Bfd, Policy::Proposed(Default::default())])
-    .schedules(vec![schedule])
-    .period_samples(knobs.period_samples)
-    .run_with(|cell, report| {
-        assert!(
-            report.online_admissions + report.periods.len() > 0,
-            "{name}/{}: replay produced no activity",
-            cell.policy.name()
-        );
-    })
-    .expect("flat replay runs to completion");
+    let flat = [Policy::Bfd, Policy::Proposed(Default::default())]
+        .into_iter()
+        .map(|policy| {
+            let builder = ScenarioBuilder::new(fleet.clone())
+                .servers(knobs.servers)
+                .policy(policy)
+                .lifecycle(lifecycle.clone())
+                .period_samples(knobs.period_samples);
+            let report = schedule
+                .apply(builder)
+                .build()
+                .expect("flat replay parameters are valid")
+                .run()
+                .expect("flat replay runs to completion");
+            assert!(
+                report.online_admissions + report.periods.len() > 0,
+                "{name}/{}: replay produced no activity",
+                policy.name()
+            );
+            report
+        })
+        .collect();
 
     let sharded = replay_sharded(&fleet, &lifecycle, knobs);
     // Arrivals on a period boundary are placed by the periodic re-pack;
@@ -226,7 +231,7 @@ pub fn run() -> String {
         knobs.dt_s,
     );
     for dialect in [&azure, &huawei] {
-        let bfd = &dialect.flat[0].report;
+        let bfd = &dialect.flat[0];
         println!();
         println!(
             "## {} — {} VMs from {}",
@@ -236,8 +241,7 @@ pub fn run() -> String {
             "{:<10} {:>12} {:>10} {:>12} {:>8}  normalized bar",
             "policy", "energy kWh", "max viol%", "migrations", "admits"
         );
-        for row in &dialect.flat {
-            let r = &row.report;
+        for r in &dialect.flat {
             let norm = r.energy.normalized_to(&bfd.energy).expect("nonzero");
             println!(
                 "{:<10} {:>12.3} {:>10.2} {:>12} {:>8}  {}",
@@ -263,8 +267,8 @@ pub fn run() -> String {
     // The point of ingesting a correlated trace: on the Azure-format
     // fixture (per-sample demand series with real group structure) the
     // correlation-aware policy must not lose to correlation-blind BFD.
-    let azure_bfd = &azure.flat[0].report;
-    let azure_proposed = &azure.flat[1].report;
+    let azure_bfd = &azure.flat[0];
+    let azure_proposed = &azure.flat[1];
     assert!(
         azure_proposed.energy.joules() <= azure_bfd.energy.joules(),
         "proposed must not burn more energy than BFD on the azure trace ({} J vs {} J)",
@@ -288,13 +292,12 @@ pub fn run() -> String {
     let _ = writeln!(section, "    \"servers\": {},", knobs.servers);
     let _ = writeln!(section, "    \"cells\": {},", knobs.cells);
     for (d, dialect) in [&azure, &huawei].into_iter().enumerate() {
-        let bfd = &dialect.flat[0].report;
+        let bfd = &dialect.flat[0];
         let _ = writeln!(section, "    \"{}\": {{", dialect.name);
         let _ = writeln!(section, "      \"path\": \"{}\",", dialect.path);
         let _ = writeln!(section, "      \"vms\": {},", dialect.vms);
         section.push_str("      \"flat\": [\n");
-        for (i, row) in dialect.flat.iter().enumerate() {
-            let r = &row.report;
+        for (i, r) in dialect.flat.iter().enumerate() {
             let _ = write!(
                 section,
                 "        {{\"policy\": \"{}\", \"energy_kwh\": {:.4}, \"normalized_power\": {:.4}, \"max_violation_percent\": {:.3}, \"migrations\": {}, \"online_admissions\": {}}}",

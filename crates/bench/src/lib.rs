@@ -11,11 +11,10 @@
 //! benches and integration tests agree.
 
 use cavm_core::dvfs::DvfsMode;
-use cavm_sim::{Policy, ScenarioBuilder, SimReport};
+use cavm_sim::{OvercommitConfig, Policy, QosGuard, RepackTrigger, ScenarioBuilder, SimReport};
 use cavm_workload::datacenter::{DatacenterTraceBuilder, VmFleet};
 
 pub mod env;
-pub mod sweep;
 
 /// Seed used by all Setup-2 experiments (reports are deterministic).
 pub const SETUP2_SEED: u64 = 2013;
@@ -75,6 +74,117 @@ pub fn run_setup2(fleet: &VmFleet, policy: Policy, mode: DvfsMode) -> SimReport 
         .expect("scenario parameters are valid")
         .run()
         .expect("scenario runs to completion")
+}
+
+/// One named re-pack schedule: a trigger plus the optional QoS guard,
+/// adaptive-slack bound and overcommit margins composed onto it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Schedule {
+    /// Stable display name (used in reports and artifacts).
+    pub name: &'static str,
+    /// When the live placement is re-packed.
+    pub trigger: RepackTrigger,
+    /// QoS guard composed onto the trigger, if any.
+    pub guard: Option<QosGuard>,
+    /// Adaptive-slack upper bound, if the slack controller is on.
+    pub slack_max: Option<u32>,
+    /// Deliberate correlation-gap overcommit margins, if on (requires
+    /// a guard).
+    pub overcommit: Option<OvercommitConfig>,
+}
+
+impl Schedule {
+    /// The paper's periodic-only re-pack clock.
+    pub fn periodic() -> Self {
+        Schedule {
+            name: "periodic",
+            trigger: RepackTrigger::Periodic,
+            guard: None,
+            slack_max: None,
+            overcommit: None,
+        }
+    }
+
+    /// The five canonical schedules of the adaptive-consolidation
+    /// comparison: `periodic`, `fragmentation`, `guarded`
+    /// (fragmentation + QoS guard), `hybrid`, and `hybrid-adaptive`
+    /// (hybrid + the `SlackController` walking slack up to
+    /// `slack_max`).
+    pub fn standard(slack: u32, guard: QosGuard, slack_max: u32) -> [Schedule; 5] {
+        [
+            Schedule::periodic(),
+            Schedule {
+                name: "fragmentation",
+                trigger: RepackTrigger::Fragmentation { slack },
+                guard: None,
+                slack_max: None,
+                overcommit: None,
+            },
+            Schedule {
+                name: "guarded",
+                trigger: RepackTrigger::Fragmentation { slack },
+                guard: Some(guard),
+                slack_max: None,
+                overcommit: None,
+            },
+            Schedule {
+                name: "hybrid",
+                trigger: RepackTrigger::Hybrid { slack },
+                guard: None,
+                slack_max: None,
+                overcommit: None,
+            },
+            Schedule {
+                name: "hybrid-adaptive",
+                trigger: RepackTrigger::Hybrid { slack },
+                guard: None,
+                slack_max: Some(slack_max),
+                overcommit: None,
+            },
+        ]
+    }
+
+    /// The guarded hybrid clock the fault-tolerance experiments run
+    /// under: hybrid trigger, QoS guard on, adaptive slack bounded.
+    pub fn guarded_hybrid(slack: u32, guard: QosGuard, slack_max: u32) -> Self {
+        Schedule {
+            name: "guarded-hybrid",
+            trigger: RepackTrigger::Hybrid { slack },
+            guard: Some(guard),
+            slack_max: Some(slack_max),
+            overcommit: None,
+        }
+    }
+
+    /// The guarded fragmentation clock with deliberate
+    /// correlation-gap overcommit on top: servers admit past plain
+    /// capacity by an adaptive per-class margin when the Eqn (2) pair
+    /// costs say the peaks anti-align, with the QoS guard as the
+    /// reactive backstop.
+    pub fn guarded_overcommit(slack: u32, guard: QosGuard, margin: f64, max_margin: f64) -> Self {
+        Schedule {
+            name: "guarded-overcommit",
+            trigger: RepackTrigger::Fragmentation { slack },
+            guard: Some(guard),
+            slack_max: None,
+            overcommit: Some(OvercommitConfig { margin, max_margin }),
+        }
+    }
+
+    /// Composes this schedule onto a scenario builder.
+    pub fn apply(&self, builder: ScenarioBuilder) -> ScenarioBuilder {
+        let mut builder = builder.repack_trigger(self.trigger);
+        if let Some(guard) = self.guard {
+            builder = builder.qos_guard(guard);
+        }
+        if let Some(max) = self.slack_max {
+            builder = builder.adaptive_slack_max(max);
+        }
+        if let Some(oc) = self.overcommit {
+            builder = builder.overcommit(oc.margin, oc.max_margin);
+        }
+        builder
+    }
 }
 
 /// Renders a horizontal ASCII bar of `fraction` (0..=1).

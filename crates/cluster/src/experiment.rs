@@ -20,10 +20,9 @@ use crate::sim::{
 use crate::ClusterError;
 use cavm_trace::percentile;
 use cavm_workload::{ClientWave, WebSearchCluster};
-use serde::{Deserialize, Serialize};
 
 /// The three VM placements of Fig 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Setup1Placement {
     /// Fig 4(a): every ISN on 4 dedicated cores.
     Segregated,
@@ -46,7 +45,7 @@ impl Setup1Placement {
 }
 
 /// Scenario parameters with paper-matching defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Setup1Config {
     /// Execution-rate multiplier: 1.0 ≡ 2.1 GHz, `1.9/2.1` ≡ 1.9 GHz.
     pub frequency_scale: f64,
@@ -85,7 +84,7 @@ impl Default for Setup1Config {
 }
 
 /// Output of one Setup-1 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Setup1Outcome {
     /// Which placement ran.
     pub placement: Setup1Placement,

@@ -24,10 +24,9 @@
 use crate::ClusterError;
 use cavm_trace::{SimRng, TimeSeries};
 use cavm_workload::{ClientWave, WebSearchCluster};
-use serde::{Deserialize, Serialize};
 
 /// A physical server: core count and DVFS speed factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Number of physical cores.
     pub cores: usize,
@@ -53,7 +52,7 @@ impl ServerSpec {
 /// The **open-loop** model issues a Poisson stream at the instantaneous
 /// rate `clients(t)/think_time` regardless of backlog; it is simpler and
 /// stresses overload harder (queues grow unboundedly past saturation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalModel {
     /// Time-varying Poisson arrivals, independent of response times.
     Open,
@@ -62,7 +61,7 @@ pub enum ArrivalModel {
 }
 
 /// Maps one ISN (a VM) onto a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmAssignment {
     /// Index of the cluster this VM belongs to.
     pub cluster: usize,
@@ -76,7 +75,7 @@ pub struct VmAssignment {
 }
 
 /// Full scenario description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSimConfig {
     /// The physical servers.
     pub servers: Vec<ServerSpec>,
@@ -100,7 +99,7 @@ pub struct ClusterSimConfig {
 }
 
 /// Simulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSimResult {
     /// Average core usage per sampling window, one series per
     /// assignment (same order as `config.assignments`), in cores.

@@ -11,7 +11,6 @@ use crate::alloc::{
 };
 use crate::corr::CostMatrix;
 use crate::fleet::{FleetCursor, ServerFleet};
-use serde::{Deserialize, Serialize};
 
 /// Best-Fit-Decreasing allocation.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BfdPolicy;
 
 impl AllocationPolicy for BfdPolicy {

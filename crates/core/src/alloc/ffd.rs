@@ -13,7 +13,6 @@ use crate::alloc::{
 };
 use crate::corr::CostMatrix;
 use crate::fleet::{FleetCursor, ServerFleet};
-use serde::{Deserialize, Serialize};
 
 /// First-Fit-Decreasing allocation.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FfdPolicy;
 
 impl AllocationPolicy for FfdPolicy {

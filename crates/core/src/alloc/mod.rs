@@ -47,7 +47,6 @@ use crate::fleet::ServerFleet;
 use crate::servercost::ServerCostAggregate;
 use crate::CoreError;
 use cavm_trace::{Reference, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance for capacity comparisons: a VM "fits" when the residual
 /// capacity is short by at most this many cores (guards against float
@@ -61,7 +60,7 @@ pub(crate) const FIT_EPS: f64 = 1e-9;
 /// `off_peak` carries the off-peak (90th-percentile) value alongside;
 /// only the PCP baseline consumes it (off-peak provisioning with a
 /// shared peak buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmDescriptor {
     /// VM identifier; must index into the [`CostMatrix`] given to the
     /// policy.
@@ -120,7 +119,7 @@ impl VmDescriptor {
 /// Server indices are dense (`0..server_count`); only non-empty servers
 /// are kept. Placements built through the scalar-capacity compatibility
 /// path carry class `0` everywhere.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     servers: Vec<Vec<usize>>,
     /// Fleet-class index per active server; same length as `servers`.

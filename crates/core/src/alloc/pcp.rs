@@ -23,7 +23,6 @@ use crate::corr::CostMatrix;
 use crate::fleet::{FleetCursor, ServerFleet};
 use crate::CoreError;
 use cavm_trace::{Envelope, Reference, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Minimal union-find over `0..n`.
 #[derive(Debug, Clone)]
@@ -83,7 +82,7 @@ impl UnionFind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcpPolicy {
     /// Cluster label per VM id.
     clusters: Vec<usize>,

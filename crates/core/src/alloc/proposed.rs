@@ -42,7 +42,6 @@ use crate::corr::CostMatrix;
 use crate::fleet::{FleetCursor, ServerFleet};
 use crate::servercost::ServerCostAggregate;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// Eqn (3): the minimum number of servers that can hold a total demand,
 /// `Ñ = ⌈total / capacity⌉` (at least 1 when there is any demand).
@@ -64,7 +63,7 @@ pub fn estimate_server_count(total_demand: f64, capacity: f64) -> usize {
 }
 
 /// Tuning knobs of the ALLOCATE phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProposedConfig {
     /// Initial correlation threshold `TH_cost`. Costs live in `[1, 2]`
     /// under peak reference, so a demanding initial threshold close to 2
@@ -118,7 +117,7 @@ impl Default for ProposedConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProposedPolicy {
     config: ProposedConfig,
 }

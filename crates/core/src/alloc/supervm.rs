@@ -23,7 +23,6 @@ use crate::alloc::{
 use crate::corr::CostMatrix;
 use crate::fleet::{FleetCursor, ServerFleet};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// The joint-VM-sizing baseline policy.
 ///
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuperVmPolicy {
     /// Minimum pair cost for two VMs to be fused into a super-VM; pairs
     /// below it stay single (fusing correlated VMs would not reduce the

@@ -18,7 +18,6 @@
 
 use crate::CoreError;
 use cavm_trace::{P2Quantile, Reference, StreamingPeak, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// When the aggregate reference utilization is below this, both signals
 /// are considered idle and the cost defaults to the uncorrelated maximum.
@@ -26,7 +25,7 @@ const IDLE_EPS: f64 = 1e-12;
 
 /// Streaming reference-utilization tracker: a running peak or a P²
 /// percentile estimator, depending on the [`Reference`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RefTracker {
     Peak(StreamingPeak),
     Percentile(P2Quantile),
@@ -94,7 +93,7 @@ impl RefTracker {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostMetric {
     reference: Reference,
     a: RefTracker,

@@ -113,7 +113,6 @@
 use crate::corr::cost::combine_cost;
 use crate::CoreError;
 use cavm_trace::{P2Cell, P2Clock, Reference, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Upper-triangle row-major index of pair `(i, j)`, `i < j < n`.
 #[inline]
@@ -157,7 +156,7 @@ fn row_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
 const NO_ROW: u32 = u32::MAX;
 
 /// Monomorphized streaming storage behind the matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Storage {
     /// `Reference::Peak`: running maxima, one `f64` per VM / per pair.
     Peak {
@@ -223,7 +222,7 @@ impl Storage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostMatrix {
     /// Ids the matrix answers for ([`Self::len`]): equal to `rows` in
     /// the plain form, the id bound in the keyed one.

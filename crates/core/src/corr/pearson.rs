@@ -15,7 +15,6 @@
 //! tests and as the "end-of-interval batch" cost model in benches).
 
 use cavm_trace::{TimeSeries, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// Streaming Pearson correlation accumulator.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!((p.correlation().unwrap() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PearsonStream {
     n: u64,
     sx: f64,

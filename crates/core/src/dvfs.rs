@@ -24,11 +24,10 @@
 use crate::fleet::ServerFleet;
 use crate::CoreError;
 use cavm_power::{DvfsLadder, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Static (per placement period) vs dynamic (periodic re-evaluation)
 /// frequency scaling — Table II (a) vs (b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DvfsMode {
     /// One frequency decision per placement period (Table II(a)).
     Static,
@@ -72,7 +71,7 @@ pub enum DvfsMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFrequencyPlanner {
     /// DVFS ladder per fleet class, in class order.
     ladders: Vec<DvfsLadder>,

@@ -39,7 +39,6 @@
 
 use crate::CoreError;
 use cavm_power::{DvfsLadder, LinearPowerModel, PowerModel};
-use serde::{Deserialize, Serialize};
 
 /// Class count meaning "as many servers as the packing needs" — the
 /// unbounded bin supply of the classical heuristics. [`ServerFleet`]s
@@ -58,7 +57,7 @@ pub const UNBOUNDED: usize = usize::MAX;
 /// admission path enforces this structurally: an
 /// [`OpenServer`](crate::alloc::OpenServer) view carries its server's
 /// health and every `place_one` rule skips unhealthy candidates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServerHealth {
     /// The server is operational and may host VMs.
     #[default]
@@ -81,7 +80,7 @@ impl ServerHealth {
 }
 
 /// One homogeneous slice of the fleet: `count` identical servers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerClass {
     name: String,
     count: usize,
@@ -165,7 +164,7 @@ impl ServerClass {
 
 /// An ordered collection of [`ServerClass`]es — the capacity input of
 /// every [`crate::alloc::AllocationPolicy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerFleet {
     classes: Vec<ServerClass>,
     /// Class indices in fill order (largest capacity first).

@@ -11,7 +11,6 @@
 //! experiment.
 
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Predicts the next-period reference utilization of each VM from the
@@ -57,7 +56,7 @@ pub trait Predictor {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LastValuePredictor {
     last: Vec<Option<f64>>,
 }
@@ -95,7 +94,7 @@ impl Predictor for LastValuePredictor {
 }
 
 /// Mean of the last `window` observed periods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAveragePredictor {
     window: usize,
     history: Vec<VecDeque<f64>>,
@@ -152,7 +151,7 @@ impl Predictor for MovingAveragePredictor {
 }
 
 /// Exponentially-weighted moving average of observed periods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EwmaPredictor {
     alpha: f64,
     state: Vec<Option<f64>>,
@@ -204,7 +203,7 @@ impl Predictor for EwmaPredictor {
 /// Tracks how well a predictor did: per-period relative errors and the
 /// under-prediction rate (under-predictions are the dangerous direction —
 /// they cause the capacity violations of Table II).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PredictionScore {
     errors: Vec<f64>,
     under: usize,

@@ -1,10 +1,9 @@
 //! Set-associative LRU caches.
 
 use crate::MicroarchError;
-use serde::{Deserialize, Serialize};
 
 /// Cache geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

@@ -23,10 +23,9 @@
 use crate::cache::{Access, Cache, CacheConfig};
 use crate::stream::{AddressStream, StreamProfile};
 use crate::MicroarchError;
-use serde::{Deserialize, Serialize};
 
 /// Table I's per-workload metrics (plus L3 diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadMetrics {
     /// Instructions per cycle.
     pub ipc: f64,
@@ -43,7 +42,7 @@ pub struct WorkloadMetrics {
 }
 
 /// Machine configuration: cache hierarchy and penalty cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Private L1 geometry (one per workload).
     pub l1: CacheConfig,

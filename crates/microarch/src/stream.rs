@@ -20,10 +20,9 @@
 
 use crate::MicroarchError;
 use cavm_trace::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic workload's memory personality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamProfile {
     /// Display name.
     pub name: String,

@@ -7,7 +7,6 @@
 //! capacity the equation guarantees.
 
 use crate::PowerError;
-use serde::{Deserialize, Serialize};
 
 /// A CPU core frequency, stored in GHz.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.as_ghz(), 2.3);
 /// assert_eq!(f.to_string(), "2.30 GHz");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -75,7 +74,7 @@ impl std::fmt::Display for Frequency {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsLadder {
     /// Ascending, deduplicated levels.
     levels: Vec<Frequency>,

@@ -24,8 +24,6 @@
 //! assert_eq!(bfd.seconds(), 3600.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates energy (the time integral of power) over a simulation.
 ///
 /// # Example
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(meter.joules(), 1750.0);
 /// assert_eq!(meter.seconds(), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyMeter {
     joules: f64,
     seconds: f64,

@@ -14,7 +14,6 @@
 //! testbed machines.
 
 use crate::{DvfsLadder, Frequency, PowerError};
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous server power as a function of utilization and frequency.
 ///
@@ -43,7 +42,7 @@ pub trait PowerModel {
 }
 
 /// Per-level idle/busy wattage pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelPower {
     /// Level frequency.
     pub frequency: Frequency,
@@ -71,7 +70,7 @@ pub struct LevelPower {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearPowerModel {
     ladder: DvfsLadder,
     /// Aligned with `ladder.levels()`.

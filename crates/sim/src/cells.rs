@@ -92,7 +92,7 @@ use crate::controller::{
 };
 use crate::error::SimError;
 use crate::report::{violation_percents, ClassBreakdown, PeriodRecord, SimReport};
-use crate::sink::{Relay, SinkEvent};
+use crate::sink::SinkEvent;
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::{ServerClass, ServerFleet, UNBOUNDED};
 use cavm_power::EnergyMeter;
@@ -203,8 +203,8 @@ struct CellSink<'a> {
     global_of: &'a [usize],
 }
 
-impl Relay for CellSink<'_> {
-    fn relay(&mut self, mut event: SinkEvent) {
+impl MetricSink for CellSink<'_> {
+    fn on_event(&mut self, mut event: SinkEvent) {
         let offset = self.server_offset;
         let vm = |local: usize| self.global_of.get(local).copied().unwrap_or(local);
         match &mut event {
@@ -237,11 +237,11 @@ impl Relay for CellSink<'_> {
         event.deliver(&mut *self.outer);
     }
 
-    fn period(&mut self, record: &PeriodRecord) {
+    fn on_period(&mut self, record: &PeriodRecord) {
         self.outer.on_period(record);
     }
 
-    fn summary(&mut self, _report: &SimReport) {
+    fn on_summary(&mut self, _report: &SimReport) {
         // The sharded session emits the merged summary itself.
     }
 }

@@ -15,10 +15,9 @@ use cavm_trace::Reference;
 use cavm_workload::datacenter::VmFleet;
 use cavm_workload::faults::FaultPlan;
 use cavm_workload::lifecycle::Lifecycle;
-use serde::{Deserialize, Serialize};
 
 /// Which placement policy drives the scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// Best-Fit-Decreasing (the Table II baseline and normalization
     /// reference).
@@ -304,22 +303,39 @@ impl Scenario {
     }
 }
 
+/// Cores of every server in a [`ScenarioBuilder`]'s uniform fleet
+/// (the paper's 8-core Xeon E5410 hosts).
+const CORES_PER_SERVER: f64 = 8.0;
+
+/// Relative headroom of the dynamic governor of a built scenario
+/// (0.25).
+const DYNAMIC_HEADROOM: f64 = 0.25;
+
+/// Demand a built scenario assumes for a VM before its first observed
+/// period, cores (2.0) — also the provisioning used to admit a
+/// brand-new arrival.
+const DEFAULT_DEMAND: f64 = 2.0;
+
+/// Capacity of a built scenario's degraded-mode deferred-admission
+/// queue (1024 VMs).
+const MAX_DEFERRED: usize = 1024;
+
 /// Builder with the paper's Setup-2 defaults: 20 Xeon-E5410-like servers
 /// of 8 cores, 1-hour placement periods over 5-second samples (720
 /// samples per period), peak-reference provisioning, static DVFS.
 ///
-/// The uniform knobs ([`ScenarioBuilder::servers`],
-/// [`ScenarioBuilder::cores_per_server`],
-/// [`ScenarioBuilder::power_model`]) assemble a one-class
-/// [`ServerFleet`] at [`ScenarioBuilder::build`];
+/// [`ScenarioBuilder::servers`] sizes a one-class fleet of 8-core
+/// Xeon E5410 servers at [`ScenarioBuilder::build`];
 /// [`ScenarioBuilder::server_fleet`] supplies a heterogeneous fleet
-/// directly and overrides all three.
+/// directly and overrides it. The dynamic governor's headroom (0.25),
+/// the demand assumed before a VM's first observed period (2.0 cores)
+/// and the deferred-admission queue (1024 VMs) are fixed; a
+/// [`ControllerConfig`] literal sets them for a
+/// [`DatacenterController`] directly.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     fleet: VmFleet,
     server_count: usize,
-    cores_per_server: usize,
-    power_model: LinearPowerModel,
     server_fleet: Option<ServerFleet>,
     policy: Policy,
     repack_trigger: RepackTrigger,
@@ -329,72 +345,16 @@ pub struct ScenarioBuilder {
     dvfs_mode: DvfsMode,
     period_samples: usize,
     reference: Reference,
-    dynamic_headroom: f64,
-    default_demand: f64,
     lifecycle: Option<Lifecycle>,
     faults: Option<FaultPlan>,
-    max_deferred: usize,
 }
 
 impl ScenarioBuilder {
-    /// Starts a builder around a streaming [`TraceDataset`] — real
-    /// CSV readers and synthetic generators alike.
-    ///
-    /// Drains the dataset through
-    /// [`cavm_workload::dataset::assemble`] into a fleet plus a
-    /// trace-driven lifecycle, and returns a builder pre-seeded with
-    /// both; every other knob (`servers`, `policy`, triggers, faults,
-    /// …) composes as usual.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Workload`] when ingestion fails (malformed
-    /// CSV, NaN/negative demand, backwards arrival clocks, …).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cavm_sim::{Policy, ScenarioBuilder};
-    /// use cavm_workload::dataset::{DemandModel, SyntheticApp, SyntheticTraceBuilder};
-    /// use cavm_workload::{ArrivalProcess, LifetimeModel};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mut dataset = SyntheticTraceBuilder::new(1440)
-    ///     .seed(42)
-    ///     .app(SyntheticApp {
-    ///         name: "web".into(),
-    ///         vm_count: 8,
-    ///         arrivals: ArrivalProcess::Poisson { mean_gap_samples: 60.0 },
-    ///         lifetimes: LifetimeModel::Uniform { min_samples: 360, max_samples: 1080 },
-    ///         demand: DemandModel::Uniform { lo: 0.5, hi: 2.0 },
-    ///     })
-    ///     .build()?;
-    /// let report = ScenarioBuilder::dataset(&mut dataset)?
-    ///     .servers(8)
-    ///     .policy(Policy::Proposed(Default::default()))
-    ///     .build()?
-    ///     .run()?;
-    /// assert!(report.energy.joules() > 0.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// [`TraceDataset`]: cavm_workload::dataset::TraceDataset
-    pub fn dataset<D>(dataset: &mut D) -> Result<Self, SimError>
-    where
-        D: cavm_workload::dataset::TraceDataset + ?Sized,
-    {
-        let (fleet, lifecycle) = cavm_workload::dataset::assemble(dataset)?;
-        Ok(Self::new(fleet).lifecycle(lifecycle))
-    }
-
     /// Starts a builder around a trace fleet.
     pub fn new(fleet: VmFleet) -> Self {
         Self {
             fleet,
             server_count: 20,
-            cores_per_server: 8,
-            power_model: LinearPowerModel::xeon_e5410(),
             server_fleet: None,
             policy: Policy::Bfd,
             repack_trigger: RepackTrigger::Periodic,
@@ -404,11 +364,8 @@ impl ScenarioBuilder {
             dvfs_mode: DvfsMode::Static,
             period_samples: 720,
             reference: Reference::Peak,
-            dynamic_headroom: 0.25,
-            default_demand: 2.0,
             lifecycle: None,
             faults: None,
-            max_deferred: 1024,
         }
     }
 
@@ -419,23 +376,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cores per server (paper: 8). Ignored when
-    /// [`ScenarioBuilder::server_fleet`] is set.
-    pub fn cores_per_server(mut self, cores: usize) -> Self {
-        self.cores_per_server = cores;
-        self
-    }
-
-    /// Server power model (default: Xeon E5410 preset). Ignored when
-    /// [`ScenarioBuilder::server_fleet`] is set.
-    pub fn power_model(mut self, model: LinearPowerModel) -> Self {
-        self.power_model = model;
-        self
-    }
-
     /// Replays against an explicit (possibly heterogeneous) server
-    /// fleet, overriding the uniform knobs. Every class must be
-    /// bounded.
+    /// fleet, overriding [`ScenarioBuilder::servers`]. Every class must
+    /// be bounded.
     pub fn server_fleet(mut self, fleet: ServerFleet) -> Self {
         self.server_fleet = Some(fleet);
         self
@@ -512,19 +455,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Relative headroom of the dynamic governor (default 0.25).
-    pub fn dynamic_headroom(mut self, headroom: f64) -> Self {
-        self.dynamic_headroom = headroom;
-        self
-    }
-
-    /// Demand assumed for a VM before its first observed period
-    /// (default 2.0 cores).
-    pub fn default_demand(mut self, demand: f64) -> Self {
-        self.default_demand = demand;
-        self
-    }
-
     /// Drives the run from an arrival/departure schedule instead of
     /// the closed-world default: each scheduled VM arrives (and is
     /// admitted online, mid-period arrivals incrementally) at its
@@ -547,14 +477,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Capacity of the degraded-mode deferred-admission queue (default
-    /// 1024): how many VMs the controller will remember while the
-    /// shrunken fleet cannot host them. Must be at least 1.
-    pub fn max_deferred(mut self, capacity: usize) -> Self {
-        self.max_deferred = capacity;
-        self
-    }
-
     /// Validates and freezes the scenario.
     ///
     /// The knobs are checked by the controller's own validation (the
@@ -566,7 +488,7 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet,
-    /// zero servers/cores, a period longer than the traces, mismatched
+    /// zero servers, a period longer than the traces, mismatched
     /// trace lengths, a lifecycle that does not match the fleet, or
     /// out-of-range tuning values (a bad [`ProposedConfig`] surfaces
     /// as [`SimError::Core`]); [`SimError::NonMonotoneClock`] /
@@ -579,15 +501,13 @@ impl ScenarioBuilder {
         let server_fleet = match self.server_fleet {
             Some(fleet) => fleet,
             None => {
-                if self.server_count == 0 || self.cores_per_server == 0 {
-                    return Err(SimError::InvalidParameter(
-                        "need at least one server and one core",
-                    ));
+                if self.server_count == 0 {
+                    return Err(SimError::InvalidParameter("need at least one server"));
                 }
                 ServerFleet::uniform(
                     self.server_count,
-                    self.cores_per_server as f64,
-                    self.power_model,
+                    CORES_PER_SERVER,
+                    LinearPowerModel::xeon_e5410(),
                 )
                 .map_err(SimError::Core)?
             }
@@ -602,10 +522,10 @@ impl ScenarioBuilder {
             dvfs_mode: self.dvfs_mode,
             period_samples: self.period_samples,
             reference: self.reference,
-            dynamic_headroom: self.dynamic_headroom,
-            default_demand: self.default_demand,
+            dynamic_headroom: DYNAMIC_HEADROOM,
+            default_demand: DEFAULT_DEMAND,
             sample_dt_s: first.fine.dt(),
-            max_deferred: self.max_deferred,
+            max_deferred: MAX_DEFERRED,
         };
         config.validate()?;
         let len = first.fine.len();
@@ -747,24 +667,12 @@ mod tests {
         assert!(ScenarioBuilder::new(fleet()).build().is_ok());
         assert!(ScenarioBuilder::new(fleet()).servers(0).build().is_err());
         assert!(ScenarioBuilder::new(fleet())
-            .cores_per_server(0)
-            .build()
-            .is_err());
-        assert!(ScenarioBuilder::new(fleet())
             .period_samples(0)
             .build()
             .is_err());
         // 2 h of 5 s samples = 1440 < one 2000-sample period.
         assert!(ScenarioBuilder::new(fleet())
             .period_samples(2000)
-            .build()
-            .is_err());
-        assert!(ScenarioBuilder::new(fleet())
-            .dynamic_headroom(-1.0)
-            .build()
-            .is_err());
-        assert!(ScenarioBuilder::new(fleet())
-            .default_demand(0.0)
             .build()
             .is_err());
         assert!(ScenarioBuilder::new(fleet())
@@ -842,7 +750,6 @@ mod tests {
     fn builder_passes_settings_through() {
         let s = ScenarioBuilder::new(fleet())
             .servers(5)
-            .cores_per_server(4)
             .policy(Policy::Ffd)
             .period_samples(360)
             .build()
@@ -851,7 +758,7 @@ mod tests {
         assert_eq!(s.period_samples(), 360);
         assert_eq!(s.config().server_fleet.len(), 1);
         assert_eq!(s.config().server_fleet.total_slots(), Some(5));
-        assert_eq!(s.config().server_fleet.class(0).unwrap().cores(), 4.0);
+        assert_eq!(s.config().server_fleet.class(0).unwrap().cores(), 8.0);
     }
 
     #[test]

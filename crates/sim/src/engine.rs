@@ -283,8 +283,6 @@ mod tests {
     fn insufficient_servers_is_detected() {
         let err = ScenarioBuilder::new(fleet(12, 2.0, 3))
             .servers(1)
-            .cores_per_server(2)
-            .default_demand(2.0)
             .build()
             .unwrap()
             .run()
@@ -310,13 +308,12 @@ mod tests {
     fn first_period_uses_default_demand() {
         // With an absurd default demand every VM gets its own server in
         // period 0.
-        let r = ScenarioBuilder::new(fleet(4, 2.0, 7))
+        let mut scenario = ScenarioBuilder::new(fleet(4, 2.0, 7))
             .servers(8)
-            .default_demand(7.9)
             .build()
-            .unwrap()
-            .run()
             .unwrap();
+        scenario.config.default_demand = 7.9;
+        let r = scenario.run().unwrap();
         assert_eq!(r.periods[0].servers_used, 4);
         // Later periods use observed (much smaller) demands.
         assert!(r.periods[1].servers_used < 4);

@@ -13,8 +13,8 @@ pub enum SimError {
     Power(PowerError),
     /// An underlying correlation/allocation operation failed.
     Core(CoreError),
-    /// Workload/dataset ingestion failed
-    /// ([`ScenarioBuilder::dataset`](crate::ScenarioBuilder::dataset)).
+    /// A workload operation failed (trace synthesis or dataset
+    /// ingestion).
     Workload(WorkloadError),
     /// A scenario parameter was out of range.
     InvalidParameter(&'static str),

@@ -9,7 +9,6 @@ use crate::config::ControllerConfig;
 use crate::event::{RepackEvent, RepackReason};
 #[cfg(doc)]
 use cavm_core::alloc::Placement;
-use serde::{Deserialize, Serialize};
 
 /// When the controller re-packs the live placement.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// [`ServerFleet::estimate_server_count`]: cavm_core::fleet::ServerFleet::estimate_server_count
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RepackTrigger {
     /// Re-pack at every period boundary only — the paper's schedule
     /// and the default; bit-identical to the pre-trigger controller.
@@ -133,7 +132,7 @@ impl RepackTrigger {
 /// assert!(guard.exceeded(37, 720));
 /// assert!(!guard.exceeded(36, 720));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosGuard {
     /// Worst per-server violation ratio (over-capacity samples /
     /// period samples) above which the guard fires; must lie in
@@ -278,7 +277,7 @@ impl SlackController {
 /// class from the observed per-period violation ratios. Degraded mode
 /// (failed servers or a non-empty deferred queue) suspends the margin
 /// outright.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OvercommitConfig {
     /// Starting (and post-breach re-growable) margin as a fraction of
     /// capacity; must lie in `[0, max_margin]`.

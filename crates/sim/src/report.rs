@@ -1,10 +1,9 @@
 //! Simulation reports: the quantities Table II and Fig 6 print.
 
 use cavm_power::EnergyMeter;
-use serde::{Deserialize, Serialize};
 
 /// Per-period bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodRecord {
     /// Period index.
     pub period: usize,
@@ -24,7 +23,7 @@ pub struct PeriodRecord {
 /// Per-server-class aggregates of a scenario run — how each slice of a
 /// heterogeneous fleet contributed. A uniform scenario reports exactly
 /// one breakdown whose totals equal the report's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassBreakdown {
     /// Class display name (from the fleet configuration).
     pub name: String,
@@ -83,7 +82,7 @@ pub(crate) fn violation_percents(periods: &[PeriodRecord]) -> (f64, f64) {
 }
 
 /// Aggregated outcome of a scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Policy display name.
     pub policy: String,

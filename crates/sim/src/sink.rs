@@ -71,8 +71,18 @@ use std::fmt;
 use std::sync::mpsc;
 use std::thread;
 
-/// Streaming observer of a controller session. All methods default to
-/// no-ops; implement the ones you care about.
+/// Streaming observer of a controller session. Implement the
+/// callbacks you care about.
+///
+/// The seven per-event callbacks (everything but
+/// [`on_period`](Self::on_period) and [`on_summary`](Self::on_summary))
+/// default to forwarding their arguments as one [`SinkEvent`] to
+/// [`on_event`](Self::on_event), whose own default drops it: a sink
+/// that handles every event alike — a queue, a relay, a log line —
+/// implements `on_event` alone, and a sink that cares about one kind
+/// overrides that callback. A completed period and the terminal summary
+/// default to no-ops and never reach `on_event`, because every relay
+/// treats them as flush points rather than as events.
 ///
 /// # Example
 ///
@@ -117,6 +127,13 @@ use std::thread;
 /// assert_eq!(sink.offcycle, 1);
 /// ```
 pub trait MetricSink {
+    /// Any per-event callback the sink does not override, as one
+    /// [`SinkEvent`] (never [`SinkEvent::Period`]). Defaults to a
+    /// no-op.
+    fn on_event(&mut self, event: SinkEvent) {
+        let _ = event;
+    }
+
     /// A placement period completed.
     fn on_period(&mut self, record: &PeriodRecord) {
         let _ = record;
@@ -127,28 +144,38 @@ pub trait MetricSink {
     /// [`RepackTrigger`] fragmentation predicate
     /// ([`RepackReason::Fragmentation`]).
     fn on_repack(&mut self, event: &RepackEvent) {
-        let _ = event;
+        self.on_event(SinkEvent::Repack(*event));
     }
 
     /// A VM moved servers across a period boundary (migration).
     fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        let _ = (period, vm, from, to);
+        self.on_event(SinkEvent::Migration {
+            period,
+            vm,
+            from,
+            to,
+        });
     }
 
     /// A server exceeded its frequency-scaled capacity for one sample.
     fn on_violation(&mut self, event: &ViolationEvent) {
-        let _ = event;
+        self.on_event(SinkEvent::Violation(*event));
     }
 
     /// Energy a server class consumed over the just-completed period.
     fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        let _ = (period, class, name, period_joules);
+        self.on_event(SinkEvent::ClassEnergy {
+            period,
+            class,
+            name: name.to_string(),
+            period_joules,
+        });
     }
 
     /// A mid-period arrival was admitted through the incremental
     /// single-VM placement path.
     fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        let _ = (sample, vm, server);
+        self.on_event(SinkEvent::Admit { sample, vm, server });
     }
 
     /// A server failed ([`VmEvent::ServerFail`]); `residents` is the
@@ -156,13 +183,17 @@ pub trait MetricSink {
     /// evacuation's migrations and its
     /// [`RepackReason::Evacuation`] re-pack event.
     fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        let _ = (sample, server, residents);
+        self.on_event(SinkEvent::ServerFail {
+            sample,
+            server,
+            residents,
+        });
     }
 
     /// A failed server recovered ([`VmEvent::ServerRecover`]); fires
     /// before the deferred-admission queue retries.
     fn on_server_recover(&mut self, sample: usize, server: usize) {
-        let _ = (sample, server);
+        self.on_event(SinkEvent::ServerRecover { sample, server });
     }
 
     /// The session finished; `report` is the terminal aggregate (the
@@ -330,10 +361,12 @@ pub enum SinkEvent {
 }
 
 impl SinkEvent {
-    /// Replays this event into `sink` through the matching
-    /// [`MetricSink`] method. Shared by [`Buffered::drain`], the
-    /// [`Threaded`] worker loop and the sharded session's per-cell
-    /// adapter, so every relay delivers identically.
+    /// Replays this event into `sink` through the matching named
+    /// [`MetricSink`] callback (which, unless `sink` overrides it,
+    /// hands the event on to [`MetricSink::on_event`]). Shared by
+    /// [`Buffered::drain`], the [`Threaded`] worker loop and the
+    /// sharded session's per-cell adapter, so every relay delivers
+    /// identically.
     pub fn deliver(self, sink: &mut dyn MetricSink) {
         match self {
             SinkEvent::Period(record) => sink.on_period(&record),
@@ -409,76 +442,6 @@ impl BoundedQueue {
     }
 }
 
-/// A [`MetricSink`] that handles its per-event callbacks as one
-/// stream of [`SinkEvent`]s: [`Buffered`] and [`Threaded`] queue them,
-/// and the sharded session's per-cell adapter rewrites their ids into
-/// the global namespace. The blanket impl below is their one
-/// [`MetricSink`] impl; a completed period and the terminal summary
-/// keep their own methods, because every implementor treats them as
-/// flush points rather than as events.
-pub(crate) trait Relay {
-    /// One per-event callback (never [`SinkEvent::Period`]).
-    fn relay(&mut self, event: SinkEvent);
-
-    /// A completed period ([`MetricSink::on_period`]).
-    fn period(&mut self, record: &PeriodRecord);
-
-    /// The terminal report ([`MetricSink::on_summary`]).
-    fn summary(&mut self, report: &SimReport);
-}
-
-impl<T: Relay> MetricSink for T {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        self.period(record);
-    }
-
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.relay(SinkEvent::Repack(*event));
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.relay(SinkEvent::Migration {
-            period,
-            vm,
-            from,
-            to,
-        });
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.relay(SinkEvent::Violation(*event));
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.relay(SinkEvent::ClassEnergy {
-            period,
-            class,
-            name: name.to_string(),
-            period_joules,
-        });
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.relay(SinkEvent::Admit { sample, vm, server });
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.relay(SinkEvent::ServerFail {
-            sample,
-            server,
-            residents,
-        });
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.relay(SinkEvent::ServerRecover { sample, server });
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        self.summary(report);
-    }
-}
-
 /// A bounded, batching adapter around an inner [`MetricSink`]. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
@@ -531,17 +494,17 @@ impl<S: MetricSink> Buffered<S> {
     }
 }
 
-impl<S: MetricSink> Relay for Buffered<S> {
-    fn relay(&mut self, event: SinkEvent) {
+impl<S: MetricSink> MetricSink for Buffered<S> {
+    fn on_event(&mut self, event: SinkEvent) {
         self.queue.push(event);
     }
 
-    fn period(&mut self, record: &PeriodRecord) {
+    fn on_period(&mut self, record: &PeriodRecord) {
         self.drain();
         self.inner.on_period(record);
     }
 
-    fn summary(&mut self, report: &SimReport) {
+    fn on_summary(&mut self, report: &SimReport) {
         let report = self.queue.fold_drops(report);
         self.drain();
         self.inner.on_summary(&report);
@@ -723,18 +686,18 @@ impl<S> Drop for Threaded<S> {
     }
 }
 
-impl<S: MetricSink + Send + 'static> Relay for Threaded<S> {
-    fn relay(&mut self, event: SinkEvent) {
+impl<S: MetricSink + Send + 'static> MetricSink for Threaded<S> {
+    fn on_event(&mut self, event: SinkEvent) {
         self.queue.push(event);
     }
 
-    fn period(&mut self, record: &PeriodRecord) {
+    fn on_period(&mut self, record: &PeriodRecord) {
         let mut batch: Vec<SinkEvent> = self.queue.events.drain(..).collect();
         batch.push(SinkEvent::Period(record.clone()));
         self.send(WorkerMsg::Batch(batch));
     }
 
-    fn summary(&mut self, report: &SimReport) {
+    fn on_summary(&mut self, report: &SimReport) {
         let report = self.queue.fold_drops(report);
         self.flush();
         self.send(WorkerMsg::Summary(report));
@@ -831,6 +794,72 @@ mod tests {
             evacuations: 0,
             deferred_peak: 0,
         }
+    }
+
+    /// A sink that implements `on_event` alone receives each of the
+    /// seven per-event callbacks as its `SinkEvent`, in call order,
+    /// while a period and the summary stay off that stream.
+    #[test]
+    fn on_event_alone_receives_every_per_event_callback() {
+        #[derive(Default)]
+        struct Stream(Vec<SinkEvent>);
+        impl MetricSink for Stream {
+            fn on_event(&mut self, event: SinkEvent) {
+                self.0.push(event);
+            }
+        }
+        let repack = RepackEvent {
+            sample: 6,
+            period: 0,
+            reason: RepackReason::Periodic,
+            servers_before: 3,
+            servers_after: 2,
+            migrations: 1,
+            slack_after: None,
+        };
+        let mut sink = Stream::default();
+        sink.on_repack(&repack);
+        sink.on_migration(1, 4, 0, 2);
+        sink.on_violation(&violation(5));
+        sink.on_class_energy(1, 0, "uniform", 42.5);
+        sink.on_admit(3, 7, 1);
+        sink.on_server_fail(8, 1, 2);
+        sink.on_server_recover(9, 1);
+        sink.on_period(&period(1));
+        sink.on_summary(&report());
+        assert_eq!(
+            sink.0,
+            vec![
+                SinkEvent::Repack(repack),
+                SinkEvent::Migration {
+                    period: 1,
+                    vm: 4,
+                    from: 0,
+                    to: 2
+                },
+                SinkEvent::Violation(violation(5)),
+                SinkEvent::ClassEnergy {
+                    period: 1,
+                    class: 0,
+                    name: "uniform".into(),
+                    period_joules: 42.5
+                },
+                SinkEvent::Admit {
+                    sample: 3,
+                    vm: 7,
+                    server: 1
+                },
+                SinkEvent::ServerFail {
+                    sample: 8,
+                    server: 1,
+                    residents: 2
+                },
+                SinkEvent::ServerRecover {
+                    sample: 9,
+                    server: 1
+                },
+            ]
+        );
     }
 
     #[test]

@@ -1238,7 +1238,7 @@ fn scenario_faults_are_validated_and_replayed_deterministically() {
     assert_eq!(run(Some(FaultPlan::empty())), run(None));
 
     // Build-time validation: a backwards hand-built clock and an
-    // out-of-fleet server are typed errors; a zero-slot queue too.
+    // out-of-fleet server are typed errors.
     let entry = |sample, kind, server| FaultEntry {
         sample,
         kind,
@@ -1273,10 +1273,6 @@ fn scenario_faults_are_validated_and_replayed_deterministically() {
             servers: 12
         }
     );
-    assert!(ScenarioBuilder::new(traces.clone())
-        .max_deferred(0)
-        .build()
-        .is_err());
 }
 
 #[test]
@@ -1395,6 +1391,7 @@ fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
         fn(ScenarioBuilder) -> ScenarioBuilder,
         fn(&mut ControllerConfig),
     );
+    type LiteralRule = (&'static str, fn(&mut ControllerConfig));
 
     fn unbounded() -> ServerFleet {
         let open = ServerClass::new("open", UNBOUNDED, 8.0, LinearPowerModel::xeon_e5410());
@@ -1429,7 +1426,7 @@ fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
     DatacenterController::new(base_config.clone()).expect("the base is valid");
 
     // One row per `ControllerConfig::validate` rule a builder can reach.
-    let knobs: [Knob; 17] = [
+    let knobs: [Knob; 14] = [
         (
             "unbounded fleet",
             |b| b.server_fleet(unbounded()),
@@ -1507,21 +1504,6 @@ fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
             },
         ),
         (
-            "negative dynamic headroom",
-            |b| b.dynamic_headroom(-1.0),
-            |c| c.dynamic_headroom = -1.0,
-        ),
-        (
-            "zero default demand",
-            |b| b.default_demand(0.0),
-            |c| c.default_demand = 0.0,
-        ),
-        (
-            "zero-slot deferred queue",
-            |b| b.max_deferred(0),
-            |c| c.max_deferred = 0,
-        ),
-        (
             "bad proposed tuning",
             |b| b.policy(proposed(2.0)),
             |c| c.policy = proposed(2.0),
@@ -1562,13 +1544,26 @@ fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
         assert!(!seen.contains(&built), "{rule} repeats {built:?}");
         seen.push(built);
     }
-    // The 18th rule: a builder reads the sample interval off a trace
-    // (`TimeSeries` has already validated it), so only a literal can
-    // get it wrong.
-    let mut config = base_config.clone();
-    config.sample_dt_s = 0.0;
-    let dt = DatacenterController::new(config).unwrap_err();
-    assert!(matches!(dt, SimError::InvalidParameter(_)) && !seen.contains(&dt));
+    // Rules 15–18 only a literal can break: a builder reads the sample
+    // interval off a trace (`TimeSeries` has already validated it) and
+    // fixes the governor headroom, the default demand and the
+    // deferred-queue capacity.
+    let literal_only: [LiteralRule; 4] = [
+        ("zero sample interval", |c| c.sample_dt_s = 0.0),
+        ("negative dynamic headroom", |c| c.dynamic_headroom = -1.0),
+        ("zero default demand", |c| c.default_demand = 0.0),
+        ("zero-slot deferred queue", |c| c.max_deferred = 0),
+    ];
+    for (rule, through_literal) in literal_only {
+        let mut config = base_config.clone();
+        through_literal(&mut config);
+        let err = DatacenterController::new(config).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidParameter(_)) && !seen.contains(&err),
+            "{rule}: {err:?}"
+        );
+        seen.push(err);
+    }
 
     // Rules about the inputs: `build()` alone, one row each. (Traces of
     // unequal length are the eighth; no public `VmFleet` constructor
@@ -1581,7 +1576,6 @@ fn builder_and_controller_reject_the_same_knobs_with_the_same_error() {
     for (rule, builder) in [
         ("empty fleet", ScenarioBuilder::new(traces.select_top(0))),
         ("zero servers", base().servers(0)),
-        ("zero cores", base().cores_per_server(0)),
         (
             "traces shorter than a period",
             base().period_samples(horizon + 1),

@@ -18,7 +18,6 @@
 //! one `bool` per sample took three passes over 720 bytes.
 
 use crate::{Reference, TimeSeries, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// A binary peak-activity sequence derived from a utilization trace.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Sample `k` is bit `k % 64` of `words[k / 64]`. The bits of the
     /// last word past `len` are zero, so they never count and derived

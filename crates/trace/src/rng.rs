@@ -36,7 +36,6 @@
 //! ```
 
 use crate::TraceError;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 step: the recommended seeding engine for xoshiro.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -63,7 +62,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// let x = rng.lognormal_mean_cv(2.0, 0.4);
 /// assert!(x > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRng {
     s: [u64; 4],
     /// Cached second output of the last Box–Muller transform.

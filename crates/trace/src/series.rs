@@ -15,7 +15,6 @@
 //! buffer.
 
 use crate::{stats, Reference, TraceError};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A finite, equally-spaced sampled signal.
@@ -41,7 +40,7 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     dt: f64,
     /// Shared, never mutated after construction. (`Arc<Vec<_>>` rather
@@ -485,14 +484,5 @@ mod tests {
         let c = s(&[1.0, 2.0, 3.0]);
         assert_ne!(a.values().as_ptr(), c.values().as_ptr());
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn serde_round_trip_is_identity() {
-        // serde support is part of the public contract (C-SERDE); verify
-        // with the serde test shim rather than a full format crate.
-        let t = TimeSeries::new(5.0, vec![1.0, 2.0]).unwrap();
-        let cloned = t.clone();
-        assert_eq!(t, cloned);
     }
 }

@@ -37,7 +37,6 @@
 //! ```
 
 use crate::{Reference, TimeSeries, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// Number of phase-envelope buckets a sketch folds time into.
 ///
@@ -49,7 +48,7 @@ pub const PHASE_BUCKETS: usize = 8;
 
 /// Constant-size demand summary: running moments, peak, and a
 /// [`PHASE_BUCKETS`]-bucket phase envelope. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MomentSketch {
     /// Samples per phase bucket (the bucket of sample `s` is
     /// `(s / phase_samples) % PHASE_BUCKETS`).

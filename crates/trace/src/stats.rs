@@ -7,7 +7,6 @@
 //! threaded through every allocation policy in `cavm-core`.
 
 use crate::{TimeSeries, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// Exact percentile with linear interpolation between closest ranks.
 ///
@@ -150,7 +149,7 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Reference {
     /// Worst-case provisioning: û = max sample.
     Peak,
@@ -210,7 +209,7 @@ impl Default for Reference {
 /// assert_eq!(w.mean(), 5.0);
 /// assert_eq!(w.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -276,7 +275,7 @@ impl Welford {
 }
 
 /// Five-number-plus summary of a sample distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

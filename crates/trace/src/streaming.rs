@@ -13,7 +13,6 @@
 //! [`Reference::Percentile`]: crate::Reference::Percentile
 
 use crate::TraceError;
-use serde::{Deserialize, Serialize};
 
 /// Running maximum of a sample stream.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(peak.peak(), 1.8);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamingPeak {
     peak: f64,
     count: u64,
@@ -95,7 +94,7 @@ impl StreamingPeak {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights q_1..q_5.
@@ -248,7 +247,7 @@ impl P2Quantile {
 ///
 /// Protocol: call [`P2Clock::tick`] once per sampling instant, then
 /// [`P2Cell::push`] every cell with that tick's sample.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Clock {
     p: f64,
     count: u64,
@@ -315,7 +314,7 @@ impl P2Clock {
 /// Produces bit-identical estimates to a standalone [`P2Quantile`] fed
 /// the same sample sequence — the property tests in this module and the
 /// cost-matrix equivalence suite pin that.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct P2Cell {
     /// Marker heights `q_1..q_5`; doubles as the init buffer while the

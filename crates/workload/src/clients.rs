@@ -8,10 +8,9 @@
 
 use crate::WorkloadError;
 use cavm_trace::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// Periodic waveform shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveShape {
     /// `mid + amp·sin(2πt/T)` — Cluster1's drive in the paper.
     Sine,
@@ -40,7 +39,7 @@ pub enum WaveShape {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientWave {
     shape: WaveShape,
     min: f64,

@@ -17,8 +17,8 @@
 //!   on the 5-minute grid);
 //! * the 5-minute means are then refined to 5-second samples with the
 //!   paper's own lognormal procedure, modulated by two-state **Markov
-//!   burst chains** (multi-minute durations), with a configurable
-//!   fraction of bursts *synchronized* within a group — group-mates
+//!   burst chains** (multi-minute durations), with 60% of burst
+//!   states *synchronized* within a group — group-mates
 //!   surge together, which is what makes correlation-blind co-location
 //!   dangerous.
 //!
@@ -30,12 +30,11 @@
 
 use crate::WorkloadError;
 use cavm_trace::{SimRng, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a group's daily 5-minute mean-utilization profile.
 ///
 /// Utilization values are in units of physical cores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DailyArchetype {
     /// A smooth diurnal bump: `base` outside working hours, rising to
     /// `peak` around `peak_hour` with Gaussian width `width_h` hours
@@ -164,7 +163,7 @@ impl DailyArchetype {
 
 /// One synthesized VM: its coarse (5-minute) and fine (5-second) demand
 /// traces, in cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmTrace {
     /// Stable identifier (index in the fleet at generation time).
     pub id: usize,
@@ -179,7 +178,7 @@ pub struct VmTrace {
 }
 
 /// A set of synthesized VM traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmFleet {
     vms: Vec<VmTrace>,
     groups: usize,
@@ -261,7 +260,52 @@ impl VmFleet {
     }
 }
 
+/// Coarse sampling interval of every synthesized trace, seconds: the
+/// paper's 5-minute production samples.
+const COARSE_DT_S: f64 = 300.0;
+
+/// Fine sampling interval, seconds: the paper's 5-second refinement.
+const FINE_DT_S: f64 = 5.0;
+
+/// Fine samples per coarse sample (60).
+const REFINE_FACTOR: usize = (COARSE_DT_S / FINE_DT_S) as usize;
+
+/// Coefficient of variation of the lognormal refinement (0.15). The
+/// sustained Markov bursts carry most of the fine-grained variability,
+/// so the i.i.d. lognormal on top of them stays narrow.
+const REFINE_CV: f64 = 0.15;
+
+/// Probability that a VM's burst state in a given 5 s slot is *shared*
+/// with its group (0.6). Shared bursts are what make naive co-location
+/// of group-mates violate capacity together.
+const GROUP_SPIKE_SYNC: f64 = 0.6;
+
+/// Relative height of sustained bursts (0.5: a bursting VM runs 50%
+/// above its smoothed level). Bursts follow a two-state Markov chain so
+/// that over-utilization episodes last minutes, as in real traces,
+/// instead of isolated 5 s samples.
+const BURST_AMPLITUDE: f64 = 0.5;
+
+/// Stationary fraction of time spent bursting (0.15).
+const BURST_ON_FRACTION: f64 = 0.15;
+
+/// Mean burst duration in fine samples (36 = 3 min of 5 s samples).
+const BURST_DURATION_SAMPLES: usize = 36;
+
+/// Amplitude of per-VM smooth idiosyncratic noise on the coarse grid
+/// (0.10 = ±10%).
+const IDIO_NOISE: f64 = 0.10;
+
+/// Per-VM utilization cap in cores: a VM cannot use more cores than
+/// the paper's 8-core host exposes, so no coarse or fine sample of a
+/// synthesized trace exceeds it.
+pub const VM_CAP_CORES: f64 = 8.0;
+
 /// Builder for synthetic datacenter fleets.
+///
+/// Every trace is 5-minute means refined to 5-second samples, capped at
+/// [`VM_CAP_CORES`]; the VM count, group count, seed, duration, per-VM
+/// scale range and idle fraction are the settable inputs.
 ///
 /// # Example
 ///
@@ -280,48 +324,28 @@ impl VmFleet {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterTraceBuilder {
     vm_count: usize,
     groups: usize,
     seed: u64,
     duration_hours: f64,
-    coarse_dt_s: f64,
-    fine_dt_s: f64,
-    refine_cv: f64,
-    group_spike_sync: f64,
-    idio_noise: f64,
     vm_scale_range: (f64, f64),
-    vm_cap_cores: f64,
     idle_fraction: f64,
-    burst_amplitude: f64,
-    burst_on_fraction: f64,
-    burst_duration_samples: usize,
-    archetypes: Option<Vec<DailyArchetype>>,
 }
 
 impl DatacenterTraceBuilder {
     /// Starts a builder for `vm_count` VMs with the paper-flavoured
-    /// defaults: 24 h, 5-minute coarse grid, 5-second fine grid,
-    /// lognormal refinement CV 0.45, 8 correlated groups.
+    /// defaults: 24 h, 8 correlated groups, per-VM scales 0.6–1.6, no
+    /// idle VMs.
     pub fn new(vm_count: usize) -> Self {
         Self {
             vm_count,
             groups: 8,
             seed: 0,
             duration_hours: 24.0,
-            coarse_dt_s: 300.0,
-            fine_dt_s: 5.0,
-            refine_cv: 0.15,
-            group_spike_sync: 0.6,
-            idio_noise: 0.10,
             vm_scale_range: (0.6, 1.6),
-            vm_cap_cores: 8.0,
             idle_fraction: 0.0,
-            burst_amplitude: 0.5,
-            burst_on_fraction: 0.15,
-            burst_duration_samples: 36,
-            archetypes: None,
         }
     }
 
@@ -346,74 +370,10 @@ impl DatacenterTraceBuilder {
         self
     }
 
-    /// Coarse sampling interval in seconds (default 300 = 5 min).
-    pub fn coarse_dt_s(mut self, dt: f64) -> Self {
-        self.coarse_dt_s = dt;
-        self
-    }
-
-    /// Fine sampling interval in seconds (default 5).
-    pub fn fine_dt_s(mut self, dt: f64) -> Self {
-        self.fine_dt_s = dt;
-        self
-    }
-
-    /// Coefficient of variation of the lognormal refinement (default
-    /// 0.45, in the range Benson et al. report for datacenter traffic).
-    pub fn refine_cv(mut self, cv: f64) -> Self {
-        self.refine_cv = cv;
-        self
-    }
-
-    /// Probability that a VM's fine-grained burst/spike in a given 5 s
-    /// slot is *shared* with its group (default 0.6). Shared bursts are
-    /// what make naive co-location of group-mates violate capacity
-    /// together.
-    pub fn group_spike_sync(mut self, w: f64) -> Self {
-        self.group_spike_sync = w;
-        self
-    }
-
-    /// Relative height of sustained bursts (default 0.5: a bursting VM
-    /// runs 50% above its smoothed level). Bursts follow a two-state
-    /// Markov chain so that over-utilization episodes last minutes, as
-    /// in real traces, instead of isolated 5 s samples.
-    pub fn burst_amplitude(mut self, amplitude: f64) -> Self {
-        self.burst_amplitude = amplitude;
-        self
-    }
-
-    /// Stationary fraction of time spent bursting (default 0.15).
-    pub fn burst_on_fraction(mut self, fraction: f64) -> Self {
-        self.burst_on_fraction = fraction;
-        self
-    }
-
-    /// Mean burst duration in fine samples (default 36 = 3 min of 5 s
-    /// samples).
-    pub fn burst_duration_samples(mut self, samples: usize) -> Self {
-        self.burst_duration_samples = samples;
-        self
-    }
-
-    /// Amplitude of per-VM smooth idiosyncratic noise on the coarse grid
-    /// (default 0.10 = ±10%).
-    pub fn idio_noise(mut self, amplitude: f64) -> Self {
-        self.idio_noise = amplitude;
-        self
-    }
-
     /// Range of per-VM scale factors applied to the group profile
     /// (default 0.6–1.6: group members are siblings, not clones).
     pub fn vm_scale_range(mut self, lo: f64, hi: f64) -> Self {
         self.vm_scale_range = (lo, hi);
-        self
-    }
-
-    /// Per-VM utilization cap in cores (default 8: a VM cannot use more
-    /// cores than its host exposes).
-    pub fn vm_cap_cores(mut self, cap: f64) -> Self {
-        self.vm_cap_cores = cap;
         self
     }
 
@@ -426,22 +386,12 @@ impl DatacenterTraceBuilder {
         self
     }
 
-    /// Overrides the archetype palette (cycled over groups). By default
-    /// a mixed palette of diurnal, surge, bursty and flat profiles is
-    /// used.
-    pub fn archetypes(mut self, archetypes: Vec<DailyArchetype>) -> Self {
-        self.archetypes = Some(archetypes);
-        self
-    }
-
-    /// Generates a two-state Markov burst chain with the configured
-    /// stationary on-fraction and mean burst duration.
-    fn burst_chain(&self, len: usize, rng: &mut SimRng) -> Vec<bool> {
-        if self.burst_amplitude == 0.0 || self.burst_on_fraction == 0.0 {
-            return vec![false; len];
-        }
-        let p_on = self.burst_on_fraction;
-        let exit = 1.0 / self.burst_duration_samples as f64;
+    /// Generates a two-state Markov burst chain with stationary
+    /// on-fraction [`BURST_ON_FRACTION`] and mean burst duration
+    /// [`BURST_DURATION_SAMPLES`].
+    fn burst_chain(len: usize, rng: &mut SimRng) -> Vec<bool> {
+        let p_on = BURST_ON_FRACTION;
+        let exit = 1.0 / BURST_DURATION_SAMPLES as f64;
         // Stationarity: p_on · exit = (1 - p_on) · enter.
         let enter = p_on * exit / (1.0 - p_on);
         let mut state = rng.bernoulli(p_on);
@@ -508,9 +458,9 @@ impl DatacenterTraceBuilder {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidParameter`] for inconsistent
-    /// builder settings (zero VMs, non-positive intervals, fine interval
-    /// not dividing the coarse one, bad ranges) and propagates trace
-    /// errors.
+    /// builder settings (zero VMs, a duration that is not positive or
+    /// shorter than one 5-minute sample, bad ranges) and propagates
+    /// trace errors.
     pub fn build(&self) -> crate::Result<VmFleet> {
         if self.vm_count == 0 {
             return Err(WorkloadError::InvalidParameter(
@@ -519,41 +469,6 @@ impl DatacenterTraceBuilder {
         }
         if !(self.duration_hours > 0.0 && self.duration_hours.is_finite()) {
             return Err(WorkloadError::InvalidParameter("duration must be > 0"));
-        }
-        if !(self.coarse_dt_s > 0.0 && self.fine_dt_s > 0.0) {
-            return Err(WorkloadError::InvalidParameter(
-                "sampling intervals must be > 0",
-            ));
-        }
-        let refine_factor = self.coarse_dt_s / self.fine_dt_s;
-        if refine_factor.fract().abs() > 1e-9 || refine_factor < 1.0 {
-            return Err(WorkloadError::InvalidParameter(
-                "fine interval must evenly divide the coarse interval",
-            ));
-        }
-        let refine_factor = refine_factor as usize;
-        if !(self.refine_cv >= 0.0 && self.refine_cv.is_finite()) {
-            return Err(WorkloadError::InvalidParameter("refine cv must be >= 0"));
-        }
-        if !(0.0..=1.0).contains(&self.group_spike_sync) {
-            return Err(WorkloadError::InvalidParameter(
-                "spike sync must be in [0, 1]",
-            ));
-        }
-        if !(self.burst_amplitude.is_finite() && self.burst_amplitude >= 0.0) {
-            return Err(WorkloadError::InvalidParameter(
-                "burst amplitude must be >= 0",
-            ));
-        }
-        if !(0.0..1.0).contains(&self.burst_on_fraction) {
-            return Err(WorkloadError::InvalidParameter(
-                "burst on-fraction must be in [0, 1)",
-            ));
-        }
-        if self.burst_duration_samples == 0 {
-            return Err(WorkloadError::InvalidParameter(
-                "burst duration must be >= 1 sample",
-            ));
         }
         if !(0.0..=1.0).contains(&self.idle_fraction) {
             return Err(WorkloadError::InvalidParameter(
@@ -566,28 +481,12 @@ impl DatacenterTraceBuilder {
                 "vm scale range must be 0 < lo <= hi",
             ));
         }
-        if self.vm_cap_cores <= 0.0 || self.vm_cap_cores.is_nan() {
-            return Err(WorkloadError::InvalidParameter("vm cap must be > 0"));
-        }
 
         let groups = self.groups.clamp(1, self.vm_count);
         let mut root = SimRng::new(self.seed);
-        let palette = match &self.archetypes {
-            Some(a) if a.is_empty() => {
-                return Err(WorkloadError::InvalidParameter(
-                    "archetype palette is empty",
-                ))
-            }
-            Some(a) => {
-                for arch in a {
-                    arch.validate()?;
-                }
-                a.clone()
-            }
-            None => Self::default_palette(&mut root),
-        };
+        let palette = Self::default_palette(&mut root);
 
-        let coarse_samples = (self.duration_hours * 3600.0 / self.coarse_dt_s).round() as usize;
+        let coarse_samples = (self.duration_hours * 3600.0 / COARSE_DT_S).round() as usize;
         if coarse_samples == 0 {
             return Err(WorkloadError::InvalidParameter(
                 "duration shorter than one coarse sample",
@@ -618,14 +517,14 @@ impl DatacenterTraceBuilder {
         }
 
         // Pre-draw the shared (group-level) burst chains per fine slot.
-        let fine_samples = coarse_samples * refine_factor;
+        let fine_samples = coarse_samples * REFINE_FACTOR;
         let mut group_bursts_fine: Vec<Vec<bool>> = Vec::with_capacity(groups);
         for grng in group_rngs.iter_mut() {
-            group_bursts_fine.push(self.burst_chain(fine_samples, grng));
+            group_bursts_fine.push(Self::burst_chain(fine_samples, grng));
         }
         // Burst factors are normalized so the per-slot mean stays 1 and
         // the paper's "lognormal with matching mean" property holds.
-        let burst_norm = 1.0 + self.burst_amplitude * self.burst_on_fraction;
+        let burst_norm = 1.0 + BURST_AMPLITUDE * BURST_ON_FRACTION;
 
         let mut vms = Vec::with_capacity(self.vm_count);
         for id in 0..self.vm_count {
@@ -644,35 +543,35 @@ impl DatacenterTraceBuilder {
             let mut coarse = Vec::with_capacity(coarse_samples);
             let mut ar = 0.0;
             for s in 0..coarse_samples {
-                let hour = (s as f64 * self.coarse_dt_s / 3600.0) % 24.0;
+                let hour = (s as f64 * COARSE_DT_S / 3600.0) % 24.0;
                 let base = group_archetype[group].mean_at(hour, &group_bursts[group]);
-                ar = 0.8 * ar + 0.2 * vrng.normal(0.0, self.idio_noise);
-                let v = (base * scale * (1.0 + ar)).max(0.0).min(self.vm_cap_cores);
+                ar = 0.8 * ar + 0.2 * vrng.normal(0.0, IDIO_NOISE);
+                let v = (base * scale * (1.0 + ar)).clamp(0.0, VM_CAP_CORES);
                 coarse.push(v);
             }
 
             // Fine refinement: sustained Markov bursts (shared with the
-            // group with probability `group_spike_sync`, so group-mates
+            // group with probability `GROUP_SPIKE_SYNC`, so group-mates
             // surge together) modulated by an i.i.d. lognormal whose
             // mean matches the coarse sample — the paper's refinement
             // with realistic multi-minute burst durations.
-            let own_bursts = self.burst_chain(fine_samples, &mut vrng);
+            let own_bursts = Self::burst_chain(fine_samples, &mut vrng);
             let mut fine = Vec::with_capacity(fine_samples);
             for (s, &mean) in coarse.iter().enumerate() {
-                for sub in 0..refine_factor {
-                    let slot = s * refine_factor + sub;
-                    let bursting = if vrng.bernoulli(self.group_spike_sync) {
+                for sub in 0..REFINE_FACTOR {
+                    let slot = s * REFINE_FACTOR + sub;
+                    let bursting = if vrng.bernoulli(GROUP_SPIKE_SYNC) {
                         group_bursts_fine[group][slot]
                     } else {
                         own_bursts[slot]
                     };
                     let burst_factor = if bursting {
-                        (1.0 + self.burst_amplitude) / burst_norm
+                        (1.0 + BURST_AMPLITUDE) / burst_norm
                     } else {
                         1.0 / burst_norm
                     };
-                    let noise = vrng.lognormal_mean_cv(1.0, self.refine_cv);
-                    fine.push((mean * burst_factor * noise).min(self.vm_cap_cores));
+                    let noise = vrng.lognormal_mean_cv(1.0, REFINE_CV);
+                    fine.push((mean * burst_factor * noise).min(VM_CAP_CORES));
                 }
             }
 
@@ -680,8 +579,8 @@ impl DatacenterTraceBuilder {
                 id,
                 name: format!("vm{id:03}"),
                 group,
-                coarse: TimeSeries::new(self.coarse_dt_s, coarse)?,
-                fine: TimeSeries::new(self.fine_dt_s, fine)?,
+                coarse: TimeSeries::new(COARSE_DT_S, coarse)?,
+                fine: TimeSeries::new(FINE_DT_S, fine)?,
             });
         }
         Ok(VmFleet { vms, groups })
@@ -708,16 +607,9 @@ mod tests {
             .duration_hours(0.0)
             .build()
             .is_err());
+        // Shorter than one 5-minute sample.
         assert!(DatacenterTraceBuilder::new(2)
-            .fine_dt_s(7.0)
-            .build()
-            .is_err());
-        assert!(DatacenterTraceBuilder::new(2)
-            .refine_cv(-1.0)
-            .build()
-            .is_err());
-        assert!(DatacenterTraceBuilder::new(2)
-            .group_spike_sync(1.5)
+            .duration_hours(0.01)
             .build()
             .is_err());
         assert!(DatacenterTraceBuilder::new(2)
@@ -725,19 +617,7 @@ mod tests {
             .build()
             .is_err());
         assert!(DatacenterTraceBuilder::new(2)
-            .vm_cap_cores(0.0)
-            .build()
-            .is_err());
-        assert!(DatacenterTraceBuilder::new(2)
             .idle_fraction(2.0)
-            .build()
-            .is_err());
-        assert!(DatacenterTraceBuilder::new(2)
-            .archetypes(vec![])
-            .build()
-            .is_err());
-        assert!(DatacenterTraceBuilder::new(2)
-            .archetypes(vec![DailyArchetype::Flat { level: -1.0 }])
             .build()
             .is_err());
     }
@@ -765,16 +645,20 @@ mod tests {
 
     #[test]
     fn traces_are_nonnegative_and_capped() {
+        // Scales this large push the group profiles past the cap, so
+        // the cap binds.
         let fleet = DatacenterTraceBuilder::new(6)
             .seed(3)
             .duration_hours(6.0)
-            .vm_cap_cores(4.0)
+            .vm_scale_range(3.0, 6.0)
             .build()
             .unwrap();
         for vm in fleet.vms() {
             assert!(vm.fine.min() >= 0.0);
-            assert!(vm.fine.peak() <= 4.0 + 1e-12);
+            assert!(vm.fine.peak() <= VM_CAP_CORES);
+            assert!(vm.coarse.peak() <= VM_CAP_CORES);
         }
+        assert!(fleet.vms().iter().any(|vm| vm.fine.peak() == VM_CAP_CORES));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`SimRng`](cavm_trace::SimRng). The result streams through the
 //! same [`TraceDataset`] trait as the real-trace readers, so a
 //! generated scenario and an ingested CSV are interchangeable
-//! downstream (`assemble`, `ScenarioBuilder::dataset`, the sweep
-//! harness).
+//! downstream: [`assemble`](crate::dataset::assemble) lowers either
+//! into the `(VmFleet, Lifecycle)` pair a scenario replays.
 //!
 //! # Example
 //!

@@ -63,10 +63,9 @@
 
 use crate::WorkloadError;
 use cavm_trace::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// The direction of one server health transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The server goes down.
     Fail,
@@ -87,7 +86,7 @@ impl FaultKind {
 }
 
 /// One scheduled health transition of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEntry {
     /// Fine sample index at which the transition applies.
     pub sample: usize,
@@ -122,7 +121,7 @@ pub struct FaultModel {
 /// (the scenario layer validates monotonicity before replay, so a
 /// hand-built plan with a backwards clock is rejected there with a
 /// typed error instead of replaying out of order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     entries: Vec<FaultEntry>,
 }

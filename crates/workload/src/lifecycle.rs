@@ -55,10 +55,9 @@
 
 use crate::WorkloadError;
 use cavm_trace::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One VM's lease window on the fine sample grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleEntry {
     /// VM id (index into the trace fleet the schedule accompanies).
     pub id: usize,
@@ -77,7 +76,7 @@ impl LifecycleEntry {
 }
 
 /// A validated arrival/departure schedule over a fixed horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lifecycle {
     entries: Vec<LifecycleEntry>,
     horizon_samples: usize,
@@ -204,7 +203,7 @@ impl Lifecycle {
 }
 
 /// How arrival instants are drawn over the horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Every VM arrives at sample 0 (the closed-world batch setting).
     AtStart,
@@ -232,7 +231,7 @@ pub enum ArrivalProcess {
 }
 
 /// How long an arrived VM stays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifetimeModel {
     /// Leases never end within the horizon.
     Unbounded,
@@ -274,7 +273,7 @@ pub enum LifetimeModel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleBuilder {
     vm_count: usize,
     horizon_samples: usize,

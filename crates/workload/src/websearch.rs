@@ -20,10 +20,9 @@
 
 use crate::WorkloadError;
 use cavm_trace::{SimRng, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a web-search cluster's demand model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebSearchClusterConfig {
     /// Number of index-serving nodes (each one is a VM).
     pub isns: usize,
@@ -80,7 +79,7 @@ impl Default for WebSearchClusterConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebSearchCluster {
     config: WebSearchClusterConfig,
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the workload generators.
 
 use cavm_workload::clients::{ClientWave, WaveShape};
-use cavm_workload::datacenter::DatacenterTraceBuilder;
+use cavm_workload::datacenter::{DatacenterTraceBuilder, VM_CAP_CORES};
 use cavm_workload::websearch::{WebSearchCluster, WebSearchClusterConfig};
 use proptest::prelude::*;
 
@@ -66,19 +66,20 @@ proptest! {
         }
     }
 
-    /// Fleets are deterministic in the seed and respect the VM cap.
+    /// Fleets are deterministic in the seed and respect the VM cap,
+    /// also when the per-VM scales push demand past it.
     #[test]
     fn fleet_deterministic_and_capped(
         seed in any::<u64>(),
         vms in 1usize..8,
-        cap in 1.0f64..6.0
+        scale_hi in 1.0f64..6.0
     ) {
         let build = || {
             DatacenterTraceBuilder::new(vms)
                 .groups(2)
                 .seed(seed)
                 .duration_hours(1.0)
-                .vm_cap_cores(cap)
+                .vm_scale_range(scale_hi / 2.0, scale_hi)
                 .build()
                 .unwrap()
         };
@@ -86,9 +87,9 @@ proptest! {
         let b = build();
         prop_assert_eq!(&a, &b);
         for vm in a.vms() {
-            prop_assert!(vm.fine.peak() <= cap + 1e-9);
+            prop_assert!(vm.fine.peak() <= VM_CAP_CORES);
             prop_assert!(vm.fine.min() >= 0.0);
-            prop_assert!(vm.coarse.peak() <= cap + 1e-9);
+            prop_assert!(vm.coarse.peak() <= VM_CAP_CORES);
         }
     }
 

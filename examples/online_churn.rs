@@ -4,8 +4,8 @@
 //! Demonstrates the event-driven API the batch replay is built on:
 //! the workload is a `SyntheticTrace` — two apps with their own
 //! arrival, lease, and demand distributions, streamed through the
-//! `TraceDataset` surface into `ScenarioBuilder::dataset` (the same
-//! entry point a real Azure/Huawei CSV reader plugs into) — and a
+//! `TraceDataset` surface into `assemble` (the same entry point a
+//! real Azure/Huawei CSV reader plugs into) — and a
 //! custom `MetricSink` narrates the run live: periods as they
 //! complete, incremental (lease-aware) mid-period admissions,
 //! fragmentation-fired off-cycle re-packs under the adaptive
