@@ -1154,12 +1154,16 @@ impl DatacenterController {
         Ok(())
     }
 
-    /// The batch ALLOCATE policy of this session, plus the PCP cluster
-    /// count when applicable. PCP re-clusters from the previous
-    /// period's envelopes; with no history yet — including a previous
-    /// period that held zero VMs — it is a single degenerate cluster,
+    /// The batch ALLOCATE policy that packs `vms` in this session,
+    /// plus the PCP cluster count when applicable. PCP re-clusters
+    /// from the previous period's envelopes (see [`pcp_clusters`]);
+    /// with none of `vms` observed yet — no closed period, or one
+    /// that held none of them — it is a single degenerate cluster,
     /// i.e. BFD behaviour.
-    fn batch_policy(&self) -> crate::Result<(Box<dyn AllocationPolicy>, Option<usize>)> {
+    fn batch_policy(
+        &self,
+        vms: &[VmDescriptor],
+    ) -> crate::Result<(Box<dyn AllocationPolicy>, Option<usize>)> {
         Ok(match self.cfg.policy {
             Policy::Bfd => (Box::new(BfdPolicy), None),
             Policy::Ffd => (Box::new(FfdPolicy), None),
@@ -1174,28 +1178,25 @@ impl DatacenterController {
             Policy::Pcp {
                 envelope_percentile,
                 affinity_threshold,
-            } => match &self.prev_window {
-                Some(windows) => {
-                    // Ids without a row that period — departed before
-                    // it, or registered since — cluster from an
-                    // all-zero envelope.
-                    let zero =
-                        TimeSeries::constant(self.cfg.sample_dt_s, self.cfg.period_samples, 0.0)
-                            .map_err(SimError::Trace)?;
-                    let mut refs = vec![&zero; self.ids.len()];
-                    for (id, window) in windows {
-                        refs[*id] = window;
+            } => {
+                let windows = self.prev_window.as_deref().unwrap_or_default();
+                #[cfg(debug_assertions)]
+                self.oracle.check_pcp_windows(vms, windows, &self.cfg);
+                let clustered = pcp_clusters(
+                    vms,
+                    windows,
+                    self.ids.len(),
+                    envelope_percentile,
+                    affinity_threshold,
+                )?;
+                match clustered {
+                    Some(pcp) => {
+                        let clusters = pcp.cluster_count();
+                        (Box::new(pcp), Some(clusters))
                     }
-                    #[cfg(debug_assertions)]
-                    self.oracle.check_pcp_windows(&refs, &self.cfg);
-                    let pcp =
-                        PcpPolicy::from_traces(&refs, envelope_percentile, affinity_threshold)
-                            .map_err(SimError::Core)?;
-                    let clusters = pcp.cluster_count();
-                    (Box::new(pcp), Some(clusters))
+                    None => (Box::new(BfdPolicy), Some(1)),
                 }
-                None => (Box::new(BfdPolicy), Some(1)),
-            },
+            }
         })
     }
 
@@ -1205,7 +1206,7 @@ impl DatacenterController {
     /// policy's plain `place`, bit for bit — when overcommit is off or
     /// the controller is degraded).
     fn place_live(&self, vms: &[VmDescriptor]) -> crate::Result<(Placement, Option<usize>)> {
-        let (policy, pcp_clusters) = self.batch_policy()?;
+        let (policy, pcp_clusters) = self.batch_policy(vms)?;
         let matrix = self
             .matrix
             .as_ref()
@@ -2129,6 +2130,50 @@ enum Unhosted {
     Restore,
 }
 
+/// PCP's clusters for one batch pass over the placed `vms`: the
+/// envelopes of exactly the placed ids that have a `windows` row (the
+/// last closed period's, by id) are clustered, and every placed id
+/// without one — registered since that period closed — is a cluster of
+/// its own, since nothing was observed about whom it peaks with. An
+/// envelope exists only over an observed period: departed ids and
+/// unobserved ones take no part, so they cannot chain clusters
+/// together. Labels are indexed by id below `universe`. `None` when no
+/// placed id has a row.
+fn pcp_clusters(
+    vms: &[VmDescriptor],
+    windows: &[(usize, TimeSeries)],
+    universe: usize,
+    envelope_percentile: f64,
+    affinity_threshold: f64,
+) -> crate::Result<Option<PcpPolicy>> {
+    let mut window_of: Vec<Option<&TimeSeries>> = vec![None; universe];
+    for (id, window) in windows {
+        window_of[*id] = Some(window);
+    }
+    let (rowed, rowless): (Vec<usize>, Vec<usize>) = vms
+        .iter()
+        .map(|vm| vm.id)
+        .partition(|&id| window_of[id].is_some());
+    if rowed.is_empty() {
+        return Ok(None);
+    }
+    let refs: Vec<&TimeSeries> = rowed.iter().filter_map(|&id| window_of[id]).collect();
+    let observed = PcpPolicy::from_traces(&refs, envelope_percentile, affinity_threshold)
+        .map_err(SimError::Core)?;
+    // Ids outside `vms` keep label 0, which a rowed id already carries,
+    // so they add no cluster.
+    let mut labels = vec![0; universe];
+    for (&id, &label) in rowed.iter().zip(observed.clusters()) {
+        labels[id] = label;
+    }
+    for (k, &id) in rowless.iter().enumerate() {
+        labels[id] = observed.cluster_count() + k;
+    }
+    PcpPolicy::from_labels(labels)
+        .map(Some)
+        .map_err(SimError::Core)
+}
+
 /// Routes a single-VM admission to the policy's `place_one` rule. PCP
 /// and SuperVM consolidate per period only; between re-packs their
 /// arrivals use the default best-fit rule (spelled through `BfdPolicy`,
@@ -2304,6 +2349,96 @@ mod tests {
             let expected = if fills { 16 } else { 0 };
             assert_eq!(matrix.samples(), expected, "{}", policy.name());
         }
+    }
+
+    /// PCP clusters only the VMs it places and has observed: a VM that
+    /// departed before the last closed period and one registered after
+    /// it take no part in the envelope clustering. (Zero-padded, either
+    /// one's envelope contained every other and merged all VMs into one
+    /// cluster.) The count is `PcpPolicy::from_traces` over the placed,
+    /// observed VMs' windows alone, plus one for the new arrival.
+    #[test]
+    fn pcp_clusters_only_the_placed_observed_vms() {
+        let period = 16;
+        // Day VMs peak in the first half of every period, night VMs in
+        // the second.
+        let shift = |day: bool| {
+            TimeSeries::from_fn(5.0, 64, |k| {
+                if (k % period < period / 2) == day {
+                    4.0
+                } else {
+                    0.5
+                }
+            })
+            .unwrap()
+        };
+        let mut cfg = config_with(None, None);
+        cfg.policy = Policy::Pcp {
+            envelope_percentile: 90.0,
+            affinity_threshold: 0.2,
+        };
+        let mut ctl = DatacenterController::new(cfg).unwrap();
+        for (id, day) in [(0, true), (1, true), (2, false), (3, false), (4, true)] {
+            ctl.arrive(id, shift(day), None, &mut NullSink).unwrap();
+        }
+        for k in 0..2 * period {
+            if k == 5 {
+                ctl.depart(4).unwrap();
+            }
+            ctl.tick(&mut NullSink).unwrap();
+        }
+        // Registered after period 1 closed: the next batch pass places
+        // it.
+        ctl.arrive(5, shift(false), None, &mut NullSink).unwrap();
+        ctl.tick(&mut NullSink).unwrap();
+
+        let window = |day| {
+            let values = shift(day).values()[period..2 * period].to_vec();
+            TimeSeries::new(5.0, values).unwrap()
+        };
+        let (day, night) = (window(true), window(false));
+        let observed = PcpPolicy::from_traces(&[&day, &day, &night, &night], 90.0, 0.2).unwrap();
+        assert_eq!(observed.cluster_count(), 2);
+        assert_eq!(ctl.pcp_clusters, Some(observed.cluster_count() + 1));
+    }
+
+    /// Where PCP puts an id it never observed: in a cluster of its
+    /// own. Observed ids keep exactly the clusters their windows give,
+    /// and ids that are not placed — departed with a window, or never
+    /// seen — add none.
+    #[test]
+    fn pcp_gives_each_unobserved_placed_id_its_own_cluster() {
+        let day = TimeSeries::new(1.0, vec![4.0, 4.0, 4.0, 0.5, 0.5, 0.5]).unwrap();
+        let night = TimeSeries::new(1.0, vec![0.5, 0.5, 0.5, 4.0, 4.0, 4.0]).unwrap();
+        // 0–3 observed and placed; 4 departed (a window, not placed);
+        // 5 and 6 registered since (placed, no window); 7 neither.
+        let windows: Vec<(usize, TimeSeries)> = [(0, &day), (1, &night), (2, &day), (3, &night)]
+            .into_iter()
+            .chain([(4, &night)])
+            .map(|(id, w)| (id, w.clone()))
+            .collect();
+        let vms: Vec<VmDescriptor> = [0, 1, 2, 3, 5, 6]
+            .into_iter()
+            .map(|id| VmDescriptor::new(id, 1.0))
+            .collect();
+        let pcp = pcp_clusters(&vms, &windows, 8, 60.0, 0.5)
+            .unwrap()
+            .expect("four placed ids were observed");
+        let label = pcp.clusters();
+        assert_eq!(label[0], label[2]);
+        assert_eq!(label[1], label[3]);
+        assert_ne!(label[0], label[1]);
+        for new in [5, 6] {
+            for other in vms.iter().map(|vm| vm.id).filter(|&id| id != new) {
+                assert_ne!(label[new], label[other], "{new} shares {other}'s cluster");
+            }
+        }
+        assert_eq!(pcp.cluster_count(), 4);
+        // With no placed id observed there is nothing to cluster: the
+        // pass is BFD's.
+        assert!(pcp_clusters(&vms[4..], &windows, 8, 60.0, 0.5)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

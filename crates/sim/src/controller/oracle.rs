@@ -204,18 +204,45 @@ impl Oracle {
         );
     }
 
-    /// Asserts the id-indexed envelope windows PCP is about to cluster
-    /// are the ones the traces give.
-    pub(super) fn check_pcp_windows(&self, refs: &[&TimeSeries], cfg: &ControllerConfig) {
-        let windows = self
-            .windows(refs.len(), cfg)
-            .expect("pcp clusters only after a close");
-        for (id, (have, want)) in refs.iter().zip(&windows).enumerate() {
-            assert_eq!(
-                have.values(),
-                want.values(),
-                "pcp envelope window of id {id}"
-            );
+    /// Asserts PCP is about to cluster the windows the traces give:
+    /// every placed id with a window carries its trace over the last
+    /// closed period, and every placed id without one was registered
+    /// only after that period ended. Unlike the matrix, PCP pads no id
+    /// with zeros: an all-zero window's envelope contains every other
+    /// one, so a padded id (departed, or not yet observed) would merge
+    /// all placed VMs into one cluster.
+    pub(super) fn check_pcp_windows(
+        &self,
+        vms: &[VmDescriptor],
+        windows: &[(usize, TimeSeries)],
+        cfg: &ControllerConfig,
+    ) {
+        let Some((_, end)) = self.closed else {
+            assert!(windows.is_empty(), "pcp windows before any close");
+            return;
+        };
+        let want = self.windows(self.vms.len(), cfg).expect("a period closed");
+        let mut have: Vec<Option<&TimeSeries>> = vec![None; self.vms.len()];
+        for (id, window) in windows {
+            have[*id] = Some(window);
+        }
+        for vm in vms {
+            match have[vm.id] {
+                Some(window) => assert_eq!(
+                    window.values(),
+                    want[vm.id].values(),
+                    "pcp envelope window of id {}",
+                    vm.id
+                ),
+                None => {
+                    let registered = self.vms[vm.id].as_ref().expect("placed ids are registered");
+                    assert!(
+                        registered.arrival >= end,
+                        "id {} was live before {end} but has no pcp window",
+                        vm.id
+                    );
+                }
+            }
         }
     }
 }

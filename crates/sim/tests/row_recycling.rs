@@ -203,11 +203,14 @@ fn depart_then_arrive_in_one_period_do_not_share_a_row() {
     }
 }
 
-/// PCP clusters the previous period's envelope windows of *every* id
-/// ever seen — an all-zero window overlaps everything and collapses
-/// the clustering to one — so a VM that leaves mid-period must keep
-/// the samples it had until the close. The cluster counts were
-/// recorded from the universe-indexed implementation (commit 6679d46).
+/// PCP clusters the previous period's envelope windows of exactly the
+/// VMs it places: a VM that arrives mid-period is clustered from its
+/// partial window at the next boundary, and one that leaves mid-period
+/// takes no part once it is gone. Period 0 has no history (one
+/// cluster); periods 1–3 see the day and night shifts. Before PCP
+/// stopped zero-padding ids without a window, period 3 read one
+/// cluster: the VM that left in period 1 had no window there, and its
+/// all-zero envelope overlapped everything.
 #[test]
 fn pcp_clusters_across_a_mid_period_departure() {
     let cfg = config(
@@ -253,7 +256,7 @@ fn pcp_clusters_across_a_mid_period_departure() {
         .iter()
         .map(|p| p.pcp_clusters)
         .collect();
-    assert_eq!(clusters, [Some(1), Some(2), Some(2), Some(1)]);
+    assert_eq!(clusters, [Some(1), Some(2), Some(2), Some(2)]);
 }
 
 #[test]
