@@ -13,7 +13,7 @@ use cavm_core::alloc::{AllocationPolicy, BfdPolicy, FfdPolicy, ProposedPolicy, V
 use cavm_core::corr::CostMatrix;
 use cavm_core::fleet::{ServerFleet, UNBOUNDED};
 use cavm_power::LinearPowerModel;
-use cavm_trace::{Reference, SimRng};
+use cavm_trace::{Reference, SimRng, TimeSeries};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -22,11 +22,16 @@ fn instance(n: usize, seed: u64) -> (Vec<VmDescriptor>, CostMatrix) {
     let vms: Vec<VmDescriptor> = (0..n)
         .map(|i| VmDescriptor::new(i, rng.range_f64(0.3, 3.5)))
         .collect();
-    let mut matrix = CostMatrix::new(n, Reference::Peak).expect("valid size");
-    for _ in 0..64 {
-        let sample: Vec<f64> = (0..n).map(|_| rng.range_f64(0.0, 3.5)).collect();
-        matrix.push_sample(&sample).expect("matching width");
-    }
+    // One 64-sample window, drawn sample by sample across the fleet.
+    let ticks: Vec<Vec<f64>> = (0..64)
+        .map(|_| (0..n).map(|_| rng.range_f64(0.0, 3.5)).collect())
+        .collect();
+    let traces: Vec<TimeSeries> = (0..n)
+        .map(|v| TimeSeries::new(1.0, ticks.iter().map(|tick| tick[v]).collect()))
+        .collect::<Result<_, _>>()
+        .expect("finite samples");
+    let refs: Vec<&TimeSeries> = traces.iter().collect();
+    let matrix = CostMatrix::from_traces(&refs, Reference::Peak).expect("uniform traces");
     (vms, matrix)
 }
 

@@ -3,7 +3,7 @@
 
 use cavm_core::corr::{pearson_of_traces, CostMatrix, CostMetric, PearsonStream};
 use cavm_trace::{Reference, SimRng, TimeSeries};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn samples(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -45,20 +45,22 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(pearson_of_traces(&a, &bseries).expect("uniform traces")))
     });
 
-    // Fleet-wide monitoring tick: one push_sample on a 40-VM matrix.
-    c.bench_function("cost_matrix_tick_40vms", |b| {
-        let mut rng = SimRng::new(3);
-        let sample: Vec<f64> = (0..40).map(|_| rng.f64() * 4.0).collect();
-        b.iter_batched(
-            || CostMatrix::new(40, Reference::Peak).expect("valid size"),
-            |mut m| {
-                for _ in 0..100 {
-                    m.push_sample(black_box(&sample)).expect("matching width");
-                }
-                black_box(m.samples())
-            },
-            BatchSize::SmallInput,
-        )
+    // A 40-VM period close as the controller runs it: one fill of a
+    // 100-sample window through every pair.
+    let mut rng = SimRng::new(3);
+    let values: Vec<Vec<f64>> = (0..40)
+        .map(|_| (0..100).map(|_| rng.f64() * 4.0).collect())
+        .collect();
+    let windows: Vec<&[f64]> = values.iter().map(Vec::as_slice).collect();
+    let occupants: Vec<Option<usize>> = (0..40).map(Some).collect();
+    let mut matrix = CostMatrix::keyed(40, Reference::Peak).expect("valid size");
+    c.bench_function("cost_matrix_fill_40vms", |b| {
+        b.iter(|| {
+            matrix
+                .fill(black_box(&occupants), 40, black_box(&windows))
+                .expect("matching shape");
+            black_box(matrix.samples())
+        })
     });
 }
 

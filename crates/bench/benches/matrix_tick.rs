@@ -12,8 +12,8 @@ use std::hint::black_box;
 
 /// One period close's replay at `rows × samples`: the keyed `fill` as
 /// the controller calls it (its own fan-out rule decides), and the
-/// same kernel forced onto one thread and onto every core through the
-/// explicit-thread form, so the spawn + join cost reads directly.
+/// same fill forced onto one thread and onto every core through
+/// `fill_threads`, so the spawn + join cost reads directly.
 fn close_small(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut group = c.benchmark_group("close_small");
@@ -36,7 +36,6 @@ fn close_small(c: &mut Criterion) {
                 TimeSeries::new(5.0, values).expect("finite samples")
             })
             .collect();
-        let refs: Vec<&TimeSeries> = traces.iter().collect();
         let windows: Vec<&[f64]> = traces.iter().map(TimeSeries::values).collect();
         let occupants: Vec<Option<usize>> = (0..rows).map(Some).collect();
         let shape = format!("{rows}x{samples}_{tag}");
@@ -51,14 +50,12 @@ fn close_small(c: &mut Criterion) {
             })
         });
         for (name, threads) in [("serial", 1), ("all_cores", cores)] {
-            let mut plain = CostMatrix::new(rows, reference).expect("valid size");
             group.bench_function(&format!("{name}/{shape}"), |b| {
                 b.iter(|| {
-                    plain.reset();
-                    plain
-                        .par_push_columns_threads(black_box(&refs), 0, samples, threads)
+                    keyed
+                        .fill_threads(black_box(&occupants), rows, black_box(&windows), threads)
                         .expect("matching shape");
-                    black_box(plain.samples())
+                    black_box(keyed.samples())
                 })
             });
         }

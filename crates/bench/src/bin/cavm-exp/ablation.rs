@@ -4,7 +4,8 @@
 //!    paper's cost function vs Pearson correlation mapped into the same
 //!    `[1, 2]` range (cost ≈ 2 − (r+1)/2·... strictly: `1.5 − r/2`), on
 //!    the same fleet. The cost function measures peak coincidence — what
-//!    capacity planning actually needs — so it should win on violations.
+//!    capacity planning actually needs — so the paper expects it to win;
+//!    on the Setup-2 day Pearson's placement has the lower server peaks.
 //! 2. **Threshold schedule** — sweep `TH_init` and `α` of the
 //!    ALLOCATE phase and report the violation/power trade-off.
 //! 3. **Predictor** — last-value (the paper's) vs moving-average vs
@@ -76,10 +77,9 @@ fn metric_ablation() {
             sum / placement.server_count() as f64
         );
     }
-    println!("(placement quality is comparable on full-day traces; Eqn 1's advantage");
-    println!(" is operational — O(1) streaming updates with no stored samples, and it");
-    println!(" scores exactly the peak coincidence that capacity planning cares about —");
-    println!(" see the corr_throughput bench for the cost side of the argument)");
+    println!("(on full-day traces Pearson's placement has the lower worst and mean");
+    println!(" actual server peak, Eqn 1's the fewer servers: on this fleet Pearson");
+    println!(" packs the better servers, and Eqn 1 does not win on placement quality)");
     println!();
 }
 
@@ -113,7 +113,9 @@ fn threshold_ablation() {
             report.max_violation_percent
         );
     }
-    println!("(TH_init near 1 disables correlation screening; the schedule is robust)");
+    println!("(TH_init near 1 disables correlation screening. Normalized power barely");
+    println!(" moves across these schedules, but the max violation roughly doubles from");
+    println!(" the best of them to the worst: the schedule is not robust on violations)");
     println!();
 }
 

@@ -362,9 +362,7 @@ mod tests {
     fn admits_overcommits_only_anti_aligned_candidates() {
         // VM 2's peaks de-phase perfectly with VM 0 and coincide
         // exactly with VM 1.
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.0, 0.0]).unwrap();
-        m.push_sample(&[0.0, 4.0, 4.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[4.0, 0.0, 0.0], [0.0, 4.0, 4.0]]);
         let vm = VmDescriptor::new(2, 4.0);
         // 6-core servers: residual 2 < demand 4, so plain fit fails
         // and only the margin path can admit.
@@ -395,9 +393,7 @@ mod tests {
 
     #[test]
     fn overcommit_margin_extends_every_admission_rule() {
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.0, 0.0]).unwrap();
-        m.push_sample(&[0.0, 4.0, 4.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[4.0, 0.0, 0.0], [0.0, 4.0, 4.0]]);
         let vm = VmDescriptor::new(2, 4.0);
         // One server, anti-aligned resident, too full for plain fit.
         let fx = Fixture::new(&[(&[(0, 4.0)], 6.0, 0, 37.5)], &m);
@@ -491,9 +487,7 @@ mod tests {
     #[test]
     fn max_cost_prefers_anti_correlated_server() {
         // VM 2 is anti-correlated with VM 0 and correlated with VM 1.
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.5, 0.5]).unwrap();
-        m.push_sample(&[0.5, 4.0, 4.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[4.0, 0.5, 0.5], [0.5, 4.0, 4.0]]);
         let vm = VmDescriptor::new(2, 4.0);
         let fx = Fixture::new(
             &[
@@ -516,9 +510,7 @@ mod tests {
 
     #[test]
     fn no_rule_ever_picks_a_failed_server() {
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.5, 0.5]).unwrap();
-        m.push_sample(&[0.5, 4.0, 4.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[4.0, 0.5, 0.5], [0.5, 4.0, 4.0]]);
         let vm = VmDescriptor::new(2, 2.0);
         // Server 0 is the winner under every rule: tightest fit, first
         // in order, and the anti-correlated Eqn (2) host. Fail it.
@@ -553,9 +545,7 @@ mod tests {
 
     #[test]
     fn policies_route_place_one_to_their_rules() {
-        let mut m = CostMatrix::new(4, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.5, 0.0, 0.0]).unwrap();
-        m.push_sample(&[0.5, 4.0, 0.0, 0.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[4.0, 0.5, 0.0, 0.0], [0.5, 4.0, 0.0, 0.0]]);
         let vm = VmDescriptor::new(2, 2.0);
         let fx = Fixture::new(
             &[

@@ -98,14 +98,14 @@ impl Default for ProposedConfig {
 /// ```
 /// use cavm_core::alloc::{AllocationPolicy, ProposedPolicy, VmDescriptor};
 /// use cavm_core::corr::CostMatrix;
-/// use cavm_trace::Reference;
+/// use cavm_trace::{Reference, TimeSeries};
 ///
 /// # fn main() -> Result<(), cavm_core::CoreError> {
 /// // Two pairs of clones: VMs 0/1 peak together, VMs 2/3 peak together,
 /// // opposite phases across pairs.
-/// let mut m = CostMatrix::new(4, Reference::Peak)?;
-/// m.push_sample(&[4.0, 4.0, 0.5, 0.5])?;
-/// m.push_sample(&[0.5, 0.5, 4.0, 4.0])?;
+/// let day = TimeSeries::new(1.0, vec![4.0, 0.5])?;
+/// let night = TimeSeries::new(1.0, vec![0.5, 4.0])?;
+/// let m = CostMatrix::from_traces(&[&day, &day, &night, &night], Reference::Peak)?;
 ///
 /// let vms: Vec<_> = (0..4).map(|i| VmDescriptor::new(i, 4.0)).collect();
 /// let p = ProposedPolicy::default().place_uniform(&vms, &m, 8.0)?;
@@ -439,15 +439,6 @@ mod tests {
     use cavm_power::LinearPowerModel;
     use cavm_trace::Reference;
 
-    fn matrix_from_rows(rows: &[&[f64]]) -> CostMatrix {
-        let n = rows[0].len();
-        let mut m = CostMatrix::new(n, Reference::Peak).unwrap();
-        for r in rows {
-            m.push_sample(r).unwrap();
-        }
-        m
-    }
-
     fn descs(demands: &[f64]) -> Vec<VmDescriptor> {
         demands
             .iter()
@@ -493,11 +484,11 @@ mod tests {
     #[test]
     fn separates_correlated_clones() {
         // Clusters {0,1} and {2,3} peak in anti-phase.
-        let m = matrix_from_rows(&[
-            &[4.0, 4.0, 0.5, 0.5],
-            &[0.5, 0.5, 4.0, 4.0],
-            &[4.0, 4.0, 0.5, 0.5],
-            &[0.5, 0.5, 4.0, 4.0],
+        let m = CostMatrix::from_ticks(&[
+            [4.0, 4.0, 0.5, 0.5],
+            [0.5, 0.5, 4.0, 4.0],
+            [4.0, 4.0, 0.5, 0.5],
+            [0.5, 0.5, 4.0, 4.0],
         ]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let p = ProposedPolicy::default()
@@ -512,7 +503,7 @@ mod tests {
     #[test]
     fn bfd_colocates_what_proposed_separates() {
         // Contrast case backing the paper's Table II mechanism.
-        let m = matrix_from_rows(&[&[4.0, 4.0, 0.5, 0.5], &[0.5, 0.5, 4.0, 4.0]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 4.0, 0.5, 0.5], [0.5, 0.5, 4.0, 4.0]]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let bfd = crate::alloc::BfdPolicy
             .place_uniform(&vms, &m, 8.0)
@@ -527,11 +518,10 @@ mod tests {
         let mut rng = cavm_trace::SimRng::new(1);
         let demands: Vec<f64> = (0..40).map(|_| rng.range_f64(0.2, 3.5)).collect();
         let vms = descs(&demands);
-        let mut m = CostMatrix::new(40, Reference::Peak).unwrap();
-        for _ in 0..50 {
-            let sample: Vec<f64> = (0..40).map(|_| rng.range_f64(0.0, 3.5)).collect();
-            m.push_sample(&sample).unwrap();
-        }
+        let ticks: Vec<Vec<f64>> = (0..50)
+            .map(|_| (0..40).map(|_| rng.range_f64(0.0, 3.5)).collect())
+            .collect();
+        let m = CostMatrix::from_ticks(&ticks);
         let p = ProposedPolicy::default()
             .place_uniform(&vms, &m, 8.0)
             .unwrap();
@@ -607,7 +597,7 @@ mod tests {
         // All VMs perfectly correlated (cost 1 for every pair): with a
         // floor of 1.0 the allocator must still pack them (cost 1 < any
         // th > 1, but the floor waiver admits them).
-        let m = matrix_from_rows(&[&[4.0, 4.0, 4.0, 4.0], &[1.0, 1.0, 1.0, 1.0]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 4.0, 4.0, 4.0], [1.0, 1.0, 1.0, 1.0]]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let p = ProposedPolicy::default()
             .place_uniform(&vms, &m, 8.0)
@@ -621,7 +611,7 @@ mod tests {
         // VM0 and VM1 peak together; VM2 is anti-phased with both. The
         // correlated pair must end up on different servers, whichever
         // partner the greedy assigns VM2 to.
-        let m = matrix_from_rows(&[&[4.0, 3.0, 0.5], &[0.5, 0.4, 3.0], &[4.0, 3.0, 0.5]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 3.0, 0.5], [0.5, 0.4, 3.0], [4.0, 3.0, 0.5]]);
         let vms = descs(&[4.0, 3.0, 3.0]);
         let p = ProposedPolicy::default()
             .place_uniform(&vms, &m, 8.0)

@@ -31,13 +31,13 @@ use crate::CoreError;
 /// ```
 /// use cavm_core::alloc::{AllocationPolicy, SuperVmPolicy, VmDescriptor};
 /// use cavm_core::corr::CostMatrix;
-/// use cavm_trace::Reference;
+/// use cavm_trace::{Reference, TimeSeries};
 ///
 /// # fn main() -> Result<(), cavm_core::CoreError> {
 /// // Two anti-phased VMs: a super-VM of joint size ~4 instead of 8.
-/// let mut m = CostMatrix::new(2, Reference::Peak)?;
-/// m.push_sample(&[4.0, 0.0])?;
-/// m.push_sample(&[0.0, 4.0])?;
+/// let vm0 = TimeSeries::new(1.0, vec![4.0, 0.0])?;
+/// let vm1 = TimeSeries::new(1.0, vec![0.0, 4.0])?;
+/// let m = CostMatrix::from_traces(&[&vm0, &vm1], Reference::Peak)?;
 /// let vms = vec![VmDescriptor::new(0, 4.0), VmDescriptor::new(1, 4.0)];
 /// let p = SuperVmPolicy::default().place_uniform(&vms, &m, 8.0)?;
 /// assert_eq!(p.server_count(), 1);
@@ -180,15 +180,6 @@ mod tests {
     use super::*;
     use cavm_trace::Reference;
 
-    fn matrix_from_rows(rows: &[&[f64]]) -> CostMatrix {
-        let n = rows[0].len();
-        let mut m = CostMatrix::new(n, Reference::Peak).unwrap();
-        for r in rows {
-            m.push_sample(r).unwrap();
-        }
-        m
-    }
-
     fn descs(demands: &[f64]) -> Vec<VmDescriptor> {
         demands
             .iter()
@@ -201,7 +192,7 @@ mod tests {
     fn fuses_anti_correlated_pairs() {
         // VMs 0/2 anti-phased, 1/3 anti-phased: two super-VMs of joint
         // size ≈ 4 each → one 8-core server, where BFD by peaks needs 2.
-        let m = matrix_from_rows(&[&[4.0, 4.0, 0.0, 0.0], &[0.0, 0.0, 4.0, 4.0]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 4.0, 0.0, 0.0], [0.0, 0.0, 4.0, 4.0]]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let p = SuperVmPolicy::default()
             .place_uniform(&vms, &m, 8.0)
@@ -218,7 +209,7 @@ mod tests {
     fn correlated_vms_stay_single() {
         // All four VMs peak together: no pair clears the threshold,
         // sizing degenerates to individual peaks (BFD-like).
-        let m = matrix_from_rows(&[&[4.0, 4.0, 4.0, 4.0], &[0.5, 0.5, 0.5, 0.5]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 4.0, 4.0, 4.0], [0.5, 0.5, 0.5, 0.5]]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let p = SuperVmPolicy::default()
             .place_uniform(&vms, &m, 8.0)
@@ -229,7 +220,7 @@ mod tests {
 
     #[test]
     fn odd_vm_counts_leave_one_single() {
-        let m = matrix_from_rows(&[&[3.0, 0.0, 3.0], &[0.0, 3.0, 0.0]]);
+        let m = CostMatrix::from_ticks(&[[3.0, 0.0, 3.0], [0.0, 3.0, 0.0]]);
         let vms = descs(&[3.0, 3.0, 3.0]);
         let p = SuperVmPolicy::default()
             .place_uniform(&vms, &m, 8.0)
@@ -275,7 +266,7 @@ mod tests {
         // Pairs (0,2) and (1,3) fuse into two super-VMs of joint size 8
         // each; a single 8-core server takes only the first, leaving
         // one super-VM = TWO real VMs unplaced.
-        let m = matrix_from_rows(&[&[8.0, 8.0, 0.0, 0.0], &[0.0, 0.0, 8.0, 8.0]]);
+        let m = CostMatrix::from_ticks(&[[8.0, 8.0, 0.0, 0.0], [0.0, 0.0, 8.0, 8.0]]);
         let vms = descs(&[8.0, 8.0, 8.0, 8.0]);
         let fleet = ServerFleet::uniform(1, 8.0, LinearPowerModel::xeon_e5410()).unwrap();
         assert!(matches!(
@@ -299,7 +290,7 @@ mod tests {
         .unwrap();
         // 0/2 and 1/3 fuse to joint size ≈ 4 each: both super-VMs fit
         // the single 8-core box.
-        let m = matrix_from_rows(&[&[4.0, 4.0, 0.0, 0.0], &[0.0, 0.0, 4.0, 4.0]]);
+        let m = CostMatrix::from_ticks(&[[4.0, 4.0, 0.0, 0.0], [0.0, 0.0, 4.0, 4.0]]);
         let vms = descs(&[4.0, 4.0, 4.0, 4.0]);
         let p = SuperVmPolicy::default().place(&vms, &m, &fleet).unwrap();
         p.validate_structure(&vms).unwrap();

@@ -5,14 +5,18 @@
 //! by constructing a 2-D matrix, namely M_cost, where the (i,j)-th
 //! element corresponds to Cost_ij."
 //!
+//! The matrix is a function of the window it was last filled from: every
+//! way in ([`CostMatrix::fill`] at the period close,
+//! [`CostMatrix::par_push_columns`], [`CostMatrix::from_traces`]) forgets
+//! what it held and replays one window, whole, into fresh state.
+//!
 //! # Storage layout
 //!
 //! The seed implementation (preserved, test-only, as
 //! `PairwiseCostMatrix` in `tests/baseline/`) kept one enum-dispatched
 //! [`CostMetric`](crate::corr::CostMetric) per
 //! pair: three boxed-enum trackers and ~640 bytes of state per pair,
-//! walked as an array of structs on every monitoring tick. This module
-//! flattens that hot path:
+//! fed one sample at a time. This module flattens that:
 //!
 //! * **Per-VM reference trackers are stored once**, not once per pair.
 //!   Every pair `(i, j)` needs û(VMi) and û(VMj); the seed paid for
@@ -22,81 +26,73 @@
 //!   upper triangle (row-major, pair `(i, j)` with `i < j` at
 //!   `i·(2n-i-1)/2 + (j-i-1)`):
 //!   - under [`Reference::Peak`], a single `Vec<f64>` of running
-//!     maxima — 8 bytes per pair, and the tick kernel is a flat
-//!     `slot = raise(slot, uᵢ + uⱼ)` sweep the compiler auto-vectorizes;
+//!     maxima — 8 bytes per pair;
 //!   - under [`Reference::Percentile`], a `Vec<P2Cell>` of compact
 //!     64-byte P² marker cells driven by one shared [`P2Clock`] (the
 //!     sample count and desired marker positions are identical across
 //!     the bank, so they are hoisted out of the per-pair state).
-//! * **Monomorphized update paths**: the `Peak` and `Percentile`
-//!   kernels are separate loops selected once per call, instead of a
+//! * **Monomorphized kernels**: the `Peak` and `Percentile` replays
+//!   are separate loops selected once per fill, instead of a
 //!   per-sample `match` on every tracker of every pair.
 //!
-//! Updates remain O(1) per pair per tick — the paper's UPDATE-phase
-//! argument (Fig 2, line 7) — but the constant is an order of magnitude
-//! smaller and the fleet tick ([`CostMatrix::push_sample`]) touches
-//! `n(n-1)/2 · 8` bytes instead of `· ~640`.
+//! Each sample still costs O(1) per pair — the paper's UPDATE-phase
+//! argument (Fig 2, line 7) — but over `8` bytes of pair state instead
+//! of `~640`.
 //!
-//! # Parallel window replay
+//! # Window replay
 //!
-//! A monitoring tick ([`CostMatrix::push_sample`]) always runs on the
-//! calling thread. Window replay — [`CostMatrix::fill`] at the period
-//! close and [`CostMatrix::par_push_columns`] — can split the triangle
-//! into near-equal-pair row chunks and update them on scoped
-//! `std::thread`s. (The build environment has no crate registry, so
-//! this uses the standard library rather than rayon; the chunking is
-//! embarrassingly parallel either way.) Each pair is still updated by
-//! exactly one thread in tick order, so parallel results are
-//! bit-identical to serial ones — the equivalence tests in
-//! `tests/soa_equivalence.rs` pin this.
+//! A fill walks the triangle row by row instead of sample-major, so a
+//! row's slots are updated over the whole window while they are hot in
+//! cache, instead of re-touching the entire (possibly multi-megabyte)
+//! plane once per sample. A Peak row goes one pair at a time, and each
+//! pair's window in blocks of four samples (`PEAK_LANES`) folded into
+//! four independent running peaks, merged at the end, with the window's
+//! last `len % 4` samples one at a time: one running peak is a serial
+//! chain of compares, and four overlap. Every Peak update — pair or
+//! per-VM — is the compare-select `raise` (`if s > peak { s } else {
+//! peak }`), not `f64::max`: the latter must return the other operand
+//! when one is NaN, and that lowering costs more than the update, while
+//! every entry point has refused NaN and ∞ before a kernel runs. The
+//! only answer the two can differ on is which zero a ±0 tie keeps, and
+//! no cost can tell (see `raise`). A P² row goes in blocks of four
+//! pairs (`P2_LANES`), each block copied out, replayed under one local
+//! clock, and copied back: a P² update is a serial chain of compares
+//! and divisions, and four independent chains keep the core busy where
+//! one waits on latency. The row's last `len % 4` pairs replay one at a
+//! time. Every P² pair still sees exactly its own samples in order, and
+//! a running peak is the same maximum in any order, so the result is
+//! the per-pair one bit for bit.
 //!
-//! Whether they *do* fan out is one rule, `threads_for`: scoped threads
+//! A fill can also split the triangle into near-equal-pair row chunks
+//! and update them on scoped `std::thread`s. (The build environment
+//! has no crate registry, so this uses the standard library rather
+//! than rayon; the chunking is embarrassingly parallel either way.)
+//! Each pair is still updated by exactly one thread in sample order,
+//! so parallel results are bit-identical to serial ones — the
+//! equivalence tests in `tests/soa_equivalence.rs` pin this.
+//!
+//! Whether it *does* fan out is one rule, `threads_for`: scoped threads
 //! are spawned and joined per call, which costs about as much as
 //! 1–4 × 10⁵ Peak pair updates, so a replay whose kernel is smaller
 //! than 2¹⁷ of them (`pairs × samples`, a P² update counted 16-fold)
 //! runs on the calling thread and only larger ones use every core. A
 //! 16-VM session's period close is the former, `flat-p95-day`'s 96 ×
-//! 720 P95 close the latter. [`CostMatrix::par_push_columns_threads`]
-//! takes the count as given.
+//! 720 P95 close the latter. [`CostMatrix::fill_threads`] takes the
+//! count as given.
 //!
-//! Batch window replay ([`CostMatrix::push_columns`],
-//! [`CostMatrix::fill`]) walks the triangle row by row instead of
-//! tick-major, so a row's slots are updated over the whole window
-//! while they are hot in cache, instead of re-touching the entire
-//! (possibly multi-megabyte) plane on every tick. A Peak row goes one
-//! pair at a time, and each pair's window in blocks of four samples
-//! (`PEAK_LANES`) folded into four independent running peaks, merged
-//! at the end, with the window's last `len % 4` samples one at a time:
-//! one running peak is a serial chain of compares, and four overlap.
-//! Every Peak update — tick, window, per-VM — is the compare-select
-//! `raise` (`if s > peak { s } else { peak }`), not `f64::max`: the
-//! latter must return the other operand when one is NaN, and that
-//! lowering costs more than the update, while every entry point has
-//! refused NaN and ∞ before a kernel runs. The only answer the two can
-//! differ on is which zero a ±0 tie keeps, and no cost can tell (see
-//! `raise`). A P² row goes in blocks of four pairs (`P2_LANES`),
-//! each block copied out, replayed under one local clock, and copied
-//! back: a P² update is a serial chain of compares and divisions, and
-//! four independent chains keep the core busy where one waits on
-//! latency. The row's last `len % 4` pairs replay one at a time. Every
-//! P² pair still sees exactly its own samples in order, and a running
-//! peak is the same maximum in any order, so the result is the
-//! per-pair one bit for bit.
+//! # Rows and ids
 //!
-//! # Keyed form
+//! The planes are laid out over **rows**, and an id → row table,
+//! captured when the matrix is filled, translates lookups.
+//! [`CostMatrix::new`] is the matrix over ids `0..n`, each its own row.
+//! A long-running session whose VMs come and go would pay for every id
+//! it has ever seen that way, so the online controller starts from
+//! [`CostMatrix::keyed`] instead — as many rows as VMs were sampled in
+//! one period, no id yet — and hands [`CostMatrix::fill`] the row
+//! table with each window. [`CostMatrix::len`] means "ids this matrix
+//! answers for" (the *id bound*), and a lookup has three answers:
 //!
-//! A plain matrix ([`CostMatrix::new`]) indexes its planes by VM id:
-//! `n` ids, `n` rows. A long-running session whose VMs come and go
-//! would pay for every id it has ever seen, so the online controller
-//! uses the *keyed* form ([`CostMatrix::keyed`]) instead: the planes
-//! are laid out over **rows** — as many as VMs were sampled in one
-//! period — and an id → row table, captured when the matrix is filled
-//! ([`CostMatrix::fill`]), translates lookups. [`CostMatrix::len`]
-//! keeps meaning "ids this matrix answers for" (the *id bound*), and
-//! a lookup has three answers:
-//!
-//! * both ids have a **row**: the Eqn (1) ratio from the planes, as in
-//!   the plain form;
+//! * both ids have a **row**: the Eqn (1) ratio from the planes;
 //! * an id below the bound has **no row** (departed before the window,
 //!   never registered, or registered after the fill and covered by
 //!   [`CostMatrix::extend_ids`]): it answers exactly what an all-zero
@@ -107,8 +103,8 @@
 //!   sample, is **neutral** (1.5) through
 //!   [`CostMatrix::cost_or_neutral`].
 //!
-//! `tests/soa_equivalence.rs` pins the keyed answers bit for bit
-//! against a plain matrix over the zero-padded universe.
+//! `tests/soa_equivalence.rs` pins the row-less answers bit for bit
+//! against a matrix over the zero-padded universe.
 
 use crate::corr::cost::combine_cost;
 use crate::CoreError;
@@ -155,25 +151,31 @@ fn row_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
 /// The id → row table's entry for an id that has no row.
 const NO_ROW: u32 = u32::MAX;
 
-/// Monomorphized streaming storage behind the matrix.
+/// What the matrix answers from.
 #[derive(Debug, Clone)]
 enum Storage {
     /// `Reference::Peak`: running maxima, one `f64` per VM / per pair.
     Peak {
-        /// Per-VM running peak of `utils[v]` (length `n`).
+        /// Per-row running peak of the row's samples.
         vm_peak: Vec<f64>,
-        /// Per-pair running peak of `utils[i] + utils[j]` (triangle).
+        /// Per-pair running peak of the two rows' summed samples
+        /// (triangle).
         pair_peak: Vec<f64>,
     },
     /// `Reference::Percentile(p)`: compact P² cells under one clock.
     Percentile {
-        /// Shared tick counter and desired marker positions.
+        /// Shared sample counter and desired marker positions.
         clock: P2Clock,
-        /// Per-VM P² estimator state (length `n`).
+        /// Per-row P² estimator state.
         vm_cells: Vec<P2Cell>,
-        /// Per-pair P² estimator state over `utils[i] + utils[j]`.
+        /// Per-pair P² estimator state over the two rows' summed
+        /// samples (triangle).
         pair_cells: Vec<P2Cell>,
     },
+    /// Pairwise costs given outright, the upper triangle row-major
+    /// ([`CostMatrix::from_costs`]); a fill replaces them with Peak
+    /// planes.
+    Fixed(Vec<f64>),
 }
 
 impl Storage {
@@ -200,7 +202,7 @@ impl Storage {
     }
 }
 
-/// Symmetric pairwise correlation-cost matrix over `n` VMs
+/// Symmetric pairwise correlation-cost matrix over a set of VM ids
 /// (struct-of-arrays kernel; see the [module docs](self) for layout).
 ///
 /// Diagonal entries are 1.0 by definition: a VM co-located with itself
@@ -210,68 +212,60 @@ impl Storage {
 ///
 /// ```
 /// use cavm_core::corr::CostMatrix;
-/// use cavm_trace::Reference;
+/// use cavm_trace::{Reference, TimeSeries};
 ///
 /// # fn main() -> Result<(), cavm_core::CoreError> {
-/// let mut m = CostMatrix::new(3, Reference::Peak)?;
-/// m.push_sample(&[4.0, 0.0, 2.0])?;
-/// m.push_sample(&[0.0, 4.0, 2.0])?;
+/// let vm0 = TimeSeries::new(1.0, vec![4.0, 0.0])?;
+/// let vm1 = TimeSeries::new(1.0, vec![0.0, 4.0])?;
+/// let vm2 = TimeSeries::new(1.0, vec![2.0, 2.0])?;
+/// let m = CostMatrix::from_traces(&[&vm0, &vm1, &vm2], Reference::Peak)?;
 /// // VM0 and VM1 peak apart: cost 2. Each against the flat VM2: 6/6 = 1.
 /// assert_eq!(m.cost(0, 1), Some(2.0));
+/// assert_eq!(m.cost(0, 2), Some(1.0));
 /// assert_eq!(m.cost(0, 0), Some(1.0));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct CostMatrix {
-    /// Ids the matrix answers for ([`Self::len`]): equal to `rows` in
-    /// the plain form, the id bound in the keyed one.
+    /// Ids the matrix answers for ([`Self::len`]), the id bound.
     n: usize,
-    /// Rows of the streaming planes.
+    /// Rows of the planes.
     rows: usize,
     reference: Reference,
     samples: u64,
     storage: Storage,
-    /// When set, pairwise values are fixed (ablation studies swap in
-    /// foreign metrics, e.g. Pearson-derived scores) and the streaming
-    /// storage is ignored.
-    fixed: Option<Vec<f64>>,
-    /// Keyed form only: `key[id]` is the row `id` was sampled into
-    /// when the matrix was last filled, [`NO_ROW`] for an id that had
-    /// none. Ids the bound has advanced over since lie beyond the
-    /// table and have no row either. `None` is the plain form, where
-    /// every id below `rows` is its own row.
-    key: Option<Vec<u32>>,
+    /// `key[id]` is the row `id` was sampled into when the matrix was
+    /// last filled, [`NO_ROW`] for an id that had none. Ids the bound
+    /// has advanced over since lie beyond the table and have no row
+    /// either.
+    key: Vec<u32>,
 }
 
 impl CostMatrix {
-    /// Creates an empty matrix over `n` VMs.
+    /// Creates an empty matrix over ids `0..n`, each its own row.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] when `n == 0` or the
-    /// reference percentile is out of range.
+    /// Returns [`CoreError::InvalidParameter`] when `n == 0`, the
+    /// reference percentile is out of range or `n` does not fit the
+    /// row table.
     pub fn new(n: usize, reference: Reference) -> crate::Result<Self> {
         if n == 0 {
             return Err(CoreError::InvalidParameter(
                 "cost matrix needs at least one vm",
             ));
         }
-        Ok(Self {
-            n,
-            rows: n,
-            reference,
-            samples: 0,
-            storage: Storage::new(n, reference)?,
-            fixed: None,
-            key: None,
-        })
+        let mut matrix = Self::keyed(n, reference)?;
+        matrix.n = n;
+        matrix.key = (0..n as u32).collect();
+        Ok(matrix)
     }
 
-    /// Creates an empty *keyed* matrix (see the [module docs](self))
-    /// with planes over `rows` rows — zero is allowed — that answers
-    /// for no id yet: [`Self::fill`] installs samples and the id → row
-    /// table, [`Self::extend_ids`] advances the id bound.
+    /// Creates an empty matrix with planes over `rows` rows — zero is
+    /// allowed — that answers for no id yet: [`Self::fill`] installs
+    /// samples and the id → row table, [`Self::extend_ids`] advances
+    /// the id bound.
     ///
     /// # Errors
     ///
@@ -289,15 +283,15 @@ impl CostMatrix {
             reference,
             samples: 0,
             storage: Storage::new(rows, reference)?,
-            fixed: None,
-            key: Some(Vec::new()),
+            key: Vec::new(),
         })
     }
 
-    /// Builds a matrix with *fixed* pairwise costs — `costs` is the
-    /// upper triangle, row-major (`(0,1), (0,2), ..., (1,2), ...`).
-    /// Used by ablation studies to drive the allocator with a foreign
-    /// correlation measure (e.g. Pearson mapped into `[1, 2]`).
+    /// Builds a matrix with *fixed* pairwise costs over ids `0..n` —
+    /// `costs` is the upper triangle, row-major (`(0,1), (0,2), ...,
+    /// (1,2), ...`). Used by ablation studies to drive the allocator
+    /// with a foreign correlation measure (e.g. Pearson mapped into
+    /// `[1, 2]`).
     ///
     /// # Errors
     ///
@@ -314,44 +308,43 @@ impl CostMatrix {
                 "fixed cost triangle has the wrong length",
             ));
         }
-        let mut matrix = Self::new(n, Reference::Peak)?;
-        matrix.fixed = Some(costs);
+        let mut matrix = Self::keyed(0, Reference::Peak)?;
+        matrix.n = n;
+        matrix.rows = n;
+        matrix.key = (0..n as u32).collect();
+        matrix.storage = Storage::Fixed(costs);
         Ok(matrix)
     }
 
-    /// Builds a matrix from complete traces in one pass (batch exact
-    /// percentiles for the pair sums are approximated by the same
-    /// streaming estimators the online path uses, keeping semantics
-    /// identical between offline and online use).
+    /// Builds a matrix over ids `0..traces.len()` from the whole of
+    /// each trace: [`Self::new`] plus [`Self::par_push_columns`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for an empty trace set
     /// and trace errors for length mismatches.
     pub fn from_traces(traces: &[&TimeSeries], reference: Reference) -> crate::Result<Self> {
-        if traces.is_empty() {
+        let Some(first) = traces.first() else {
             return Err(CoreError::InvalidParameter(
                 "cost matrix needs at least one vm",
             ));
-        }
+        };
         let mut matrix = Self::new(traces.len(), reference)?;
-        matrix.push_columns(traces, 0, traces[0].len())?;
+        matrix.par_push_columns(traces, 0, first.len())?;
         Ok(matrix)
     }
 
-    /// Number of ids the matrix answers for: the VMs tracked in the
-    /// plain form, the id bound in the keyed one.
+    /// Number of ids the matrix answers for: the id bound.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// `true` only for a keyed matrix that answers for no id yet.
+    /// `true` only for a matrix that answers for no id yet.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    /// Rows of the streaming planes — [`Self::len`] in the plain form,
-    /// the sampled population in the keyed one.
+    /// Rows of the planes.
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -376,12 +369,12 @@ impl CostMatrix {
         Ok(())
     }
 
-    /// Threads a default-thread entry point uses to push `samples`
-    /// samples through every pair: [`threads_for`] applied to
-    /// `pairs × samples`, a P² update counted [`P2_WORK_WEIGHT`]-fold.
+    /// Threads [`Self::fill`] uses to push `samples` samples through
+    /// every pair: [`threads_for`] applied to `pairs × samples`, a P²
+    /// update counted [`P2_WORK_WEIGHT`]-fold.
     fn fan_out(&self, samples: usize) -> usize {
         let weight = match self.storage {
-            Storage::Peak { .. } => 1,
+            Storage::Peak { .. } | Storage::Fixed(_) => 1,
             Storage::Percentile { .. } => P2_WORK_WEIGHT,
         };
         threads_for(
@@ -391,139 +384,23 @@ impl CostMatrix {
         )
     }
 
-    /// Feeds one monitoring tick: `utils[v]` is the utilization of the
-    /// VM in row `v` at this instant. Cost: `O(n²)` flat constant-time
-    /// updates, on the calling thread.
+    /// Refills the matrix from one window per row: forgets the previous
+    /// samples (the planes' allocation is re-used), captures the
+    /// id → row table from `occupants` (`occupants[r]` is the id sampled
+    /// into row `r`, `None` for a row nobody held — its window should be
+    /// all zeros), sets the id bound to `ids`, and replays `windows[r]`
+    /// into row `r` — on the calling thread when the replay is too small
+    /// to repay a thread spawn, fanned out over the available cores
+    /// otherwise (the [module docs](self) give the rule; the answer is
+    /// the same bit for bit).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len()`
-    /// is not the row count, and a [non-finite
-    /// sample](cavm_trace::TraceError::NonFiniteSample) error naming
-    /// the first NaN or infinite entry. A refused tick changes nothing.
-    pub fn push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.check_width(utils.len())?;
-        check_finite(utils)?;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                peak_tick(utils, pair_peak);
-                for (slot, &u) in vm_peak.iter_mut().zip(utils) {
-                    *slot = raise(*slot, u);
-                }
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                clock.tick();
-                for (cell, &u) in vm_cells.iter_mut().zip(utils) {
-                    cell.push(u, clock);
-                }
-                p2_tick(utils, pair_cells, clock);
-            }
-        }
-        self.samples += 1;
-        Ok(())
-    }
-
-    /// Replays a half-open window `[start, end)` of trace columns into
-    /// the matrix — the batch form of [`Self::push_sample`], equivalent
-    /// to pushing `end - start` individual ticks but walked row by row
-    /// so each row's state stays cache-resident across the window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `traces.len()`
-    /// is not the row count, a trace length mismatch when the traces
-    /// disagree, and [`CoreError::InvalidParameter`] when the window is
-    /// out of range.
-    pub fn push_columns(
-        &mut self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-    ) -> crate::Result<()> {
-        self.push_columns_threads(traces, start, end, 1)
-    }
-
-    /// [`Self::push_columns`] over at most `threads` row chunks.
-    fn push_columns_threads(
-        &mut self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-        threads: usize,
-    ) -> crate::Result<()> {
-        self.check_width(traces.len())?;
-        let len = common_len(traces.iter().map(|t| t.len()))?;
-        if start > end || end > len {
-            return Err(CoreError::InvalidParameter("column window out of range"));
-        }
-        let windows: Vec<&[f64]> = traces.iter().map(|t| &t.values()[start..end]).collect();
-        self.replay(&windows, threads);
-        Ok(())
-    }
-
-    /// Replays one equally long sample window per row into the planes,
-    /// row by row, over at most `threads` row chunks. Each P² replay
-    /// ticks a local copy of the clock as it stood before the window, so
-    /// marker positions advance exactly as in the tick-by-tick path.
-    fn replay(&mut self, windows: &[&[f64]], threads: usize) {
-        let rows = self.rows;
-        let ticks = windows.first().map_or(0, |w| w.len());
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                for (slot, window) in vm_peak.iter_mut().zip(windows) {
-                    let (blocks, tail) = window.as_chunks();
-                    *slot = window_peak(*slot, blocks.iter().copied(), tail.iter().copied());
-                }
-                over_row_chunks(rows, threads, pair_peak, |row_start, row_end, plane| {
-                    peak_window_rows(rows, row_start, row_end, windows, plane);
-                });
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                let snapshot = clock.clone();
-                for (cell, window) in vm_cells.iter_mut().zip(windows) {
-                    let mut local = snapshot.clone();
-                    for &u in *window {
-                        local.tick();
-                        cell.push(u, &local);
-                    }
-                }
-                over_row_chunks(rows, threads, pair_cells, |row_start, row_end, plane| {
-                    p2_window_rows(rows, row_start, row_end, windows, plane, &snapshot);
-                });
-                for _ in 0..ticks {
-                    clock.tick();
-                }
-            }
-        }
-        self.samples += ticks as u64;
-    }
-
-    /// Refills a keyed matrix from one period's row windows: forgets
-    /// the previous samples (the planes' allocation is re-used),
-    /// captures the id → row table from `occupants` (`occupants[r]` is
-    /// the id sampled into row `r`, `None` for a row nobody held — its
-    /// window should be all zeros), sets the id bound to `ids`, and
-    /// replays `windows[r]` into row `r` with the batch kernel — on
-    /// the calling thread when the replay is too small to repay a
-    /// thread spawn, fanned out over the available cores otherwise
-    /// (the [module docs](self) give the rule; the answer is the same
-    /// bit for bit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on a plain matrix, for
-    /// an occupant id at or beyond `ids` and for an id holding two
-    /// rows; [`CoreError::SampleCountMismatch`] when `occupants` or
-    /// `windows` do not cover exactly the rows; a trace length
-    /// mismatch when the windows disagree; and a [non-finite
+    /// Returns [`CoreError::InvalidParameter`] for an occupant id at or
+    /// beyond `ids` and for an id holding two rows;
+    /// [`CoreError::SampleCountMismatch`] when `occupants` or `windows`
+    /// do not cover exactly the rows; a trace length mismatch when the
+    /// windows disagree; and a [non-finite
     /// sample](cavm_trace::TraceError::NonFiniteSample) error for the
     /// first NaN or infinite sample, its `index` the position in its
     /// row's window. A failed fill changes nothing.
@@ -533,14 +410,26 @@ impl CostMatrix {
         ids: usize,
         windows: &[&[f64]],
     ) -> crate::Result<()> {
-        if self.key.is_none() {
-            return Err(CoreError::InvalidParameter(
-                "only a keyed cost matrix can be filled",
-            ));
-        }
+        let threads = self.fan_out(windows.first().map_or(0, |w| w.len()));
+        self.fill_threads(occupants, ids, windows, threads)
+    }
+
+    /// [`Self::fill`] over at most `threads` row chunks, honoured
+    /// whatever the size.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::fill`].
+    pub fn fill_threads(
+        &mut self,
+        occupants: &[Option<usize>],
+        ids: usize,
+        windows: &[&[f64]],
+        threads: usize,
+    ) -> crate::Result<()> {
         self.check_width(occupants.len())?;
         self.check_width(windows.len())?;
-        let samples = common_len(windows.iter().map(|w| w.len()))?;
+        common_len(windows.iter().map(|w| w.len()))?;
         windows.iter().try_for_each(|window| check_finite(window))?;
         let mut key = vec![NO_ROW; ids];
         for (row, id) in occupants.iter().enumerate() {
@@ -560,11 +449,61 @@ impl CostMatrix {
                 }
             }
         }
-        self.key = Some(key);
+        self.key = key;
         self.n = ids;
-        self.reset();
-        self.replay(windows, self.fan_out(samples));
+        self.replay(windows, threads);
         Ok(())
+    }
+
+    /// Forgets every sample, then replays one equally long sample
+    /// window per row into the planes, row by row, over at most
+    /// `threads` row chunks. Each P² replay ticks a local copy of the
+    /// fresh clock, so marker positions advance exactly as they would
+    /// for one cell fed the samples one at a time.
+    fn replay(&mut self, windows: &[&[f64]], threads: usize) {
+        let rows = self.rows;
+        if let Storage::Fixed(_) = self.storage {
+            self.storage = Storage::new(rows, Reference::Peak).expect("Peak takes no parameter");
+        }
+        let ticks = windows.first().map_or(0, |w| w.len());
+        match &mut self.storage {
+            Storage::Peak { vm_peak, pair_peak } => {
+                vm_peak.fill(f64::NEG_INFINITY);
+                pair_peak.fill(f64::NEG_INFINITY);
+                for (slot, window) in vm_peak.iter_mut().zip(windows) {
+                    let (blocks, tail) = window.as_chunks();
+                    *slot = window_peak(*slot, blocks.iter().copied(), tail.iter().copied());
+                }
+                over_row_chunks(rows, threads, pair_peak, |row_start, row_end, plane| {
+                    peak_window_rows(rows, row_start, row_end, windows, plane);
+                });
+            }
+            Storage::Percentile {
+                clock,
+                vm_cells,
+                pair_cells,
+            } => {
+                clock.reset();
+                vm_cells.iter_mut().for_each(P2Cell::reset);
+                pair_cells.iter_mut().for_each(P2Cell::reset);
+                for (cell, window) in vm_cells.iter_mut().zip(windows) {
+                    let mut local = clock.clone();
+                    for &u in *window {
+                        local.tick();
+                        cell.push(u, &local);
+                    }
+                }
+                let fresh = clock.clone();
+                over_row_chunks(rows, threads, pair_cells, |row_start, row_end, plane| {
+                    p2_window_rows(rows, row_start, row_end, windows, plane, &fresh);
+                });
+                for _ in 0..ticks {
+                    clock.tick();
+                }
+            }
+            Storage::Fixed(_) => unreachable!("replaced by Peak planes above"),
+        }
+        self.samples = ticks as u64;
     }
 
     /// Advances the id bound to at least `ids` without touching a
@@ -579,12 +518,9 @@ impl CostMatrix {
     /// The row behind `id`, if it has one.
     #[inline]
     fn row_of(&self, id: usize) -> Option<usize> {
-        match &self.key {
-            None => (id < self.rows).then_some(id),
-            Some(key) => key
-                .get(id)
-                .and_then(|&row| (row != NO_ROW).then_some(row as usize)),
-        }
+        self.key
+            .get(id)
+            .and_then(|&row| (row != NO_ROW).then_some(row as usize))
     }
 
     /// The reference utilization û of the VM in `row`.
@@ -594,6 +530,8 @@ impl CostMatrix {
             Storage::Percentile {
                 clock, vm_cells, ..
             } => vm_cells[row].estimate(clock),
+            // Every id below a fixed matrix's bound has a row.
+            Storage::Fixed(_) => None,
         }
     }
 
@@ -628,13 +566,9 @@ impl CostMatrix {
             (None, None) => return (self.samples > 0).then(|| combine_cost(0.0, 0.0, 0.0)),
         };
         let idx = pair_index(self.rows, lo, hi);
-        if let Some(values) = &self.fixed {
-            return Some(values[idx]);
-        }
-        if self.samples == 0 {
-            return None;
-        }
         match &self.storage {
+            Storage::Fixed(values) => Some(values[idx]),
+            _ if self.samples == 0 => None,
             Storage::Peak { vm_peak, pair_peak } => {
                 Some(combine_cost(vm_peak[lo], vm_peak[hi], pair_peak[idx]))
             }
@@ -668,65 +602,38 @@ impl CostMatrix {
         self.cost(i, j).unwrap_or(1.5)
     }
 
-    /// Number of sample ticks observed (0 for a fresh matrix).
+    /// Number of samples of the window last filled in (0 for a fresh
+    /// matrix).
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// Forgets all samples (keeps dimensions, reference and, in the
-    /// keyed form, the id → row table) — used by per-period windowed
-    /// tracking.
-    pub fn reset(&mut self) {
-        self.samples = 0;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                vm_peak.fill(f64::NEG_INFINITY);
-                pair_peak.fill(f64::NEG_INFINITY);
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                clock.reset();
-                vm_cells.iter_mut().for_each(P2Cell::reset);
-                pair_cells.iter_mut().for_each(P2Cell::reset);
-            }
-        }
-    }
-
-    /// [`Self::push_columns`] with the triangle replay fanned out over
-    /// all available cores once `pairs × window` is large enough to
-    /// repay the thread spawn (see the [module docs](self)); smaller
-    /// replays run on the calling thread. Bit-identical to the serial
-    /// batch path.
+    /// Refills the matrix from the column window `[start, end)` of
+    /// `traces`, trace `r` into row `r`, every id its own row: a
+    /// [`Self::fill`] over ids `0..rows` with the same fan-out rule.
+    /// Like every fill it forgets what the matrix held — two calls
+    /// leave the second window, not the two appended.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::push_columns`].
+    /// Returns [`CoreError::SampleCountMismatch`] when `traces.len()`
+    /// is not the row count, a trace length mismatch when the traces
+    /// disagree, and [`CoreError::InvalidParameter`] when the window is
+    /// out of range. A failed call changes nothing.
     pub fn par_push_columns(
         &mut self,
         traces: &[&TimeSeries],
         start: usize,
         end: usize,
     ) -> crate::Result<()> {
-        self.push_columns_threads(traces, start, end, self.fan_out(end.saturating_sub(start)))
-    }
-
-    /// [`Self::par_push_columns`] with an explicit thread count,
-    /// honoured whatever the size.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::push_columns`].
-    pub fn par_push_columns_threads(
-        &mut self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-        threads: usize,
-    ) -> crate::Result<()> {
-        self.push_columns_threads(traces, start, end, threads)
+        self.check_width(traces.len())?;
+        let len = common_len(traces.iter().map(|t| t.len()))?;
+        if start > end || end > len {
+            return Err(CoreError::InvalidParameter("column window out of range"));
+        }
+        let windows: Vec<&[f64]> = traces.iter().map(|t| &t.values()[start..end]).collect();
+        let occupants: Vec<Option<usize>> = (0..self.rows).map(Some).collect();
+        self.fill(&occupants, self.rows, &windows)
     }
 }
 
@@ -759,7 +666,7 @@ fn check_finite(samples: &[f64]) -> crate::Result<()> {
 
 fn default_threads() -> usize {
     // `available_parallelism` is a syscall; resolve it once, not on
-    // every monitoring tick.
+    // every fill.
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -768,8 +675,8 @@ fn default_threads() -> usize {
     })
 }
 
-/// Kernel work, in Peak pair updates, up to which a default-thread
-/// entry point stays on the calling thread.
+/// Kernel work, in Peak pair updates, up to which [`CostMatrix::fill`]
+/// stays on the calling thread.
 ///
 /// Spawning and joining the scoped helpers costs 40–130 µs on the
 /// 2-vCPU bench host — more than halving a kernel this small saves.
@@ -788,7 +695,7 @@ fn default_threads() -> usize {
 ///
 /// Break-even is past 2 × 10⁵, and with the lanes 2¹⁷ Peak updates
 /// take about 35 µs, below the spawn cost itself. The line stays where
-/// it is on purpose: ROADMAP items 6(d) and 5(i) have the reason (the
+/// it is on purpose: ROADMAP items 13(b) and 1(i) have the reason (the
 /// benchmark reads a faster mid-size close as memory) and raising it
 /// is this one line.
 const SERIAL_WORK_MAX: usize = 1 << 17;
@@ -799,15 +706,15 @@ const SERIAL_WORK_MAX: usize = 1 << 17;
 /// update (60 × 120, the largest Peak replay) — about 62 of them, where
 /// the `f64::max` loop's 0.76 ns made it 22. The weight stays 16 on
 /// purpose: re-weighing moves where P² replays fan out, which is
-/// moving the line of [`SERIAL_WORK_MAX`] — ROADMAP item 6(d), waiting
-/// for 5(i) like it.
+/// moving the line of [`SERIAL_WORK_MAX`] — ROADMAP item 13(b), waiting
+/// for 1(i) like it.
 const P2_WORK_WEIGHT: usize = 16;
 
-/// The one fan-out rule of the default-thread entry points
-/// ([`CostMatrix::fill`], [`CostMatrix::par_push_columns`]): the
-/// calling thread alone while
-/// the whole kernel costs less than spawning and joining helpers
-/// would, every core above that. `work` is in Peak pair updates.
+/// The one fan-out rule of [`CostMatrix::fill`] (and so of
+/// [`CostMatrix::par_push_columns`] and [`CostMatrix::from_traces`]):
+/// the calling thread alone while the whole kernel costs less than
+/// spawning and joining helpers would, every core above that. `work`
+/// is in Peak pair updates.
 fn threads_for(work: usize) -> usize {
     if work <= SERIAL_WORK_MAX {
         1
@@ -859,32 +766,6 @@ fn chunked_rows<'a, T>(
         consumed = chunk_end;
         ((row_start, row_end), head)
     })
-}
-
-/// One tick of the Peak kernel over the whole pair plane.
-fn peak_tick(utils: &[f64], plane: &mut [f64]) {
-    let mut offset = 0;
-    for (i, &ui) in utils.iter().enumerate() {
-        let row_len = utils.len() - i - 1;
-        let row = &mut plane[offset..offset + row_len];
-        for (slot, &uj) in row.iter_mut().zip(&utils[i + 1..]) {
-            *slot = raise(*slot, ui + uj);
-        }
-        offset += row_len;
-    }
-}
-
-/// One tick of the P² kernel over the whole pair plane.
-fn p2_tick(utils: &[f64], plane: &mut [P2Cell], clock: &P2Clock) {
-    let mut offset = 0;
-    for (i, &ui) in utils.iter().enumerate() {
-        let row_len = utils.len() - i - 1;
-        let row = &mut plane[offset..offset + row_len];
-        for (cell, &uj) in row.iter_mut().zip(&utils[i + 1..]) {
-            cell.push(ui + uj, clock);
-        }
-        offset += row_len;
-    }
 }
 
 /// The Peak update: `peak` raised to `s` when `s` is larger. A
@@ -965,7 +846,8 @@ const P2_LANES: usize = 4;
 /// [`P2_LANES`] pairs of a row at a time. `snapshot` is the clock state
 /// *before* the window; each block of pairs (and each pair of a row's
 /// remainder) replays its own local copy, so every pair sees exactly
-/// its own samples, in order, under the clock of the tick-by-tick path.
+/// its own samples, in order, under the clock that one cell fed them
+/// one at a time would see.
 fn p2_window_rows(
     n: usize,
     row_start: usize,
@@ -1007,8 +889,29 @@ fn p2_window_rows(
 }
 
 #[cfg(test)]
+impl CostMatrix {
+    /// Unit-test shorthand: the Peak matrix [`Self::from_traces`]
+    /// builds when `ticks[t][v]` is VM `v`'s utilization at sample `t`.
+    pub(crate) fn from_ticks(ticks: &[impl AsRef<[f64]>]) -> Self {
+        let vms = ticks[0].as_ref().len();
+        let traces: Vec<TimeSeries> = (0..vms)
+            .map(|v| {
+                let values = ticks.iter().map(|tick| tick.as_ref()[v]).collect();
+                TimeSeries::new(1.0, values).expect("finite samples")
+            })
+            .collect();
+        let refs: Vec<&TimeSeries> = traces.iter().collect();
+        Self::from_traces(&refs, Reference::Peak).expect("equally long traces")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn series(values: &[f64]) -> TimeSeries {
+        TimeSeries::new(1.0, values.to_vec()).unwrap()
+    }
 
     #[test]
     fn construction_validates() {
@@ -1054,27 +957,13 @@ mod tests {
 
     #[test]
     fn symmetric_and_diagonal() {
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[1.0, 3.0, 2.0]).unwrap();
-        m.push_sample(&[3.0, 1.0, 2.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[1.0, 3.0, 2.0], [3.0, 1.0, 2.0]]);
         for i in 0..3 {
             assert_eq!(m.cost(i, i), Some(1.0));
             for j in 0..3 {
                 assert_eq!(m.cost(i, j), m.cost(j, i));
             }
         }
-    }
-
-    #[test]
-    fn push_sample_validates_width() {
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        assert!(matches!(
-            m.push_sample(&[1.0, 2.0]),
-            Err(CoreError::SampleCountMismatch {
-                got: 2,
-                expected: 3
-            })
-        ));
     }
 
     /// Every answer the matrix gives, bit for bit.
@@ -1097,17 +986,7 @@ mod tests {
         };
         for reference in [Reference::Peak, Reference::Percentile(95.0)] {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                // A tick: four clean ones, then the fifth, where P² sorts.
-                let mut m = CostMatrix::new(3, reference).unwrap();
-                for k in 0..4 {
-                    m.push_sample(&[k as f64, 1.0, 2.0]).unwrap();
-                }
-                let before = answers(&m);
-                let err = m.push_sample(&[1.0, bad, 2.0]).unwrap_err();
-                assert!(refused(err, 1), "{reference:?} tick with {bad}");
-                assert_eq!(answers(&m), before, "{reference:?} tick with {bad}");
-
-                // A fill: the bad sample sits past the warm-up of row 1.
+                // The bad sample sits past the warm-up of row 1.
                 let mut keyed = CostMatrix::keyed(3, reference).unwrap();
                 let rising: Vec<f64> = (0..8).map(f64::from).collect();
                 let falling: Vec<f64> = rising.iter().rev().copied().collect();
@@ -1129,68 +1008,44 @@ mod tests {
 
     #[test]
     fn from_traces_matches_manual_pushes() {
-        let a = TimeSeries::new(1.0, vec![4.0, 0.0, 2.0, 1.0]).unwrap();
-        let b = TimeSeries::new(1.0, vec![0.0, 4.0, 2.0, 1.0]).unwrap();
-        let c = TimeSeries::new(1.0, vec![1.0, 1.0, 1.0, 4.0]).unwrap();
+        let a = series(&[4.0, 0.0, 2.0, 1.0]);
+        let b = series(&[0.0, 4.0, 2.0, 1.0]);
+        let c = series(&[1.0, 1.0, 1.0, 4.0]);
         let batch = CostMatrix::from_traces(&[&a, &b, &c], Reference::Peak).unwrap();
-        let mut manual = CostMatrix::new(3, Reference::Peak).unwrap();
-        for k in 0..4 {
-            manual
-                .push_sample(&[a.values()[k], b.values()[k], c.values()[k]])
-                .unwrap();
-        }
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(batch.cost(i, j), manual.cost(i, j));
-            }
-        }
+        let mut manual = CostMatrix::keyed(3, Reference::Peak).unwrap();
+        manual
+            .fill(
+                &[Some(0), Some(1), Some(2)],
+                3,
+                &[a.values(), b.values(), c.values()],
+            )
+            .unwrap();
+        assert_eq!(answers(&batch), answers(&manual));
         assert_eq!(batch.samples(), 4);
     }
 
     #[test]
-    fn push_columns_matches_ticks_for_percentile() {
-        let mut rng = cavm_trace::SimRng::new(11);
-        let traces: Vec<TimeSeries> = (0..5)
-            .map(|_| TimeSeries::new(1.0, (0..200).map(|_| rng.f64() * 4.0).collect()).unwrap())
-            .collect();
-        let refs: Vec<&TimeSeries> = traces.iter().collect();
-        let mut batch = CostMatrix::new(5, Reference::Percentile(95.0)).unwrap();
-        // Two windows back to back must equal one tick-by-tick replay.
-        batch.push_columns(&refs, 0, 80).unwrap();
-        batch.push_columns(&refs, 80, 200).unwrap();
-        let mut manual = CostMatrix::new(5, Reference::Percentile(95.0)).unwrap();
-        let mut buf = vec![0.0; 5];
-        for k in 0..200 {
-            for (v, t) in refs.iter().enumerate() {
-                buf[v] = t.values()[k];
-            }
-            manual.push_sample(&buf).unwrap();
-        }
-        for i in 0..5 {
-            for j in 0..5 {
-                let (a, b) = (batch.cost(i, j).unwrap(), manual.cost(i, j).unwrap());
-                assert_eq!(a.to_bits(), b.to_bits(), "pair ({i},{j})");
-            }
-        }
-        assert_eq!(batch.samples(), manual.samples());
-    }
-
-    #[test]
     fn push_columns_validates_window() {
-        let a = TimeSeries::new(1.0, vec![1.0, 2.0]).unwrap();
-        let b = TimeSeries::new(1.0, vec![3.0, 4.0]).unwrap();
+        let a = series(&[1.0, 2.0]);
+        let b = series(&[3.0, 4.0]);
         let mut m = CostMatrix::new(2, Reference::Peak).unwrap();
-        assert!(m.push_columns(&[&a, &b], 0, 3).is_err());
-        assert!(m.push_columns(&[&a, &b], 2, 1).is_err());
-        assert!(m.push_columns(&[&a], 0, 1).is_err());
-        m.push_columns(&[&a, &b], 0, 0).unwrap();
+        assert!(m.par_push_columns(&[&a, &b], 0, 3).is_err());
+        assert!(m.par_push_columns(&[&a, &b], 2, 1).is_err());
+        assert!(matches!(
+            m.par_push_columns(&[&a], 0, 1),
+            Err(CoreError::SampleCountMismatch {
+                got: 1,
+                expected: 2
+            })
+        ));
+        m.par_push_columns(&[&a, &b], 0, 0).unwrap();
         assert_eq!(m.samples(), 0);
     }
 
     #[test]
     fn from_traces_rejects_mismatched_lengths() {
-        let a = TimeSeries::new(1.0, vec![1.0, 2.0]).unwrap();
-        let b = TimeSeries::new(1.0, vec![1.0]).unwrap();
+        let a = series(&[1.0, 2.0]);
+        let b = series(&[1.0]);
         assert!(CostMatrix::from_traces(&[&a, &b], Reference::Peak).is_err());
     }
 
@@ -1205,20 +1060,27 @@ mod tests {
     #[test]
     fn neutral_for_ids_beyond_the_matrix() {
         // Online admissions score VMs that postdate the period matrix.
-        let mut m = CostMatrix::new(2, Reference::Peak).unwrap();
-        m.push_sample(&[3.0, 1.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[3.0, 1.0]]);
         assert_eq!(m.cost_or_neutral(0, 7), 1.5);
         assert_eq!(m.cost_or_neutral(9, 1), 1.5);
         assert!(m.cost_or_neutral(0, 1) != 1.5 || m.samples() == 0);
     }
 
+    /// A refill forgets the previous window: the matrix is a function
+    /// of its last fill alone.
     #[test]
     fn reset_forgets_samples() {
         for reference in [Reference::Peak, Reference::Percentile(90.0)] {
+            let first = [series(&[1.0, 5.0, 2.0]), series(&[2.0, 0.0, 7.0])];
+            let second = [series(&[3.0, 1.0]), series(&[1.0, 3.0])];
             let mut m = CostMatrix::new(2, reference).unwrap();
-            m.push_sample(&[1.0, 2.0]).unwrap();
-            assert_eq!(m.samples(), 1);
-            m.reset();
+            m.par_push_columns(&[&first[0], &first[1]], 0, 3).unwrap();
+            m.par_push_columns(&[&second[0], &second[1]], 0, 2).unwrap();
+            let fresh = CostMatrix::from_traces(&[&second[0], &second[1]], reference).unwrap();
+            assert_eq!(answers(&m), answers(&fresh));
+            assert_eq!(m.samples(), 2);
+
+            m.par_push_columns(&[&second[0], &second[1]], 0, 0).unwrap();
             assert_eq!(m.samples(), 0);
             assert_eq!(m.cost(0, 1), None);
             assert_eq!(m.len(), 2);
@@ -1230,9 +1092,7 @@ mod tests {
 
     #[test]
     fn dense_snapshot() {
-        let mut m = CostMatrix::new(2, Reference::Peak).unwrap();
-        m.push_sample(&[3.0, 0.0]).unwrap();
-        m.push_sample(&[0.0, 3.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[3.0, 0.0], [0.0, 3.0]]);
         assert_eq!(m.cost_or_neutral(0, 0), 1.0);
         assert_eq!(m.cost_or_neutral(1, 1), 1.0);
         assert_eq!(m.cost_or_neutral(0, 1), 2.0);
@@ -1249,13 +1109,21 @@ mod tests {
     #[test]
     fn fixed_cost_matrix_overrides_streaming() {
         // Triangle for n=3: (0,1), (0,2), (1,2).
-        let m = CostMatrix::from_costs(3, vec![1.1, 1.9, 1.5]).unwrap();
+        let mut m = CostMatrix::from_costs(3, vec![1.1, 1.9, 1.5]).unwrap();
         assert_eq!(m.cost(0, 1), Some(1.1));
         assert_eq!(m.cost(2, 0), Some(1.9));
         assert_eq!(m.cost(1, 2), Some(1.5));
         assert_eq!(m.cost(1, 1), Some(1.0));
         assert!(CostMatrix::from_costs(3, vec![1.0]).is_err());
         assert!(CostMatrix::from_costs(0, vec![]).is_err());
+
+        // A fill measures the costs like any Peak matrix's.
+        let windows: [&[f64]; 3] = [&[4.0, 0.0], &[0.0, 4.0], &[2.0, 2.0]];
+        m.fill(&[Some(0), Some(1), Some(2)], 3, &windows).unwrap();
+        let traces = windows.map(series);
+        let measured = CostMatrix::from_traces(&traces.each_ref(), Reference::Peak).unwrap();
+        assert_eq!(answers(&m), answers(&measured));
+        assert_eq!(m.cost(0, 1), Some(2.0));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! [`cost::CostMetric`] is the paper's metric: O(1) per-sample streaming
 //! updates, no sample storage. [`pearson::PearsonStream`] implements the
 //! rejected alternative for comparison benchmarks and ablations, and
-//! [`matrix::CostMatrix`] maintains the all-pairs matrix `M_cost` the
-//! allocator consumes.
+//! [`matrix::CostMatrix`] builds the all-pairs matrix `M_cost` the
+//! allocator consumes from one window of samples.
 
 pub mod cost;
 pub mod matrix;

@@ -38,12 +38,12 @@ use crate::corr::CostMatrix;
 /// ```
 /// use cavm_core::corr::CostMatrix;
 /// use cavm_core::servercost::server_cost;
-/// use cavm_trace::Reference;
+/// use cavm_trace::{Reference, TimeSeries};
 ///
 /// # fn main() -> Result<(), cavm_core::CoreError> {
-/// let mut m = CostMatrix::new(2, Reference::Peak)?;
-/// m.push_sample(&[4.0, 0.0])?;
-/// m.push_sample(&[0.0, 4.0])?;
+/// let vm0 = TimeSeries::new(1.0, vec![4.0, 0.0])?;
+/// let vm1 = TimeSeries::new(1.0, vec![0.0, 4.0])?;
+/// let m = CostMatrix::from_traces(&[&vm0, &vm1], Reference::Peak)?;
 /// // Two complementary, equally-sized VMs: server cost = pair cost = 2.
 /// let c = server_cost(&[(0, 4.0), (1, 4.0)], &m);
 /// assert_eq!(c, 2.0);
@@ -162,12 +162,12 @@ pub fn coincident_estimate(predicted_sum: f64, server_cost: f64) -> f64 {
 /// ```
 /// use cavm_core::corr::CostMatrix;
 /// use cavm_core::servercost::{server_cost, ServerCostAggregate};
-/// use cavm_trace::Reference;
+/// use cavm_trace::{Reference, TimeSeries};
 ///
 /// # fn main() -> Result<(), cavm_core::CoreError> {
-/// let mut m = CostMatrix::new(2, Reference::Peak)?;
-/// m.push_sample(&[4.0, 0.0])?;
-/// m.push_sample(&[0.0, 4.0])?;
+/// let vm0 = TimeSeries::new(1.0, vec![4.0, 0.0])?;
+/// let vm1 = TimeSeries::new(1.0, vec![0.0, 4.0])?;
+/// let m = CostMatrix::from_traces(&[&vm0, &vm1], Reference::Peak)?;
 /// let mut agg = ServerCostAggregate::new();
 /// agg.push(0, 4.0, &m);
 /// assert_eq!(agg.candidate_cost(1, 4.0, &m), 2.0);
@@ -306,10 +306,7 @@ mod tests {
 
     fn matrix3() -> CostMatrix {
         // VM0/VM1 complementary (cost 2), VM2 flat (cost 1 with both).
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[4.0, 0.0, 2.0]).unwrap();
-        m.push_sample(&[0.0, 4.0, 2.0]).unwrap();
-        m
+        CostMatrix::from_ticks(&[[4.0, 0.0, 2.0], [0.0, 4.0, 2.0]])
     }
 
     #[test]
@@ -357,9 +354,7 @@ mod tests {
     /// `Σû / û(Σ)`. VM0 and VM1 peak together, VM2 peaks alone.
     #[test]
     fn pairwise_cost_can_exceed_the_true_aggregation_ratio() {
-        let mut m = CostMatrix::new(3, Reference::Peak).unwrap();
-        m.push_sample(&[1.0, 1.0, 0.0]).unwrap();
-        m.push_sample(&[0.0, 0.0, 1.0]).unwrap();
+        let m = CostMatrix::from_ticks(&[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
         assert_eq!(m.cost(0, 1), Some(1.0));
         assert_eq!(m.cost(0, 2), Some(2.0));
         assert_eq!(m.cost(1, 2), Some(2.0));

@@ -14,7 +14,7 @@ use cavm_core::alloc::{
 use cavm_core::corr::CostMatrix;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
-use cavm_trace::SimRng;
+use cavm_trace::{Reference, SimRng, TimeSeries};
 
 fn instance(n: usize, seed: u64) -> (Vec<VmDescriptor>, CostMatrix) {
     let mut rng = SimRng::new(seed);
@@ -24,11 +24,14 @@ fn instance(n: usize, seed: u64) -> (Vec<VmDescriptor>, CostMatrix) {
             VmDescriptor::new(i, d).with_off_peak(d * 0.85)
         })
         .collect();
-    let mut matrix = CostMatrix::new(n, cavm_trace::Reference::Peak).unwrap();
-    for _ in 0..40 {
-        let s: Vec<f64> = (0..n).map(|_| rng.range_f64(0.0, 3.5)).collect();
-        matrix.push_sample(&s).unwrap();
-    }
+    let ticks: Vec<Vec<f64>> = (0..40)
+        .map(|_| (0..n).map(|_| rng.range_f64(0.0, 3.5)).collect())
+        .collect();
+    let traces: Vec<TimeSeries> = (0..n)
+        .map(|v| TimeSeries::new(1.0, ticks.iter().map(|tick| tick[v]).collect()).unwrap())
+        .collect();
+    let refs: Vec<&TimeSeries> = traces.iter().collect();
+    let matrix = CostMatrix::from_traces(&refs, Reference::Peak).unwrap();
     (vms, matrix)
 }
 

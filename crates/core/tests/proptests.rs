@@ -12,6 +12,15 @@ use cavm_power::{DvfsLadder, LinearPowerModel};
 use cavm_trace::{Reference, TimeSeries};
 use proptest::prelude::*;
 
+/// The matrix [`CostMatrix::from_traces`] builds when `ticks[t][v]` is
+/// VM `v`'s utilization at sample `t`.
+fn matrix_from_ticks(ticks: &[Vec<f64>]) -> CostMatrix {
+    let traces: Vec<TimeSeries> = (0..ticks[0].len())
+        .map(|v| TimeSeries::new(1.0, ticks.iter().map(|tick| tick[v]).collect()).unwrap())
+        .collect();
+    CostMatrix::from_traces(&traces.iter().collect::<Vec<_>>(), Reference::Peak).unwrap()
+}
+
 fn util_pairs(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0f64..8.0, 0.0f64..8.0), 2..max_len)
 }
@@ -37,10 +46,7 @@ proptest! {
             prop::collection::vec(0.0f64..8.0, 4), 1..50
         )
     ) {
-        let mut m = CostMatrix::new(4, Reference::Peak).unwrap();
-        for s in &samples {
-            m.push_sample(s).unwrap();
-        }
+        let m = matrix_from_ticks(&samples);
         for i in 0..4 {
             prop_assert_eq!(m.cost(i, i), Some(1.0));
             for j in 0..4 {
@@ -57,10 +63,7 @@ proptest! {
         ),
         demands in prop::collection::vec(0.1f64..4.0, 5)
     ) {
-        let mut m = CostMatrix::new(5, Reference::Peak).unwrap();
-        for s in &samples {
-            m.push_sample(s).unwrap();
-        }
+        let m = matrix_from_ticks(&samples);
         let members: Vec<(usize, f64)> =
             demands.iter().enumerate().map(|(i, &d)| (i, d)).collect();
         let cost = server_cost(&members, &m);

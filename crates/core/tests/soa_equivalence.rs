@@ -6,10 +6,11 @@
 //!   [`baseline::PairwiseCostMatrix`] (the seed path, kept test-only in
 //!   `tests/baseline/`) under both `Reference::Peak` and
 //!   `Reference::Percentile(95)`;
-//! * the batch window replay (`push_columns`, `fill`) must be
-//!   bit-identical to serial ticks, and its lane-blocked P² and Peak
-//!   kernels to the seed's per-pair trackers at every row and window
-//!   length;
+//! * every way to build a matrix from one window (`from_traces`,
+//!   `new` + `par_push_columns`, `new` or `keyed` + `fill`, rows in
+//!   any order) must land on the same bits, and the window replay's
+//!   lane-blocked P² and Peak kernels must equal the seed's per-pair
+//!   trackers at every row and window length, on one thread or three;
 //! * the incremental [`ServerCostAggregate`] must match the direct
 //!   Eqn (2) evaluation, and the allocator built on it must emit the
 //!   **same placements**.
@@ -30,6 +31,24 @@ fn fleet(n: usize, max_ticks: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 
 fn both_references() -> [Reference; 2] {
     [Reference::Peak, Reference::Percentile(95.0)]
+}
+
+/// The matrix [`CostMatrix::from_traces`] builds when `ticks[t][v]` is
+/// VM `v`'s utilization at sample `t`.
+fn matrix_from_ticks(ticks: &[Vec<f64>], reference: Reference) -> CostMatrix {
+    let traces: Vec<TimeSeries> = (0..ticks[0].len())
+        .map(|v| TimeSeries::new(1.0, ticks.iter().map(|tick| tick[v]).collect()).unwrap())
+        .collect();
+    CostMatrix::from_traces(&traces.iter().collect::<Vec<_>>(), reference).unwrap()
+}
+
+/// Feeds the seed matrix samples `ticks` of the per-row `values`, one
+/// tick at a time.
+fn feed(seed: &mut PairwiseCostMatrix, values: &[Vec<f64>], ticks: std::ops::Range<usize>) {
+    for t in ticks {
+        let tick: Vec<f64> = values.iter().map(|row| row[t]).collect();
+        seed.push_sample(&tick).unwrap();
+    }
 }
 
 fn assert_matrices_bit_identical(
@@ -59,53 +78,19 @@ fn assert_matrices_bit_identical(
 
 proptest! {
     /// The SoA matrix is bit-identical to the seed per-pair path under
-    /// both reference utilizations, after every tick.
+    /// both reference utilizations, over every prefix of the window.
     #[test]
     fn soa_matrix_matches_seed_bitwise(samples in fleet(6, 40)) {
         for reference in both_references() {
-            let mut soa = CostMatrix::new(6, reference).unwrap();
             let mut seed = PairwiseCostMatrix::new(6, reference).unwrap();
             for (tick, s) in samples.iter().enumerate() {
-                soa.push_sample(s).unwrap();
                 seed.push_sample(s).unwrap();
+                let soa = matrix_from_ticks(&samples[..=tick], reference);
                 assert_matrices_bit_identical(
                     &soa, &seed, &format!("{reference:?} tick {tick}"),
                 )?;
+                prop_assert_eq!(soa.samples(), seed.samples());
             }
-            prop_assert_eq!(soa.samples(), seed.samples());
-        }
-    }
-
-    /// Serial ticks and batch column replay land on the same bits.
-    #[test]
-    fn tick_paths_are_interchangeable(samples in fleet(5, 30)) {
-        for reference in both_references() {
-            let mut serial = CostMatrix::new(5, reference).unwrap();
-            for s in &samples {
-                serial.push_sample(s).unwrap();
-            }
-
-            // Batch replay of the same ticks as two trace windows.
-            let traces: Vec<TimeSeries> = (0..5)
-                .map(|v| {
-                    TimeSeries::new(1.0, samples.iter().map(|s| s[v]).collect()).unwrap()
-                })
-                .collect();
-            let refs: Vec<&TimeSeries> = traces.iter().collect();
-            let split = samples.len() / 2;
-            let mut batch = CostMatrix::new(5, reference).unwrap();
-            batch.push_columns(&refs, 0, split).unwrap();
-            batch.par_push_columns_threads(&refs, split, samples.len(), 3).unwrap();
-
-            for i in 0..5 {
-                for j in 0..5 {
-                    prop_assert_eq!(
-                        serial.cost(i, j).map(f64::to_bits),
-                        batch.cost(i, j).map(f64::to_bits),
-                        "batch replay diverged at ({}, {}) under {:?}", i, j, reference);
-                }
-            }
-            prop_assert_eq!(serial.samples(), batch.samples());
         }
     }
 
@@ -117,10 +102,7 @@ proptest! {
         samples in fleet(7, 30),
         demands in prop::collection::vec(0.0f64..4.0, 7)
     ) {
-        let mut matrix = CostMatrix::new(7, Reference::Peak).unwrap();
-        for s in &samples {
-            matrix.push_sample(s).unwrap();
-        }
+        let matrix = matrix_from_ticks(&samples, Reference::Peak);
         let vms: Vec<VmDescriptor> = demands
             .iter()
             .enumerate()
@@ -153,10 +135,9 @@ proptest! {
         capacity in 4.0f64..12.0
     ) {
         for reference in both_references() {
-            let mut soa = CostMatrix::new(12, reference).unwrap();
+            let soa = matrix_from_ticks(&samples, reference);
             let mut seed = PairwiseCostMatrix::new(12, reference).unwrap();
             for s in &samples {
-                soa.push_sample(s).unwrap();
                 seed.push_sample(s).unwrap();
             }
             let vms: Vec<VmDescriptor> = demands
@@ -196,10 +177,10 @@ fn draw_lane_row(rng: &mut cavm_trace::SimRng, len: usize) -> Vec<f64> {
 
 /// Every row count up to 13 (rows shorter than a lane block
 /// included), each window length of `lens` and one random one up to
-/// 200, split at a random point: the seed matrix — one independent
-/// tracker per pair, fed tick by tick — against `push_columns` and the
-/// 3-thread `par_push_columns_threads` over the two halves,
-/// `push_sample` tick by tick, and one `fill` of the whole window.
+/// 200, cut at a random point: the seed matrix — one independent
+/// tracker per pair, fed tick by tick — against `fill` of the window
+/// up to the cut and then of the whole window, on one thread, on three
+/// and at the default fan-out, each refilling the same matrix.
 fn lane_replay_matches_seed(
     seed: u64,
     reference: Reference,
@@ -208,55 +189,27 @@ fn lane_replay_matches_seed(
     let mut rng = cavm_trace::SimRng::new(seed);
     for rows in 1..=13 {
         let random_len = 1 + rng.below(200);
+        let occupants: Vec<Option<usize>> = (0..rows).map(Some).collect();
+        let mut serial = CostMatrix::keyed(rows, reference).unwrap();
+        let mut threaded = CostMatrix::keyed(rows, reference).unwrap();
+        let mut filled = CostMatrix::keyed(rows, reference).unwrap();
         for &len in lens.iter().chain([&random_len]) {
             let values: Vec<Vec<f64>> = (0..rows).map(|_| draw_lane_row(&mut rng, len)).collect();
             let split = rng.below(len + 1);
             let mut oracle = PairwiseCostMatrix::new(rows, reference).unwrap();
-            let mut ticked = CostMatrix::new(rows, reference).unwrap();
-            let mut tick = vec![0.0; rows];
-            let mut replay_ticks =
-                |oracle: &mut PairwiseCostMatrix,
-                 ticked: &mut CostMatrix,
-                 ticks: std::ops::Range<usize>| {
-                    for t in ticks {
-                        for (slot, row) in tick.iter_mut().zip(&values) {
-                            *slot = row[t];
-                        }
-                        oracle.push_sample(&tick).unwrap();
-                        ticked.push_sample(&tick).unwrap();
-                    }
-                };
-
-            let traces: Vec<TimeSeries> = values
-                .iter()
-                .map(|row| TimeSeries::new(1.0, row.clone()).unwrap())
-                .collect();
-            let refs: Vec<&TimeSeries> = traces.iter().collect();
-            let mut serial = CostMatrix::new(rows, reference).unwrap();
-            let mut threaded = CostMatrix::new(rows, reference).unwrap();
-            serial.push_columns(&refs, 0, split).unwrap();
-            threaded
-                .par_push_columns_threads(&refs, 0, split, 3)
-                .unwrap();
-            replay_ticks(&mut oracle, &mut ticked, 0..split);
-            let context = format!("{reference:?}, {rows} rows, first {split} of {len}");
-            for matrix in [&serial, &threaded, &ticked] {
-                assert_matrices_bit_identical(matrix, &oracle, &context)?;
-            }
-
-            serial.push_columns(&refs, split, len).unwrap();
-            threaded
-                .par_push_columns_threads(&refs, split, len, 3)
-                .unwrap();
-            replay_ticks(&mut oracle, &mut ticked, split..len);
-            let mut filled = CostMatrix::keyed(rows, reference).unwrap();
-            let windows: Vec<&[f64]> = values.iter().map(Vec::as_slice).collect();
-            let occupants: Vec<Option<usize>> = (0..rows).map(Some).collect();
-            filled.fill(&occupants, rows, &windows).unwrap();
-            let context = format!("{reference:?}, {rows} rows, all {len} split at {split}");
-            for matrix in [&serial, &threaded, &ticked, &filled] {
-                assert_matrices_bit_identical(matrix, &oracle, &context)?;
-                prop_assert_eq!(matrix.samples(), len as u64);
+            for (fed, end) in [(0, split), (split, len)] {
+                feed(&mut oracle, &values, fed..end);
+                let windows: Vec<&[f64]> = values.iter().map(|row| &row[..end]).collect();
+                serial.fill_threads(&occupants, rows, &windows, 1).unwrap();
+                threaded
+                    .fill_threads(&occupants, rows, &windows, 3)
+                    .unwrap();
+                filled.fill(&occupants, rows, &windows).unwrap();
+                let context = format!("{reference:?}, {rows} rows, first {end} of {len}");
+                for matrix in [&serial, &threaded, &filled] {
+                    assert_matrices_bit_identical(matrix, &oracle, &context)?;
+                    prop_assert_eq!(matrix.samples(), end as u64);
+                }
             }
         }
     }
@@ -280,6 +233,70 @@ proptest! {
     #[test]
     fn peak_lane_replay_matches_seed_bitwise(seed in any::<u64>()) {
         lane_replay_matches_seed(seed, Reference::Peak, &[1, 2, 3, 4, 5, 6, 7, 8, 9])?;
+    }
+
+    /// Every way to build a matrix from one window lands on the seed's
+    /// bits: `from_traces`, `new` + `par_push_columns`, `new` + `fill`
+    /// (a `new` matrix fills like any other), `keyed` + `fill` over
+    /// identity rows, and `keyed` + `fill` with the ids in shuffled
+    /// rows. A second `par_push_columns` leaves the second window
+    /// alone, as one call with it does: a fill never appends.
+    #[test]
+    fn every_constructor_answers_alike_bitwise(seed in any::<u64>()) {
+        let mut rng = cavm_trace::SimRng::new(seed);
+        for reference in both_references() {
+            let rows = 1 + rng.below(9);
+            let len = 1 + rng.below(40);
+            let values: Vec<Vec<f64>> = (0..rows).map(|_| draw_lane_row(&mut rng, len)).collect();
+            let traces: Vec<TimeSeries> = values
+                .iter()
+                .map(|row| TimeSeries::new(1.0, row.clone()).unwrap())
+                .collect();
+            let refs: Vec<&TimeSeries> = traces.iter().collect();
+            let windows: Vec<&[f64]> = values.iter().map(Vec::as_slice).collect();
+            let identity: Vec<Option<usize>> = (0..rows).map(Some).collect();
+            let mut order: Vec<usize> = (0..rows).collect();
+            rng.shuffle(&mut order);
+            let shuffled: Vec<Option<usize>> = order.iter().map(|&id| Some(id)).collect();
+            let shuffled_windows: Vec<&[f64]> = order.iter().map(|&id| windows[id]).collect();
+            let mut oracle = PairwiseCostMatrix::new(rows, reference).unwrap();
+            feed(&mut oracle, &values, 0..len);
+
+            let from_traces = CostMatrix::from_traces(&refs, reference).unwrap();
+            let mut pushed = CostMatrix::new(rows, reference).unwrap();
+            pushed.par_push_columns(&refs, 0, len).unwrap();
+            let mut new_filled = CostMatrix::new(rows, reference).unwrap();
+            new_filled.fill(&identity, rows, &windows).unwrap();
+            let mut keyed = CostMatrix::keyed(rows, reference).unwrap();
+            keyed.fill(&identity, rows, &windows).unwrap();
+            let mut permuted = CostMatrix::keyed(rows, reference).unwrap();
+            permuted.fill(&shuffled, rows, &shuffled_windows).unwrap();
+            for (name, matrix) in [
+                ("from_traces", &from_traces),
+                ("new + par_push_columns", &pushed),
+                ("new + fill", &new_filled),
+                ("keyed + fill", &keyed),
+                ("keyed + shuffled fill", &permuted),
+            ] {
+                let context = format!("{name}, {reference:?}, {rows} rows x {len}");
+                assert_matrices_bit_identical(matrix, &oracle, &context)?;
+                prop_assert_eq!(matrix.samples(), len as u64);
+            }
+
+            let split = rng.below(len + 1);
+            let mut tail_oracle = PairwiseCostMatrix::new(rows, reference).unwrap();
+            feed(&mut tail_oracle, &values, split..len);
+            let mut twice = CostMatrix::new(rows, reference).unwrap();
+            twice.par_push_columns(&refs, 0, split).unwrap();
+            twice.par_push_columns(&refs, split, len).unwrap();
+            let mut once = CostMatrix::new(rows, reference).unwrap();
+            once.par_push_columns(&refs, split, len).unwrap();
+            for (name, matrix) in [("two calls", &twice), ("one call", &once)] {
+                let context = format!("{name}, {reference:?}, {rows} rows, [{split}, {len})");
+                assert_matrices_bit_identical(matrix, &tail_oracle, &context)?;
+                prop_assert_eq!(matrix.samples(), (len - split) as u64);
+            }
+        }
     }
 }
 
@@ -476,9 +493,7 @@ fn universe_matrix(period: &KeyedPeriod, universe: usize, reference: Reference) 
         .map(|values| TimeSeries::new(1.0, values).unwrap())
         .collect();
     let refs: Vec<&TimeSeries> = traces.iter().collect();
-    let mut dense = CostMatrix::new(universe, reference).unwrap();
-    dense.push_columns(&refs, 0, len).unwrap();
-    dense
+    CostMatrix::from_traces(&refs, reference).unwrap()
 }
 
 fn assert_keyed_matches_universe(
@@ -560,10 +575,7 @@ proptest! {
 
 #[test]
 fn keyed_fill_rejects_malformed_occupancy() {
-    let mut plain = CostMatrix::new(2, Reference::Peak).unwrap();
     let w = [1.0, 2.0];
-    assert!(plain.fill(&[Some(0), Some(1)], 2, &[&w, &w]).is_err());
-
     let mut keyed = CostMatrix::keyed(2, Reference::Peak).unwrap();
     // Row count, window lengths, id bound, one row per id.
     assert!(keyed.fill(&[Some(0)], 2, &[&w, &w]).is_err());
@@ -582,7 +594,7 @@ fn keyed_fill_rejects_malformed_occupancy() {
 // ---- the default fan-out ≡ any explicit thread count ----------------------
 
 /// Row × sample shapes either side of the work threshold below which
-/// the default-thread entry points stay on the calling thread (2¹⁷
+/// `fill` stays on the calling thread (2¹⁷
 /// Peak pair updates, a P² update weighing 16): whichever side a shape
 /// falls on, the answer is the explicit 1-thread and N-thread one.
 const STRADDLING_SHAPES: [(usize, usize, Reference); 6] = [
@@ -615,10 +627,10 @@ proptest! {
             filled.fill(&occupants, rows, &windows).unwrap();
             let mut pushed = CostMatrix::new(rows, reference).unwrap();
             pushed.par_push_columns(&refs, 0, len).unwrap();
-            let mut one = CostMatrix::new(rows, reference).unwrap();
-            one.par_push_columns_threads(&refs, 0, len, 1).unwrap();
-            let mut many = CostMatrix::new(rows, reference).unwrap();
-            many.par_push_columns_threads(&refs, 0, len, 3).unwrap();
+            let mut one = CostMatrix::keyed(rows, reference).unwrap();
+            one.fill_threads(&occupants, rows, &windows, 1).unwrap();
+            let mut many = CostMatrix::keyed(rows, reference).unwrap();
+            many.fill_threads(&occupants, rows, &windows, 3).unwrap();
 
             for i in 0..rows {
                 for j in 0..rows {

@@ -1,14 +1,14 @@
 //! Sharded placement cells — the controller that breaks the O(n²)
 //! correlation wall.
 //!
-//! The flat [`DatacenterController`] keeps one dense
-//! [`CostMatrix`](cavm_core::corr::CostMatrix) over every VM id it has
-//! ever seen, so every monitoring tick costs O(n²) pair updates — 13 ms
-//! per tick at n = 4096 and unusable at 100k VMs. [`ShardedController`]
+//! The flat [`DatacenterController`] keeps one
+//! [`CostMatrix`](cavm_core::corr::CostMatrix) over every VM it sampled
+//! in a period, so every sample of the period costs O(n²) pair updates
+//! at its close — unusable at 100k VMs. [`ShardedController`]
 //! shards the datacenter into **placement cells**: each cell owns a
 //! slice of the server fleet (`partition_fleet`) and runs its *own*
-//! flat controller over only its residents, so the per-tick cost drops
-//! to O(Σ cellᵢ²) — a `cells`-fold reduction at equal occupancy.
+//! flat controller over only its residents, so the pair work per sample
+//! drops to O(Σ cellᵢ²) — a `cells`-fold reduction at equal occupancy.
 //!
 //! Arrivals are steered between cells by a constant-size
 //! [`MomentSketch`] router rather than any dense structure: each VM is

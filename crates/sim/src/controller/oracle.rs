@@ -2,10 +2,10 @@
 //!
 //! The controller keeps its period windows and cost matrix over a
 //! recycled row table and answers for ids without a row by rule (see
-//! [`CostMatrix`]'s keyed form). This module re-derives, **from the
+//! [`CostMatrix`]'s rows and ids). This module re-derives, **from the
 //! registered traces alone**, what the straightforward design holds at
 //! the same instant — one window and one matrix row per id ever seen,
-//! a fresh `CostMatrix::new(universe)` replayed at every close and
+//! a fresh `CostMatrix::from_traces` over the universe at every close and
 //! again, zero-padded, whenever ids were registered since — and
 //! asserts at every boundary that the two agree bit for bit on every
 //! pair of live ids, on every server's Eqn (2) aggregate, and on the
@@ -92,14 +92,15 @@ impl Oracle {
     }
 
     fn rebuild(&mut self, universe: usize, cfg: &ControllerConfig) {
-        let mut matrix =
-            CostMatrix::new(universe, cfg.reference).expect("the session built the same matrix");
-        if let Some(windows) = self.windows(universe, cfg) {
-            let refs: Vec<&TimeSeries> = windows.iter().collect();
-            matrix
-                .push_columns(&refs, 0, cfg.period_samples)
-                .expect("equally long windows");
-        }
+        let matrix = match self.windows(universe, cfg) {
+            Some(windows) => {
+                let refs: Vec<&TimeSeries> = windows.iter().collect();
+                CostMatrix::from_traces(&refs, cfg.reference).expect("equally long windows")
+            }
+            None => {
+                CostMatrix::new(universe, cfg.reference).expect("the session built the same matrix")
+            }
+        };
         self.matrix = Some(matrix);
     }
 
