@@ -307,6 +307,12 @@ pub const VM_CAP_CORES: f64 = 8.0;
 /// [`VM_CAP_CORES`]; the VM count, group count, seed, duration, per-VM
 /// scale range and idle fraction are the settable inputs.
 ///
+/// [`build`](Self::build) fills the VMs on every core, each thread a
+/// contiguous chunk of ids. Its output does not depend on the core
+/// count: each VM draws from its own stream forked from the seed, and
+/// the group profiles and shared burst chains are drawn before any VM
+/// starts.
+///
 /// # Example
 ///
 /// ```
@@ -386,25 +392,23 @@ impl DatacenterTraceBuilder {
         self
     }
 
-    /// Generates a two-state Markov burst chain with stationary
+    /// Fills `chain` with a two-state Markov burst chain with stationary
     /// on-fraction [`BURST_ON_FRACTION`] and mean burst duration
-    /// [`BURST_DURATION_SAMPLES`].
-    fn burst_chain(len: usize, rng: &mut SimRng) -> Vec<bool> {
+    /// [`BURST_DURATION_SAMPLES`], one state per slot.
+    fn burst_chain(chain: &mut [bool], rng: &mut SimRng) {
         let p_on = BURST_ON_FRACTION;
         let exit = 1.0 / BURST_DURATION_SAMPLES as f64;
         // Stationarity: p_on · exit = (1 - p_on) · enter.
         let enter = p_on * exit / (1.0 - p_on);
         let mut state = rng.bernoulli(p_on);
-        let mut chain = Vec::with_capacity(len);
-        for _ in 0..len {
-            chain.push(state);
+        for slot in chain {
+            *slot = state;
             state = if state {
                 !rng.bernoulli(exit)
             } else {
                 rng.bernoulli(enter)
             };
         }
-        chain
     }
 
     fn default_palette(rng: &mut SimRng) -> Vec<DailyArchetype> {
@@ -458,10 +462,16 @@ impl DatacenterTraceBuilder {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidParameter`] for inconsistent
-    /// builder settings (zero VMs, a duration that is not positive or
-    /// shorter than one 5-minute sample, bad ranges) and propagates
-    /// trace errors.
+    /// builder settings (zero VMs, a duration that is not positive,
+    /// shorter than one 5-minute sample or too long for its 5-second
+    /// grid to fit in memory, bad ranges) and propagates trace errors.
     pub fn build(&self) -> crate::Result<VmFleet> {
+        self.build_threads(default_threads())
+    }
+
+    /// [`build`](Self::build) with the per-VM fill spread over at most
+    /// `threads` threads (the calling thread among them), as given.
+    fn build_threads(&self, threads: usize) -> crate::Result<VmFleet> {
         if self.vm_count == 0 {
             return Err(WorkloadError::InvalidParameter(
                 "fleet needs at least one VM",
@@ -486,12 +496,20 @@ impl DatacenterTraceBuilder {
         let mut root = SimRng::new(self.seed);
         let palette = Self::default_palette(&mut root);
 
+        // Saturates for absurd durations; the checked product below
+        // then refuses them before anything is allocated.
         let coarse_samples = (self.duration_hours * 3600.0 / COARSE_DT_S).round() as usize;
         if coarse_samples == 0 {
             return Err(WorkloadError::InvalidParameter(
                 "duration shorter than one coarse sample",
             ));
         }
+        let fine_samples = coarse_samples
+            .checked_mul(REFINE_FACTOR)
+            .filter(|&n| n <= isize::MAX as usize / std::mem::size_of::<f64>())
+            .ok_or(WorkloadError::InvalidParameter(
+                "duration too long for its fine sample grid",
+            ))?;
 
         // Per-group: archetype, burst times, a common size scale (the
         // VMs of one service are siblings — near-identical nodes behind
@@ -517,74 +535,148 @@ impl DatacenterTraceBuilder {
         }
 
         // Pre-draw the shared (group-level) burst chains per fine slot.
-        let fine_samples = coarse_samples * REFINE_FACTOR;
         let mut group_bursts_fine: Vec<Vec<bool>> = Vec::with_capacity(groups);
         for grng in group_rngs.iter_mut() {
-            group_bursts_fine.push(Self::burst_chain(fine_samples, grng));
+            let mut chain = vec![false; fine_samples];
+            Self::burst_chain(&mut chain, grng);
+            group_bursts_fine.push(chain);
         }
         // Burst factors are normalized so the per-slot mean stays 1 and
         // the paper's "lognormal with matching mean" property holds.
         let burst_norm = 1.0 + BURST_AMPLITUDE * BURST_ON_FRACTION;
+        let noise = RefineNoise::new();
 
-        let mut vms = Vec::with_capacity(self.vm_count);
-        for id in 0..self.vm_count {
-            let group = id % groups;
-            let mut vrng = root.fork(2_000_000 + id as u64);
-            let idle = vrng.f64() < self.idle_fraction;
-            let scale = if idle {
-                vrng.range_f64(0.01, 0.08)
-            } else {
-                // Sibling nodes of one service are near-identical in
-                // size: group scale ± 10%.
-                group_scale[group] * vrng.range_f64(0.9, 1.1)
+        // One VM's traces, from its own forked stream alone: no VM
+        // reads another's draws, so the fill may run on any thread.
+        let fill_vm =
+            |id: usize, coarse: &mut Vec<f64>, fine: &mut Vec<f64>, own_bursts: &mut [bool]| {
+                let group = id % groups;
+                let mut vrng = root.fork(2_000_000 + id as u64);
+                let idle = vrng.f64() < self.idle_fraction;
+                let scale = if idle {
+                    vrng.range_f64(0.01, 0.08)
+                } else {
+                    // Sibling nodes of one service are near-identical in
+                    // size: group scale ± 10%.
+                    group_scale[group] * vrng.range_f64(0.9, 1.1)
+                };
+
+                // Coarse profile: group archetype × VM scale × AR(1) noise.
+                let mut ar = 0.0;
+                for s in 0..coarse_samples {
+                    let hour = (s as f64 * COARSE_DT_S / 3600.0) % 24.0;
+                    let base = group_archetype[group].mean_at(hour, &group_bursts[group]);
+                    ar = 0.8 * ar + 0.2 * vrng.normal(0.0, IDIO_NOISE);
+                    let v = (base * scale * (1.0 + ar)).clamp(0.0, VM_CAP_CORES);
+                    coarse.push(v);
+                }
+
+                // Fine refinement: sustained Markov bursts (shared with the
+                // group with probability `GROUP_SPIKE_SYNC`, so group-mates
+                // surge together) modulated by an i.i.d. lognormal whose
+                // mean matches the coarse sample — the paper's refinement
+                // with realistic multi-minute burst durations.
+                Self::burst_chain(own_bursts, &mut vrng);
+                for (s, &mean) in coarse.iter().enumerate() {
+                    for sub in 0..REFINE_FACTOR {
+                        let slot = s * REFINE_FACTOR + sub;
+                        let bursting = if vrng.bernoulli(GROUP_SPIKE_SYNC) {
+                            group_bursts_fine[group][slot]
+                        } else {
+                            own_bursts[slot]
+                        };
+                        let burst_factor = if bursting {
+                            (1.0 + BURST_AMPLITUDE) / burst_norm
+                        } else {
+                            1.0 / burst_norm
+                        };
+                        fine.push((mean * burst_factor * noise.draw(&mut vrng)).min(VM_CAP_CORES));
+                    }
+                }
             };
 
-            // Coarse profile: group archetype × VM scale × AR(1) noise.
-            let mut coarse = Vec::with_capacity(coarse_samples);
-            let mut ar = 0.0;
-            for s in 0..coarse_samples {
-                let hour = (s as f64 * COARSE_DT_S / 3600.0) % 24.0;
-                let base = group_archetype[group].mean_at(hour, &group_bursts[group]);
-                ar = 0.8 * ar + 0.2 * vrng.normal(0.0, IDIO_NOISE);
-                let v = (base * scale * (1.0 + ar)).clamp(0.0, VM_CAP_CORES);
-                coarse.push(v);
+        // Every buffer is allocated here, at its final size, so the
+        // traces live in the calling thread's heap; workers only fill.
+        // Each takes a contiguous chunk of ids and one own-burst scratch.
+        let mut buffers: Vec<(Vec<f64>, Vec<f64>)> = (0..self.vm_count)
+            .map(|_| {
+                (
+                    Vec::with_capacity(coarse_samples),
+                    Vec::with_capacity(fine_samples),
+                )
+            })
+            .collect();
+        let chunk = self.vm_count.div_ceil(threads.clamp(1, self.vm_count));
+        let mut scratch: Vec<Vec<bool>> = (0..self.vm_count.div_ceil(chunk))
+            .map(|_| vec![false; fine_samples])
+            .collect();
+        std::thread::scope(|scope| {
+            let fill_vm = &fill_vm;
+            let mut jobs = buffers.chunks_mut(chunk).zip(&mut scratch).enumerate().map(
+                |(k, (part, own_bursts))| {
+                    move || {
+                        for (i, (coarse, fine)) in part.iter_mut().enumerate() {
+                            fill_vm(k * chunk + i, coarse, fine, own_bursts);
+                        }
+                    }
+                },
+            );
+            let first = jobs.next();
+            for job in jobs {
+                scope.spawn(job);
             }
-
-            // Fine refinement: sustained Markov bursts (shared with the
-            // group with probability `GROUP_SPIKE_SYNC`, so group-mates
-            // surge together) modulated by an i.i.d. lognormal whose
-            // mean matches the coarse sample — the paper's refinement
-            // with realistic multi-minute burst durations.
-            let own_bursts = Self::burst_chain(fine_samples, &mut vrng);
-            let mut fine = Vec::with_capacity(fine_samples);
-            for (s, &mean) in coarse.iter().enumerate() {
-                for sub in 0..REFINE_FACTOR {
-                    let slot = s * REFINE_FACTOR + sub;
-                    let bursting = if vrng.bernoulli(GROUP_SPIKE_SYNC) {
-                        group_bursts_fine[group][slot]
-                    } else {
-                        own_bursts[slot]
-                    };
-                    let burst_factor = if bursting {
-                        (1.0 + BURST_AMPLITUDE) / burst_norm
-                    } else {
-                        1.0 / burst_norm
-                    };
-                    let noise = vrng.lognormal_mean_cv(1.0, REFINE_CV);
-                    fine.push((mean * burst_factor * noise).min(VM_CAP_CORES));
-                }
+            if let Some(mut job) = first {
+                job();
             }
+        });
 
+        let mut vms = Vec::with_capacity(self.vm_count);
+        for (id, (coarse, fine)) in buffers.into_iter().enumerate() {
             vms.push(VmTrace {
                 id,
                 name: format!("vm{id:03}"),
-                group,
+                group: id % groups,
                 coarse: TimeSeries::new(COARSE_DT_S, coarse)?,
                 fine: TimeSeries::new(FINE_DT_S, fine)?,
             });
         }
         Ok(VmFleet { vms, groups })
     }
+}
+
+/// `SimRng::lognormal_mean_cv(1.0, REFINE_CV)` with its constants
+/// computed once: the same float operations in the same order, so each
+/// draw is bit-identical to the per-call form.
+struct RefineNoise {
+    mu: f64,
+    sigma: f64,
+}
+
+impl RefineNoise {
+    fn new() -> Self {
+        let sigma2 = (1.0 + REFINE_CV * REFINE_CV).ln();
+        RefineNoise {
+            mu: 1.0f64.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    fn draw(&self, rng: &mut SimRng) -> f64 {
+        (self.mu + self.sigma * rng.standard_normal()).exp()
+    }
+}
+
+/// Threads [`DatacenterTraceBuilder::build`] spreads its VMs over: the
+/// host's cores. `available_parallelism` is a syscall and a
+/// multi-session host builds one fleet per session, so it is resolved
+/// once.
+fn default_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]
@@ -755,6 +847,88 @@ mod tests {
         let wrapped = arch.mean_at(0.5, &[]);
         let direct = arch.mean_at(21.5, &[]);
         assert!((wrapped - direct).abs() < 1e-9);
+    }
+
+    /// FNV-1a (64-bit) over the bit patterns of every coarse sample,
+    /// then every fine sample, of every VM in id order.
+    fn fleet_digest(fleet: &VmFleet) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for vm in fleet.vms() {
+            for &x in vm.coarse.values().iter().chain(vm.fine.values()) {
+                for byte in x.to_bits().to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn traces_match_their_pinned_digests() {
+        // One session of the benchmark's `service-day` and a 96-VM
+        // default fleet. Any change to the draws, their order or the
+        // float operations on them moves these digests.
+        let session = DatacenterTraceBuilder::new(16)
+            .groups(4)
+            .seed(2013)
+            .duration_hours(24.0)
+            .vm_scale_range(0.35, 1.05)
+            .build()
+            .unwrap();
+        let fleet96 = DatacenterTraceBuilder::new(96).seed(7).build().unwrap();
+        assert_eq!(fleet_digest(&session), 0x7400_1200_aacc_d981);
+        assert_eq!(fleet_digest(&fleet96), 0x0135_02b8_bc47_51fb);
+    }
+
+    #[test]
+    fn fill_is_thread_count_independent() {
+        for builder in [
+            DatacenterTraceBuilder::new(16)
+                .groups(4)
+                .seed(2013)
+                .duration_hours(6.0)
+                .vm_scale_range(0.35, 1.05),
+            DatacenterTraceBuilder::new(13)
+                .groups(5)
+                .seed(9)
+                .duration_hours(3.0)
+                .idle_fraction(0.3),
+        ] {
+            let want = builder.build().unwrap();
+            for threads in [1, 2, 3, 16, builder.vm_count + 3] {
+                assert_eq!(
+                    builder.build_threads(threads).unwrap(),
+                    want,
+                    "{threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn refine_noise_matches_lognormal_mean_cv_bitwise() {
+        let noise = RefineNoise::new();
+        let mut a = SimRng::new(0x5eed);
+        let mut b = SimRng::new(0x5eed);
+        for _ in 0..100_000 {
+            assert_eq!(
+                noise.draw(&mut a).to_bits(),
+                b.lognormal_mean_cv(1.0, REFINE_CV).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn absurd_durations_are_refused_before_allocating() {
+        // 1e300 h saturates the coarse count; 1e18 h overflows the
+        // fine count. Either would otherwise reach the allocator.
+        for hours in [1e300, 1e18] {
+            assert!(matches!(
+                DatacenterTraceBuilder::new(2).duration_hours(hours).build(),
+                Err(WorkloadError::InvalidParameter(_))
+            ));
+        }
     }
 
     fn pearson(a: &[f64], b: &[f64]) -> f64 {
