@@ -10,13 +10,14 @@
 //! flat controller over only its residents, so the pair work per sample
 //! drops to O(Σ cellᵢ²) — a `cells`-fold reduction at equal occupancy.
 //!
-//! Arrivals are steered between cells by a constant-size
-//! [`MomentSketch`] router rather than any dense structure: each VM is
-//! summarized at arrival into running moments plus an 8-bucket phase
-//! envelope, and the router picks the feasible cell whose projected
-//! **worst-phase aggregate** grows the least — the cheap streaming
-//! analogue of Eqn (1)'s "don't co-locate VMs that peak together" —
-//! in O(cells) time.
+//! Arrivals are steered between cells by a constant-size sketch router
+//! rather than any dense structure: each VM is summarized at arrival
+//! into its reference demand plus an 8-bucket phase envelope (the
+//! exact peak under `Reference::Peak`, a [`MomentSketch`]'s Gaussian
+//! moment estimate under a percentile), and the router picks the
+//! feasible cell whose projected **worst-phase aggregate** grows the
+//! least — the cheap streaming analogue of Eqn (1)'s "don't co-locate
+//! VMs that peak together" — in O(cells) time.
 //!
 //! # Exactness
 //!
@@ -96,7 +97,7 @@ use crate::sink::SinkEvent;
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::{ServerClass, ServerFleet, UNBOUNDED};
 use cavm_power::EnergyMeter;
-use cavm_trace::{MomentSketch, TimeSeries, PHASE_BUCKETS};
+use cavm_trace::{peak_and_profile, MomentSketch, Reference, TimeSeries, PHASE_BUCKETS};
 
 /// One cell's slice of a partitioned [`ServerFleet`]: the hardware the
 /// cell controls plus the mapping from its local class indices back to
@@ -403,13 +404,15 @@ impl ShardedController {
 
     /// Routes an arriving VM to a cell and admits it there.
     ///
-    /// The router sketches the trace ([`MomentSketch`], phase bucket =
-    /// one placement period) and picks the cell minimizing the
-    /// projected worst-phase aggregate — among cells whose reference
-    /// load still fits their capacity, falling back to all cells when
-    /// none fits (the receiving cell then defers or errors exactly as
-    /// a flat controller would). Ties break toward the most free
-    /// capacity, then the lowest cell index.
+    /// The router summarizes the trace into its reference demand and
+    /// phase envelope (phase bucket = one placement period): one pass
+    /// of [`peak_and_profile`] under `Reference::Peak`, a
+    /// [`MomentSketch`] under a percentile. It then picks the cell
+    /// minimizing the projected worst-phase aggregate — among cells
+    /// whose reference load still fits their capacity, falling back to
+    /// all cells when none fits (the receiving cell then defers or
+    /// errors exactly as a flat controller would). Ties break toward
+    /// the most free capacity, then the lowest cell index.
     ///
     /// # Errors
     ///
@@ -425,10 +428,13 @@ impl ShardedController {
         if self.route.get(id).is_some_and(Option::is_some) {
             return Err(SimError::DuplicateVm { id });
         }
-        let sketch = MomentSketch::from_series(&trace, self.clock, self.base.period_samples)
-            .map_err(SimError::Trace)?;
-        let ref_demand = sketch.reference(self.base.reference);
-        let profile = sketch.phase_profile();
+        let period = self.base.period_samples;
+        let (ref_demand, profile) = match self.base.reference {
+            Reference::Peak => peak_and_profile(&trace, self.clock, period),
+            reference => MomentSketch::from_series(&trace, self.clock, period)
+                .map(|sketch| (sketch.reference(reference), sketch.phase_profile())),
+        }
+        .map_err(SimError::Trace)?;
         let cell = self.route_to_cell(ref_demand, &profile);
 
         // A sole cell keeps the global id: the flat controller breaks

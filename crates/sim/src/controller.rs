@@ -73,7 +73,7 @@ use cavm_core::alloc::{
 use cavm_core::corr::CostMatrix;
 use cavm_core::dvfs::{DvfsMode, FleetFrequencyPlanner};
 use cavm_core::fleet::{ServerFleet, ServerHealth};
-use cavm_core::servercost::{server_cost_of, ServerCostAggregate};
+use cavm_core::servercost::ServerCostAggregate;
 use cavm_core::CoreError;
 use cavm_power::{EnergyMeter, PowerModel};
 use cavm_trace::TimeSeries;
@@ -1982,20 +1982,29 @@ impl DatacenterController {
     }
 
     /// Re-plans one server's static frequency level from its current
-    /// members (after an admit or evict).
+    /// members (after an admit or evict). Eqn (4) reads the server's
+    /// Eqn (2) cost from its aggregate, which every caller has just
+    /// brought up to date: [`Self::admit_slot`] pushed the new member,
+    /// [`Self::refresh_bin`] rebuilt it.
     fn replan_bin(&mut self, s: usize) -> crate::Result<()> {
         let members: &[usize] = &self.placement.servers()[s];
         if members.is_empty() {
             return Ok(());
         }
+        debug_assert!(
+            self.servers[s]
+                .agg
+                .members()
+                .iter()
+                .map(|&(id, _)| id)
+                .eq(members.iter().copied()),
+            "server {s}'s cost aggregate is not over its members",
+        );
         let class = self.placement.classes()[s];
         let total: f64 = members.iter().map(|&id| self.dense_vms[id].demand).sum();
         let f = if self.cfg.policy.correlation_aware_frequency() {
-            let matrix = self
-                .matrix
-                .as_ref()
-                .expect("live servers imply a period matrix");
-            let cost = server_cost_of(members, &self.dense_vms, matrix).max(1.0);
+            assert!(self.matrix.is_some(), "live servers imply a period matrix");
+            let cost = self.servers[s].agg.cost().max(1.0);
             self.planner
                 .static_level_correlation_aware(class, total, cost)
                 .map_err(SimError::Core)?

@@ -9,7 +9,8 @@
 //! again, zero-padded, whenever ids were registered since — and
 //! asserts at every boundary that the two agree bit for bit on every
 //! pair of live ids, on every server's Eqn (2) aggregate, and on the
-//! windows PCP clusters. A matrix-blind session
+//! windows PCP clusters; each aggregate must also read the direct
+//! double-loop Eqn (2) to 1e-12 relative. A matrix-blind session
 //! ([`ControllerConfig::reads_pair_costs`] is false) never fills its
 //! matrix, so there the dense one is replayed all the same and the
 //! assertion is the one that lets the fill go: every batch pass,
@@ -21,7 +22,7 @@
 use super::{ControllerConfig, DatacenterController, IdState};
 use cavm_core::alloc::{AllocationPolicy, Placement, VmDescriptor};
 use cavm_core::corr::CostMatrix;
-use cavm_core::servercost::ServerCostAggregate;
+use cavm_core::servercost::{server_cost_of, ServerCostAggregate};
 use cavm_trace::TimeSeries;
 
 /// A VM as registered, kept past its departure.
@@ -166,10 +167,19 @@ impl Oracle {
             for &id in members {
                 agg.push(id, ctl.dense_vms[id].demand, dense);
             }
+            let cost = ctl.servers[s].agg.cost();
             assert_eq!(
-                ctl.servers[s].agg.cost().to_bits(),
+                cost.to_bits(),
                 agg.cost().to_bits(),
                 "server {s}'s cost aggregate at sample {}",
+                ctl.clock,
+            );
+            // Eqn (4) replans from the aggregate's pair-sum form; the
+            // direct double loop must read the same cost.
+            let direct = server_cost_of(members, &ctl.dense_vms, keyed);
+            assert!(
+                (cost - direct).abs() <= 1e-12 * cost.max(1.0),
+                "server {s}'s aggregate cost {cost} vs direct Eqn (2) {direct} at sample {}",
                 ctl.clock,
             );
         }

@@ -11,8 +11,9 @@
 //! * [`streaming`] — constant-memory statistics: the running peak and
 //!   the P² quantile estimator (standalone and banked behind one clock).
 //! * [`sketch`] — constant-size per-VM demand summaries ([`MomentSketch`]:
-//!   running moments + a phase envelope) that let the placement-cell
-//!   router steer arrivals in O(cells) without any dense pair structure.
+//!   running moments + a phase envelope; [`peak_and_profile`] when only
+//!   the peak is read) that let the placement-cell router steer
+//!   arrivals in O(cells) without any dense pair structure.
 //! * [`envelope`] — Verma-style binary envelopes (`u(t) ≥ threshold`) and
 //!   overlap metrics, needed by the PCP baseline of the paper.
 //! * [`rng`] — a small deterministic PRNG ([`SimRng`]) with the
@@ -54,7 +55,7 @@ pub use envelope::Envelope;
 pub use error::TraceError;
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use sketch::{MomentSketch, PHASE_BUCKETS};
+pub use sketch::{peak_and_profile, MomentSketch, PHASE_BUCKETS};
 pub use stats::{percentile, Reference, Summary, Welford};
 pub use streaming::{P2Cell, P2Clock, P2Quantile, StreamingPeak};
 

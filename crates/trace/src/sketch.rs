@@ -228,6 +228,73 @@ impl MomentSketch {
     }
 }
 
+/// A whole series' peak and [`PHASE_BUCKETS`]-bucket phase profile —
+/// what [`MomentSketch::from_series`] followed by
+/// `reference(Reference::Peak)` and [`MomentSketch::phase_profile`]
+/// answer, bit for bit, without the running moments the peak never
+/// reads. One pass: each run of samples that shares a bucket is summed
+/// in sample order into that bucket, as the sketch's per-sample pushes
+/// sum it. An empty series reads 0 and an all-zero profile, like an
+/// empty sketch.
+///
+/// # Errors
+///
+/// Returns [`TraceError::InvalidParameter`] for zero `phase_samples`,
+/// as [`MomentSketch::new`] does.
+///
+/// # Example
+///
+/// ```
+/// use cavm_trace::{peak_and_profile, MomentSketch, Reference, TimeSeries};
+///
+/// # fn main() -> Result<(), cavm_trace::TraceError> {
+/// let trace = TimeSeries::from_fn(5.0, 800, |i| if i < 400 { 4.0 } else { 1.0 })?;
+/// let (peak, profile) = peak_and_profile(&trace, 30, 100)?;
+/// let sketch = MomentSketch::from_series(&trace, 30, 100)?;
+/// assert_eq!(peak, sketch.reference(Reference::Peak));
+/// assert_eq!(profile, sketch.phase_profile());
+/// # Ok(())
+/// # }
+/// ```
+pub fn peak_and_profile(
+    series: &TimeSeries,
+    start_sample: usize,
+    phase_samples: usize,
+) -> crate::Result<(f64, [f64; PHASE_BUCKETS])> {
+    MomentSketch::new(phase_samples)?; // the same validation
+    let mut rest = series.values();
+    if rest.is_empty() {
+        return Ok((0.0, [0.0; PHASE_BUCKETS]));
+    }
+    let mut peak = f64::NEG_INFINITY;
+    let mut sum = [0.0; PHASE_BUCKETS];
+    let mut count = [0u64; PHASE_BUCKETS];
+    let mut bucket = (start_sample / phase_samples) % PHASE_BUCKETS;
+    let mut run_len = phase_samples - start_sample % phase_samples;
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at(run_len.min(rest.len()));
+        let mut acc = sum[bucket];
+        for &v in run {
+            if v > peak {
+                peak = v;
+            }
+            acc += v;
+        }
+        sum[bucket] = acc;
+        count[bucket] += run.len() as u64;
+        rest = tail;
+        bucket = (bucket + 1) % PHASE_BUCKETS;
+        run_len = phase_samples;
+    }
+    let mut profile = [0.0; PHASE_BUCKETS];
+    for (b, slot) in profile.iter_mut().enumerate() {
+        if count[b] > 0 {
+            *slot = sum[b] / count[b] as f64;
+        }
+    }
+    Ok((peak, profile))
+}
+
 /// Inverse standard-normal CDF (Acklam's rational approximation,
 /// |relative error| < 1.15e-9 — far below the sketch's own estimation
 /// error).

@@ -1,6 +1,9 @@
 //! Property-based tests for the time-series substrate.
 
-use cavm_trace::{percentile, Envelope, P2Quantile, Reference, SimRng, TimeSeries, Welford};
+use cavm_trace::{
+    peak_and_profile, percentile, Envelope, MomentSketch, P2Quantile, Reference, SimRng,
+    TimeSeries, Welford,
+};
 use proptest::prelude::*;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -216,6 +219,45 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(percentile(&window, p).unwrap(), percentile_by_sorting(&window, p));
+    }
+}
+
+proptest! {
+    /// The cell router's one-pass summary reads the very bits a
+    /// `MomentSketch` of the same trace answers under `Reference::Peak`:
+    /// the peak and every bucket of the phase profile, at lengths 0, 1
+    /// and random, from start offsets that split a bucket, at bucket
+    /// widths that wrap the trace past all eight buckets.
+    #[test]
+    fn router_peak_summary_matches_the_sketch_bitwise(
+        seed in any::<u64>(),
+        len in 2usize..=3000,
+        start in 0usize..=5000,
+        random_width in 1usize..=400,
+    ) {
+        let mut rng = SimRng::new(seed);
+        for n in [0, 1, len] {
+            let values: Vec<f64> = (0..n).map(|_| rng.lognormal_mean_cv(2.0, 0.8)).collect();
+            let trace = TimeSeries::new(5.0, values).unwrap();
+            for width in [1, 7, 120, random_width] {
+                let (peak, profile) = peak_and_profile(&trace, start, width).unwrap();
+                let sketch = MomentSketch::from_series(&trace, start, width).unwrap();
+                let want = sketch.reference(Reference::Peak);
+                prop_assert_eq!(peak.to_bits(), want.to_bits(), "peak, n {} width {}", n, width);
+                for (b, (got, want)) in profile.iter().zip(sketch.phase_profile()).enumerate() {
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "bucket {}, n {} start {} width {}",
+                        b,
+                        n,
+                        start,
+                        width
+                    );
+                }
+            }
+        }
+        prop_assert!(peak_and_profile(&TimeSeries::new(5.0, vec![]).unwrap(), start, 0).is_err());
     }
 }
 

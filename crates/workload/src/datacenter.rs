@@ -486,9 +486,9 @@ impl DatacenterTraceBuilder {
             ));
         }
         let (scale_lo, scale_hi) = self.vm_scale_range;
-        if !(scale_lo > 0.0 && scale_hi >= scale_lo) {
+        if !(scale_lo > 0.0 && scale_hi >= scale_lo && scale_hi.is_finite()) {
             return Err(WorkloadError::InvalidParameter(
-                "vm scale range must be 0 < lo <= hi",
+                "vm scale range must be finite, 0 < lo <= hi",
             ));
         }
 
@@ -926,6 +926,19 @@ mod tests {
         for hours in [1e300, 1e18] {
             assert!(matches!(
                 DatacenterTraceBuilder::new(2).duration_hours(hours).build(),
+                Err(WorkloadError::InvalidParameter(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn infinite_scale_bounds_are_refused() {
+        for (lo, hi) in [(1.0, f64::INFINITY), (f64::INFINITY, f64::INFINITY)] {
+            assert!(matches!(
+                DatacenterTraceBuilder::new(4)
+                    .duration_hours(1.0)
+                    .vm_scale_range(lo, hi)
+                    .build(),
                 Err(WorkloadError::InvalidParameter(_))
             ));
         }

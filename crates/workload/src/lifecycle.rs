@@ -414,8 +414,10 @@ impl LifecycleBuilder {
                         .round() as usize,
                 ),
             };
+            // A lifetime that overflows the sample index departs no
+            // sooner than the horizon: never, within it.
             let departure_sample = lifetime.and_then(|life| {
-                let d = arrival + life.max(1);
+                let d = arrival.checked_add(life.max(1))?;
                 (d < self.horizon_samples).then_some(d)
             });
             entries.push(LifecycleEntry {
@@ -584,6 +586,35 @@ mod tests {
             .lifetimes(LifetimeModel::Exponential { mean_samples: 0.0 })
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn overlong_lifetimes_never_depart_within_the_horizon() {
+        // Each model draws a lifetime whose departure index overflows
+        // `usize` for any VM arriving after sample 0.
+        for lifetimes in [
+            LifetimeModel::Fixed {
+                samples: usize::MAX,
+            },
+            LifetimeModel::Exponential {
+                mean_samples: 1e300,
+            },
+            LifetimeModel::Uniform {
+                min_samples: usize::MAX - 1,
+                max_samples: usize::MAX,
+            },
+        ] {
+            let lc = LifecycleBuilder::new(4, 100)
+                .seed(3)
+                .arrivals(ArrivalProcess::Poisson {
+                    mean_gap_samples: 10.0,
+                })
+                .lifetimes(lifetimes)
+                .build()
+                .unwrap();
+            assert!(lc.entries().iter().any(|e| e.arrival_sample > 0));
+            assert!(lc.entries().iter().all(|e| e.departure_sample.is_none()));
+        }
     }
 
     #[test]
