@@ -64,12 +64,11 @@
 //! the per-pair one bit for bit.
 //!
 //! A fill can also split the triangle into near-equal-pair row chunks
-//! and update them on scoped `std::thread`s. (The build environment
-//! has no crate registry, so this uses the standard library rather
-//! than rayon; the chunking is embarrassingly parallel either way.)
-//! Each pair is still updated by exactly one thread in sample order,
-//! so parallel results are bit-identical to serial ones — the
-//! equivalence tests in `tests/soa_equivalence.rs` pin this.
+//! and hand them to [`cavm_trace::fanout`], which runs the first chunk
+//! on the calling thread and each other on a scoped thread. Each pair
+//! is still updated by exactly one thread in sample order, so parallel
+//! results are bit-identical to serial ones — the equivalence tests in
+//! `tests/soa_equivalence.rs` pin this.
 //!
 //! Whether it *does* fan out is one rule, `threads_for`: scoped threads
 //! are spawned and joined per call, which costs about as much as
@@ -108,7 +107,7 @@
 
 use crate::corr::cost::combine_cost;
 use crate::CoreError;
-use cavm_trace::{P2Cell, P2Clock, Reference, TimeSeries};
+use cavm_trace::{fanout, P2Cell, P2Clock, Reference, TimeSeries};
 
 /// Upper-triangle row-major index of pair `(i, j)`, `i < j < n`.
 #[inline]
@@ -664,17 +663,6 @@ fn check_finite(samples: &[f64]) -> crate::Result<()> {
     }
 }
 
-fn default_threads() -> usize {
-    // `available_parallelism` is a syscall; resolve it once, not on
-    // every fill.
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Kernel work, in Peak pair updates, up to which [`CostMatrix::fill`]
 /// stays on the calling thread.
 ///
@@ -719,34 +707,25 @@ fn threads_for(work: usize) -> usize {
     if work <= SERIAL_WORK_MAX {
         1
     } else {
-        default_threads()
+        fanout::cores()
     }
 }
 
 /// Runs `kernel(row_start, row_end, sub_plane)` over the whole triangle
-/// `plane` of a `rows`-row matrix: in one call, or — when `threads`
-/// splits the rows into more than one chunk — one scoped thread per
-/// near-equal-pair row chunk. Each pair belongs to exactly one chunk,
-/// so the result does not depend on `threads`.
+/// `plane` of a `rows`-row matrix, one [`fanout`] part per
+/// near-equal-pair row chunk of at most `threads`. Each pair belongs to
+/// exactly one chunk, so the result does not depend on `threads`.
 fn over_row_chunks<T: Send>(
     rows: usize,
     threads: usize,
     plane: &mut [T],
     kernel: impl Fn(usize, usize, &mut [T]) + Sync,
 ) {
-    if threads > 1 {
-        let chunks = row_chunks(rows, threads);
-        if chunks.len() > 1 {
-            let kernel = &kernel;
-            std::thread::scope(|scope| {
-                for ((row_start, row_end), part) in chunked_rows(rows, &chunks, plane) {
-                    scope.spawn(move || kernel(row_start, row_end, part));
-                }
-            });
-            return;
-        }
-    }
-    kernel(0, rows.saturating_sub(1), plane);
+    let chunks = row_chunks(rows, threads);
+    fanout::run(
+        chunked_rows(rows, &chunks, plane),
+        |((row_start, row_end), part)| kernel(row_start, row_end, part),
+    );
 }
 
 /// Splits a triangle plane into the per-chunk mutable row slices
@@ -1130,8 +1109,8 @@ mod tests {
     fn default_fan_out_follows_the_work_threshold() {
         assert_eq!(threads_for(0), 1);
         assert_eq!(threads_for(SERIAL_WORK_MAX), 1);
-        assert_eq!(threads_for(SERIAL_WORK_MAX + 1), default_threads());
-        assert_eq!(threads_for(usize::MAX), default_threads());
+        assert_eq!(threads_for(SERIAL_WORK_MAX + 1), fanout::cores());
+        assert_eq!(threads_for(usize::MAX), fanout::cores());
 
         // Rows × samples either side of the line, P² updates weighted.
         let p95 = Reference::Percentile(95.0);
@@ -1148,7 +1127,7 @@ mod tests {
             (64, 1, p95, true),
         ] {
             let matrix = CostMatrix::keyed(rows, reference).unwrap();
-            let expected = if serial { 1 } else { default_threads() };
+            let expected = if serial { 1 } else { fanout::cores() };
             assert_eq!(
                 matrix.fan_out(samples),
                 expected,
@@ -1157,6 +1136,6 @@ mod tests {
         }
         // Work that overflows saturates instead of wrapping to "small".
         let wide = CostMatrix::keyed(4096, Reference::Peak).unwrap();
-        assert_eq!(wide.fan_out(usize::MAX), default_threads());
+        assert_eq!(wide.fan_out(usize::MAX), fanout::cores());
     }
 }

@@ -4,9 +4,9 @@
 //! sessions at once, each an independent [`DatacenterController`] over
 //! its own fleet slice, and serves their event streams concurrently.
 //! [`SessionHost`] is that front: it owns N session configurations,
-//! takes one interleaved schedule of [`SessionEvent`]s, dispatches
-//! each event to its session on a small worker pool
-//! (`session % workers` partitioning), and merges the per-session
+//! takes one interleaved schedule of [`SessionEvent`]s, replays each
+//! session on one of a few workers (each a contiguous chunk of session
+//! ids, through [`cavm_trace::fanout`]), and merges the per-session
 //! terminal reports into a [`ServiceReport`].
 //!
 //! **The schedule is read once.** [`SessionHost::run`] takes any
@@ -21,9 +21,10 @@
 //! to walk.
 //!
 //! **Determinism is the contract.** Sessions never share state — a
-//! worker owns every event of each session it is assigned and replays
-//! them in schedule order — so the merged report is a pure function of
-//! the schedule: the same schedule on 1 worker and on 8 workers is
+//! worker owns every event of each session in its chunk, replays them
+//! in schedule order and writes the session's report into that
+//! session's own slot — so the merged report is a pure function of the
+//! schedule: the same schedule on 1 worker and on 8 workers is
 //! bit-identical (pinned by the `service` test suite). Concurrency
 //! only changes wall-clock time, never results.
 //!
@@ -70,9 +71,9 @@
 use crate::controller::{ControllerConfig, DatacenterController, NullSink, VmEvent};
 use crate::report::SimReport;
 use crate::SimError;
+use cavm_trace::fanout;
 use cavm_workload::datacenter::VmFleet;
 use cavm_workload::lifecycle::{Lifecycle, LifecycleEntry};
-use std::thread;
 
 /// One schedule entry for a [`SessionHost`]: an event addressed to one
 /// hosted session. Cloning an entry — or a whole schedule — copies no
@@ -159,10 +160,11 @@ pub struct SessionHost {
 }
 
 impl SessionHost {
-    /// A host over one session per entry of `configs`, replaying on a
-    /// pool of `workers` threads. Session `s` is pinned to worker
-    /// `s % workers`, so the partition — and therefore every result —
-    /// is independent of thread scheduling.
+    /// A host over one session per entry of `configs`, replaying on at
+    /// most `workers` threads, the calling thread among them. Each
+    /// worker takes a contiguous chunk of session ids, so the partition
+    /// — and therefore every result — is independent of thread
+    /// scheduling.
     ///
     /// # Errors
     ///
@@ -188,8 +190,9 @@ impl SessionHost {
         self.configs.len()
     }
 
-    /// Pool size (workers actually spawned per run is
-    /// `min(workers, sessions)`; idle threads are never created).
+    /// Most threads a run uses (the calling thread among them; a run
+    /// over fewer sessions uses fewer, and idle threads are never
+    /// created).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -241,36 +244,25 @@ impl SessionHost {
                 steps.push(Step::Ticks(1));
             }
         }
-        // Static session → worker pinning: deterministic by design.
-        let workers = self.workers.min(sessions);
-        let mut jobs: Vec<Vec<(usize, ControllerConfig, Vec<Step>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (session, steps) in per_session.into_iter().enumerate() {
-            jobs[session % workers].push((session, self.configs[session].clone(), steps));
-        }
-        let mut results: Vec<(usize, crate::Result<SimReport>)> = Vec::with_capacity(sessions);
-        thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|job| {
-                    scope.spawn(move || {
-                        job.into_iter()
-                            .map(|(session, config, steps)| {
-                                (session, Self::run_session(config, steps))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("session worker panicked"));
-            }
-        });
-        results.sort_by_key(|(session, _)| *session);
-        let mut reports = Vec::with_capacity(sessions);
-        for (_, result) in results {
-            reports.push(result?);
-        }
+        // Contiguous session chunks, each session's result in its own
+        // slot: the results come back in id order on any worker count.
+        let chunk = sessions.div_ceil(self.workers.min(sessions));
+        let mut results: Vec<Option<crate::Result<SimReport>>> = vec![None; sessions];
+        fanout::run(
+            self.configs
+                .chunks(chunk)
+                .zip(per_session.chunks_mut(chunk))
+                .zip(results.chunks_mut(chunk)),
+            |((configs, steps), slots)| {
+                for ((config, steps), slot) in configs.iter().zip(steps).zip(slots) {
+                    *slot = Some(Self::run_session(config.clone(), std::mem::take(steps)));
+                }
+            },
+        );
+        let reports = results
+            .into_iter()
+            .map(|result| result.expect("every session ran"))
+            .collect::<crate::Result<Vec<_>>>()?;
         let merged = MergedReport::from_sessions(&reports);
         Ok(ServiceReport {
             sessions: reports,
@@ -278,7 +270,7 @@ impl SessionHost {
         })
     }
 
-    /// One session, start to finish, on the owning worker thread.
+    /// One session, start to finish, on its chunk's worker thread.
     fn run_session(config: ControllerConfig, steps: Vec<Step>) -> crate::Result<SimReport> {
         let mut controller = DatacenterController::new(config)?;
         for step in steps {
@@ -706,8 +698,8 @@ mod tests {
     fn failing_session_reports_the_smallest_session_id() {
         let fleet = fleet(3, 2.0, 5);
         let scenario = ScenarioBuilder::new(fleet).servers(4).build().unwrap();
-        let host = SessionHost::new(vec![scenario.controller_config(); 4], 2).unwrap();
-        // Sessions 1 and 3 both depart a VM that never arrived.
+        // Sessions 1 and 3 both depart a VM that never arrived. At 2
+        // workers they sit in different chunks, at 3 and 4 too.
         let schedule = vec![
             SessionEvent {
                 session: 3,
@@ -718,11 +710,15 @@ mod tests {
                 event: VmEvent::Depart { id: 7 },
             },
         ];
-        assert_eq!(
-            host.run(schedule).unwrap_err(),
-            SimError::UnknownVm { id: 7 },
-            "smallest failing session id wins, regardless of schedule order"
-        );
+        for workers in 1..=4 {
+            let host = SessionHost::new(vec![scenario.controller_config(); 4], workers).unwrap();
+            assert_eq!(
+                host.run(schedule.clone()).unwrap_err(),
+                SimError::UnknownVm { id: 7 },
+                "smallest failing session id wins, regardless of schedule order, \
+                 on {workers} worker(s)"
+            );
+        }
     }
 
     #[test]

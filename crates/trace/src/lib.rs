@@ -21,6 +21,9 @@
 //!   parameterized *by mean*, Poisson, exponential). Implemented in-house
 //!   so that every experiment in the repository is reproducible from a
 //!   single `u64` seed.
+//! * [`fanout`] — the one deterministic fan-out: disjoint parts of a
+//!   caller-allocated output, the first on the calling thread and the
+//!   rest on scoped threads, so results never depend on the thread count.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@
 
 pub mod envelope;
 mod error;
+pub mod fanout;
 pub mod rng;
 pub mod series;
 pub mod sketch;

@@ -239,19 +239,6 @@ impl TimeSeries {
         self.map(|v| v * factor)
     }
 
-    /// Returns the series with samples clamped to `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` (programming error at the call site).
-    pub fn clamp(&self, lo: f64, hi: f64) -> TimeSeries {
-        assert!(lo <= hi, "clamp bounds inverted: {lo} > {hi}");
-        TimeSeries {
-            dt: self.dt,
-            values: Arc::new(self.values.iter().map(|v| v.clamp(lo, hi)).collect()),
-        }
-    }
-
     /// Extracts samples `[start, end)` as a new series with the same
     /// sampling interval.
     ///
@@ -444,18 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn map_scale_clamp() {
+    fn map_and_scale() {
         let t = s(&[1.0, -2.0, 3.0]);
         assert_eq!(t.scale(2.0).unwrap().values(), &[2.0, -4.0, 6.0]);
-        assert_eq!(t.clamp(0.0, 2.5).values(), &[1.0, 0.0, 2.5]);
         assert!(t.scale(f64::INFINITY).is_err());
         assert_eq!(t.map(|v| v + 1.0).unwrap().values(), &[2.0, -1.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp bounds inverted")]
-    fn clamp_panics_on_inverted_bounds() {
-        s(&[1.0]).clamp(2.0, 1.0);
     }
 
     #[test]

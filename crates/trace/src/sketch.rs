@@ -190,42 +190,6 @@ impl MomentSketch {
         }
         profile
     }
-
-    /// Folds another sketch into this one (Chan's parallel moment
-    /// combination; peaks take the max, envelopes add).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidParameter`] when the bucket widths
-    /// differ — envelopes on different clocks cannot be merged.
-    pub fn merge(&mut self, other: &Self) -> crate::Result<()> {
-        if self.phase_samples != other.phase_samples {
-            return Err(TraceError::InvalidParameter(
-                "cannot merge sketches with different phase bucket widths",
-            ));
-        }
-        if other.count == 0 {
-            return Ok(());
-        }
-        if self.count == 0 {
-            *self = *other;
-            return Ok(());
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2);
-        self.mean += delta * n2 / (n1 + n2);
-        self.count += other.count;
-        if other.peak > self.peak {
-            self.peak = other.peak;
-        }
-        for b in 0..PHASE_BUCKETS {
-            self.phase_sum[b] += other.phase_sum[b];
-            self.phase_count[b] += other.phase_count[b];
-        }
-        Ok(())
-    }
 }
 
 /// A whole series' peak and [`PHASE_BUCKETS`]-bucket phase profile —
@@ -421,31 +385,6 @@ mod tests {
         let profile = sketch.phase_profile();
         assert!((profile[2] - 3.0).abs() < 1e-12);
         assert_eq!(profile[0], 0.0);
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        let mut rng = SimRng::new(77);
-        let a: Vec<f64> = (0..700).map(|_| rng.lognormal_mean_cv(1.5, 0.6)).collect();
-        let b: Vec<f64> = (0..1300).map(|_| rng.lognormal_mean_cv(3.0, 0.3)).collect();
-        let sa =
-            MomentSketch::from_series(&TimeSeries::new(5.0, a.clone()).unwrap(), 0, 250).unwrap();
-        let sb =
-            MomentSketch::from_series(&TimeSeries::new(5.0, b.clone()).unwrap(), 700, 250).unwrap();
-        let mut merged = sa;
-        merged.merge(&sb).unwrap();
-        let all: Vec<f64> = a.into_iter().chain(b).collect();
-        let whole = MomentSketch::from_series(&TimeSeries::new(5.0, all).unwrap(), 0, 250).unwrap();
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.variance() - whole.variance()).abs() / whole.variance() < 1e-9);
-        assert_eq!(merged.peak(), whole.peak());
-        for b in 0..PHASE_BUCKETS {
-            assert!((merged.phase_profile()[b] - whole.phase_profile()[b]).abs() < 1e-9);
-        }
-        // Mismatched bucket widths refuse to merge.
-        let other = MomentSketch::new(99).unwrap();
-        assert!(merged.merge(&other).is_err());
     }
 
     #[test]

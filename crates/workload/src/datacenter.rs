@@ -29,7 +29,7 @@
 //! always overlap.
 
 use crate::WorkloadError;
-use cavm_trace::{SimRng, TimeSeries};
+use cavm_trace::{fanout, SimRng, TimeSeries};
 
 /// Shape of a group's daily 5-minute mean-utilization profile.
 ///
@@ -307,11 +307,11 @@ pub const VM_CAP_CORES: f64 = 8.0;
 /// [`VM_CAP_CORES`]; the VM count, group count, seed, duration, per-VM
 /// scale range and idle fraction are the settable inputs.
 ///
-/// [`build`](Self::build) fills the VMs on every core, each thread a
-/// contiguous chunk of ids. Its output does not depend on the core
-/// count: each VM draws from its own stream forked from the seed, and
-/// the group profiles and shared burst chains are drawn before any VM
-/// starts.
+/// [`build`](Self::build) fills the VMs on every core through
+/// [`fanout`], each part a contiguous chunk of ids. Its output does not
+/// depend on the core count: each VM draws from its own stream forked
+/// from the seed, and the group profiles and shared burst chains are
+/// drawn before any VM starts.
 ///
 /// # Example
 ///
@@ -466,7 +466,7 @@ impl DatacenterTraceBuilder {
     /// shorter than one 5-minute sample or too long for its 5-second
     /// grid to fit in memory, bad ranges) and propagates trace errors.
     pub fn build(&self) -> crate::Result<VmFleet> {
-        self.build_threads(default_threads())
+        self.build_threads(fanout::cores())
     }
 
     /// [`build`](Self::build) with the per-VM fill spread over at most
@@ -610,25 +610,14 @@ impl DatacenterTraceBuilder {
         let mut scratch: Vec<Vec<bool>> = (0..self.vm_count.div_ceil(chunk))
             .map(|_| vec![false; fine_samples])
             .collect();
-        std::thread::scope(|scope| {
-            let fill_vm = &fill_vm;
-            let mut jobs = buffers.chunks_mut(chunk).zip(&mut scratch).enumerate().map(
-                |(k, (part, own_bursts))| {
-                    move || {
-                        for (i, (coarse, fine)) in part.iter_mut().enumerate() {
-                            fill_vm(k * chunk + i, coarse, fine, own_bursts);
-                        }
-                    }
-                },
-            );
-            let first = jobs.next();
-            for job in jobs {
-                scope.spawn(job);
-            }
-            if let Some(mut job) = first {
-                job();
-            }
-        });
+        fanout::run(
+            buffers.chunks_mut(chunk).zip(&mut scratch).enumerate(),
+            |(k, (part, own_bursts))| {
+                for (i, (coarse, fine)) in part.iter_mut().enumerate() {
+                    fill_vm(k * chunk + i, coarse, fine, own_bursts);
+                }
+            },
+        );
 
         let mut vms = Vec::with_capacity(self.vm_count);
         for (id, (coarse, fine)) in buffers.into_iter().enumerate() {
@@ -664,19 +653,6 @@ impl RefineNoise {
     fn draw(&self, rng: &mut SimRng) -> f64 {
         (self.mu + self.sigma * rng.standard_normal()).exp()
     }
-}
-
-/// Threads [`DatacenterTraceBuilder::build`] spreads its VMs over: the
-/// host's cores. `available_parallelism` is a syscall and a
-/// multi-session host builds one fleet per session, so it is resolved
-/// once.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
 }
 
 #[cfg(test)]
